@@ -16,10 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import analytics
-from .facts import FactsParseError, FactStoreError, dump_facts_dir, load_facts_dir
+from .facts import (
+    EncodingError,
+    FactsParseError,
+    FactStoreError,
+    canonical_address,
+    dump_facts_dir,
+    load_facts_dir,
+)
 from .ingest import ConfigError, IngestError, ingest_jsonl, load_config
 from .oracle import OracleSizeError, brute_force
 from .rules import RULE_NAMES, ConfigurationError, eval_all
@@ -35,17 +43,50 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+class PriceTableError(ValueError):
+    """Malformed price table (names the file, entry index and key)."""
+
+
+_PRICE_KEYS = ("chain_id", "token", "usd_per_unit", "decimals")
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        return False
+    try:
+        Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _load_prices(path: str | None) -> analytics.PriceTable | None:
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise PriceTableError(f"{path}: expected a JSON list of price entries")
     table: dict[tuple[int, str], tuple[str, int]] = {}
-    for entry in entries:
-        table[(int(entry["chain_id"]), entry["token"].lower())] = (
-            str(entry["usd_per_unit"]),
-            int(entry["decimals"]),
-        )
+    for i, entry in enumerate(entries):
+        where = f"{path}: entry {i}"
+        if not isinstance(entry, dict):
+            raise PriceTableError(f"{where}: expected an object with keys {', '.join(_PRICE_KEYS)}")
+        for key in _PRICE_KEYS:
+            if key not in entry:
+                raise PriceTableError(f"{where}: missing key {key!r}")
+        chain_id, token, usd, decimals = (entry[key] for key in _PRICE_KEYS)
+        if isinstance(chain_id, bool) or not isinstance(chain_id, int) or chain_id <= 0:
+            raise PriceTableError(f"{where}: 'chain_id' must be a positive integer, got {chain_id!r}")
+        if isinstance(decimals, bool) or not isinstance(decimals, int) or decimals < 0:
+            raise PriceTableError(f"{where}: 'decimals' must be a non-negative integer, got {decimals!r}")
+        try:
+            token = canonical_address(token, "token")
+        except EncodingError as exc:
+            raise PriceTableError(f"{where}: {exc}") from exc
+        if not _is_number(usd):
+            raise PriceTableError(f"{where}: 'usd_per_unit' is not a number: {usd!r}")
+        table[(chain_id, token)] = (str(usd), decimals)
     return table
 
 
@@ -197,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         ConfigurationError,
         ParameterError,
         OracleSizeError,
+        PriceTableError,
         json.JSONDecodeError,
     ) as exc:
         _progress(f"error: {exc}")

@@ -14,6 +14,11 @@ Facts are immutable, hashable values with canonical field encodings:
 * identifiers (deposit/withdrawal ids, token standards): opaque strings,
   compared by equality, free of tabs and newlines
 
+Each fact class annotates its columns with a kind (``Address``, ``Uint``,
+...). That one table of (name, kind) per relation yields the validating
+constructor, the compiled row matcher and builder used by
+:func:`load_facts_dir`, and the row renderer used by :func:`dump_facts_dir`.
+
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
 is sealed. Persistence is one tab-separated ``<relation>.facts`` file per
@@ -25,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, NoReturn
 
 __all__ = [
     "EncodingError",
@@ -57,7 +62,7 @@ MAX_UINT256 = (1 << 256) - 1
 
 _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}\Z")
 _TX_HASH_RE = re.compile(r"0x[0-9a-f]{64}\Z")
-_AMOUNT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
+_DECIMAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
 class EncodingError(ValueError):
@@ -107,7 +112,7 @@ def canonical_amount(value: str | int, field: str = "amount") -> str:
         if value < 0 or value > MAX_UINT256:
             raise EncodingError(field, f"amount out of uint256 range: {value}")
         return str(value)
-    if not isinstance(value, str) or not _AMOUNT_RE.match(value):
+    if not isinstance(value, str) or not _DECIMAL_RE.match(value):
         raise EncodingError(field, f"not a canonical decimal amount: {value!r}")
     if int(value) > MAX_UINT256:
         raise EncodingError(field, f"amount out of uint256 range: {value}")
@@ -123,10 +128,21 @@ def _uint(value, field: str) -> int:
 
 
 def _chain_id(value, field: str) -> int:
-    v = _uint(value, field)
-    if v == 0:
+    if _uint(value, field) == 0:
         raise EncodingError(field, "chain id must be nonzero")
-    return v
+    return value
+
+
+def _positive(value, field: str) -> int:
+    if _uint(value, field) == 0:
+        raise EncodingError(field, "must be positive")
+    return value
+
+
+def _status(value, field: str) -> int:
+    if _uint(value, field) > 1:
+        raise EncodingError(field, f"status must be 0 or 1, got {value!r}")
+    return value
 
 
 def _opaque(value, field: str) -> str:
@@ -137,324 +153,276 @@ def _opaque(value, field: str) -> str:
     return value
 
 
-def _status(value, field: str) -> int:
-    if value not in (0, 1):
-        raise EncodingError(field, f"status must be 0 or 1, got {value!r}")
-    return value
+def _decimal(text: str, field: str) -> int:
+    """Parse an integer column of a ``.facts`` file: ASCII digits only."""
+    if not _DECIMAL_RE.match(text):
+        raise EncodingError(field, f"not a canonical unsigned integer: {text!r}")
+    return int(text)
 
 
-@dataclass(frozen=True, slots=True)
+class _Kind(NamedTuple):
+    """The encoding of one column kind."""
+
+    check: Callable[[Any, str], Any]  # constructor: (value, field) -> canonical value
+    pattern: str  # regex of every ``.facts`` text the kind accepts
+    load: str  # expression turning the matched text ``{v}`` into the value
+
+
+_INT = "int({v})"
+_HEX = "0[xX][0-9a-fA-F]"
+_DECIMAL = "0|[1-9][0-9]*"
+
+# Column kinds, named by the annotations of the fact classes. Hex text may
+# be mixed-case on disk; it is lowercased on load as in the constructor.
+_KINDS = {
+    "Address": _Kind(canonical_address, _HEX + "{40}", "{v}.lower()"),
+    "TxHash": _Kind(canonical_tx_hash, _HEX + "{64}", "{v}.lower()"),
+    # below 78 digits an amount is within uint256 without converting it
+    "Amount": _Kind(canonical_amount, _DECIMAL, "({v} if len({v}) < 78 else _amount({v}, '{v}'))"),
+    "Opaque": _Kind(_opaque, "[^\t\n\r]*", "{v}"),
+    "Uint": _Kind(_uint, _DECIMAL, _INT),
+    "ChainId": _Kind(_chain_id, "[1-9][0-9]*", _INT),
+    "Status": _Kind(_status, "[01]", _INT),
+    "Positive": _Kind(_positive, "[1-9][0-9]*", _INT),
+}
+
+# Type aliases for the annotations; the annotation text selects the kind.
+Address = TxHash = Amount = Opaque = str
+Uint = ChainId = Status = Positive = int
+
+
+def _compile(cls: type, env: dict, functions: dict[str, list[str]]) -> list[Callable]:
+    """Compile one ``def <signature>: <body>`` per item of ``functions``,
+    reading ``env`` as closure variables (faster than globals)."""
+    names = [signature.split("(", 1)[0] for signature in functions]
+    lines = [f"def _factory({', '.join(env)}):"]
+    for signature, body in functions.items():
+        lines += [f"  def {signature}:", *(f"    {line}" for line in body)]
+    lines.append(f"  return {', '.join(names)}")
+    namespace: dict = {}
+    exec("\n".join(lines), {}, namespace)
+    compiled = namespace["_factory"](**env)
+    for fn in compiled:
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+    return compiled
+
+
+# Every fact class by relation name, in definition order; filled by _relation.
+RELATIONS: dict[str, type[_Fact]] = {}
+
+
+def _relation(cls):
+    """Make ``cls`` a frozen slotted dataclass and derive, from its
+    annotated (name, kind) columns, the validating ``__init__``, the row
+    pattern and builder of :func:`load_facts_dir`, and the row renderer of
+    :func:`dump_facts_dir`."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    # annotations are strings (``from __future__ import annotations``)
+    cls.COLUMNS = tuple((f.name, _KINDS[f.type]) for f in fields(cls))
+    names = [name for name, _ in cls.COLUMNS]
+    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_amount": canonical_amount}
+    init, build = [], ["self = _new(_cls)"]
+    for name, kind in cls.COLUMNS:
+        env[f"_set_{name}"] = getattr(cls, name).__set__
+        env[f"_check_{name}"] = kind.check
+        init.append(f"_set_{name}(self, _check_{name}({name}, {name!r}))")
+        build.append(f"_set_{name}(self, {kind.load.format(v=name)})")
+    row = "\\t".join(f"{{self.{name}}}" for name in names)
+    cls.__init__, from_groups, cls._to_row = _compile(cls, env, {
+        f"__init__(self, {', '.join(names)})": init,
+        "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
+        "_to_row(self)": [f'return f"{row}"'],
+    })
+    cls._from_groups = staticmethod(from_groups)
+    # compiled by load_facts_dir, so that only loading pays for it
+    cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in cls.COLUMNS) + "\n?\\Z"
+    RELATIONS[cls.RELATION] = cls
+    return cls
+
+
 class _Fact:
     """Base for all relations; field order equals on-disk column order."""
 
+    __slots__ = ()
+
     RELATION: ClassVar[str] = ""
+    COLUMNS: ClassVar[tuple[tuple[str, _Kind], ...]] = ()
 
     def columns(self) -> tuple[str, ...]:
-        return tuple(str(getattr(self, f.name)) for f in fields(self))
-
-    @classmethod
-    def from_columns(cls, cols: list[str]):
-        expected = len(fields(cls))
-        if len(cols) != expected:
-            raise EncodingError(
-                cls.RELATION, f"expected {expected} columns, got {len(cols)}"
-            )
-        kwargs = {}
-        for f, raw in zip(fields(cls), cols):
-            kwargs[f.name] = int(raw) if f.type == "int" else raw
-        return cls(**kwargs)
+        return tuple(self._to_row().split("\t"))
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class TransactionFact(_Fact):
     """One transaction envelope: 9 columns, three of which (block_number,
     to_address, gas_used) are never constrained by any rule."""
 
     RELATION: ClassVar[str] = "transaction"
 
-    timestamp: int
-    chain_id: int
-    tx_hash: str
-    block_number: int
-    from_address: str
-    to_address: str
-    value: str
-    status: int
-    gas_used: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "timestamp", _uint(self.timestamp, "timestamp"))
-        object.__setattr__(self, "chain_id", _chain_id(self.chain_id, "chain_id"))
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "block_number", _uint(self.block_number, "block_number"))
-        object.__setattr__(self, "from_address", canonical_address(self.from_address, "from_address"))
-        object.__setattr__(self, "to_address", canonical_address(self.to_address, "to_address"))
-        object.__setattr__(self, "value", canonical_amount(self.value, "value"))
-        object.__setattr__(self, "status", _status(self.status, "status"))
-        object.__setattr__(self, "gas_used", _uint(self.gas_used, "gas_used"))
+    timestamp: Uint
+    chain_id: ChainId
+    tx_hash: TxHash
+    block_number: Uint
+    from_address: Address
+    to_address: Address
+    value: Amount
+    status: Status
+    gas_used: Uint
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class Erc20TransferFact(_Fact):
     """An ERC-20 Transfer event (token = emitting contract)."""
 
     RELATION: ClassVar[str] = "erc20_transfer"
 
-    tx_hash: str
-    chain_id: int
-    event_index: int
-    token: str
-    from_address: str
-    to_address: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "chain_id", _chain_id(self.chain_id, "chain_id"))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "token", canonical_address(self.token, "token"))
-        object.__setattr__(self, "from_address", canonical_address(self.from_address, "from_address"))
-        object.__setattr__(self, "to_address", canonical_address(self.to_address, "to_address"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    chain_id: ChainId
+    event_index: Uint
+    token: Address
+    from_address: Address
+    to_address: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class ScDepositFact(_Fact):
     """Native value escrowed into the bridge on the source chain."""
 
     RELATION: ClassVar[str] = "sc_deposit"
 
-    tx_hash: str
-    event_index: int
-    sender: str
-    bridge_addr: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "sender", canonical_address(self.sender, "sender"))
-        object.__setattr__(self, "bridge_addr", canonical_address(self.bridge_addr, "bridge_addr"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    sender: Address
+    bridge_addr: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class ScTokenDepositedFact(_Fact):
     """Bridge deposit event on the source chain."""
 
     RELATION: ClassVar[str] = "sc_token_deposited"
 
-    tx_hash: str
-    event_index: int
-    deposit_id: str
-    beneficiary: str
-    dst_token: str
-    orig_token: str
-    dst_chain_id: int
-    standard: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "deposit_id", _opaque(self.deposit_id, "deposit_id"))
-        object.__setattr__(self, "beneficiary", canonical_address(self.beneficiary, "beneficiary"))
-        object.__setattr__(self, "dst_token", canonical_address(self.dst_token, "dst_token"))
-        object.__setattr__(self, "orig_token", canonical_address(self.orig_token, "orig_token"))
-        object.__setattr__(self, "dst_chain_id", _chain_id(self.dst_chain_id, "dst_chain_id"))
-        object.__setattr__(self, "standard", _opaque(self.standard, "standard"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    deposit_id: Opaque
+    beneficiary: Address
+    dst_token: Address
+    orig_token: Address
+    dst_chain_id: ChainId
+    standard: Opaque
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class TcTokenDepositedFact(_Fact):
     """Bridge deposit event on the target chain (release of wrapped funds)."""
 
     RELATION: ClassVar[str] = "tc_token_deposited"
 
-    tx_hash: str
-    event_index: int
-    deposit_id: str
-    beneficiary: str
-    dst_token: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "deposit_id", _opaque(self.deposit_id, "deposit_id"))
-        object.__setattr__(self, "beneficiary", canonical_address(self.beneficiary, "beneficiary"))
-        object.__setattr__(self, "dst_token", canonical_address(self.dst_token, "dst_token"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    deposit_id: Opaque
+    beneficiary: Address
+    dst_token: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class TcWithdrawalFact(_Fact):
     """Native value escrowed into the bridge on the target chain."""
 
     RELATION: ClassVar[str] = "tc_withdrawal"
 
-    tx_hash: str
-    event_index: int
-    sender: str
-    bridge_addr: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "sender", canonical_address(self.sender, "sender"))
-        object.__setattr__(self, "bridge_addr", canonical_address(self.bridge_addr, "bridge_addr"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    sender: Address
+    bridge_addr: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class TcTokenWithdrewFact(_Fact):
     """Bridge withdrawal event on the target chain (escrow side)."""
 
     RELATION: ClassVar[str] = "tc_token_withdrew"
 
-    tx_hash: str
-    event_index: int
-    withdrawal_id: str
-    beneficiary: str
-    orig_token: str
-    dst_token: str
-    dst_chain_id: int
-    standard: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "withdrawal_id", _opaque(self.withdrawal_id, "withdrawal_id"))
-        object.__setattr__(self, "beneficiary", canonical_address(self.beneficiary, "beneficiary"))
-        object.__setattr__(self, "orig_token", canonical_address(self.orig_token, "orig_token"))
-        object.__setattr__(self, "dst_token", canonical_address(self.dst_token, "dst_token"))
-        object.__setattr__(self, "dst_chain_id", _chain_id(self.dst_chain_id, "dst_chain_id"))
-        object.__setattr__(self, "standard", _opaque(self.standard, "standard"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    withdrawal_id: Opaque
+    beneficiary: Address
+    orig_token: Address
+    dst_token: Address
+    dst_chain_id: ChainId
+    standard: Opaque
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class ScWithdrawalFact(_Fact):
     """Native value released by the bridge on the source chain."""
 
     RELATION: ClassVar[str] = "sc_withdrawal"
 
-    tx_hash: str
-    event_index: int
-    bridge_addr: str
-    beneficiary: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "bridge_addr", canonical_address(self.bridge_addr, "bridge_addr"))
-        object.__setattr__(self, "beneficiary", canonical_address(self.beneficiary, "beneficiary"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    bridge_addr: Address
+    beneficiary: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class ScTokenWithdrewFact(_Fact):
     """Bridge withdrawal event on the source chain (release side)."""
 
     RELATION: ClassVar[str] = "sc_token_withdrew"
 
-    tx_hash: str
-    event_index: int
-    withdrawal_id: str
-    beneficiary: str
-    dst_token: str
-    amount: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_hash", canonical_tx_hash(self.tx_hash))
-        object.__setattr__(self, "event_index", _uint(self.event_index, "event_index"))
-        object.__setattr__(self, "withdrawal_id", _opaque(self.withdrawal_id, "withdrawal_id"))
-        object.__setattr__(self, "beneficiary", canonical_address(self.beneficiary, "beneficiary"))
-        object.__setattr__(self, "dst_token", canonical_address(self.dst_token, "dst_token"))
-        object.__setattr__(self, "amount", canonical_amount(self.amount))
+    tx_hash: TxHash
+    event_index: Uint
+    withdrawal_id: Opaque
+    beneficiary: Address
+    dst_token: Address
+    amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class BridgeControlledAddressFact(_Fact):
     RELATION: ClassVar[str] = "bridge_controlled_address"
 
-    chain_id: int
-    address: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "chain_id", _chain_id(self.chain_id, "chain_id"))
-        object.__setattr__(self, "address", canonical_address(self.address))
+    chain_id: ChainId
+    address: Address
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class TokenMappingFact(_Fact):
     RELATION: ClassVar[str] = "token_mapping"
 
-    orig_chain_id: int
-    dst_chain_id: int
-    orig_token: str
-    dst_token: str
-    standard: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "orig_chain_id", _chain_id(self.orig_chain_id, "orig_chain_id"))
-        object.__setattr__(self, "dst_chain_id", _chain_id(self.dst_chain_id, "dst_chain_id"))
-        object.__setattr__(self, "orig_token", canonical_address(self.orig_token, "orig_token"))
-        object.__setattr__(self, "dst_token", canonical_address(self.dst_token, "dst_token"))
-        object.__setattr__(self, "standard", _opaque(self.standard, "standard"))
+    orig_chain_id: ChainId
+    dst_chain_id: ChainId
+    orig_token: Address
+    dst_token: Address
+    standard: Opaque
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class WrappedNativeTokenFact(_Fact):
     RELATION: ClassVar[str] = "wrapped_native_token"
 
-    chain_id: int
-    token: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "chain_id", _chain_id(self.chain_id, "chain_id"))
-        object.__setattr__(self, "token", canonical_address(self.token, "token"))
+    chain_id: ChainId
+    token: Address
 
 
-@dataclass(frozen=True, slots=True)
+@_relation
 class CctxFinalityFact(_Fact):
     """Per-chain finality window in seconds (fraud-proof window or block
     finality); a cross-chain pair is legitimate only strictly after it."""
 
     RELATION: ClassVar[str] = "cctx_finality"
 
-    chain_id: int
-    finality_seconds: int
+    chain_id: ChainId
+    finality_seconds: Positive
 
-    def __post_init__(self):
-        object.__setattr__(self, "chain_id", _chain_id(self.chain_id, "chain_id"))
-        fin = _uint(self.finality_seconds, "finality_seconds")
-        if fin == 0:
-            raise EncodingError("finality_seconds", "must be positive")
-        object.__setattr__(self, "finality_seconds", fin)
-
-
-FACT_TYPES: tuple[type[_Fact], ...] = (
-    TransactionFact,
-    Erc20TransferFact,
-    ScDepositFact,
-    ScTokenDepositedFact,
-    TcTokenDepositedFact,
-    TcWithdrawalFact,
-    TcTokenWithdrewFact,
-    ScWithdrawalFact,
-    ScTokenWithdrewFact,
-    BridgeControlledAddressFact,
-    TokenMappingFact,
-    WrappedNativeTokenFact,
-    CctxFinalityFact,
-)
-
-RELATIONS: dict[str, type[_Fact]] = {t.RELATION: t for t in FACT_TYPES}
 
 # Relations whose tuples are tied to a specific transaction.
 EVENT_RELATIONS = (
@@ -598,6 +566,19 @@ class FactStore:
         return self
 
 
+def _reject(fact_type: type[_Fact], line: str) -> NoReturn:
+    """Raise the error for a line the relation's row matcher rejected,
+    naming the first column whose text the kind's codec refuses."""
+    cols = line.removesuffix("\n").split("\t")
+    if len(cols) != len(fact_type.COLUMNS):
+        raise EncodingError(
+            fact_type.RELATION, f"expected {len(fact_type.COLUMNS)} columns, got {len(cols)}"
+        )
+    for (name, kind), text in zip(fact_type.COLUMNS, cols):
+        kind.check(_decimal(text, name) if kind.load == _INT else text, name)
+    raise EncodingError(fact_type.RELATION, f"row not in canonical form: {line!r}")
+
+
 def load_facts_dir(path: str | Path) -> FactStore:
     """Load a directory of ``<relation>.facts`` TSV files into a new store.
 
@@ -613,15 +594,20 @@ def load_facts_dir(path: str | Path) -> FactStore:
         file_path = root / f"{name}.facts"
         if not file_path.exists():
             continue
+        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
+        # the store is new, so only cctx_finality needs insert()'s conflict check
+        insert = store.insert if fact_type is CctxFinalityFact else store._relations[name].add
         with open(file_path, encoding="utf-8", newline="") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    store.insert(fact_type.from_columns(line.split("\t")))
-                except (EncodingError, FactStoreError) as exc:
-                    raise FactsParseError(file_path, line_no, str(exc)) from exc
+            line_no = 0
+            try:
+                for line_no, line in enumerate(fh, start=1):
+                    m = match(line)
+                    if m is not None:
+                        insert(build(m.groups()))
+                    elif line != "\n":
+                        _reject(fact_type, line)
+            except (EncodingError, FactStoreError) as exc:
+                raise FactsParseError(file_path, line_no, str(exc)) from exc
     return store
 
 
@@ -634,11 +620,11 @@ def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for name in RELATIONS:
-        facts = store.relation(name)
+    for name, fact_type in RELATIONS.items():
+        facts = store._relations[name]
         if not facts:
             continue
-        rows = sorted("\t".join(f.columns()) for f in facts)
+        rows = sorted(map(fact_type._to_row, facts))
         file_path = root / f"{name}.facts"
         with open(file_path, "w", encoding="utf-8", newline="\n") as fh:
             for row in rows:

@@ -42,6 +42,13 @@ class TestSimulateEval:
         assert run("eval", "--facts", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
 
+    def test_malformed_facts_file_exits_two(self, tmp_path, capsys):
+        facts = tmp_path / "facts"
+        facts.mkdir()
+        (facts / "cctx_finality.facts").write_text("1\tabc\n")
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
+        assert "cctx_finality.facts:1: finality_seconds:" in capsys.readouterr().err
+
     def test_bad_anomaly_spec_exits_two(self, tmp_path):
         assert run("simulate", "--seed", "1", "--deposits", "1", "--withdrawals", "1",
                    "--anomalies", "bogus=3", "--out", str(tmp_path / "x")) == EXIT_INPUT_ERROR
@@ -128,3 +135,25 @@ class TestPrices:
         report = json.loads(report_path.read_text())
         deposits = report["latency"]["deposits"]
         assert deposits["total_usd"] == f"{int(deposits['total_value']) * 2}.00"
+
+    @pytest.mark.parametrize("prices, message", [
+        ([{"chain_id": 1, "token": "0x00"}], "entry 0: missing key 'usd_per_unit'"),
+        ({"a": 1}, "expected a JSON list"),
+        ([[1, "0x00", "2", 0]], "entry 0: expected an object"),
+        ([{"chain_id": "1", "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0}],
+         "entry 0: 'chain_id'"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 1.5}],
+         "entry 0: 'decimals'"),
+        ([{"chain_id": 1, "token": "0x00", "usd_per_unit": "2", "decimals": 0}], "entry 0: token:"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "two", "decimals": 0}],
+         "entry 0: 'usd_per_unit'"),
+    ])
+    def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "6", "--deposits", "1", "--withdrawals", "0",
+            "--out", str(facts))
+        prices_path = tmp_path / "prices.json"
+        prices_path.write_text(json.dumps(prices))
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
+                   "--prices", str(prices_path)) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bridgewatch import facts as f
 from conftest import AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, static_facts
+from randstores import random_store
+
+# One fact of each of the thirteen relations.
+SAMPLES = {type(x): x for x in static_facts() + f1_facts() + f2_facts()}
+
+# Integer texts that int() accepts but the .facts format does not.
+REJECTED_INTEGERS = ["1_700000000", "+5", " 5", "5 ", "-0", "007", "\u0663", "1800\r", "abc"]
 
 
 class TestCanonicalization:
@@ -174,3 +184,68 @@ class TestPersistence:
         (tmp_path / "cctx_finality.facts").write_text("0\t1800\n")
         with pytest.raises(f.FactsParseError, match="chain id"):
             f.load_facts_dir(tmp_path)
+
+    @pytest.mark.parametrize("text", REJECTED_INTEGERS)
+    def test_load_rejects_noncanonical_integer(self, tmp_path, text):
+        (tmp_path / "cctx_finality.facts").write_bytes(f"1\t{text}\n".encode())
+        with pytest.raises(f.FactsParseError, match=r"cctx_finality\.facts:1: finality_seconds: "):
+            f.load_facts_dir(tmp_path)
+
+    def test_load_lowercases_mixed_case_hex(self, tmp_path):
+        (tmp_path / "wrapped_native_token.facts").write_text(f"1\t{AA.upper().replace('0X', '0x')}\n")
+        store = f.load_facts_dir(tmp_path)
+        assert store.relation("wrapped_native_token") == {f.WrappedNativeTokenFact(1, AA)}
+
+    def test_load_rejects_amount_above_uint256(self, tmp_path):
+        row = "\t".join([H1, "0", U1, B1, str(2**256)])
+        (tmp_path / "sc_deposit.facts").write_text(row + "\n")
+        with pytest.raises(f.FactsParseError, match=r"sc_deposit\.facts:1: amount: .*uint256"):
+            f.load_facts_dir(tmp_path)
+
+
+def _dump_bytes(store: f.FactStore, root: Path) -> dict[str, bytes]:
+    f.dump_facts_dir(store, root)
+    return {p.name: p.read_bytes() for p in sorted(root.glob("*.facts"))}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_random_store_dump_load_dump_is_identity(seed):
+    store = random_store(seed, mutants=40, noise=40)
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _dump_bytes(store, Path(tmp, "first"))
+        loaded = f.load_facts_dir(Path(tmp, "first"))
+        assert loaded == store
+        assert _dump_bytes(loaded, Path(tmp, "second")) == first
+
+
+# Any text without a tab or line break keeps the row's column count.
+_COLUMN_TEXT = st.one_of(
+    st.text(st.characters(exclude_characters="\t\n\r"), max_size=80),
+    st.from_regex(r"0[xX][0-9a-fA-F]{40}|0[xX][0-9a-fA-F]{64}", fullmatch=True),
+    st.integers(min_value=-2, max_value=2**257).map(str),
+    st.sampled_from([t for t in REJECTED_INTEGERS if "\r" not in t] + ["", "0", "1", "2", str(2**256 - 1), "1e3", "\x00", "\u00b2"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SAMPLES.values(), key=lambda x: x.RELATION)), st.data())
+def test_column_text_loads_as_constructed_or_names_the_column(fact, data):
+    """The row matcher and the per-kind codecs accept the same texts."""
+    cls = type(fact)
+    index = data.draw(st.integers(min_value=0, max_value=len(cls.COLUMNS) - 1), label="column")
+    name = cls.COLUMNS[index][0]
+    text = data.draw(_COLUMN_TEXT, label="text")
+    cols = list(fact.columns())
+    cols[index] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, f"{cls.RELATION}.facts")
+        path.write_bytes(("\t".join(cols) + "\n").encode())
+        try:
+            store = f.load_facts_dir(tmp)
+        except f.FactsParseError as exc:
+            assert str(exc).startswith(f"{path}:1: {name}: ")
+            return
+    values = [getattr(fact, column) for column, _ in cls.COLUMNS]
+    values[index] = int(text) if isinstance(values[index], int) else text
+    assert store.relation(cls.RELATION) == {cls(*values)}

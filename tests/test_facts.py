@@ -219,9 +219,10 @@ def test_random_store_dump_load_dump_is_identity(seed):
         assert _dump_bytes(loaded, Path(tmp, "second")) == first
 
 
-# Any text without a tab or line break keeps the row's column count.
+# Any text without a tab or line break keeps the row's column count; lone
+# surrogates are left out because no UTF-8 file can hold them.
 _COLUMN_TEXT = st.one_of(
-    st.text(st.characters(exclude_characters="\t\n\r"), max_size=80),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), max_size=80),
     st.from_regex(r"0[xX][0-9a-fA-F]{40}|0[xX][0-9a-fA-F]{64}", fullmatch=True),
     st.integers(min_value=-2, max_value=2**257).map(str),
     st.sampled_from([t for t in REJECTED_INTEGERS if "\r" not in t] + ["", "0", "1", "2", str(2**256 - 1), "1e3", "\x00", "\u00b2"]),

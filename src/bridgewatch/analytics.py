@@ -73,7 +73,8 @@ class Anomaly:
             object.__setattr__(self, "severity", SEVERITY[self.kind])
 
     def sort_key(self):
-        return (self.kind, self.chain_ids, self.tx_hashes, self.evidence)
+        return (self.kind, self.chain_ids, self.tx_hashes, self.evidence, int(self.amount),
+                self.severity)
 
     def as_dict(self) -> dict:
         return {
@@ -94,6 +95,11 @@ def _evidence(**kv) -> tuple[tuple[str, str], ...]:
 # per-transaction token/bridge event pairing
 # ---------------------------------------------------------------------------
 
+_TOKEN_EVENTS = ("erc20_transfer", "sc_deposit", "tc_withdrawal", "sc_withdrawal")
+_BRIDGE_EVENTS = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
+                  "sc_token_withdrew")
+
+
 def local_mismatches(store: FactStore) -> list[Anomaly]:
     """Flag transactions where token-level and bridge-level events do not
     come in pairs.
@@ -106,62 +112,43 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
     """
     if not store.sealed:
         raise RuntimeError("store must be sealed")
-    token_side: dict[str, list] = {}
-    bridge_side: dict[str, list] = {}
+    by_tx, bridge = store.by_tx, store.bridge_addresses
 
-    for tr in store.relation("erc20_transfer"):
-        if (tr.chain_id, tr.to_address) in store.bridge_addresses or (
-            tr.chain_id,
-            tr.from_address,
-        ) in store.bridge_addresses:
-            token_side.setdefault(tr.tx_hash, []).append(tr)
-    for name in ("sc_deposit", "tc_withdrawal", "sc_withdrawal"):
-        for esc in store.relation(name):
-            token_side.setdefault(esc.tx_hash, []).append(esc)
-    for name in (
-        "sc_token_deposited",
-        "tc_token_deposited",
-        "tc_token_withdrew",
-        "sc_token_withdrew",
-    ):
-        for evt in store.relation(name):
-            bridge_side.setdefault(evt.tx_hash, []).append(evt)
+    def touching(name: str, facts: list) -> list:
+        # a transfer counts when it moves funds into or out of the bridge
+        if name != "erc20_transfer":
+            return facts
+        return [tr for tr in facts
+                if (tr.chain_id, tr.to_address) in bridge or (tr.chain_id, tr.from_address) in bridge]
 
-    def chain_of(tx_hash: str, fallback) -> int:
-        txs = store.transactions_by_hash.get(tx_hash)
-        if txs:
-            return min(t.chain_id for t in txs)
-        return fallback
+    def events(tx_hash: str, relations: tuple[str, ...]) -> list:
+        return [e for name in relations for e in touching(name, by_tx[name].get(tx_hash, []))]
 
+    token_txs = {
+        tx_hash for name in _TOKEN_EVENTS for tx_hash, facts in by_tx[name].items()
+        if touching(name, facts)
+    }
+    bridge_txs = set().union(*(by_tx[name] for name in _BRIDGE_EVENTS))
     out: list[Anomaly] = []
-    for tx_hash, events in token_side.items():
-        if tx_hash in bridge_side:
-            continue
-        total = sum(int(e.amount) for e in events)
-        chain = chain_of(tx_hash, getattr(events[0], "chain_id", 0))
-        out.append(
-            Anomaly(
-                kind="SingleTokenEvent",
-                chain_ids=(chain,),
-                tx_hashes=(tx_hash,),
-                amount=str(total),
-                evidence=_evidence(event_count=len(events)),
+    for kind, tx_hashes, relations in (
+        ("SingleTokenEvent", token_txs - bridge_txs, _TOKEN_EVENTS),
+        ("SingleBridgeEvent", bridge_txs - token_txs, _BRIDGE_EVENTS),
+    ):
+        for tx_hash in tx_hashes:
+            found = events(tx_hash, relations)
+            # without a transaction fact, fall back to the events' own chains
+            chains = [t.chain_id for t in store.transactions_by_hash.get(tx_hash, ())] or [
+                e.chain_id for e in found if hasattr(e, "chain_id")
+            ]
+            out.append(
+                Anomaly(
+                    kind=kind,
+                    chain_ids=(min(chains, default=0),),
+                    tx_hashes=(tx_hash,),
+                    amount=str(sum(int(e.amount) for e in found)),
+                    evidence=_evidence(event_count=len(found)),
+                )
             )
-        )
-    for tx_hash, events in bridge_side.items():
-        if tx_hash in token_side:
-            continue
-        total = sum(int(e.amount) for e in events)
-        chain = chain_of(tx_hash, 0)
-        out.append(
-            Anomaly(
-                kind="SingleBridgeEvent",
-                chain_ids=(chain,),
-                tx_hashes=(tx_hash,),
-                amount=str(total),
-                evidence=_evidence(event_count=len(events)),
-            )
-        )
     return sorted(out, key=Anomaly.sort_key)
 
 
@@ -169,62 +156,28 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
 # matched/unmatched accounting over rule outputs
 # ---------------------------------------------------------------------------
 
-def _deposit_escrow_key(t) -> tuple:
-    # shared fields a rule-4 tuple preserves from its escrow constituent
-    return (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.dst_token,
-            t.orig_token, t.orig_chain_id, t.dst_chain_id, t.amount)
+# Each local rule's leg: (rule id, cross-chain rule it feeds, side).
+_LEGS = ((1, 4, "escrow"), (2, 4, "escrow"), (3, 4, "release"),
+         (5, 8, "escrow"), (6, 8, "escrow"), (7, 8, "release"))
 
 
-def _release_key(t) -> tuple:
-    # shared fields a rule-4/8 tuple preserves from its release constituent
-    return (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token,
-            t.chain_id, t.amount)
-
-
-def matched_projections(outputs: RuleOutputs) -> tuple[set, set, set, set]:
-    """Project rule-4/8 tuples back onto their constituents.
-
-    Returns (deposit escrow keys, deposit release keys, withdrawal escrow
-    keys, withdrawal release keys).
-    """
-    dep_escrow = set()
-    dep_release = set()
-    for c in outputs.rule4:
-        dep_escrow.add((c.orig_timestamp, c.orig_tx_hash, c.deposit_id, c.sender,
-                        c.beneficiary, c.dst_token, c.orig_token, c.orig_chain_id,
-                        c.dst_chain_id, c.amount))
-        dep_release.add((c.dst_timestamp, c.dst_tx_hash, c.deposit_id,
-                         c.beneficiary, c.dst_token, c.dst_chain_id, c.amount))
-    wdr_escrow = set()
-    wdr_release = set()
-    for c in outputs.rule8:
-        wdr_escrow.add((c.orig_timestamp, c.orig_tx_hash, c.withdrawal_id, c.sender,
-                        c.beneficiary, c.orig_token, c.dst_token, c.dst_chain_id,
-                        c.orig_chain_id, c.amount))
-        wdr_release.add((c.dst_timestamp, c.dst_tx_hash, c.withdrawal_id,
-                         c.beneficiary, c.dst_token, c.dst_chain_id, c.amount))
-    return dep_escrow, dep_release, wdr_escrow, wdr_release
-
-
-def _wdr_escrow_key(t) -> tuple:
-    return (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
-            t.dst_token, t.dst_chain_id, t.orig_chain_id, t.amount)
+def matched_projections(outputs: RuleOutputs) -> dict[int, frozenset]:
+    """The tuples of each local rule's leg that formed a valid cross-chain
+    pair in rule 4 or 8, by local rule id."""
+    by_rule = outputs.by_rule()
+    return {
+        rule_id: getattr(by_rule[cctx_rule], f"matched_{side}s")
+        for rule_id, cctx_rule, side in _LEGS
+    }
 
 
 def match_accounting(outputs: RuleOutputs) -> dict[int, tuple[int, int]]:
     """(matched, unmatched) per local rule; matched + unmatched = captured."""
-    dep_escrow, dep_release, wdr_escrow, wdr_release = matched_projections(outputs)
+    by_rule = outputs.by_rule()
     result: dict[int, tuple[int, int]] = {}
-    for rule_id, tuples, keys, keyfn in (
-        (1, outputs.rule1, dep_escrow, _deposit_escrow_key),
-        (2, outputs.rule2, dep_escrow, _deposit_escrow_key),
-        (3, outputs.rule3, dep_release, _release_key),
-        (5, outputs.rule5, wdr_escrow, _wdr_escrow_key),
-        (6, outputs.rule6, wdr_escrow, _wdr_escrow_key),
-        (7, outputs.rule7, wdr_release, _release_key),
-    ):
-        matched = sum(1 for t in tuples if keyfn(t) in keys)
-        result[rule_id] = (matched, len(tuples) - matched)
+    for rule_id, matched in matched_projections(outputs).items():
+        count = len(by_rule[rule_id] & matched)
+        result[rule_id] = (count, len(by_rule[rule_id]) - count)
     return result
 
 
@@ -234,35 +187,22 @@ def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
     Rules 1/2 and 5/6 are the escrow side; rules 3 and 7 are the release
     side (loss-of-funds direction, graded ``critical``).
     """
-    dep_escrow, dep_release, wdr_escrow, wdr_release = matched_projections(outputs)
+    by_rule = outputs.by_rule()
+    matched = matched_projections(outputs)
     out: list[Anomaly] = []
-
-    def emit(kind: str, side: str, rule_id: int, t, chain: int, severity: str):
-        out.append(
-            Anomaly(
-                kind=kind,
-                chain_ids=(chain,),
-                tx_hashes=(t.tx_hash,),
-                amount=t.amount,
-                evidence=_evidence(side=side, rule=RULE_NAMES[rule_id], id=t[2]),
-                severity=severity,
+    for rule_id, cctx_rule, side in _LEGS:
+        escrow = side == "escrow"
+        for t in by_rule[rule_id] - matched[rule_id]:
+            out.append(
+                Anomaly(
+                    kind="UnmatchedLocalDeposit" if cctx_rule == 4 else "UnmatchedLocalWithdrawal",
+                    chain_ids=(t.orig_chain_id if escrow else t.chain_id,),
+                    tx_hashes=(t.tx_hash,),
+                    amount=t.amount,
+                    evidence=_evidence(side=side, rule=RULE_NAMES[rule_id], id=t[2]),
+                    severity="medium" if escrow else "critical",
+                )
             )
-        )
-
-    for rule_id, tuples in ((1, outputs.rule1), (2, outputs.rule2)):
-        for t in tuples:
-            if _deposit_escrow_key(t) not in dep_escrow:
-                emit("UnmatchedLocalDeposit", "escrow", rule_id, t, t.orig_chain_id, "medium")
-    for t in outputs.rule3:
-        if _release_key(t) not in dep_release:
-            emit("UnmatchedLocalDeposit", "release", 3, t, t.chain_id, "critical")
-    for rule_id, tuples in ((5, outputs.rule5), (6, outputs.rule6)):
-        for t in tuples:
-            if _wdr_escrow_key(t) not in wdr_escrow:
-                emit("UnmatchedLocalWithdrawal", "escrow", rule_id, t, t.orig_chain_id, "medium")
-    for t in outputs.rule7:
-        if _release_key(t) not in wdr_release:
-            emit("UnmatchedLocalWithdrawal", "release", 7, t, t.chain_id, "critical")
     return sorted(out, key=Anomaly.sort_key)
 
 
@@ -276,39 +216,23 @@ def finality_violations(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]
 
     Each anomaly carries the observed gap and the required window; the
     pair would be a valid cross-chain transaction had the origin leg been
-    ``window - gap + 1`` seconds earlier.
+    ``window - gap + 1`` seconds earlier. The pairs are the ``early`` pairs
+    of the rule-4/8 join.
     """
-    out: list[Anomaly] = []
-
-    def scan(escrows: Iterable, releases: Iterable, direction: str):
-        by_key: dict[tuple, list] = {}
-        for esc in escrows:
-            key = (esc[2], esc.beneficiary, esc.dst_token, esc.dst_chain_id, esc.amount)
-            by_key.setdefault(key, []).append(esc)
-        for rel in releases:
-            key = (rel[2], rel.beneficiary, rel.dst_token, rel.chain_id, rel.amount)
-            for esc in by_key.get(key, ()):
-                window = store.finality.get(esc.orig_chain_id)
-                if window is None:
-                    continue
-                gap = rel.timestamp - esc.timestamp
-                if esc.timestamp + window < rel.timestamp:
-                    continue  # valid pair, not a violation
-                out.append(
-                    Anomaly(
-                        kind="FinalityViolation",
-                        chain_ids=(esc.orig_chain_id, rel.chain_id),
-                        tx_hashes=tuple(sorted((esc.tx_hash, rel.tx_hash))),
-                        amount=rel.amount,
-                        evidence=_evidence(
-                            direction=direction, id=rel[2], gap=gap, window=window,
-                            escrow_tx=esc.tx_hash, release_tx=rel.tx_hash,
-                        ),
-                    )
-                )
-
-    scan(list(outputs.rule1) + list(outputs.rule2), outputs.rule3, "deposit")
-    scan(list(outputs.rule5) + list(outputs.rule6), outputs.rule7, "withdrawal")
+    out = [
+        Anomaly(
+            kind="FinalityViolation",
+            chain_ids=(esc.orig_chain_id, rel.chain_id),
+            tx_hashes=tuple(sorted((esc.tx_hash, rel.tx_hash))),
+            amount=rel.amount,
+            evidence=_evidence(
+                direction=direction, id=rel[2], gap=rel.timestamp - esc.timestamp,
+                window=window, escrow_tx=esc.tx_hash, release_tx=rel.tx_hash,
+            ),
+        )
+        for cctxs, direction in ((outputs.rule4, "deposit"), (outputs.rule8, "withdrawal"))
+        for esc, rel, window in cctxs.early
+    ]
     return sorted(out, key=Anomaly.sort_key)
 
 

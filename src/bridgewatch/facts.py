@@ -452,7 +452,7 @@ class FactStore:
     """
 
     def __init__(self):
-        self._relations: dict[str, set] = {name: set() for name in RELATIONS}
+        self._relations: dict[str, set | frozenset] = {name: set() for name in RELATIONS}
         self._sealed = False
         # indexes, populated by seal()
         self.transactions_by_hash: dict[str, list[TransactionFact]] = {}
@@ -489,7 +489,7 @@ class FactStore:
             self.insert(f)
 
     def relation(self, name: str) -> frozenset:
-        return frozenset(self._relations[name])
+        return frozenset(self._relations[name])  # no copy once sealed
 
     def count(self, name: str) -> int:
         return len(self._relations[name])
@@ -536,6 +536,8 @@ class FactStore:
         """Freeze the store and build secondary indexes. Returns self."""
         if self._sealed:
             return self
+        for name, facts in self._relations.items():
+            self._relations[name] = frozenset(facts)
         self.transactions_by_hash = _index_by(
             self._relations["transaction"], lambda f: f.tx_hash
         )
@@ -608,7 +610,22 @@ def load_facts_dir(path: str | Path) -> FactStore:
                         _reject(fact_type, line)
             except (EncodingError, FactStoreError) as exc:
                 raise FactsParseError(file_path, line_no, str(exc)) from exc
+            except UnicodeDecodeError as exc:  # raised per read chunk, so find the line
+                raise FactsParseError(
+                    file_path, _first_non_utf8_line(file_path), f"not UTF-8: {exc.reason}"
+                ) from exc
     return store
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    # no multi-byte UTF-8 sequence contains b"\n", so some line fails alone
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    raise AssertionError(f"{path} decodes as UTF-8 line by line")
 
 
 def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:

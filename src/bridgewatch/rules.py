@@ -18,8 +18,9 @@ Boundary equality is a non-match.
 
 Implementation is hand-coded hash joins keyed on tx_hash for the local
 rules and on the (id, beneficiary, dst_token, dst_chain, amount) join key
-for rules 4/8. The ``oracle`` module re-derives every rule with naive
-nested loops; the test suite holds the two evaluators equal.
+for rules 4/8, the only place that pairs legs (see ``CctxSet``). The
+``oracle`` module re-derives every rule with naive nested loops; the test
+suite holds the two evaluators equal.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .facts import FactStore
 
 __all__ = [
     "ConfigurationError",
+    "DepositEscrow",
+    "WithdrawalEscrow",
+    "CctxSet",
     "ScValidNativeTokenDeposit",
     "ScValidErc20TokenDeposit",
     "TcValidErc20TokenDeposit",
@@ -59,7 +63,9 @@ class ConfigurationError(RuntimeError):
     """The store references chains without a finality window."""
 
 
-class ScValidNativeTokenDeposit(NamedTuple):
+class DepositEscrow(NamedTuple):
+    """A valid source-chain deposit escrow (rules 1 and 2)."""
+
     timestamp: int
     tx_hash: str
     deposit_id: str
@@ -74,19 +80,7 @@ class ScValidNativeTokenDeposit(NamedTuple):
     amount: str
 
 
-class ScValidErc20TokenDeposit(NamedTuple):
-    timestamp: int
-    tx_hash: str
-    deposit_id: str
-    sender: str
-    bridge_addr: str
-    beneficiary: str
-    dst_token: str
-    orig_token: str
-    orig_chain_id: int
-    dst_chain_id: int
-    standard: str
-    amount: str
+ScValidNativeTokenDeposit = ScValidErc20TokenDeposit = DepositEscrow
 
 
 class TcValidErc20TokenDeposit(NamedTuple):
@@ -114,7 +108,9 @@ class CctxValidDeposit(NamedTuple):
     amount: str
 
 
-class TcValidNativeTokenWithdrawal(NamedTuple):
+class WithdrawalEscrow(NamedTuple):
+    """A valid target-chain withdrawal escrow (rules 5 and 6)."""
+
     timestamp: int
     tx_hash: str
     withdrawal_id: str
@@ -129,19 +125,7 @@ class TcValidNativeTokenWithdrawal(NamedTuple):
     amount: str
 
 
-class TcValidErc20TokenWithdrawal(NamedTuple):
-    timestamp: int
-    tx_hash: str
-    withdrawal_id: str
-    sender: str
-    bridge_addr: str
-    beneficiary: str
-    orig_token: str
-    dst_token: str
-    dst_chain_id: int
-    orig_chain_id: int
-    standard: str
-    amount: str
+TcValidNativeTokenWithdrawal = TcValidErc20TokenWithdrawal = WithdrawalEscrow
 
 
 class ScValidErc20TokenWithdrawal(NamedTuple):
@@ -180,13 +164,33 @@ RULE_NAMES = {
     8: "CCTX_ValidWithdrawal",
 }
 
+RULE_TYPES = {
+    1: DepositEscrow,
+    2: DepositEscrow,
+    3: TcValidErc20TokenDeposit,
+    4: CctxValidDeposit,
+    5: WithdrawalEscrow,
+    6: WithdrawalEscrow,
+    7: ScValidErc20TokenWithdrawal,
+    8: CctxValidWithdrawal,
+}
+
+
+class CctxSet(frozenset):
+    """The cross-chain tuples of rule 4 or 8, plus what the same join saw:
+    the escrow and release tuples that formed a valid pair, and the
+    key-matched pairs inside the finality window as ``(escrow, release,
+    window)``. Equal to a plain frozenset of the same tuples."""
+
+    __slots__ = ("matched_escrows", "matched_releases", "early")
+
 
 def _require_sealed(store: FactStore) -> None:
     if not store.sealed:
         raise RuntimeError("store must be sealed before evaluation")
 
 
-def eval_rule1(store: FactStore) -> frozenset[ScValidNativeTokenDeposit]:
+def eval_rule1(store: FactStore) -> frozenset[DepositEscrow]:
     """Native-token deposits on the source chain.
 
     A bridge deposit event must pair, within the same transaction, with a
@@ -216,7 +220,7 @@ def eval_rule1(store: FactStore) -> frozenset[ScValidNativeTokenDeposit]:
                 if (chain, esc.bridge_addr) not in store.bridge_addresses:
                     continue
                 out.add(
-                    ScValidNativeTokenDeposit(
+                    DepositEscrow(
                         tx.timestamp, dep.tx_hash, dep.deposit_id, esc.sender,
                         esc.bridge_addr, dep.beneficiary, dep.dst_token, dep.orig_token,
                         chain, dep.dst_chain_id, dep.standard, dep.amount,
@@ -225,7 +229,7 @@ def eval_rule1(store: FactStore) -> frozenset[ScValidNativeTokenDeposit]:
     return frozenset(out)
 
 
-def eval_rule2(store: FactStore) -> frozenset[ScValidErc20TokenDeposit]:
+def eval_rule2(store: FactStore) -> frozenset[DepositEscrow]:
     """ERC-20 deposits on the source chain: the escrow is a token transfer
     into a bridge-controlled address and the transaction moves no native
     value."""
@@ -251,7 +255,7 @@ def eval_rule2(store: FactStore) -> frozenset[ScValidErc20TokenDeposit]:
                 if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
                     continue
                 out.add(
-                    ScValidErc20TokenDeposit(
+                    DepositEscrow(
                         tx.timestamp, dep.tx_hash, dep.deposit_id, tx.from_address,
                         tr.to_address, dep.beneficiary, dep.dst_token, dep.orig_token,
                         tr.chain_id, dep.dst_chain_id, dep.standard, dep.amount,
@@ -290,35 +294,39 @@ def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
     return frozenset(out)
 
 
-def _cctx_join(
-    release_side: Iterable,
-    escrow_side: Iterable,
-    finality: dict[int, int],
-    result_type,
-):
-    """Join local tuples on (id, beneficiary, dst_token, dst_chain, amount)
-    and keep pairs strictly outside the origin chain's finality window."""
+def _cctx_join(escrows: frozenset, releases: frozenset, finality: dict, result_type) -> CctxSet:
+    """Join escrow and release tuples on (id, beneficiary, dst_token,
+    dst_chain, amount). A pair strictly after the origin chain's finality
+    window is a cross-chain tuple; a pair at or inside it is ``early``."""
     by_key: dict[tuple, list] = {}
-    for esc in escrow_side:
+    for esc in escrows:
         key = (esc[2], esc.beneficiary, esc.dst_token, esc.dst_chain_id, esc.amount)
         by_key.setdefault(key, []).append(esc)
-    out = set()
-    for rel in release_side:
+    out, matched_escrows, matched_releases, early = set(), set(), set(), set()
+    for rel in releases:
         key = (rel[2], rel.beneficiary, rel.dst_token, rel.chain_id, rel.amount)
         for esc in by_key.get(key, ()):
             window = finality.get(esc.orig_chain_id)
             if window is None:
                 continue
-            if esc.timestamp + window < rel.timestamp:
-                out.add(
-                    result_type(
-                        esc.orig_chain_id, esc.timestamp, esc.tx_hash,
-                        rel.chain_id, rel.timestamp, rel.tx_hash,
-                        rel[2], esc.orig_token, esc.dst_token,
-                        esc.sender, rel.beneficiary, rel.amount,
-                    )
+            if esc.timestamp + window >= rel.timestamp:
+                early.add((esc, rel, window))
+                continue
+            matched_escrows.add(esc)
+            matched_releases.add(rel)
+            out.add(
+                result_type(
+                    esc.orig_chain_id, esc.timestamp, esc.tx_hash,
+                    rel.chain_id, rel.timestamp, rel.tx_hash,
+                    rel[2], esc.orig_token, esc.dst_token,
+                    esc.sender, rel.beneficiary, rel.amount,
                 )
-    return frozenset(out)
+            )
+    result = CctxSet(out)
+    result.matched_escrows = frozenset(matched_escrows)
+    result.matched_releases = frozenset(matched_releases)
+    result.early = frozenset(early)
+    return result
 
 
 def eval_rule4(
@@ -326,7 +334,7 @@ def eval_rule4(
     rule1: frozenset | None = None,
     rule2: frozenset | None = None,
     rule3: frozenset | None = None,
-) -> frozenset[CctxValidDeposit]:
+) -> CctxSet:
     """Cross-chain deposits: a target-chain release matching a source-chain
     escrow (native or ERC-20) on id, beneficiary, token, chain and amount,
     strictly after the source chain's finality window."""
@@ -334,10 +342,10 @@ def eval_rule4(
     r1 = eval_rule1(store) if rule1 is None else rule1
     r2 = eval_rule2(store) if rule2 is None else rule2
     r3 = eval_rule3(store) if rule3 is None else rule3
-    return _cctx_join(r3, list(r1) + list(r2), store.finality, CctxValidDeposit)
+    return _cctx_join(r1 | r2, r3, store.finality, CctxValidDeposit)
 
 
-def eval_rule5(store: FactStore) -> frozenset[TcValidNativeTokenWithdrawal]:
+def eval_rule5(store: FactStore) -> frozenset[WithdrawalEscrow]:
     """Native-token withdrawal escrows on the target chain (inverse of the
     native deposit rule, with the token mapping looked up in the deposit
     direction)."""
@@ -362,7 +370,7 @@ def eval_rule5(store: FactStore) -> frozenset[TcValidNativeTokenWithdrawal]:
                 if (chain, esc.bridge_addr) not in store.bridge_addresses:
                     continue
                 out.add(
-                    TcValidNativeTokenWithdrawal(
+                    WithdrawalEscrow(
                         tx.timestamp, wdr.tx_hash, wdr.withdrawal_id, esc.sender,
                         esc.bridge_addr, wdr.beneficiary, wdr.orig_token, wdr.dst_token,
                         wdr.dst_chain_id, chain, wdr.standard, wdr.amount,
@@ -371,7 +379,7 @@ def eval_rule5(store: FactStore) -> frozenset[TcValidNativeTokenWithdrawal]:
     return frozenset(out)
 
 
-def eval_rule6(store: FactStore) -> frozenset[TcValidErc20TokenWithdrawal]:
+def eval_rule6(store: FactStore) -> frozenset[WithdrawalEscrow]:
     """ERC-20 withdrawal escrows on the target chain."""
     _require_sealed(store)
     out = set()
@@ -395,7 +403,7 @@ def eval_rule6(store: FactStore) -> frozenset[TcValidErc20TokenWithdrawal]:
                 if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
                     continue
                 out.add(
-                    TcValidErc20TokenWithdrawal(
+                    WithdrawalEscrow(
                         tx.timestamp, wdr.tx_hash, wdr.withdrawal_id, tx.from_address,
                         tr.to_address, wdr.beneficiary, wdr.orig_token, wdr.dst_token,
                         wdr.dst_chain_id, tr.chain_id, wdr.standard, wdr.amount,
@@ -457,7 +465,7 @@ def eval_rule8(
     rule5: frozenset | None = None,
     rule6: frozenset | None = None,
     rule7: frozenset | None = None,
-) -> frozenset[CctxValidWithdrawal]:
+) -> CctxSet:
     """Cross-chain withdrawals: a source-chain release matching a
     target-chain escrow, strictly after the target chain's finality
     window."""
@@ -465,21 +473,21 @@ def eval_rule8(
     r5 = eval_rule5(store) if rule5 is None else rule5
     r6 = eval_rule6(store) if rule6 is None else rule6
     r7 = eval_rule7(store) if rule7 is None else rule7
-    return _cctx_join(r7, list(r5) + list(r6), store.finality, CctxValidWithdrawal)
+    return _cctx_join(r5 | r6, r7, store.finality, CctxValidWithdrawal)
 
 
 @dataclass(frozen=True)
 class RuleOutputs:
     """All eight rule outputs for one store."""
 
-    rule1: frozenset[ScValidNativeTokenDeposit]
-    rule2: frozenset[ScValidErc20TokenDeposit]
+    rule1: frozenset[DepositEscrow]
+    rule2: frozenset[DepositEscrow]
     rule3: frozenset[TcValidErc20TokenDeposit]
-    rule4: frozenset[CctxValidDeposit]
-    rule5: frozenset[TcValidNativeTokenWithdrawal]
-    rule6: frozenset[TcValidErc20TokenWithdrawal]
+    rule4: CctxSet
+    rule5: frozenset[WithdrawalEscrow]
+    rule6: frozenset[WithdrawalEscrow]
     rule7: frozenset[ScValidErc20TokenWithdrawal]
-    rule8: frozenset[CctxValidWithdrawal]
+    rule8: CctxSet
 
     def by_rule(self) -> dict[int, frozenset]:
         return {i: getattr(self, f"rule{i}") for i in range(1, 9)}
@@ -526,19 +534,9 @@ def write_rule_outputs_csv(outputs: RuleOutputs, path: str | Path) -> list[Path]
     written = []
     for rule_id, tuples in outputs.by_rule().items():
         file_path = root / f"{RULE_NAMES[rule_id]}.csv"
-        tuple_type = {
-            1: ScValidNativeTokenDeposit,
-            2: ScValidErc20TokenDeposit,
-            3: TcValidErc20TokenDeposit,
-            4: CctxValidDeposit,
-            5: TcValidNativeTokenWithdrawal,
-            6: TcValidErc20TokenWithdrawal,
-            7: ScValidErc20TokenWithdrawal,
-            8: CctxValidWithdrawal,
-        }[rule_id]
         with open(file_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(tuple_type._fields)
+            writer.writerow(RULE_TYPES[rule_id]._fields)
             for row in sorted(tuples):
                 writer.writerow(row)
         written.append(file_path)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 from bridgewatch import analytics, facts as f, rules
 from conftest import (
-    AA, B1, B2, CC, H1, H2, H3, H4, S_CHAIN, T_CHAIN, U1, U2,
+    AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
     addr, build_store, f1_facts, f2_facts, static_facts, txh,
 )
 from randstores import random_store
@@ -164,6 +170,23 @@ class TestFinalityViolations:
         assert len(shifted_outputs.rule4) == 1
         assert analytics.finality_violations(shifted, shifted_outputs) == []
 
+    def test_escrow_certified_by_rules_1_and_2_is_one_violation(self):
+        # a zero-amount deposit with both a native escrow and a token
+        # transfer into the bridge: rules 1 and 2 derive the same tuple
+        store = build_store(static_facts(), [
+            f.TransactionFact(1000, S_CHAIN, H1, 10, U1, B1, "0", 1, 21_000),
+            f.ScDepositFact(H1, 0, U1, B1, "0"),
+            f.Erc20TransferFact(H1, S_CHAIN, 1, AA, U1, B1, "0"),
+            f.ScTokenDepositedFact(H1, 2, "7", U2, CC, AA, T_CHAIN, "ERC20", "0"),
+            f.TransactionFact(1087, T_CHAIN, H2, 20, RELAYER, B2, "0", 1, 60_000),
+            f.Erc20TransferFact(H2, T_CHAIN, 0, CC, B2, U2, "0"),
+            f.TcTokenDepositedFact(H2, 1, "7", U2, CC, "0"),
+        ])
+        outputs = outputs_for(store)
+        assert len(outputs.rule1) == 1 and outputs.rule1 == outputs.rule2
+        report = analytics.build_report(store, outputs)
+        assert report["anomaly_counts"] == {"FinalityViolation": 1}
+
 
 class TestDuplicateIds:
     def release_facts(self, tag, withdrawal_id, amount="5"):
@@ -303,6 +326,41 @@ class TestReport:
         accounting = report["local_rule_accounting"]
         assert accounting["SC_ValidNativeTokenDeposit"]["unmatched"] == 1
         assert accounting["TC_ValidERC20TokenDeposit"]["unmatched"] == 1
+
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self):
+        # two unmatched releases that differ only in amount, and token
+        # movements on two chains in a transaction with no transaction fact
+        script = textwrap.dedent("""\
+            import sys
+            from bridgewatch import analytics, facts as f, rules
+            from conftest import AA, B1, B2, CC, H2, S_CHAIN, T_CHAIN, U1, U2
+            from conftest import build_store, static_facts, txh
+            store = build_store(static_facts(), [
+                f.TransactionFact(2900, T_CHAIN, H2, 20, U1, B2, "0", 1, 60_000),
+                f.Erc20TransferFact(H2, T_CHAIN, 0, CC, B2, U2, "3"),
+                f.Erc20TransferFact(H2, T_CHAIN, 1, CC, B2, U2, "70000"),
+                f.TcTokenDepositedFact(H2, 2, "7", U2, CC, "3"),
+                f.TcTokenDepositedFact(H2, 3, "7", U2, CC, "70000"),
+                f.Erc20TransferFact(txh("05"), S_CHAIN, 0, AA, U1, B1, "1"),
+                f.Erc20TransferFact(txh("05"), T_CHAIN, 0, CC, U2, B2, "2"),
+            ])
+            report = analytics.build_report(store, rules.eval_all(store))
+            sys.stdout.write(analytics.report_to_json(report))
+        """)
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        reports = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            ).stdout
+            # without a total order, CPython 3.11 orders both cases
+            # differently under these two seeds
+            for seed in ("0", "4")
+        }
+        assert len(reports) == 1
+        counts = json.loads(reports.pop())["anomaly_counts"]
+        assert counts == {"SingleTokenEvent": 1, "UnmatchedLocalDeposit": 2}
 
     def test_empty_store_report(self):
         store = build_store(static_facts())

@@ -49,6 +49,13 @@ class TestSimulateEval:
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
         assert "cctx_finality.facts:1: finality_seconds:" in capsys.readouterr().err
 
+    def test_non_utf8_facts_file_exits_two(self, tmp_path, capsys):
+        facts = tmp_path / "facts"
+        facts.mkdir()
+        (facts / "cctx_finality.facts").write_bytes(b"1\t1800\n100\t4\xff5\n")
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
+        assert "cctx_finality.facts:2: not UTF-8: invalid start byte" in capsys.readouterr().err
+
     def test_bad_anomaly_spec_exits_two(self, tmp_path):
         assert run("simulate", "--seed", "1", "--deposits", "1", "--withdrawals", "1",
                    "--anomalies", "bogus=3", "--out", str(tmp_path / "x")) == EXIT_INPUT_ERROR

@@ -111,6 +111,29 @@ def test_join_key_soundness(seed):
                 c.orig_token, c.dst_token, c.dst_chain_id, c.orig_chain_id, c.amount) in wdr_escrow_keys
         assert (c.dst_timestamp, c.dst_tx_hash, c.withdrawal_id, c.beneficiary,
                 c.dst_token, c.dst_chain_id, c.amount) in wdr_release_keys
+    # the matched legs the join reports are those its outputs project back onto
+    for cctxs, escrows, releases in (
+        (outputs.rule4, outputs.rule1 | outputs.rule2, outputs.rule3),
+        (outputs.rule8, outputs.rule5 | outputs.rule6, outputs.rule7),
+    ):
+        escrow_projections = {
+            (c.orig_timestamp, c.orig_tx_hash, c[6], c.sender, c.beneficiary, c.orig_token,
+             c.dst_token, c.orig_chain_id, c.dst_chain_id, c.amount) for c in cctxs
+        }
+        release_projections = {
+            (c.dst_timestamp, c.dst_tx_hash, c[6], c.beneficiary, c.dst_token,
+             c.dst_chain_id, c.amount) for c in cctxs
+        }
+        assert cctxs.matched_escrows == {
+            t for t in escrows
+            if (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
+                t.dst_token, t.orig_chain_id, t.dst_chain_id, t.amount) in escrow_projections
+        }
+        assert cctxs.matched_releases == {
+            t for t in releases
+            if (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token, t.chain_id,
+                t.amount) in release_projections
+        }
 
 
 def test_finality_strictness_on_every_cctx():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -216,3 +217,21 @@ class TestGeneration:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         entries = json.loads((tmp_path / "a.json").read_text())
         assert entries[0]["expected_anomaly"] == "UnmatchedLocalWithdrawal"
+
+
+# sha256 of the canonical report; a change here changes report bytes
+PINNED_REPORTS = [
+    (ScenarioParams(seed=11, n_deposits=60, n_withdrawals=60),
+     "ab26dcbe01dd24ba259c26de0d816645b742af2e589b5929a9a296b2feac9e74"),
+    (ScenarioParams(seed=12, n_deposits=60, n_withdrawals=60,
+                    anomalies=AnomalySpec(forged_release=2, replayed_id=2, finality_break=2,
+                                          direct_transfer=2, orphan_bridge_event=2)),
+     "7d615fbaa31d64e8cad519a3249b5962fd814eeaedb58780890a9b240a60a76f"),
+]
+
+
+@pytest.mark.parametrize("params,digest", PINNED_REPORTS, ids=["clean", "all-attacks"])
+def test_report_bytes_are_pinned(params, digest):
+    store = generate(params).store
+    report = analytics.report_to_json(analytics.build_report(store, eval_all(store)))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest

@@ -136,14 +136,15 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
     ):
         for tx_hash in tx_hashes:
             found = events(tx_hash, relations)
-            # without a transaction fact, fall back to the events' own chains
+            # without a transaction fact, fall back to the events' own chains;
+            # bridge and escrow facts carry none, so the chain may be unknown
             chains = [t.chain_id for t in store.transactions_by_hash.get(tx_hash, ())] or [
                 e.chain_id for e in found if hasattr(e, "chain_id")
             ]
             out.append(
                 Anomaly(
                     kind=kind,
-                    chain_ids=(min(chains, default=0),),
+                    chain_ids=(min(chains),) if chains else (),
                     tx_hashes=(tx_hash,),
                     amount=str(sum(int(e.amount) for e in found)),
                     evidence=_evidence(event_count=len(found)),
@@ -210,7 +211,7 @@ def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
 # finality violations
 # ---------------------------------------------------------------------------
 
-def finality_violations(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
+def finality_violations(outputs: RuleOutputs) -> list[Anomaly]:
     """Pairs of local tuples that agree on every cross-chain join key but
     sit inside the origin chain's finality window.
 
@@ -399,7 +400,7 @@ def build_report(
     reported separately and keeps the identity captured = matched +
     unmatched.
     """
-    violations = finality_violations(store, outputs)
+    violations = finality_violations(outputs)
     explained: set[tuple[str, str]] = set()
     for v in violations:
         vid = dict(v.evidence)["id"]

@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -122,14 +123,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     anomalies = AnomalySpec.from_spec_string(args.anomalies)
     if args.replay_fanout is not None:
-        anomalies = AnomalySpec(
-            forged_release=anomalies.forged_release,
-            replayed_id=anomalies.replayed_id,
-            finality_break=anomalies.finality_break,
-            direct_transfer=anomalies.direct_transfer,
-            orphan_bridge_event=anomalies.orphan_bridge_event,
-            replay_fanout=args.replay_fanout,
-        )
+        anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
     params = ScenarioParams(
         seed=args.seed,
         n_deposits=args.deposits,

@@ -18,8 +18,10 @@ Field extraction plan entries::
     {"source": "log_address"}      the emitting contract address
 
 with ``type`` one of ``address`` (32-byte word that must be a left-padded
-20-byte address), ``uint`` (decimal string), ``id`` (decimal string),
-``chain_id`` (integer), or ``enum`` (requires ``"labels": {"0": "..."}``).
+20-byte address), ``uint`` (decimal string, the default), ``id`` (decimal
+string), ``chain_id`` (integer), or ``enum`` (requires ``"labels": {"0": "..."}``).
+A plan covers exactly its relation's columns but ``tx_hash`` and ``event_index``.
+Plans are checked once, on load; :func:`encode_log` is their inverse.
 
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
 token contract). Bridge events are decoded only from logs emitted by a
@@ -35,6 +37,7 @@ that fact only; the rest of the receipt still decodes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -51,6 +54,8 @@ __all__ = [
     "IngestReport",
     "decode_erc20_transfer",
     "decode_receipt",
+    "encode_erc20_transfer",
+    "encode_log",
     "ingest_jsonl",
     "load_config",
 ]
@@ -58,13 +63,8 @@ __all__ = [
 NATIVE_EVENT_INDEX = 0  # native value transfers precede all logs
 
 # Bridge relations a config event entry may target.
-_DECODABLE = {
-    "sc_token_deposited": f.ScTokenDepositedFact,
-    "tc_token_deposited": f.TcTokenDepositedFact,
-    "tc_token_withdrew": f.TcTokenWithdrewFact,
-    "sc_token_withdrew": f.ScTokenWithdrewFact,
-    "sc_withdrawal": f.ScWithdrawalFact,
-}
+_DECODABLE = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
+              "sc_token_withdrew", "sc_withdrawal")
 
 
 class IngestError(ValueError):
@@ -113,14 +113,21 @@ class LogEntry:
     @classmethod
     def from_json(cls, obj: dict) -> "LogEntry":
         try:
+            topics, data = obj["topics"], obj.get("data", "0x")
+            if not isinstance(topics, list):
+                raise IngestError(f"log topics: expected a list of hex strings, got {topics!r}")
+            if not isinstance(data, str):
+                raise IngestError(f"log data: expected a hex string, got {data!r}")
             return cls(
                 address=f.canonical_address(obj["address"], "log address"),
-                topics=tuple(t.lower() for t in obj["topics"]),
-                data=obj.get("data", "0x").lower(),
+                topics=tuple(map(str.lower, topics)),
+                data=data.lower(),
                 log_index=_as_uint(obj["logIndex"], "logIndex"),
             )
         except KeyError as exc:
             raise IngestError(f"log entry missing field {exc.args[0]!r}") from exc
+        except TypeError as exc:  # not an object, or a topic that is not a string
+            raise IngestError(f"log entry: expected an object with string topics, got {obj!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -138,11 +145,19 @@ class TransactionReceipt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TransactionReceipt":
+        if not isinstance(obj, dict):
+            raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
         try:
-            logs = tuple(LogEntry.from_json(entry) for entry in obj.get("logs", []))
+            entries = obj.get("logs", [])
+            if not isinstance(entries, list):
+                raise IngestError(f"logs: expected a list of log objects, got {entries!r}")
+            logs = tuple(LogEntry.from_json(entry) for entry in entries)
             indexes = [entry.log_index for entry in logs]
             if indexes != sorted(set(indexes)):
                 raise IngestError("logIndex values must be strictly increasing")
+            status = _as_uint(obj["status"], "status")
+            if status > 1:
+                raise IngestError(f"status: expected 0 or 1, got {status}")
             return cls(
                 chain_id=_as_uint(obj["chainId"], "chainId"),
                 tx_hash=f.canonical_tx_hash(obj["txHash"], "txHash"),
@@ -151,7 +166,7 @@ class TransactionReceipt:
                 from_address=f.canonical_address(obj["from"], "from"),
                 to_address=f.canonical_address(obj["to"], "to"),
                 value=_as_amount(obj["value"], "value"),
-                status=_as_uint(obj["status"], "status"),
+                status=status,
                 gas_used=_as_uint(obj["gasUsed"], "gasUsed"),
                 logs=logs,
             )
@@ -163,18 +178,27 @@ class TransactionReceipt:
 
 @dataclass(frozen=True)
 class EventPlan:
-    """One decodable bridge event: topic0 -> relation + field plan."""
+    """One decodable event: topic0 -> relation + field plan."""
 
     topic0: str
     relation: str
     fields: dict[str, dict]
 
 
+# ERC-20 ``Transfer(address,address,uint256)``, decoded from any emitter;
+# its ``chain_id`` comes from the receipt.
+_TRANSFER = EventPlan(TRANSFER_TOPIC, "erc20_transfer", {
+    "token": {"source": "log_address"},
+    "from_address": {"topic": 1, "type": "address"},
+    "to_address": {"topic": 2, "type": "address"},
+    "amount": {"data": 0, "type": "uint"},
+})
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     chain_id: int
     role: str  # "source" | "target"
-    finality_seconds: int
     bridge_addresses: tuple[str, ...]
 
 
@@ -182,62 +206,130 @@ class ChainConfig:
 class BridgeDecoderConfig:
     chains: dict[int, ChainConfig]
     events: dict[str, EventPlan]  # keyed by topic0
-    token_mappings: tuple[f.TokenMappingFact, ...]
-    wrapped_native_tokens: tuple[f.WrappedNativeTokenFact, ...]
+    static: tuple  # finality windows, bridge addresses, token tables
 
     def static_facts(self) -> list:
-        out: list = []
-        for chain in self.chains.values():
-            out.append(f.CctxFinalityFact(chain.chain_id, chain.finality_seconds))
-            for addr in chain.bridge_addresses:
-                out.append(f.BridgeControlledAddressFact(chain.chain_id, addr))
-        out.extend(self.token_mappings)
-        out.extend(self.wrapped_native_tokens)
-        return out
+        return list(self.static)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BridgeDecoderConfig":
+        """Build a config, checking all of it up front: every problem is a
+        ``ConfigError`` naming the chain key, event field or table row."""
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
         chains: dict[int, ChainConfig] = {}
-        for key, spec in obj.get("chains", {}).items():
+        static: list = []
+        for key, spec in _table(obj, "chains", dict).items():
+            if not _CHAIN_KEY.match(key):
+                raise ConfigError(f"chains: key {key!r} is not a positive integer chain id")
             chain_id = int(key)
+            if not isinstance(spec, dict):
+                raise ConfigError(f"chain {chain_id}: expected an object")
             role = spec.get("role", "source")
             if role not in ("source", "target"):
                 raise ConfigError(f"chain {chain_id}: role must be source|target")
-            finality = spec.get("finality_seconds")
-            if not isinstance(finality, int) or finality <= 0:
-                raise ConfigError(f"chain {chain_id}: finality_seconds must be positive")
-            chains[chain_id] = ChainConfig(
-                chain_id=chain_id,
-                role=role,
-                finality_seconds=finality,
-                bridge_addresses=tuple(
-                    f.canonical_address(a, "bridge address")
-                    for a in spec.get("bridge_addresses", [])
-                ),
-            )
+            try:
+                static.append(f.CctxFinalityFact(chain_id, spec.get("finality_seconds")))
+                bridges = [f.BridgeControlledAddressFact(chain_id, a)
+                           for a in spec.get("bridge_addresses", [])]
+            except f.EncodingError as exc:
+                raise ConfigError(f"chain {chain_id}: {exc}") from exc
+            static += bridges
+            chains[chain_id] = ChainConfig(chain_id, role, tuple(b.address for b in bridges))
         if not chains:
             raise ConfigError("config declares no chains")
         events: dict[str, EventPlan] = {}
-        for entry in obj.get("events", []):
+        for i, entry in enumerate(_table(obj, "events", list)):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"events[{i}]: expected an object")
             if "topic0" in entry:
-                topic0 = entry["topic0"].lower()
-            elif "signature" in entry:
+                try:
+                    topic0 = f.canonical_tx_hash(entry["topic0"], "topic0")
+                except f.EncodingError as exc:
+                    raise ConfigError(f"events[{i}]: {exc}") from exc
+            elif isinstance(entry.get("signature"), str):
                 topic0 = event_topic(entry["signature"])
             else:
-                raise ConfigError("event entry needs 'topic0' or 'signature'")
+                raise ConfigError(f"events[{i}]: event entry needs 'topic0' or 'signature'")
+            event = entry.get("signature") or topic0
             relation = entry.get("fact")
             if relation not in _DECODABLE:
-                raise ConfigError(f"event entry targets unknown relation {relation!r}")
-            events[topic0] = EventPlan(topic0, relation, dict(entry.get("fields", {})))
-        mappings = tuple(
-            f.TokenMappingFact(int(m[0]), int(m[1]), m[2], m[3], m[4])
-            for m in obj.get("token_mappings", [])
-        )
-        wrapped = tuple(
-            f.WrappedNativeTokenFact(int(w[0]), w[1])
-            for w in obj.get("wrapped_native_tokens", [])
-        )
-        return cls(chains, events, mappings, wrapped)
+                raise ConfigError(f"event {event}: targets unknown relation {relation!r}")
+            events[topic0] = EventPlan(topic0, relation, _field_plans(event, relation, entry.get("fields")))
+        static += _static_rows(obj, "token_mappings", f.TokenMappingFact)
+        static += _static_rows(obj, "wrapped_native_tokens", f.WrappedNativeTokenFact)
+        return cls(chains, events, tuple(static))
+
+
+_CHAIN_KEY = re.compile(r"[1-9][0-9]*\Z")
+_LABEL_CODE = re.compile(r"(0|[1-9][0-9]*)\Z")
+_FIELD_TYPES = ("address", "uint", "id", "chain_id", "enum")
+
+
+def _table(obj: dict, key: str, kind: type):
+    value = obj.get(key, kind())
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _static_rows(obj: dict, key: str, fact_type: type) -> list:
+    """One fact per row of a static table; a row lists the fact's columns."""
+    width = len(fact_type.COLUMNS)
+    rows = []
+    for i, row in enumerate(_table(obj, key, list)):
+        if not isinstance(row, list) or len(row) != width:
+            raise ConfigError(f"{key}[{i}]: expected a list of {width} values, got {row!r}")
+        try:
+            rows.append(fact_type(*row))
+        except f.EncodingError as exc:
+            raise ConfigError(f"{key}[{i}]: {exc}") from exc
+    return rows
+
+
+def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
+    """Check one event's field plan against the columns of its relation.
+
+    A ``const`` is stored canonical, as the fact would hold it, so that the
+    encoder can compare facts against it.
+    """
+    if not isinstance(fields, dict):
+        raise ConfigError(f"event {event}: 'fields' must be an object")
+    columns = {name: kind for name, kind in f.RELATIONS[relation].COLUMNS
+               if name not in ("tx_hash", "event_index")}
+    for name in sorted(fields.keys() ^ columns.keys()):
+        problem = "has no plan" if name in columns else f"is not a column of {relation}"
+        raise ConfigError(f"event {event}: field {name!r} {problem}")
+    plans: dict[str, dict] = {}
+    for name, plan in fields.items():
+        what = f"event {event}: field {name!r}"
+        if not isinstance(plan, dict):
+            raise ConfigError(f"{what}: expected an object")
+        given = [key for key in ("topic", "data", "const", "source") if key in plan]
+        if len(given) != 1:
+            raise ConfigError(f"{what}: needs exactly one of 'topic', 'data', 'const' or 'source'")
+        if given[0] == "const":
+            try:
+                plan = {**plan, "const": columns[name].check(plan["const"], "const")}
+            except f.EncodingError as exc:
+                raise ConfigError(f"{what}: {exc}") from exc
+        elif given[0] == "source":
+            if plan["source"] != "log_address":
+                raise ConfigError(f"{what}: unknown source {plan['source']!r}")
+        else:
+            index, low = plan[given[0]], 1 if given[0] == "topic" else 0
+            if isinstance(index, bool) or not isinstance(index, int) or index < low:
+                raise ConfigError(f"{what}: {given[0]} index must be an integer >= {low}, got {index!r}")
+            ftype = plan.get("type", "uint")
+            if ftype not in _FIELD_TYPES:
+                raise ConfigError(f"{what}: unknown field type {ftype!r}")
+            labels = plan.get("labels")
+            if ftype == "enum" and not (
+                isinstance(labels, dict) and labels and all(_LABEL_CODE.match(c) for c in labels)
+            ):
+                raise ConfigError(f"{what}: enum needs 'labels', an object keyed by decimal codes")
+        plans[name] = plan
+    return plans
 
 
 def load_config(path: str | Path) -> BridgeDecoderConfig:
@@ -275,36 +367,87 @@ def _word_to_address(word: bytes, what: str) -> str:
 def _extract_field(plan: dict, log: LogEntry, what: str):
     if "const" in plan:
         return plan["const"]
-    if plan.get("source") == "log_address":
+    if "source" in plan:
         return log.address
     if "topic" in plan:
         idx = plan["topic"]
         if idx >= len(log.topics):
             raise _FieldError(f"{what}: topic {idx} missing (log has {len(log.topics)})")
         word = _hex_bytes(log.topics[idx], what)
-    elif "data" in plan:
+    else:
         data = _hex_bytes(log.data, what)
         off = 32 * plan["data"]
         word = data[off : off + 32]
         if len(word) != 32:
             raise _FieldError(f"{what}: data word {plan['data']} out of range")
-    else:
-        raise ConfigError(f"{what}: field plan needs 'topic', 'data', 'const' or 'source'")
     ftype = plan.get("type", "uint")
     if ftype == "address":
         return _word_to_address(word, what)
     value = int.from_bytes(word, "big")
-    if ftype in ("uint", "id"):
-        return str(value)
     if ftype == "chain_id":
         return value
     if ftype == "enum":
-        labels = plan.get("labels", {})
         try:
-            return labels[str(value)]
+            return plan["labels"][str(value)]
         except KeyError:
             raise _FieldError(f"{what}: no enum label for value {value}")
-    raise ConfigError(f"{what}: unknown field type {ftype!r}")
+    return str(value)
+
+
+# The 32-byte word layout, inverse of ``_word_to_address`` and ``int.from_bytes``.
+def _address_word(address: str) -> str:
+    return "0" * 24 + address[2:]
+
+
+def _uint_word(value: int | str, what: str) -> str:
+    return format(int(f.canonical_amount(value, what)), "064x")
+
+
+def encode_log(plan: EventPlan, fact, address: str) -> dict:
+    """The log entry that ``plan`` decodes back to ``fact``.
+
+    ``address`` is the emitter unless a field is read from
+    ``log_address``. A fact that cannot round-trip raises ``ValueError``:
+    a value other than a ``const`` field's, an enum value without a code,
+    or an integer that is not a canonical uint256.
+    """
+    topics, data = {0: plan.topic0}, {}
+    for name, fplan in plan.fields.items():
+        value = getattr(fact, name)
+        what = f"{plan.relation}.{name}"
+        if "const" in fplan:
+            if value != fplan["const"]:
+                raise ValueError(f"{what}: {value!r} is not the constant {fplan['const']!r}")
+            continue
+        if "source" in fplan:
+            address = value
+            continue
+        ftype = fplan.get("type", "uint")
+        if ftype == "address":
+            word = _address_word(value)
+        elif ftype == "enum":
+            codes = [code for code, label in fplan["labels"].items() if label == value]
+            if not codes:
+                raise ValueError(f"{what}: no enum code for {value!r}")
+            word = _uint_word(codes[0], what)
+        else:
+            word = _uint_word(value, what)
+        if "topic" in fplan:
+            topics[fplan["topic"]] = "0x" + word
+        else:
+            data[fplan["data"]] = word
+    zero = "0" * 64
+    return {
+        "address": address,
+        "topics": [topics.get(i, "0x" + zero) for i in range(max(topics) + 1)],
+        "data": "0x" + "".join(data.get(i, zero) for i in range(max(data, default=-1) + 1)),
+        "logIndex": fact.event_index,
+    }
+
+
+def encode_erc20_transfer(fact: f.Erc20TransferFact) -> dict:
+    """The ``Transfer`` log that :func:`decode_erc20_transfer` decodes to ``fact``."""
+    return encode_log(_TRANSFER, fact, fact.token)
 
 
 def decode_erc20_transfer(log: LogEntry, receipt: TransactionReceipt):
@@ -321,38 +464,18 @@ def decode_erc20_transfer(log: LogEntry, receipt: TransactionReceipt):
             f"tx {receipt.tx_hash} log {log.log_index}: Transfer with "
             f"{len(log.topics)} topics (expected 3)"
         )
-    try:
-        from_addr = _word_to_address(_hex_bytes(log.topics[1], "from"), "from")
-        to_addr = _word_to_address(_hex_bytes(log.topics[2], "to"), "to")
-        data = _hex_bytes(log.data, "data")
-        if len(data) < 32:
-            raise _FieldError("data: expected at least 32 bytes for amount")
-        amount = str(int.from_bytes(data[:32], "big"))
-    except (_FieldError, IngestError) as exc:
-        return None, f"tx {receipt.tx_hash} log {log.log_index}: {exc}"
-    return (
-        f.Erc20TransferFact(
-            tx_hash=receipt.tx_hash,
-            chain_id=receipt.chain_id,
-            event_index=log.log_index,
-            token=log.address,
-            from_address=from_addr,
-            to_address=to_addr,
-            amount=amount,
-        ),
-        None,
-    )
+    return _decode_event(_TRANSFER, log, receipt, chain_id=receipt.chain_id)
 
 
-def _decode_bridge_event(
-    plan: EventPlan, log: LogEntry, receipt: TransactionReceipt
+def _decode_event(
+    plan: EventPlan, log: LogEntry, receipt: TransactionReceipt, **known: Any
 ) -> tuple[Any, str | None]:
-    kwargs: dict[str, Any] = {"tx_hash": receipt.tx_hash, "event_index": log.log_index}
+    kwargs: dict[str, Any] = {"tx_hash": receipt.tx_hash, "event_index": log.log_index, **known}
     try:
         for name, fplan in plan.fields.items():
             kwargs[name] = _extract_field(fplan, log, name)
-        return _DECODABLE[plan.relation](**kwargs), None
-    except (_FieldError, f.EncodingError, IngestError, TypeError) as exc:
+        return f.RELATIONS[plan.relation](**kwargs), None
+    except (_FieldError, f.EncodingError, IngestError) as exc:
         return None, (
             f"tx {receipt.tx_hash} log {log.log_index} ({plan.relation}): {exc}"
         )
@@ -382,7 +505,7 @@ def decode_receipt(
             from_address=receipt.from_address,
             to_address=receipt.to_address,
             value=receipt.value,
-            status=1 if receipt.status == 1 else 0,
+            status=receipt.status,
             gas_used=receipt.gas_used,
         )
     )
@@ -397,7 +520,7 @@ def decode_receipt(
         if log.topics and log.address in bridge_addrs:
             plan = config.events.get(log.topics[0])
             if plan is not None:
-                fact, warning = _decode_bridge_event(plan, log, receipt)
+                fact, warning = _decode_event(plan, log, receipt)
                 if warning:
                     warnings.append(warning)
                 if fact is not None:

@@ -38,7 +38,8 @@ from pathlib import Path
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .keccak import TRANSFER_TOPIC, event_topic
+from .ingest import BridgeDecoderConfig, encode_erc20_transfer, encode_log
+from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
     "SplitMix64",
@@ -207,11 +208,15 @@ class GeneratedScenario:
     ground_truth: list[dict]
     config: dict
     _txs: list[_Tx]
-    _emitters: dict[str, str]
 
     def receipts(self) -> list[dict]:
-        """Receipt objects that decode back to exactly ``store``."""
-        return [_encode_receipt(tx, self._emitters) for tx in self._txs]
+        """Receipt objects that decode back to exactly ``store``, encoded
+        from the field plans of ``config``; each bridge log is emitted by
+        the configured bridge of its transaction's chain."""
+        config = BridgeDecoderConfig.from_json(self.config)
+        plans = {plan.relation: plan for plan in config.events.values()}
+        return [_encode_receipt(tx, plans, config.chains[tx.chain_id].bridge_addresses[0])
+                for tx in self._txs]
 
     def write_facts_dir(self, path: str | Path) -> None:
         dump_facts_dir(self.store, path)
@@ -234,21 +239,11 @@ class GeneratedScenario:
 
 # --- synthetic bridge ABI ---------------------------------------------------
 
-_EVENT_SIGNATURES = {
-    "sc_token_deposited": "TokenDeposited(uint256,address,address,address,uint256,uint8,uint256)",
-    "tc_token_deposited": "TokenReleased(uint256,address,address,uint256)",
-    "tc_token_withdrew": "WithdrawalInitiated(uint256,address,address,address,uint256,uint8,uint256)",
-    "sc_token_withdrew": "WithdrawalCompleted(uint256,address,address,uint256)",
-    "sc_withdrawal": "NativeReleased(address,uint256)",
-}
-
-_STANDARD_CODES = {"ERC20": 0, "NATIVE": 1}
-_STANDARD_LABELS = {str(v): k for k, v in _STANDARD_CODES.items()}
-
-
 def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
-                    mappings: list[f.TokenMappingFact],
-                    wrapped: list[f.WrappedNativeTokenFact]) -> dict:
+                    mappings: list[list], wrapped: list[list]) -> dict:
+    """The decoder config of a scenario: the one definition of the
+    synthetic bridge ABI, which both encodes and decodes its receipts."""
+    standard = {"0": "ERC20", "1": "NATIVE"}
     return {
         "chains": {
             str(params.source.chain_id): {
@@ -264,7 +259,7 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
         },
         "events": [
             {
-                "signature": _EVENT_SIGNATURES["sc_token_deposited"],
+                "signature": "TokenDeposited(uint256,address,address,address,uint256,uint8,uint256)",
                 "fact": "sc_token_deposited",
                 "fields": {
                     "deposit_id": {"topic": 1, "type": "id"},
@@ -272,12 +267,12 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
                     "dst_token": {"data": 0, "type": "address"},
                     "orig_token": {"data": 1, "type": "address"},
                     "dst_chain_id": {"data": 2, "type": "chain_id"},
-                    "standard": {"data": 3, "type": "enum", "labels": _STANDARD_LABELS},
+                    "standard": {"data": 3, "type": "enum", "labels": standard},
                     "amount": {"data": 4, "type": "uint"},
                 },
             },
             {
-                "signature": _EVENT_SIGNATURES["tc_token_deposited"],
+                "signature": "TokenReleased(uint256,address,address,uint256)",
                 "fact": "tc_token_deposited",
                 "fields": {
                     "deposit_id": {"topic": 1, "type": "id"},
@@ -287,7 +282,7 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
                 },
             },
             {
-                "signature": _EVENT_SIGNATURES["tc_token_withdrew"],
+                "signature": "WithdrawalInitiated(uint256,address,address,address,uint256,uint8,uint256)",
                 "fact": "tc_token_withdrew",
                 "fields": {
                     "withdrawal_id": {"topic": 1, "type": "id"},
@@ -295,12 +290,12 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
                     "orig_token": {"data": 0, "type": "address"},
                     "dst_token": {"data": 1, "type": "address"},
                     "dst_chain_id": {"data": 2, "type": "chain_id"},
-                    "standard": {"data": 3, "type": "enum", "labels": _STANDARD_LABELS},
+                    "standard": {"data": 3, "type": "enum", "labels": standard},
                     "amount": {"data": 4, "type": "uint"},
                 },
             },
             {
-                "signature": _EVENT_SIGNATURES["sc_token_withdrew"],
+                "signature": "WithdrawalCompleted(uint256,address,address,uint256)",
                 "fact": "sc_token_withdrew",
                 "fields": {
                     "withdrawal_id": {"topic": 1, "type": "id"},
@@ -310,7 +305,7 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
                 },
             },
             {
-                "signature": _EVENT_SIGNATURES["sc_withdrawal"],
+                "signature": "NativeReleased(address,uint256)",
                 "fact": "sc_withdrawal",
                 "fields": {
                     "bridge_addr": {"source": "log_address"},
@@ -319,121 +314,19 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
                 },
             },
         ],
-        "token_mappings": [
-            [m.orig_chain_id, m.dst_chain_id, m.orig_token, m.dst_token, m.standard]
-            for m in mappings
-        ],
-        "wrapped_native_tokens": [[w.chain_id, w.token] for w in wrapped],
+        "token_mappings": mappings,
+        "wrapped_native_tokens": wrapped,
     }
 
 
-# --- log encoding (inverse of ingest decoding) ------------------------------
-
-def _pad_address(addr: str) -> str:
-    return "0x" + "0" * 24 + addr[2:]
-
-
-def _pad_uint(value: int | str) -> str:
-    return "0x" + format(int(value), "064x")
-
-
-def _word(value: int | str) -> str:
-    return format(int(value), "064x")
-
-
-def _addr_word(addr: str) -> str:
-    return "0" * 24 + addr[2:]
-
-
-def _encode_log(fact, emitter_hint: dict) -> dict | None:
-    """Render one event fact as a receipt log entry (native escrows have
-    no log and return None)."""
-    if isinstance(fact, f.Erc20TransferFact):
-        return {
-            "address": fact.token,
-            "topics": [
-                TRANSFER_TOPIC,
-                _pad_address(fact.from_address),
-                _pad_address(fact.to_address),
-            ],
-            "data": "0x" + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, f.ScTokenDepositedFact):
-        return {
-            "address": emitter_hint["source_bridge"],
-            "topics": [
-                event_topic(_EVENT_SIGNATURES["sc_token_deposited"]),
-                _pad_uint(fact.deposit_id),
-                _pad_address(fact.beneficiary),
-            ],
-            "data": "0x"
-            + _addr_word(fact.dst_token)
-            + _addr_word(fact.orig_token)
-            + _word(fact.dst_chain_id)
-            + _word(_STANDARD_CODES[fact.standard])
-            + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, f.TcTokenDepositedFact):
-        return {
-            "address": emitter_hint["target_bridge"],
-            "topics": [
-                event_topic(_EVENT_SIGNATURES["tc_token_deposited"]),
-                _pad_uint(fact.deposit_id),
-                _pad_address(fact.beneficiary),
-            ],
-            "data": "0x" + _addr_word(fact.dst_token) + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, f.TcTokenWithdrewFact):
-        return {
-            "address": emitter_hint["target_bridge"],
-            "topics": [
-                event_topic(_EVENT_SIGNATURES["tc_token_withdrew"]),
-                _pad_uint(fact.withdrawal_id),
-                _pad_address(fact.beneficiary),
-            ],
-            "data": "0x"
-            + _addr_word(fact.orig_token)
-            + _addr_word(fact.dst_token)
-            + _word(fact.dst_chain_id)
-            + _word(_STANDARD_CODES[fact.standard])
-            + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, f.ScTokenWithdrewFact):
-        return {
-            "address": emitter_hint["source_bridge"],
-            "topics": [
-                event_topic(_EVENT_SIGNATURES["sc_token_withdrew"]),
-                _pad_uint(fact.withdrawal_id),
-                _pad_address(fact.beneficiary),
-            ],
-            "data": "0x" + _addr_word(fact.dst_token) + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, f.ScWithdrawalFact):
-        return {
-            "address": fact.bridge_addr,
-            "topics": [
-                event_topic(_EVENT_SIGNATURES["sc_withdrawal"]),
-                _pad_address(fact.beneficiary),
-            ],
-            "data": "0x" + _word(fact.amount),
-            "logIndex": fact.event_index,
-        }
-    if isinstance(fact, (f.ScDepositFact, f.TcWithdrawalFact)):
-        return None  # native escrow: carried by the receipt envelope
-    raise TypeError(f"cannot encode {type(fact).__name__} as a log")
-
-
-def _encode_receipt(tx: _Tx, emitters: dict[str, str]) -> dict:
+def _encode_receipt(tx: _Tx, plans: dict, bridge: str) -> dict:
     logs = []
     for fact in sorted(tx.event_facts, key=lambda x: x.event_index):
-        log = _encode_log(fact, emitters)
-        if log is not None:
-            logs.append(log)
+        if isinstance(fact, f.Erc20TransferFact):
+            logs.append(encode_erc20_transfer(fact))
+        elif fact.RELATION in plans:
+            logs.append(encode_log(plans[fact.RELATION], fact, bridge))
+        # native escrows have no log: the receipt's value carries them
     return {
         "chainId": tx.chain_id,
         "txHash": tx.tx_hash,
@@ -474,18 +367,12 @@ class _Builder:
             (self.rng.address(), self.rng.address())
             for _ in range(params.n_token_pairs)
         ]
+        # static tables, as rows of the decoder config
         self.mappings = [
-            f.TokenMappingFact(src, dst, self.wrapped_native_s, self.native_repr_on_t, "NATIVE"),
-            f.TokenMappingFact(src, dst, self.native_repr_on_s, self.wrapped_native_t, "NATIVE"),
-        ] + [
-            f.TokenMappingFact(src, dst, s_tok, t_tok, "ERC20")
-            for s_tok, t_tok in self.erc20_pairs
-        ]
-        self.wrapped = [
-            f.WrappedNativeTokenFact(src, self.wrapped_native_s),
-            f.WrappedNativeTokenFact(dst, self.wrapped_native_t),
-        ]
-        self._emitters = {"source_bridge": self.bridge_s, "target_bridge": self.bridge_t}
+            [src, dst, self.wrapped_native_s, self.native_repr_on_t, "NATIVE"],
+            [src, dst, self.native_repr_on_s, self.wrapped_native_t, "NATIVE"],
+        ] + [[src, dst, s_tok, t_tok, "ERC20"] for s_tok, t_tok in self.erc20_pairs]
+        self.wrapped = [[src, self.wrapped_native_s], [dst, self.wrapped_native_t]]
 
     def tx_hash(self) -> str:
         self._tx_counter += 1
@@ -726,12 +613,12 @@ class _Builder:
             self.orphan_bridge_event(str(p.n_deposits + i + 1), i)
 
         self._assign_blocks()
-        store = self._materialize_store()
         config = _decoder_config(p, self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
+        store = self._materialize_store(BridgeDecoderConfig.from_json(config).static_facts())
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
         txs = sorted(self.txs, key=lambda t: (t.chain_id, t.block_number))
         return GeneratedScenario(params=p, store=store, ground_truth=gt,
-                                 config=config, _txs=txs, _emitters=self._emitters)
+                                 config=config, _txs=txs)
 
     def _assign_blocks(self) -> None:
         per_chain: dict[int, list[_Tx]] = {}
@@ -743,15 +630,9 @@ class _Builder:
                 tx.block_number = block_number
                 tx.timestamp = tx.desired_ts
 
-    def _materialize_store(self) -> FactStore:
-        p = self.params
+    def _materialize_store(self, static_facts: list) -> FactStore:
         store = FactStore()
-        store.insert(f.CctxFinalityFact(p.source.chain_id, p.source.finality_seconds))
-        store.insert(f.CctxFinalityFact(p.target.chain_id, p.target.finality_seconds))
-        store.insert(f.BridgeControlledAddressFact(p.source.chain_id, self.bridge_s))
-        store.insert(f.BridgeControlledAddressFact(p.target.chain_id, self.bridge_t))
-        store.insert_all(self.mappings)
-        store.insert_all(self.wrapped)
+        store.insert_all(static_facts)
         for tx in self.txs:
             store.insert(
                 f.TransactionFact(

@@ -139,11 +139,11 @@ def test_criterion_4_finality_strictness_boundary():
 
     at_window = with_release_at(escrow_ts + window)
     outputs_at = rules.eval_all(at_window)
-    violations_at = analytics.finality_violations(at_window, outputs_at)
+    violations_at = analytics.finality_violations(outputs_at)
 
     past_window = with_release_at(escrow_ts + window + 1)
     outputs_past = rules.eval_all(past_window)
-    violations_past = analytics.finality_violations(past_window, outputs_past)
+    violations_past = analytics.finality_violations(outputs_past)
 
     ok = (
         len(outputs_at.rule4) == 0

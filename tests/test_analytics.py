@@ -48,6 +48,15 @@ class TestLocalMismatches:
     def test_fully_matched_transaction_is_clean(self, f1_store):
         assert analytics.local_mismatches(f1_store) == []
 
+    def test_bridge_event_without_any_transaction_fact_has_unknown_chain(self):
+        # bridge facts carry no chain id, and there is no transaction fact
+        store = build_store(static_facts(), [
+            f.ScTokenDepositedFact(txh("ad"), 1, "78", U2, CC, AA, T_CHAIN, "ERC20", "4"),
+        ])
+        anomalies = analytics.local_mismatches(store)
+        assert [a.kind for a in anomalies] == ["SingleBridgeEvent"]
+        assert anomalies[0].as_dict()["chain_ids"] == []
+
     def test_transfer_out_of_bridge_counts_as_touching(self):
         extra = [
             f.TransactionFact(100, S_CHAIN, txh("ac"), 1, U1, B1, "0", 1, 21_000),
@@ -108,7 +117,7 @@ class TestFinalityViolations:
 
     def test_gap_87_against_window_1800(self):
         store = self.violation_store(release_ts=1087)
-        violations = analytics.finality_violations(store, outputs_for(store))
+        violations = analytics.finality_violations(outputs_for(store))
         assert len(violations) == 1
         evidence = dict(violations[0].evidence)
         assert evidence["gap"] == "87"
@@ -116,7 +125,7 @@ class TestFinalityViolations:
 
     def test_gap_66_against_window_78(self):
         store = self.violation_store(release_ts=1066, window=78)
-        violations = analytics.finality_violations(store, outputs_for(store))
+        violations = analytics.finality_violations(outputs_for(store))
         assert len(violations) == 1
         evidence = dict(violations[0].evidence)
         assert evidence["gap"] == "66"
@@ -130,14 +139,14 @@ class TestFinalityViolations:
 
         all_facts = [mutate(x) for x in static_facts() + f2_facts()]
         store = build_store(all_facts)
-        violations = analytics.finality_violations(store, outputs_for(store))
+        violations = analytics.finality_violations(outputs_for(store))
         assert len(violations) == 1
         evidence = dict(violations[0].evidence)
         assert evidence["gap"] == "11" and evidence["window"] == "45"
         assert violations[0].kind == "FinalityViolation"
 
     def test_compliant_scenario_is_clean(self, full_store):
-        assert analytics.finality_violations(full_store, outputs_for(full_store)) == []
+        assert analytics.finality_violations(outputs_for(full_store)) == []
 
     def test_shifting_origin_earlier_by_window_minus_gap_plus_one_validates(self):
         # escrow at 10000, release at 10087: gap 87 within window 1800
@@ -152,7 +161,7 @@ class TestFinalityViolations:
         store = build_store(all_facts)
         outputs = outputs_for(store)
         assert outputs.rule4 == frozenset()
-        violations = analytics.finality_violations(store, outputs)
+        violations = analytics.finality_violations(outputs)
         assert len(violations) == 1
         gap = int(dict(violations[0].evidence)["gap"])
         window = int(dict(violations[0].evidence)["window"])
@@ -168,7 +177,7 @@ class TestFinalityViolations:
         shifted = build_store([shift_mutate(x) for x in static_facts() + f1_facts()])
         shifted_outputs = outputs_for(shifted)
         assert len(shifted_outputs.rule4) == 1
-        assert analytics.finality_violations(shifted, shifted_outputs) == []
+        assert analytics.finality_violations(shifted_outputs) == []
 
     def test_escrow_certified_by_rules_1_and_2_is_one_violation(self):
         # a zero-amount deposit with both a native escrow and a token

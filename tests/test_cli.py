@@ -121,6 +121,67 @@ class TestPipeComposition:
         assert payload["warning_count"] == 0
 
 
+def deposit_fields(config):
+    return config["events"][0]["fields"]  # TokenDeposited -> sc_token_deposited
+
+
+def first_log(receipt):
+    return receipt["logs"][0]
+
+
+# (file edited, edit, message): every one exits 2 naming the key, row or line
+BAD_INGEST_INPUTS = [
+    ("config", lambda c: deposit_fields(c).pop("amount"),
+     "event TokenDeposited(uint256,address,address,address,uint256,uint8,uint256): "
+     "field 'amount' has no plan"),
+    ("config", lambda c: deposit_fields(c)["amount"].update(data=-1),
+     "field 'amount': data index must be an integer >= 0, got -1"),
+    ("config", lambda c: deposit_fields(c)["deposit_id"].update(topic=0),
+     "field 'deposit_id': topic index must be an integer >= 1, got 0"),
+    ("config", lambda c: deposit_fields(c)["amount"].update(type="uint8"),
+     "field 'amount': unknown field type 'uint8'"),
+    ("config", lambda c: deposit_fields(c)["standard"].pop("labels"),
+     "field 'standard': enum needs 'labels'"),
+    ("config", lambda c: deposit_fields(c)["amount"].update(topic=3),
+     "field 'amount': needs exactly one of"),
+    ("config", lambda c: deposit_fields(c).update(fee={"data": 5}),
+     "field 'fee' is not a column of sc_token_deposited"),
+    ("config", lambda c: c["chains"].update(x1=c["chains"].pop("1")),
+     "chains: key 'x1' is not a positive integer chain id"),
+    ("config", lambda c: c["token_mappings"][0].pop(), "token_mappings[0]: expected a list of 5 values"),
+    ("config", lambda c: c["wrapped_native_tokens"][1].append("x"),
+     "wrapped_native_tokens[1]: expected a list of 2 values"),
+    ("receipts", lambda r: first_log(r).update(data=None),
+     "receipts.jsonl:1: log data: expected a hex string, got None"),
+    ("receipts", lambda r: first_log(r).update(topics=None),
+     "receipts.jsonl:1: log topics: expected a list of hex strings, got None"),
+    ("receipts", lambda r: r.update(logs="x"),
+     "receipts.jsonl:1: logs: expected a list of log objects, got 'x'"),
+    ("receipts", lambda r: r.update(status=7), "receipts.jsonl:1: status: expected 0 or 1, got 7"),
+]
+
+
+@pytest.mark.parametrize("target, edit, message", BAD_INGEST_INPUTS)
+def test_bad_ingest_input_exits_two(tmp_path, capsys, target, edit, message):
+    sim = tmp_path / "sim"
+    run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+        "--out", str(sim), "--emit", "receipts")
+    config_path, receipts_path = sim / "decoder_config.json", sim / "receipts.jsonl"
+    if target == "config":
+        config = json.loads(config_path.read_text())
+        edit(config)
+        config_path.write_text(json.dumps(config))
+    else:
+        first, *rest = receipts_path.read_text().splitlines(keepends=True)
+        receipt = json.loads(first)
+        edit(receipt)
+        receipts_path.write_text(json.dumps(receipt) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert run("ingest", "--receipts", str(receipts_path), "--config", str(config_path),
+               "--out", str(tmp_path / "facts")) == EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
+
+
 class TestPrices:
     def test_eval_with_price_table(self, tmp_path):
         facts = tmp_path / "facts"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgewatch import facts as f
 from bridgewatch.ingest import (
@@ -15,8 +17,11 @@ from bridgewatch.ingest import (
     TransactionReceipt,
     decode_erc20_transfer,
     decode_receipt,
+    encode_erc20_transfer,
+    encode_log,
     ingest_jsonl,
 )
+from bridgewatch.scenario import ScenarioParams, generate
 from conftest import AA, B1, B2, CC, H1, S_CHAIN, T_CHAIN, U1, U2, addr, txh
 
 # independently computed digests (see test_keccak)
@@ -182,6 +187,83 @@ class TestDecodeReceipt:
         first, _ = decode_receipt(receipt, CONFIG)
         second, _ = decode_receipt(receipt, CONFIG)
         assert first == second
+
+
+def round_trip_config() -> BridgeDecoderConfig:
+    """The synthetic ABI, plus an event whose ``standard`` is a constant,
+    whose amount is a topic, and whose data has an unused word."""
+    config = copy.deepcopy(generate(ScenarioParams(seed=1, n_deposits=0, n_withdrawals=0)).config)
+    erc20_only = next(e for e in config["events"] if e["fact"] == "tc_token_withdrew")
+    erc20_only = copy.deepcopy(erc20_only)
+    erc20_only["signature"] = "Erc20WithdrawalInitiated(uint256,address,uint256,address,address,uint256)"
+    erc20_only["fields"]["standard"] = {"const": "ERC20"}
+    erc20_only["fields"]["amount"] = {"topic": 3, "type": "uint"}
+    erc20_only["fields"]["dst_chain_id"] = {"data": 3, "type": "chain_id"}  # word 2 unused
+    config["events"].append(erc20_only)
+    return BridgeDecoderConfig.from_json(config)
+
+
+RT_CONFIG = round_trip_config()
+RT_BRIDGE = RT_CONFIG.chains[S_CHAIN].bridge_addresses[0]
+ADDRESSES = st.binary(min_size=20, max_size=20).map(lambda b: "0x" + b.hex())
+UINT256 = st.integers(0, f.MAX_UINT256).map(str)
+COLUMN_VALUES = {
+    "deposit_id": UINT256, "withdrawal_id": UINT256, "amount": UINT256,
+    "beneficiary": ADDRESSES, "dst_token": ADDRESSES, "orig_token": ADDRESSES,
+    "token": ADDRESSES, "from_address": ADDRESSES, "to_address": ADDRESSES,
+    "dst_chain_id": st.integers(1, f.MAX_UINT256),
+    "standard": st.sampled_from(["ERC20", "NATIVE"]),
+}
+
+
+def decode_one(log: dict) -> list:
+    receipt = make_receipt([log], to=U1)
+    facts, warnings = decode_receipt(receipt, RT_CONFIG)
+    assert warnings == []
+    return facts[1:]  # after the transaction fact
+
+
+class TestEncodeRoundTrip:
+    def test_every_field_kind_is_covered(self):
+        kinds = {key for plan in RT_CONFIG.events.values() for fplan in plan.fields.values()
+                 for key in ("const", "source") if key in fplan}
+        types = {fplan.get("type") for plan in RT_CONFIG.events.values()
+                 for fplan in plan.fields.values() if "const" not in fplan and "source" not in fplan}
+        assert kinds == {"const", "source"}
+        assert types == {"address", "uint", "id", "chain_id", "enum"}
+        assert {p.relation for p in RT_CONFIG.events.values()} == {
+            "sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
+            "sc_token_withdrew", "sc_withdrawal",
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_decode_inverts_encode(self, data):
+        plan = data.draw(st.sampled_from(list(RT_CONFIG.events.values())))
+        values = {}
+        for name, fplan in plan.fields.items():
+            if "const" in fplan:
+                values[name] = fplan["const"]
+            elif "source" in fplan:
+                values[name] = RT_BRIDGE
+            else:
+                values[name] = data.draw(COLUMN_VALUES[name], label=name)
+        index = data.draw(st.integers(0, 2**32), label="event_index")
+        fact = f.RELATIONS[plan.relation](tx_hash=H1, event_index=index, **values)
+        assert decode_one(encode_log(plan, fact, RT_BRIDGE)) == [fact]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ADDRESSES, ADDRESSES, ADDRESSES, UINT256, st.integers(0, 2**32))
+    def test_decode_inverts_encode_for_transfers(self, token, src, dst, amount, index):
+        fact = f.Erc20TransferFact(H1, S_CHAIN, index, token, src, dst, amount)
+        assert decode_one(encode_erc20_transfer(fact)) == [fact]
+
+    def test_value_other_than_the_constant_is_refused(self):
+        plan = next(p for p in RT_CONFIG.events.values()
+                    if "const" in p.fields.get("standard", {}))
+        fact = f.TcTokenWithdrewFact(H1, 1, "1", U1, AA, CC, S_CHAIN, "NATIVE", "5")
+        with pytest.raises(ValueError, match="not the constant"):
+            encode_log(plan, fact, RT_BRIDGE)
 
 
 class TestIngestJsonl:

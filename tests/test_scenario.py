@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from bridgewatch import analytics
+from bridgewatch import analytics, keccak
 from bridgewatch.facts import load_facts_dir
 from bridgewatch.ingest import BridgeDecoderConfig, ingest_jsonl
 from bridgewatch.rules import eval_all
@@ -190,6 +190,23 @@ class TestGeneration:
         assert report.warnings == []
         assert store == scenario.store
 
+    def test_receipts_hash_each_event_signature_once(self, monkeypatch):
+        # topic0 comes from the decoder config's plans, not from each log
+        calls = []
+
+        def counting_event_topic(signature):
+            calls.append(signature)
+            return keccak.event_topic(signature)
+
+        monkeypatch.setattr("bridgewatch.ingest.event_topic", counting_event_topic)
+        monkeypatch.setattr("bridgewatch.scenario.event_topic", counting_event_topic)
+        generated = generate(ScenarioParams(seed=3, n_deposits=8, n_withdrawals=8))
+        calls.clear()
+        receipts = generated.receipts()
+        plans = len(generated.config["events"])
+        assert sum(len(r["logs"]) for r in receipts) > plans
+        assert len(calls) <= plans
+
     def test_facts_dir_round_trip(self, tmp_path):
         scenario = generate(ScenarioParams(seed=4, n_deposits=4, n_withdrawals=4))
         scenario.write_facts_dir(tmp_path)
@@ -235,3 +252,18 @@ def test_report_bytes_are_pinned(params, digest):
     store = generate(params).store
     report = analytics.report_to_json(analytics.build_report(store, eval_all(store)))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of write_receipts_jsonl for the same two scenarios
+PINNED_RECEIPTS = [
+    "a148b37a9f1536ca8ec1d9815f7c356826d3df7f3f450eca6b0d17458a49268a",
+    "cb99c1fd7f75fcd55ecfb88183ca75f5d54461e8814e15fbf0a58a05be962454",
+]
+
+
+@pytest.mark.parametrize("params,digest",
+                         [(p, d) for (p, _), d in zip(PINNED_REPORTS, PINNED_RECEIPTS)],
+                         ids=["clean", "all-attacks"])
+def test_receipt_bytes_are_pinned(tmp_path, params, digest):
+    generate(params).write_receipts_jsonl(tmp_path / "receipts.jsonl")
+    assert hashlib.sha256((tmp_path / "receipts.jsonl").read_bytes()).hexdigest() == digest

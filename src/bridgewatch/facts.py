@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, NoReturn
 
@@ -166,6 +167,7 @@ class _Kind(NamedTuple):
     check: Callable[[Any, str], Any]  # constructor: (value, field) -> canonical value
     pattern: str  # regex of every ``.facts`` text the kind accepts
     load: str  # expression turning the matched text ``{v}`` into the value
+    name: str = ""  # the annotation that selects the kind, set in _KINDS
 
 
 _INT = "int({v})"
@@ -185,6 +187,7 @@ _KINDS = {
     "Status": _Kind(_status, "[01]", _INT),
     "Positive": _Kind(_positive, "[1-9][0-9]*", _INT),
 }
+_KINDS = {name: kind._replace(name=name) for name, kind in _KINDS.items()}
 
 # Type aliases for the annotations; the annotation text selects the kind.
 Address = TxHash = Amount = Opaque = str
@@ -437,6 +440,15 @@ EVENT_RELATIONS = (
 )
 
 
+# Every column naming a chain, as (relation, column), except the finality
+# table's: each chain they name needs a finality window.
+_CHAIN_ID_COLUMNS = tuple(
+    (name, column)
+    for name, fact_type in RELATIONS.items() if name != "cctx_finality"
+    for column, kind in fact_type.COLUMNS if kind.name == "ChainId"
+)
+
+
 def _index_by(facts: Iterable[_Fact], key: Callable) -> dict:
     out: dict = {}
     for f in facts:
@@ -515,21 +527,8 @@ class FactStore:
     def chain_ids(self) -> set[int]:
         """Every chain id referenced by any fact (excluding cctx_finality)."""
         ids: set[int] = set()
-        for t in self._relations["transaction"]:
-            ids.add(t.chain_id)
-        for t in self._relations["erc20_transfer"]:
-            ids.add(t.chain_id)
-        for t in self._relations["sc_token_deposited"]:
-            ids.add(t.dst_chain_id)
-        for t in self._relations["tc_token_withdrew"]:
-            ids.add(t.dst_chain_id)
-        for t in self._relations["bridge_controlled_address"]:
-            ids.add(t.chain_id)
-        for t in self._relations["wrapped_native_token"]:
-            ids.add(t.chain_id)
-        for t in self._relations["token_mapping"]:
-            ids.add(t.orig_chain_id)
-            ids.add(t.dst_chain_id)
+        for name, column in _CHAIN_ID_COLUMNS:
+            ids.update(map(attrgetter(column), self._relations[name]))
         return ids
 
     def seal(self) -> "FactStore":

@@ -19,8 +19,11 @@ Field extraction plan entries::
 
 with ``type`` one of ``address`` (32-byte word that must be a left-padded
 20-byte address), ``uint`` (decimal string, the default), ``id`` (decimal
-string), ``chain_id`` (integer), or ``enum`` (requires ``"labels": {"0": "..."}``).
-A plan covers exactly its relation's columns but ``tx_hash`` and ``event_index``.
+string), ``chain_id`` (integer), or ``enum`` (requires ``"labels": {"0": "..."}``),
+and suited to its column: ``address`` for addresses, ``chain_id`` for chain
+ids, ``uint`` or ``id`` for amounts, and ``id``, ``uint`` or ``enum`` for
+identifiers and token standards. A plan covers exactly its relation's
+columns but ``tx_hash`` and ``event_index``; two entries may not share a topic0.
 Plans are checked once, on load; :func:`encode_log` is their inverse.
 
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
@@ -239,6 +242,7 @@ class BridgeDecoderConfig:
         if not chains:
             raise ConfigError("config declares no chains")
         events: dict[str, EventPlan] = {}
+        entry_of: dict[str, int] = {}  # topic0 -> index of its events entry
         for i, entry in enumerate(_table(obj, "events", list)):
             if not isinstance(entry, dict):
                 raise ConfigError(f"events[{i}]: expected an object")
@@ -251,6 +255,11 @@ class BridgeDecoderConfig:
                 topic0 = event_topic(entry["signature"])
             else:
                 raise ConfigError(f"events[{i}]: event entry needs 'topic0' or 'signature'")
+            if topic0 in entry_of:
+                raise ConfigError(
+                    f"events[{i}]: repeats the topic0 {topic0} of events[{entry_of[topic0]}]"
+                )
+            entry_of[topic0] = i
             event = entry.get("signature") or topic0
             relation = entry.get("fact")
             if relation not in _DECODABLE:
@@ -263,7 +272,13 @@ class BridgeDecoderConfig:
 
 _CHAIN_KEY = re.compile(r"[1-9][0-9]*\Z")
 _LABEL_CODE = re.compile(r"(0|[1-9][0-9]*)\Z")
-_FIELD_TYPES = ("address", "uint", "id", "chain_id", "enum")
+# The field types that can fill a column, by the column's kind.
+_FIELD_TYPES = {
+    "Address": ("address",),
+    "ChainId": ("chain_id",),
+    "Amount": ("uint", "id"),
+    "Opaque": ("id", "uint", "enum"),
+}
 
 
 def _table(obj: dict, key: str, kind: type):
@@ -320,9 +335,12 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
             index, low = plan[given[0]], 1 if given[0] == "topic" else 0
             if isinstance(index, bool) or not isinstance(index, int) or index < low:
                 raise ConfigError(f"{what}: {given[0]} index must be an integer >= {low}, got {index!r}")
-            ftype = plan.get("type", "uint")
-            if ftype not in _FIELD_TYPES:
+            ftype, kind = plan.get("type", "uint"), columns[name].name
+            if all(ftype not in types for types in _FIELD_TYPES.values()):
                 raise ConfigError(f"{what}: unknown field type {ftype!r}")
+            if ftype not in _FIELD_TYPES[kind]:
+                raise ConfigError(f"{what}: type {ftype!r} does not suit column kind {kind} "
+                                  f"(use {' or '.join(_FIELD_TYPES[kind])})")
             labels = plan.get("labels")
             if ftype == "enum" and not (
                 isinstance(labels, dict) and labels and all(_LABEL_CODE.match(c) for c in labels)
@@ -564,7 +582,7 @@ def ingest_jsonl(
             try:
                 receipt = TransactionReceipt.from_json(obj)
                 decoded, warnings = decode_receipt(receipt, config)
-            except IngestError as exc:
+            except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
             report.receipts += 1
             report.warnings.extend(warnings)

@@ -18,7 +18,10 @@ Boundary equality is a non-match.
 
 Implementation is hand-coded hash joins keyed on tx_hash for the local
 rules and on the (id, beneficiary, dst_token, dst_chain, amount) join key
-for rules 4/8, the only place that pairs legs (see ``CctxSet``). The
+for rules 4/8, the only place that pairs legs (see ``CctxSet``). The six
+local rules share one body per leg shape: rules 1/5 (native escrow), 2/6
+(token escrow) and 3/7 (release) differ only in their relations, the
+field order of their escrow tuples and the key of the token mapping. The
 ``oracle`` module re-derives every rule with naive nested loops; the test
 suite holds the two evaluators equal.
 """
@@ -190,6 +193,108 @@ def _require_sealed(store: FactStore) -> None:
         raise RuntimeError("store must be sealed before evaluation")
 
 
+# Escrow legs look token mappings up as (escrow_chain, event.dst_chain_id,
+# event.orig_token, event.dst_token, event.standard). A withdrawal runs its
+# deposit's mapping backwards, so rules 5 and 6 read the mappings with
+# chains and tokens swapped; a builder per direction orders the tuple.
+
+
+def _deposit_escrow(ev, timestamp, sender, bridge_addr, chain) -> DepositEscrow:
+    return DepositEscrow(
+        timestamp, ev.tx_hash, ev.deposit_id, sender, bridge_addr, ev.beneficiary,
+        ev.dst_token, ev.orig_token, chain, ev.dst_chain_id, ev.standard, ev.amount,
+    )
+
+
+def _withdrawal_escrow(ev, timestamp, sender, bridge_addr, chain) -> WithdrawalEscrow:
+    return WithdrawalEscrow(
+        timestamp, ev.tx_hash, ev.withdrawal_id, sender, bridge_addr, ev.beneficiary,
+        ev.orig_token, ev.dst_token, ev.dst_chain_id, chain, ev.standard, ev.amount,
+    )
+
+
+def _withdrawal_mappings(store: FactStore) -> set[tuple]:
+    return {
+        (dst_chain, orig_chain, dst_token, orig_token, standard)
+        for orig_chain, dst_chain, orig_token, dst_token, standard in store.token_mappings
+    }
+
+
+def _native_escrows(store: FactStore, event: str, escrow: str, mappings: set, make) -> frozenset:
+    """Rules 1 and 5: a bridge event paired with a native value escrow."""
+    out = set()
+    escrow_by_tx = store.by_tx[escrow]
+    for ev in store.relation(event):
+        for esc in escrow_by_tx.get(ev.tx_hash, ()):
+            if esc.amount != ev.amount or ev.event_index <= esc.event_index:
+                continue
+            for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
+                if tx.status != 1 or tx.from_address != esc.sender or tx.value != ev.amount:
+                    continue
+                chain = tx.chain_id
+                if (chain, ev.dst_chain_id, ev.orig_token, ev.dst_token, ev.standard) not in mappings:
+                    continue
+                if (chain, ev.orig_token) not in store.wrapped_native:
+                    continue
+                if (chain, esc.bridge_addr) not in store.bridge_addresses:
+                    continue
+                out.add(make(ev, tx.timestamp, esc.sender, esc.bridge_addr, chain))
+    return frozenset(out)
+
+
+def _erc20_escrows(store: FactStore, event: str, mappings: set, make) -> frozenset:
+    """Rules 2 and 6: a bridge event paired with a token transfer into the
+    bridge."""
+    out = set()
+    transfers_by_tx = store.by_tx["erc20_transfer"]
+    for ev in store.relation(event):
+        for tr in transfers_by_tx.get(ev.tx_hash, ()):
+            if (tr.token != ev.orig_token or tr.amount != ev.amount
+                    or ev.event_index <= tr.event_index):
+                continue
+            if (tr.chain_id, tr.to_address) not in store.bridge_addresses:
+                continue
+            if (tr.chain_id, ev.dst_chain_id, ev.orig_token, ev.dst_token, ev.standard) not in mappings:
+                continue
+            for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
+                if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
+                    continue
+                out.add(make(ev, tx.timestamp, tx.from_address, tr.to_address, tr.chain_id))
+    return frozenset(out)
+
+
+def _releases(store: FactStore, event: str, native_by_tx: dict, result_type) -> frozenset:
+    """Rules 3 and 7: a bridge event paired with a token transfer out of
+    the bridge to the beneficiary, or with a native value release from
+    ``native_by_tx`` (rule 3 has none), in a zero-value transaction."""
+    out = set()
+    transfers_by_tx = store.by_tx["erc20_transfer"]
+    id_field = result_type._fields[2]  # the event's id column has the same name
+    for ev in store.relation(event):
+        releases = []
+        for tr in transfers_by_tx.get(ev.tx_hash, ()):
+            if (tr.token == ev.dst_token and tr.to_address == ev.beneficiary
+                    and tr.amount == ev.amount and ev.event_index > tr.event_index):
+                releases.append((tr.chain_id, tr.from_address))
+        for nat in native_by_tx.get(ev.tx_hash, ()):
+            if (nat.beneficiary == ev.beneficiary and nat.amount == ev.amount
+                    and ev.event_index > nat.event_index):
+                releases.append((None, nat.bridge_addr))
+        if not releases:
+            continue
+        for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
+            if tx.status != 1 or tx.value != "0":
+                continue
+            for rel_chain, bridge_addr in releases:
+                if rel_chain is not None and rel_chain != tx.chain_id:
+                    continue
+                if (tx.chain_id, bridge_addr) not in store.bridge_addresses:
+                    continue
+                out.add(result_type(tx.timestamp, ev.tx_hash, getattr(ev, id_field),
+                                    ev.beneficiary, ev.dst_token, tx.chain_id, ev.amount))
+    return frozenset(out)
+
+
 def eval_rule1(store: FactStore) -> frozenset[DepositEscrow]:
     """Native-token deposits on the source chain.
 
@@ -200,33 +305,9 @@ def eval_rule1(store: FactStore) -> frozenset[DepositEscrow]:
     must come after the escrow.
     """
     _require_sealed(store)
-    out = set()
-    sc_deposit_by_tx = store.by_tx["sc_deposit"]
-    for dep in store.relation("sc_token_deposited"):
-        for esc in sc_deposit_by_tx.get(dep.tx_hash, ()):
-            if esc.amount != dep.amount or dep.event_index <= esc.event_index:
-                continue
-            for tx in store.transactions_by_hash.get(dep.tx_hash, ()):
-                if tx.status != 1 or tx.from_address != esc.sender or tx.value != dep.amount:
-                    continue
-                chain = tx.chain_id
-                if (
-                    (chain, dep.dst_chain_id, dep.orig_token, dep.dst_token, dep.standard)
-                    not in store.token_mappings
-                ):
-                    continue
-                if (chain, dep.orig_token) not in store.wrapped_native:
-                    continue
-                if (chain, esc.bridge_addr) not in store.bridge_addresses:
-                    continue
-                out.add(
-                    DepositEscrow(
-                        tx.timestamp, dep.tx_hash, dep.deposit_id, esc.sender,
-                        esc.bridge_addr, dep.beneficiary, dep.dst_token, dep.orig_token,
-                        chain, dep.dst_chain_id, dep.standard, dep.amount,
-                    )
-                )
-    return frozenset(out)
+    return _native_escrows(
+        store, "sc_token_deposited", "sc_deposit", store.token_mappings, _deposit_escrow
+    )
 
 
 def eval_rule2(store: FactStore) -> frozenset[DepositEscrow]:
@@ -234,34 +315,7 @@ def eval_rule2(store: FactStore) -> frozenset[DepositEscrow]:
     into a bridge-controlled address and the transaction moves no native
     value."""
     _require_sealed(store)
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    for dep in store.relation("sc_token_deposited"):
-        for tr in transfers_by_tx.get(dep.tx_hash, ()):
-            if (
-                tr.token != dep.orig_token
-                or tr.amount != dep.amount
-                or dep.event_index <= tr.event_index
-            ):
-                continue
-            if (tr.chain_id, tr.to_address) not in store.bridge_addresses:
-                continue
-            if (
-                (tr.chain_id, dep.dst_chain_id, dep.orig_token, dep.dst_token, dep.standard)
-                not in store.token_mappings
-            ):
-                continue
-            for tx in store.transactions_by_hash.get(dep.tx_hash, ()):
-                if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
-                    continue
-                out.add(
-                    DepositEscrow(
-                        tx.timestamp, dep.tx_hash, dep.deposit_id, tx.from_address,
-                        tr.to_address, dep.beneficiary, dep.dst_token, dep.orig_token,
-                        tr.chain_id, dep.dst_chain_id, dep.standard, dep.amount,
-                    )
-                )
-    return frozenset(out)
+    return _erc20_escrows(store, "sc_token_deposited", store.token_mappings, _deposit_escrow)
 
 
 def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
@@ -269,29 +323,7 @@ def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
     with a token transfer from a bridge-controlled address to the
     beneficiary, inside a successful zero-value transaction."""
     _require_sealed(store)
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    for dep in store.relation("tc_token_deposited"):
-        for tr in transfers_by_tx.get(dep.tx_hash, ()):
-            if (
-                tr.token != dep.dst_token
-                or tr.to_address != dep.beneficiary
-                or tr.amount != dep.amount
-                or dep.event_index <= tr.event_index
-            ):
-                continue
-            if (tr.chain_id, tr.from_address) not in store.bridge_addresses:
-                continue
-            for tx in store.transactions_by_hash.get(dep.tx_hash, ()):
-                if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
-                    continue
-                out.add(
-                    TcValidErc20TokenDeposit(
-                        tx.timestamp, dep.tx_hash, dep.deposit_id, dep.beneficiary,
-                        dep.dst_token, tr.chain_id, dep.amount,
-                    )
-                )
-    return frozenset(out)
+    return _releases(store, "tc_token_deposited", {}, TcValidErc20TokenDeposit)
 
 
 def _cctx_join(escrows: frozenset, releases: frozenset, finality: dict, result_type) -> CctxSet:
@@ -350,66 +382,15 @@ def eval_rule5(store: FactStore) -> frozenset[WithdrawalEscrow]:
     native deposit rule, with the token mapping looked up in the deposit
     direction)."""
     _require_sealed(store)
-    out = set()
-    escrow_by_tx = store.by_tx["tc_withdrawal"]
-    for wdr in store.relation("tc_token_withdrew"):
-        for esc in escrow_by_tx.get(wdr.tx_hash, ()):
-            if esc.amount != wdr.amount or wdr.event_index <= esc.event_index:
-                continue
-            for tx in store.transactions_by_hash.get(wdr.tx_hash, ()):
-                if tx.status != 1 or tx.from_address != esc.sender or tx.value != wdr.amount:
-                    continue
-                chain = tx.chain_id
-                if (
-                    (wdr.dst_chain_id, chain, wdr.dst_token, wdr.orig_token, wdr.standard)
-                    not in store.token_mappings
-                ):
-                    continue
-                if (chain, wdr.orig_token) not in store.wrapped_native:
-                    continue
-                if (chain, esc.bridge_addr) not in store.bridge_addresses:
-                    continue
-                out.add(
-                    WithdrawalEscrow(
-                        tx.timestamp, wdr.tx_hash, wdr.withdrawal_id, esc.sender,
-                        esc.bridge_addr, wdr.beneficiary, wdr.orig_token, wdr.dst_token,
-                        wdr.dst_chain_id, chain, wdr.standard, wdr.amount,
-                    )
-                )
-    return frozenset(out)
+    return _native_escrows(
+        store, "tc_token_withdrew", "tc_withdrawal", _withdrawal_mappings(store), _withdrawal_escrow
+    )
 
 
 def eval_rule6(store: FactStore) -> frozenset[WithdrawalEscrow]:
     """ERC-20 withdrawal escrows on the target chain."""
     _require_sealed(store)
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    for wdr in store.relation("tc_token_withdrew"):
-        for tr in transfers_by_tx.get(wdr.tx_hash, ()):
-            if (
-                tr.token != wdr.orig_token
-                or tr.amount != wdr.amount
-                or wdr.event_index <= tr.event_index
-            ):
-                continue
-            if (tr.chain_id, tr.to_address) not in store.bridge_addresses:
-                continue
-            if (
-                (wdr.dst_chain_id, tr.chain_id, wdr.dst_token, wdr.orig_token, wdr.standard)
-                not in store.token_mappings
-            ):
-                continue
-            for tx in store.transactions_by_hash.get(wdr.tx_hash, ()):
-                if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
-                    continue
-                out.add(
-                    WithdrawalEscrow(
-                        tx.timestamp, wdr.tx_hash, wdr.withdrawal_id, tx.from_address,
-                        tr.to_address, wdr.beneficiary, wdr.orig_token, wdr.dst_token,
-                        wdr.dst_chain_id, tr.chain_id, wdr.standard, wdr.amount,
-                    )
-                )
-    return frozenset(out)
+    return _erc20_escrows(store, "tc_token_withdrew", _withdrawal_mappings(store), _withdrawal_escrow)
 
 
 def eval_rule7(store: FactStore) -> frozenset[ScValidErc20TokenWithdrawal]:
@@ -421,43 +402,9 @@ def eval_rule7(store: FactStore) -> frozenset[ScValidErc20TokenWithdrawal]:
     escrow rules there is no token-mapping conjunct.
     """
     _require_sealed(store)
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    native_by_tx = store.by_tx["sc_withdrawal"]
-    for wdr in store.relation("sc_token_withdrew"):
-        releases = []
-        for tr in transfers_by_tx.get(wdr.tx_hash, ()):
-            if (
-                tr.token == wdr.dst_token
-                and tr.to_address == wdr.beneficiary
-                and tr.amount == wdr.amount
-                and wdr.event_index > tr.event_index
-            ):
-                releases.append((tr.chain_id, tr.from_address))
-        for nat in native_by_tx.get(wdr.tx_hash, ()):
-            if (
-                nat.beneficiary == wdr.beneficiary
-                and nat.amount == wdr.amount
-                and wdr.event_index > nat.event_index
-            ):
-                releases.append((None, nat.bridge_addr))
-        if not releases:
-            continue
-        for tx in store.transactions_by_hash.get(wdr.tx_hash, ()):
-            if tx.status != 1 or tx.value != "0":
-                continue
-            for rel_chain, bridge_addr in releases:
-                if rel_chain is not None and rel_chain != tx.chain_id:
-                    continue
-                if (tx.chain_id, bridge_addr) not in store.bridge_addresses:
-                    continue
-                out.add(
-                    ScValidErc20TokenWithdrawal(
-                        tx.timestamp, wdr.tx_hash, wdr.withdrawal_id, wdr.beneficiary,
-                        wdr.dst_token, tx.chain_id, wdr.amount,
-                    )
-                )
-    return frozenset(out)
+    return _releases(
+        store, "sc_token_withdrew", store.by_tx["sc_withdrawal"], ScValidErc20TokenWithdrawal
+    )
 
 
 def eval_rule8(
@@ -508,21 +455,10 @@ def eval_all(store: FactStore) -> RuleOutputs:
         raise ConfigurationError(
             f"no cctx_finality fact for chain(s): {', '.join(map(str, missing))}"
         )
-    r1 = eval_rule1(store)
-    r2 = eval_rule2(store)
-    r3 = eval_rule3(store)
-    r5 = eval_rule5(store)
-    r6 = eval_rule6(store)
-    r7 = eval_rule7(store)
+    r1, r2, r3 = eval_rule1(store), eval_rule2(store), eval_rule3(store)
+    r5, r6, r7 = eval_rule5(store), eval_rule6(store), eval_rule7(store)
     return RuleOutputs(
-        rule1=r1,
-        rule2=r2,
-        rule3=r3,
-        rule4=eval_rule4(store, r1, r2, r3),
-        rule5=r5,
-        rule6=r6,
-        rule7=r7,
-        rule8=eval_rule8(store, r5, r6, r7),
+        r1, r2, r3, eval_rule4(store, r1, r2, r3), r5, r6, r7, eval_rule8(store, r5, r6, r7)
     )
 
 

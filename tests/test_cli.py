@@ -12,6 +12,7 @@ from bridgewatch.cli import (
     EXIT_INPUT_ERROR,
     main,
 )
+from bridgewatch.keccak import event_topic
 
 
 def run(*argv) -> int:
@@ -121,6 +122,9 @@ class TestPipeComposition:
         assert payload["warning_count"] == 0
 
 
+DEPOSITED = "TokenDeposited(uint256,address,address,address,uint256,uint8,uint256)"
+
+
 def deposit_fields(config):
     return config["events"][0]["fields"]  # TokenDeposited -> sc_token_deposited
 
@@ -132,8 +136,7 @@ def first_log(receipt):
 # (file edited, edit, message): every one exits 2 naming the key, row or line
 BAD_INGEST_INPUTS = [
     ("config", lambda c: deposit_fields(c).pop("amount"),
-     "event TokenDeposited(uint256,address,address,address,uint256,uint8,uint256): "
-     "field 'amount' has no plan"),
+     f"event {DEPOSITED}: field 'amount' has no plan"),
     ("config", lambda c: deposit_fields(c)["amount"].update(data=-1),
      "field 'amount': data index must be an integer >= 0, got -1"),
     ("config", lambda c: deposit_fields(c)["deposit_id"].update(topic=0),
@@ -158,6 +161,13 @@ BAD_INGEST_INPUTS = [
     ("receipts", lambda r: r.update(logs="x"),
      "receipts.jsonl:1: logs: expected a list of log objects, got 'x'"),
     ("receipts", lambda r: r.update(status=7), "receipts.jsonl:1: status: expected 0 or 1, got 7"),
+    ("config", lambda c: c["events"].append({**c["events"][0], "fields": {
+        **deposit_fields(c), "amount": {"data": 3, "type": "uint"}}}),
+     f"events[5]: repeats the topic0 {event_topic(DEPOSITED)} of events[0]"),
+    ("config", lambda c: deposit_fields(c)["amount"].update(type="address"),
+     f"event {DEPOSITED}: field 'amount': type 'address' does not suit column kind Amount (use uint or id)"),
+    ("receipts", lambda r: r.update(chainId=7777),
+     "receipts.jsonl:1: receipt chain 7777 not in decoder config"),
 ]
 
 

@@ -33,6 +33,18 @@ R8_TUPLE = rules.CctxValidWithdrawal(
     T_CHAIN, 5000, H3, S_CHAIN, 5050, H4, "9", CC, AA, U2, U1, "5"
 )
 
+# Every column that names a chain, outside cctx_finality.
+CHAIN_ID_COLUMNS = [
+    (f.TransactionFact, "chain_id"),
+    (f.Erc20TransferFact, "chain_id"),
+    (f.ScTokenDepositedFact, "dst_chain_id"),
+    (f.TcTokenWithdrewFact, "dst_chain_id"),
+    (f.BridgeControlledAddressFact, "chain_id"),
+    (f.TokenMappingFact, "orig_chain_id"),
+    (f.TokenMappingFact, "dst_chain_id"),
+    (f.WrappedNativeTokenFact, "chain_id"),
+]
+
 
 def store_with(mutate=None, extra=None, drop=None):
     all_facts = static_facts() + f1_facts() + f2_facts()
@@ -133,6 +145,19 @@ class TestRule3:
             return fact
 
         assert rules.eval_rule3(store_with(mutate)) == frozenset()
+
+    def test_native_release_does_not_count(self):
+        # a bridge release of native value, as rule 7 accepts it around
+        # sc_token_withdrew (H4), certifies no deposit around tc_token_deposited
+        def drop(fact):
+            return isinstance(fact, f.Erc20TransferFact) and fact.tx_hash == H2
+
+        store = store_with(drop=drop, extra=[f.ScWithdrawalFact(H2, 0, B2, U2, "5")])
+        assert rules.eval_rule3(store) == frozenset()
+        assert rules.eval_rule7(store) == {R7_TUPLE}
+        from bridgewatch.oracle import brute_force
+
+        assert brute_force(3, store) == frozenset()
 
 
 class TestRule4:
@@ -257,6 +282,14 @@ class TestEvalAll:
 
         with pytest.raises(rules.ConfigurationError, match="100"):
             rules.eval_all(store_with(drop=drop))
+
+    @pytest.mark.parametrize("fact_type, column", CHAIN_ID_COLUMNS,
+                             ids=[f"{t.RELATION}.{c}" for t, c in CHAIN_ID_COLUMNS])
+    def test_chain_named_in_one_column_needs_finality(self, fact_type, column):
+        fact = next(x for x in static_facts() + f1_facts() + f2_facts() if type(x) is fact_type)
+        store = store_with(extra=[replace(fact, **{column: 777})])
+        with pytest.raises(rules.ConfigurationError, match=r"chain\(s\): 777$"):
+            rules.eval_all(store)
 
     def test_requires_sealed_store(self):
         store = f.FactStore()

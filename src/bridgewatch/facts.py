@@ -17,7 +17,9 @@ Facts are immutable, hashable values with canonical field encodings:
 Each fact class annotates its columns with a kind (``Address``, ``Uint``,
 ...). That one table of (name, kind) per relation yields the validating
 constructor, the compiled row matcher and builder used by
-:func:`load_facts_dir`, and the row renderer used by :func:`dump_facts_dir`.
+:func:`load_facts_dir`, the row renderer used by :func:`dump_facts_dir`, and
+the unchecked builder that the receipt decoder calls with values it has
+already brought into canonical form.
 
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
@@ -217,26 +219,29 @@ RELATIONS: dict[str, type[_Fact]] = {}
 def _relation(cls):
     """Make ``cls`` a frozen slotted dataclass and derive, from its
     annotated (name, kind) columns, the validating ``__init__``, the row
-    pattern and builder of :func:`load_facts_dir`, and the row renderer of
-    :func:`dump_facts_dir`."""
+    pattern and builder of :func:`load_facts_dir`, the row renderer of
+    :func:`dump_facts_dir`, and ``_unchecked``, which takes every column
+    already canonical and checks none of them."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     # annotations are strings (``from __future__ import annotations``)
     cls.COLUMNS = tuple((f.name, _KINDS[f.type]) for f in fields(cls))
     names = [name for name, _ in cls.COLUMNS]
     env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_amount": canonical_amount}
-    init, build = [], ["self = _new(_cls)"]
+    init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
     for name, kind in cls.COLUMNS:
         env[f"_set_{name}"] = getattr(cls, name).__set__
         env[f"_check_{name}"] = kind.check
         init.append(f"_set_{name}(self, _check_{name}({name}, {name!r}))")
         build.append(f"_set_{name}(self, {kind.load.format(v=name)})")
+        plain.append(f"_set_{name}(self, {name})")
     row = "\\t".join(f"{{self.{name}}}" for name in names)
-    cls.__init__, from_groups, cls._to_row = _compile(cls, env, {
+    cls.__init__, from_groups, cls._to_row, unchecked = _compile(cls, env, {
         f"__init__(self, {', '.join(names)})": init,
         "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
+        f"_unchecked({', '.join(names)})": [*plain, "return self"],
     })
-    cls._from_groups = staticmethod(from_groups)
+    cls._from_groups, cls._unchecked = staticmethod(from_groups), staticmethod(unchecked)
     # compiled by load_facts_dir, so that only loading pays for it
     cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in cls.COLUMNS) + "\n?\\Z"
     RELATIONS[cls.RELATION] = cls

@@ -22,9 +22,20 @@ with ``type`` one of ``address`` (32-byte word that must be a left-padded
 string), ``chain_id`` (integer), or ``enum`` (requires ``"labels": {"0": "..."}``),
 and suited to its column: ``address`` for addresses, ``chain_id`` for chain
 ids, ``uint`` or ``id`` for amounts, and ``id``, ``uint`` or ``enum`` for
-identifiers and token standards. A plan covers exactly its relation's
-columns but ``tx_hash`` and ``event_index``; two entries may not share a topic0.
-Plans are checked once, on load; :func:`encode_log` is their inverse.
+identifiers and token standards; ``log_address`` suits addresses,
+identifiers and token standards. A plan covers exactly its relation's columns but ``tx_hash`` and
+``event_index``, holds no key its kind of entry does not read (``labels``
+only beside ``"type": "enum"``, ``type`` only beside ``topic`` or
+``data``), and gives enum labels that the column accepts; two entries may
+not share a topic0.
+
+Plans are checked once, on load, and each is then compiled into one
+straight-line decoder and its inverse encoder (:func:`encode_log`). The
+decoder matches each topic the plan reads against one pattern, and all the
+data words against another, and builds the fact without re-checking it,
+since the patterns admit only canonical values. A log the patterns refuse goes through the
+per-field path and the fact's validating constructor, which decode it or
+say what is wrong with it.
 
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
 token contract). Bridge events are decoded only from logs emitted by a
@@ -43,7 +54,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import facts as f
 from .keccak import TRANSFER_TOPIC, event_topic
@@ -51,11 +62,8 @@ from .keccak import TRANSFER_TOPIC, event_topic
 __all__ = [
     "IngestError",
     "ConfigError",
-    "LogEntry",
-    "TransactionReceipt",
     "BridgeDecoderConfig",
     "IngestReport",
-    "decode_erc20_transfer",
     "decode_receipt",
     "encode_erc20_transfer",
     "encode_log",
@@ -79,6 +87,8 @@ class ConfigError(ValueError):
 
 
 def _as_uint(value: Any, name: str) -> int:
+    if type(value) is int and value >= 0:  # the common case first
+        return value
     if isinstance(value, bool):
         raise IngestError(f"{name}: expected unsigned integer, got bool")
     if isinstance(value, int):
@@ -87,9 +97,13 @@ def _as_uint(value: Any, name: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value, 16) if value.startswith("0x") else int(value, 10)
+            number = int(value, 16) if value.startswith("0x") else int(value, 10)
         except ValueError:
             pass
+        else:
+            if number < 0:
+                raise IngestError(f"{name}: negative value {number}")
+            return number
     raise IngestError(f"{name}: cannot parse unsigned integer from {value!r}")
 
 
@@ -104,98 +118,6 @@ def _hex_bytes(value: str, name: str) -> bytes:
         return bytes.fromhex(value[2:])
     except ValueError as exc:
         raise IngestError(f"{name}: invalid hex: {value!r}") from exc
-
-
-@dataclass(frozen=True)
-class LogEntry:
-    address: str
-    topics: tuple[str, ...]
-    data: str
-    log_index: int
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LogEntry":
-        try:
-            topics, data = obj["topics"], obj.get("data", "0x")
-            if not isinstance(topics, list):
-                raise IngestError(f"log topics: expected a list of hex strings, got {topics!r}")
-            if not isinstance(data, str):
-                raise IngestError(f"log data: expected a hex string, got {data!r}")
-            return cls(
-                address=f.canonical_address(obj["address"], "log address"),
-                topics=tuple(map(str.lower, topics)),
-                data=data.lower(),
-                log_index=_as_uint(obj["logIndex"], "logIndex"),
-            )
-        except KeyError as exc:
-            raise IngestError(f"log entry missing field {exc.args[0]!r}") from exc
-        except TypeError as exc:  # not an object, or a topic that is not a string
-            raise IngestError(f"log entry: expected an object with string topics, got {obj!r}") from exc
-
-
-@dataclass(frozen=True)
-class TransactionReceipt:
-    chain_id: int
-    tx_hash: str
-    block_number: int
-    block_timestamp: int
-    from_address: str
-    to_address: str
-    value: str
-    status: int
-    gas_used: int
-    logs: tuple[LogEntry, ...]
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TransactionReceipt":
-        if not isinstance(obj, dict):
-            raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
-        try:
-            entries = obj.get("logs", [])
-            if not isinstance(entries, list):
-                raise IngestError(f"logs: expected a list of log objects, got {entries!r}")
-            logs = tuple(LogEntry.from_json(entry) for entry in entries)
-            indexes = [entry.log_index for entry in logs]
-            if indexes != sorted(set(indexes)):
-                raise IngestError("logIndex values must be strictly increasing")
-            status = _as_uint(obj["status"], "status")
-            if status > 1:
-                raise IngestError(f"status: expected 0 or 1, got {status}")
-            return cls(
-                chain_id=_as_uint(obj["chainId"], "chainId"),
-                tx_hash=f.canonical_tx_hash(obj["txHash"], "txHash"),
-                block_number=_as_uint(obj["blockNumber"], "blockNumber"),
-                block_timestamp=_as_uint(obj["blockTimestamp"], "blockTimestamp"),
-                from_address=f.canonical_address(obj["from"], "from"),
-                to_address=f.canonical_address(obj["to"], "to"),
-                value=_as_amount(obj["value"], "value"),
-                status=status,
-                gas_used=_as_uint(obj["gasUsed"], "gasUsed"),
-                logs=logs,
-            )
-        except KeyError as exc:
-            raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc
-        except f.EncodingError as exc:
-            raise IngestError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class EventPlan:
-    """One decodable event: topic0 -> relation + field plan."""
-
-    topic0: str
-    relation: str
-    fields: dict[str, dict]
-
-
-# ERC-20 ``Transfer(address,address,uint256)``, decoded from any emitter;
-# its ``chain_id`` comes from the receipt.
-_TRANSFER = EventPlan(TRANSFER_TOPIC, "erc20_transfer", {
-    "token": {"source": "log_address"},
-    "from_address": {"topic": 1, "type": "address"},
-    "to_address": {"topic": 2, "type": "address"},
-    "amount": {"data": 0, "type": "uint"},
-})
 
 
 @dataclass(frozen=True)
@@ -264,7 +186,8 @@ class BridgeDecoderConfig:
             relation = entry.get("fact")
             if relation not in _DECODABLE:
                 raise ConfigError(f"event {event}: targets unknown relation {relation!r}")
-            events[topic0] = EventPlan(topic0, relation, _field_plans(event, relation, entry.get("fields")))
+            plans = _field_plans(event, relation, entry.get("fields"))
+            events[topic0] = _event_plan(topic0, relation, plans)
         static += _static_rows(obj, "token_mappings", f.TokenMappingFact)
         static += _static_rows(obj, "wrapped_native_tokens", f.WrappedNativeTokenFact)
         return cls(chains, events, tuple(static))
@@ -272,12 +195,14 @@ class BridgeDecoderConfig:
 
 _CHAIN_KEY = re.compile(r"[1-9][0-9]*\Z")
 _LABEL_CODE = re.compile(r"(0|[1-9][0-9]*)\Z")
-# The field types that can fill a column, by the column's kind.
+# The field types that can fill a column, by the column's kind. The emitter
+# of the log counts as the type ``log_address``, which only the entry
+# ``{"source": "log_address"}`` has.
 _FIELD_TYPES = {
-    "Address": ("address",),
+    "Address": ("address", "log_address"),
     "ChainId": ("chain_id",),
     "Amount": ("uint", "id"),
-    "Opaque": ("id", "uint", "enum"),
+    "Opaque": ("id", "uint", "enum", "log_address"),
 }
 
 
@@ -305,8 +230,9 @@ def _static_rows(obj: dict, key: str, fact_type: type) -> list:
 def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
     """Check one event's field plan against the columns of its relation.
 
-    A ``const`` is stored canonical, as the fact would hold it, so that the
-    encoder can compare facts against it.
+    A ``const`` and the enum labels are stored canonical, as the fact would
+    hold them, so that the compiled decoder can put them into facts
+    unchecked and the encoder can compare facts against them.
     """
     if not isinstance(fields, dict):
         raise ConfigError(f"event {event}: 'fields' must be an object")
@@ -317,35 +243,46 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
         raise ConfigError(f"event {event}: field {name!r} {problem}")
     plans: dict[str, dict] = {}
     for name, plan in fields.items():
-        what = f"event {event}: field {name!r}"
+        what, kind = f"event {event}: field {name!r}", columns[name]
         if not isinstance(plan, dict):
             raise ConfigError(f"{what}: expected an object")
         given = [key for key in ("topic", "data", "const", "source") if key in plan]
         if len(given) != 1:
             raise ConfigError(f"{what}: needs exactly one of 'topic', 'data', 'const' or 'source'")
-        if given[0] == "const":
-            try:
-                plan = {**plan, "const": columns[name].check(plan["const"], "const")}
-            except f.EncodingError as exc:
-                raise ConfigError(f"{what}: {exc}") from exc
-        elif given[0] == "source":
-            if plan["source"] != "log_address":
-                raise ConfigError(f"{what}: unknown source {plan['source']!r}")
-        else:
-            index, low = plan[given[0]], 1 if given[0] == "topic" else 0
-            if isinstance(index, bool) or not isinstance(index, int) or index < low:
-                raise ConfigError(f"{what}: {given[0]} index must be an integer >= {low}, got {index!r}")
-            ftype, kind = plan.get("type", "uint"), columns[name].name
-            if all(ftype not in types for types in _FIELD_TYPES.values()):
-                raise ConfigError(f"{what}: unknown field type {ftype!r}")
-            if ftype not in _FIELD_TYPES[kind]:
-                raise ConfigError(f"{what}: type {ftype!r} does not suit column kind {kind} "
-                                  f"(use {' or '.join(_FIELD_TYPES[kind])})")
-            labels = plan.get("labels")
-            if ftype == "enum" and not (
-                isinstance(labels, dict) and labels and all(_LABEL_CODE.match(c) for c in labels)
-            ):
-                raise ConfigError(f"{what}: enum needs 'labels', an object keyed by decimal codes")
+        source, keys, ftype = given[0], set(given), None
+        try:
+            if source == "const":
+                plan = {**plan, "const": kind.check(plan["const"], "const")}
+            elif source == "source":
+                if plan["source"] != "log_address":
+                    raise ConfigError(f"{what}: unknown source {plan['source']!r}")
+                ftype = "log_address"
+            else:
+                index, low = plan[source], 1 if source == "topic" else 0
+                if isinstance(index, bool) or not isinstance(index, int) or index < low:
+                    raise ConfigError(
+                        f"{what}: {source} index must be an integer >= {low}, got {index!r}")
+                ftype = plan.get("type", "uint")
+                if ftype == "log_address" or all(ftype not in t for t in _FIELD_TYPES.values()):
+                    raise ConfigError(f"{what}: unknown field type {ftype!r}")
+                keys.add("type")
+            suits = _FIELD_TYPES[kind.name]
+            if ftype is not None and ftype not in suits:
+                raise ConfigError(f"{what}: {'source' if source == 'source' else 'type'} {ftype!r} "
+                                  f"does not suit column kind {kind.name} (use {' or '.join(suits)})")
+            if ftype == "enum":
+                labels = plan.get("labels")
+                if not (isinstance(labels, dict) and labels
+                        and all(_LABEL_CODE.match(code) for code in labels)):
+                    raise ConfigError(f"{what}: enum needs 'labels', an object keyed by decimal codes")
+                plan = {**plan, "labels": {code: kind.check(label, f"label {code}")
+                                           for code, label in labels.items()}}
+                keys.add("labels")
+        except f.EncodingError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+        for key in sorted(plan.keys() - keys):
+            typed = f" of type {ftype!r}" if "type" in keys else ""
+            raise ConfigError(f"{what}: key {key!r} does not apply to a {source} field{typed}")
         plans[name] = plan
     return plans
 
@@ -370,6 +307,166 @@ class IngestReport:
         }
 
 
+class EventPlan(NamedTuple):
+    """One decodable event: topic0 -> relation + field plan, and the
+    decoder and encoder that :func:`_event_plan` compiles from the plan."""
+
+    topic0: str
+    relation: str
+    fields: dict[str, dict]
+    # (topics, data, address, tx_hash, event_index, chain_id) -> the fact,
+    # or None for a log that the plan's patterns refuse (see _decode_fields)
+    decode: Callable
+    # (fact, address) -> the log entry that ``decode`` turns back into fact
+    encode: Callable
+
+
+# The pattern of a 64-digit hex word that a field type admits, with one
+# group, and the expression turning the group's text ``{v}`` into the
+# column value; ``enum`` builds both from its labels.
+_WORD = {
+    "address": ("0{24}([0-9a-f]{40})", '"0x" + {v}'),
+    "chain_id": ("(?!0{64})([0-9a-f]{64})", "int({v}, 16)"),
+    "uint": ("([0-9a-f]{64})", "str(int({v}, 16))"),
+    "id": ("([0-9a-f]{64})", "str(int({v}, 16))"),
+}
+_ZERO_WORD = "0" * 64
+
+
+def _uint_word(value: int | str, what: str) -> str:
+    return format(int(f.canonical_amount(value, what)), "064x")
+
+
+def _enum_word(codes: dict, label: str, what: str) -> str:
+    if label not in codes:
+        raise ValueError(f"{what}: no enum code for {label!r}")
+    return _uint_word(codes[label], what)
+
+
+def _runs(slots: dict[int, Any]) -> list[tuple[int, int]]:
+    """``(unfilled positions before it, position)`` for each position of
+    ``slots``, in order."""
+    order = sorted(slots)
+    return [(i - j - 1, i) for j, i in zip([-1, *order], order)]
+
+
+def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPlan:
+    """Compile a checked field plan into its decoder and encoder.
+
+    The decoder matches each topic it reads and the data words against one
+    pattern each. The patterns admit only words whose conversion suits the
+    column (a left-padded address, a nonzero chain id, a labelled enum code),
+    so the fact is built unchecked. Columns without a plan are the
+    decoder's arguments of the same name. The encoder is its inverse; it
+    takes the fields in plan order, so that an error names the first field
+    that cannot be encoded.
+    """
+    fact_type = f.RELATIONS[relation]
+    env: dict[str, Any] = {"_make": fact_type._unchecked, "_uint_word": _uint_word,
+                           "_enum_word": _enum_word}
+    values: dict[str, str] = {}  # column -> decoded value
+    readers: dict[str, dict] = {"topic": {}, "data": {}}  # index -> [(column, pattern, value)]
+    words = {"topic": {0: repr(topic0)}, "data": {}}  # index -> encoded word
+    encode: list[str] = []
+    for name, plan in fields.items():
+        what = repr(f"{relation}.{name}")
+        if "const" in plan:
+            env[f"_const_{name}"], values[name] = plan["const"], f"_const_{name}"
+            encode += [f"if fact.{name} != _const_{name}:",
+                       f"  raise ValueError(f'{relation}.{name}: {{fact.{name}!r}} "
+                       f"is not the constant {{_const_{name}!r}}')"]
+            continue
+        if "source" in plan:
+            values[name] = "address"
+            encode.append(f"address = fact.{name}")
+            continue
+        source = "topic" if "topic" in plan else "data"
+        index, ftype = plan[source], plan.get("type", "uint")
+        if ftype == "enum":
+            labels = {format(int(code), "064x"): label for code, label in plan["labels"].items()
+                      if int(code) <= f.MAX_UINT256}
+            codes: dict = {}
+            for code, label in plan["labels"].items():
+                codes.setdefault(label, code)
+            env[f"_labels_{name}"], env[f"_codes_{name}"] = labels, codes
+            pattern, value = f"({'|'.join(labels) or '(?!)'})", f"_labels_{name}[{{v}}]"
+            encoded = f"_enum_word(_codes_{name}, fact.{name}, {what})"
+        else:
+            pattern, value = _WORD[ftype]
+            encoded = (f"{'0' * 24!r} + fact.{name}[2:]" if ftype == "address"
+                       else f"_uint_word(fact.{name}, {what})")
+        readers[source].setdefault(index, []).append((name, pattern, value))
+        encode.append(f"word_{name} = {encoded}")
+        words[source][index] = f"'0x' + word_{name}" if source == "topic" else f"word_{name}"
+
+    def word(reads: list, match: str, first: int) -> str:
+        """The pattern of a word with the ``reads`` of its readers, whose
+        groups are ``match[first]`` on; a word read twice suits both."""
+        for n, (name, _, value) in enumerate(reads, first):
+            values[name] = value.format(v=f"{match}[{n}]")
+        if len(reads) == 1:
+            return reads[0][1]
+        return "".join(f"(?={pattern})" for _, pattern, _ in reads) + "[0-9a-f]{64}"
+
+    conditions = []
+    if readers["topic"]:
+        conditions.append(f"len(topics) > {max(readers['topic'])}")
+    for i in sorted(readers["topic"]):
+        env[f"_topic{i}"] = re.compile(f"0x{word(readers['topic'][i], f'topic{i}', 1)}\\Z").match
+        conditions.append(f"(topic{i} := _topic{i}(topics[{i}]))")
+    if readers["data"]:
+        pattern, first = "0x", 1
+        for gap, i in _runs(readers["data"]):
+            pattern += f"(?:[0-9a-f]{{64}}){{{gap}}}" * bool(gap)
+            pattern += word(readers["data"][i], "data_words", first)
+            first += len(readers["data"][i])
+        try:
+            env["_data"] = re.compile(pattern + "(?:[0-9a-f]{2})*\\Z").match
+        except OverflowError:  # more words than a pattern counts, or any log holds
+            env["_data"] = lambda data: None
+        conditions.append("(data_words := _data(data))")
+    build = f"return _make({', '.join(values.get(name, name) for name, _ in fact_type.COLUMNS)})"
+    decode = [f"if {' and '.join(conditions)}:", f"  {build}"] if conditions else [build]
+    # positions that no field fills are zero words
+    topics = ", ".join(f"*[{'0x' + _ZERO_WORD!r}] * {gap}, " * bool(gap) + words["topic"][i]
+                       for gap, i in _runs(words["topic"]))
+    data = " + ".join(["'0x'", *(f"{_ZERO_WORD!r} * {gap} + " * bool(gap) + words["data"][i]
+                                 for gap, i in _runs(words["data"]))])
+    encode.append(f"return {{'address': address, 'topics': [{topics}], "
+                  f"'data': {data}, 'logIndex': fact.event_index}}")
+    decoder, encoder = f._compile(fact_type, env, {
+        "decode(topics, data, address, tx_hash, event_index, chain_id)": decode,
+        "encode(fact, address)": encode,
+    })
+    return EventPlan(topic0, relation, fields, decoder, encoder)
+
+
+# ERC-20 ``Transfer(address,address,uint256)``, decoded from any emitter;
+# its ``chain_id`` comes from the receipt.
+_TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
+    "token": {"source": "log_address"},
+    "from_address": {"topic": 1, "type": "address"},
+    "to_address": {"topic": 2, "type": "address"},
+    "amount": {"data": 0, "type": "uint"},
+})
+
+
+def encode_log(plan: EventPlan, fact, address: str) -> dict:
+    """The log entry that ``plan`` decodes back to ``fact``.
+
+    ``address`` is the emitter unless a field is read from
+    ``log_address``. A fact that cannot round-trip raises ``ValueError``:
+    a value other than a ``const`` field's, an enum value without a code,
+    or an integer that is not a canonical uint256.
+    """
+    return plan.encode(fact, address)
+
+
+def encode_erc20_transfer(fact: f.Erc20TransferFact) -> dict:
+    """The ``Transfer`` log that :func:`decode_receipt` decodes to ``fact``."""
+    return _TRANSFER.encode(fact, fact.token)
+
+
 class _FieldError(ValueError):
     pass
 
@@ -382,20 +479,19 @@ def _word_to_address(word: bytes, what: str) -> str:
     return "0x" + word[12:].hex()
 
 
-def _extract_field(plan: dict, log: LogEntry, what: str):
+def _extract_field(plan: dict, topics: list[str], data: str, address: str, what: str):
     if "const" in plan:
         return plan["const"]
     if "source" in plan:
-        return log.address
+        return address
     if "topic" in plan:
         idx = plan["topic"]
-        if idx >= len(log.topics):
-            raise _FieldError(f"{what}: topic {idx} missing (log has {len(log.topics)})")
-        word = _hex_bytes(log.topics[idx], what)
+        if idx >= len(topics):
+            raise _FieldError(f"{what}: topic {idx} missing (log has {len(topics)})")
+        word = _hex_bytes(topics[idx], what)
     else:
-        data = _hex_bytes(log.data, what)
         off = 32 * plan["data"]
-        word = data[off : off + 32]
+        word = _hex_bytes(data, what)[off : off + 32]
         if len(word) != 32:
             raise _FieldError(f"{what}: data word {plan['data']} out of range")
     ftype = plan.get("type", "uint")
@@ -412,148 +508,114 @@ def _extract_field(plan: dict, log: LogEntry, what: str):
     return str(value)
 
 
-# The 32-byte word layout, inverse of ``_word_to_address`` and ``int.from_bytes``.
-def _address_word(address: str) -> str:
-    return "0" * 24 + address[2:]
-
-
-def _uint_word(value: int | str, what: str) -> str:
-    return format(int(f.canonical_amount(value, what)), "064x")
-
-
-def encode_log(plan: EventPlan, fact, address: str) -> dict:
-    """The log entry that ``plan`` decodes back to ``fact``.
-
-    ``address`` is the emitter unless a field is read from
-    ``log_address``. A fact that cannot round-trip raises ``ValueError``:
-    a value other than a ``const`` field's, an enum value without a code,
-    or an integer that is not a canonical uint256.
-    """
-    topics, data = {0: plan.topic0}, {}
-    for name, fplan in plan.fields.items():
-        value = getattr(fact, name)
-        what = f"{plan.relation}.{name}"
-        if "const" in fplan:
-            if value != fplan["const"]:
-                raise ValueError(f"{what}: {value!r} is not the constant {fplan['const']!r}")
-            continue
-        if "source" in fplan:
-            address = value
-            continue
-        ftype = fplan.get("type", "uint")
-        if ftype == "address":
-            word = _address_word(value)
-        elif ftype == "enum":
-            codes = [code for code, label in fplan["labels"].items() if label == value]
-            if not codes:
-                raise ValueError(f"{what}: no enum code for {value!r}")
-            word = _uint_word(codes[0], what)
-        else:
-            word = _uint_word(value, what)
-        if "topic" in fplan:
-            topics[fplan["topic"]] = "0x" + word
-        else:
-            data[fplan["data"]] = word
-    zero = "0" * 64
-    return {
-        "address": address,
-        "topics": [topics.get(i, "0x" + zero) for i in range(max(topics) + 1)],
-        "data": "0x" + "".join(data.get(i, zero) for i in range(max(data, default=-1) + 1)),
-        "logIndex": fact.event_index,
-    }
-
-
-def encode_erc20_transfer(fact: f.Erc20TransferFact) -> dict:
-    """The ``Transfer`` log that :func:`decode_erc20_transfer` decodes to ``fact``."""
-    return encode_log(_TRANSFER, fact, fact.token)
-
-
-def decode_erc20_transfer(log: LogEntry, receipt: TransactionReceipt):
-    """Decode one log as an ERC-20 Transfer, if it is one.
-
-    Returns ``(fact, None)`` on success, ``(None, warning)`` for a
-    malformed Transfer log, and ``(None, None)`` when topic0 does not
-    match.
-    """
-    if not log.topics or log.topics[0] != TRANSFER_TOPIC:
-        return None, None
-    if len(log.topics) != 3:
-        return None, (
-            f"tx {receipt.tx_hash} log {log.log_index}: Transfer with "
-            f"{len(log.topics)} topics (expected 3)"
-        )
-    return _decode_event(_TRANSFER, log, receipt, chain_id=receipt.chain_id)
-
-
-def _decode_event(
-    plan: EventPlan, log: LogEntry, receipt: TransactionReceipt, **known: Any
-) -> tuple[Any, str | None]:
-    kwargs: dict[str, Any] = {"tx_hash": receipt.tx_hash, "event_index": log.log_index, **known}
+def _decode_fields(plan: EventPlan, topics: list[str], data: str, address: str,
+                   tx_hash: str, event_index: int, chain_id: int) -> tuple[Any, str | None]:
+    """The per-field path, for a log the compiled decoder refused: read the
+    fields one by one and build the fact with its validating constructor.
+    Returns ``(fact, None)``, or ``(None, warning)`` naming what is wrong."""
+    fact_type = f.RELATIONS[plan.relation]
+    known = {"tx_hash": tx_hash, "event_index": event_index, "chain_id": chain_id}
+    kwargs = {name: known[name] for name, _ in fact_type.COLUMNS if name not in plan.fields}
     try:
         for name, fplan in plan.fields.items():
-            kwargs[name] = _extract_field(fplan, log, name)
-        return f.RELATIONS[plan.relation](**kwargs), None
+            kwargs[name] = _extract_field(fplan, topics, data, address, name)
+        return fact_type(**kwargs), None
     except (_FieldError, f.EncodingError, IngestError) as exc:
-        return None, (
-            f"tx {receipt.tx_hash} log {log.log_index} ({plan.relation}): {exc}"
+        return None, f"tx {tx_hash} log {event_index} ({plan.relation}): {exc}"
+
+
+def _decode(plan: EventPlan, log: tuple, out: list, warnings: list[str]) -> bool:
+    """Append the fact ``plan`` decodes from ``log`` to ``out``, or the
+    warning saying why there is none; True when a fact was appended."""
+    fact = plan.decode(*log)
+    if fact is None:
+        fact, warning = _decode_fields(plan, *log)
+        if warning is not None:
+            warnings.append(warning)
+            return False
+    out.append(fact)
+    return True
+
+
+def _log_fields(obj) -> tuple[str, list[str], str, int]:
+    """The checked ``(address, topics, data, logIndex)`` of one log object,
+    with its hex text lowercased."""
+    try:
+        topics, data = obj["topics"], obj.get("data", "0x")
+        if not isinstance(topics, list):
+            raise IngestError(f"log topics: expected a list of hex strings, got {topics!r}")
+        if not isinstance(data, str):
+            raise IngestError(f"log data: expected a hex string, got {data!r}")
+        return (
+            f.canonical_address(obj["address"], "log address"),
+            list(map(str.lower, topics)),
+            data.lower(),
+            _as_uint(obj["logIndex"], "logIndex"),
         )
+    except KeyError as exc:
+        raise IngestError(f"log entry missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:  # not an object, or a topic that is not a string
+        raise IngestError(f"log entry: expected an object with string topics, got {obj!r}") from exc
 
 
-def decode_receipt(
-    receipt: TransactionReceipt, config: BridgeDecoderConfig
-) -> tuple[list, list[str]]:
-    """Decode one receipt into facts.
+def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[str]]:
+    """Check one receipt object (a parsed JSONL line) and decode it into facts.
 
     Always emits a transaction fact; adds one erc20_transfer per Transfer
     log, bridge facts per the config event map (bridge-emitted logs only),
     and a native escrow fact when the receipt moves value onto a bridge
-    address. Returns ``(facts, warnings)``.
+    address. Returns ``(facts, warnings)``. A malformed receipt raises
+    :class:`IngestError`, a receipt of a chain the config lacks
+    :class:`ConfigError`. Each field is checked once, here or by a
+    decoder's patterns, and the facts are built from the checked values.
     """
-    chain = config.chains.get(receipt.chain_id)
+    if not isinstance(obj, dict):
+        raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
+    try:
+        entries = obj.get("logs", [])
+        if not isinstance(entries, list):
+            raise IngestError(f"logs: expected a list of log objects, got {entries!r}")
+        logs = [_log_fields(entry) for entry in entries]
+        indexes = [log[3] for log in logs]
+        if indexes != sorted(set(indexes)):
+            raise IngestError("logIndex values must be strictly increasing")
+        status = _as_uint(obj["status"], "status")
+        if status > 1:
+            raise IngestError(f"status: expected 0 or 1, got {status}")
+        chain_id = _as_uint(obj["chainId"], "chainId")
+        tx_hash = f.canonical_tx_hash(obj["txHash"], "txHash")
+        block_number = _as_uint(obj["blockNumber"], "blockNumber")
+        timestamp = _as_uint(obj["blockTimestamp"], "blockTimestamp")
+        sender = f.canonical_address(obj["from"], "from")
+        to = f.canonical_address(obj["to"], "to")
+        value = _as_amount(obj["value"], "value")
+        gas_used = _as_uint(obj["gasUsed"], "gasUsed")
+    except KeyError as exc:
+        raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc
+    except f.EncodingError as exc:
+        raise IngestError(str(exc)) from exc
+    chain = config.chains.get(chain_id)
     if chain is None:
-        raise ConfigError(f"receipt chain {receipt.chain_id} not in decoder config")
-    out: list = []
+        raise ConfigError(f"receipt chain {chain_id} not in decoder config")
+    # a configured chain id is positive, and every other value was checked above
+    out = [f.TransactionFact._unchecked(timestamp, chain_id, tx_hash, block_number,
+                                        sender, to, value, status, gas_used)]
     warnings: list[str] = []
-    out.append(
-        f.TransactionFact(
-            timestamp=receipt.block_timestamp,
-            chain_id=receipt.chain_id,
-            tx_hash=receipt.tx_hash,
-            block_number=receipt.block_number,
-            from_address=receipt.from_address,
-            to_address=receipt.to_address,
-            value=receipt.value,
-            status=receipt.status,
-            gas_used=receipt.gas_used,
-        )
-    )
-    bridge_addrs = set(chain.bridge_addresses)
-    for log in receipt.logs:
-        fact, warning = decode_erc20_transfer(log, receipt)
-        if warning:
-            warnings.append(warning)
-        if fact is not None:
-            out.append(fact)
-            continue
-        if log.topics and log.address in bridge_addrs:
-            plan = config.events.get(log.topics[0])
-            if plan is not None:
-                fact, warning = _decode_event(plan, log, receipt)
-                if warning:
-                    warnings.append(warning)
-                if fact is not None:
-                    out.append(fact)
-    if receipt.value != "0" and receipt.to_address in bridge_addrs:
+    bridges, events = chain.bridge_addresses, config.events
+    for address, topics, data, index in logs:
+        log = (topics, data, address, tx_hash, index, chain_id)
+        topic0 = topics[0] if topics else None
+        if topic0 == TRANSFER_TOPIC:
+            if len(topics) != 3:
+                warnings.append(f"tx {tx_hash} log {index}: Transfer with "
+                                f"{len(topics)} topics (expected 3)")
+            elif _decode(_TRANSFER, log, out, warnings):
+                continue
+        if topic0 in events and address in bridges:
+            _decode(events[topic0], log, out, warnings)
+    if value != "0" and to in bridges:
         escrow_type = f.ScDepositFact if chain.role == "source" else f.TcWithdrawalFact
-        out.append(
-            escrow_type(
-                tx_hash=receipt.tx_hash,
-                event_index=NATIVE_EVENT_INDEX,
-                sender=receipt.from_address,
-                bridge_addr=receipt.to_address,
-                amount=receipt.value,
-            )
-        )
+        out.append(escrow_type._unchecked(tx_hash, NATIVE_EVENT_INDEX, sender, to, value))
     return out, warnings
 
 
@@ -580,8 +642,7 @@ def ingest_jsonl(
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
             try:
-                receipt = TransactionReceipt.from_json(obj)
-                decoded, warnings = decode_receipt(receipt, config)
+                decoded, warnings = decode_receipt(obj, config)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
             report.receipts += 1

@@ -168,6 +168,15 @@ BAD_INGEST_INPUTS = [
      f"event {DEPOSITED}: field 'amount': type 'address' does not suit column kind Amount (use uint or id)"),
     ("receipts", lambda r: r.update(chainId=7777),
      "receipts.jsonl:1: receipt chain 7777 not in decoder config"),
+    ("config", lambda c: deposit_fields(c).update(amount={"source": "log_address"}),
+     f"event {DEPOSITED}: field 'amount': source 'log_address' does not suit column kind Amount"),
+    ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"0": 5}),
+     "field 'standard': label 0: expected string, got int"),
+    ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"1": "ER\tC20"}),
+     "field 'standard': label 1: must not contain tab or newline"),
+    ("config", lambda c: deposit_fields(c)["amount"].update(labels={"0": "ERC20"}),
+     "field 'amount': key 'labels' does not apply to a data field of type 'uint'"),
+    ("receipts", lambda r: r.update(blockNumber="-5"), "receipts.jsonl:1: blockNumber: negative value -5"),
 ]
 
 

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import copy
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgewatch import facts as f
+from bridgewatch import facts as f, ingest
 from bridgewatch.ingest import (
     BridgeDecoderConfig,
     ConfigError,
     IngestError,
-    LogEntry,
-    TransactionReceipt,
-    decode_erc20_transfer,
     decode_receipt,
     encode_erc20_transfer,
     encode_log,
@@ -74,20 +72,18 @@ CONFIG = BridgeDecoderConfig.from_json(
 
 
 def make_receipt(logs=(), value="0", to=B1, chain=S_CHAIN, tx_hash=H1):
-    return TransactionReceipt.from_json(
-        {
-            "chainId": chain,
-            "txHash": tx_hash,
-            "blockNumber": 7,
-            "blockTimestamp": 1000,
-            "from": U1,
-            "to": to,
-            "value": value,
-            "status": 1,
-            "gasUsed": 50_000,
-            "logs": list(logs),
-        }
-    )
+    return {
+        "chainId": chain,
+        "txHash": tx_hash,
+        "blockNumber": 7,
+        "blockTimestamp": 1000,
+        "from": U1,
+        "to": to,
+        "value": value,
+        "status": 1,
+        "gasUsed": 50_000,
+        "logs": list(logs),
+    }
 
 
 def transfer_log(index=1, token=AA, src=U1, dst=B1, amount=5):
@@ -117,25 +113,25 @@ def deposited_log(index=2, deposit_id=7, beneficiary=U2):
 
 
 class TestDecodeTransfer:
+    # each receipt moves no value, so its only facts besides the
+    # transaction are those of its one log
     def test_transfer_topic_accepted(self):
-        receipt = make_receipt([transfer_log()])
-        fact, warning = decode_erc20_transfer(receipt.logs[0], receipt)
-        assert warning is None
-        assert fact == f.Erc20TransferFact(H1, S_CHAIN, 1, AA, U1, B1, "5")
+        facts, warnings = decode_receipt(make_receipt([transfer_log()]), CONFIG)
+        assert warnings == []
+        assert facts[1:] == [f.Erc20TransferFact(H1, S_CHAIN, 1, AA, U1, B1, "5")]
 
     def test_approval_topic_ignored(self):
         log = transfer_log()
         log["topics"][0] = APPROVAL_TOPIC0
-        receipt = make_receipt([log])
-        assert decode_erc20_transfer(receipt.logs[0], receipt) == (None, None)
+        facts, warnings = decode_receipt(make_receipt([log]), CONFIG)
+        assert (facts[1:], warnings) == ([], [])
 
     def test_two_topic_transfer_warns(self):
         log = transfer_log()
         log["topics"] = log["topics"][:2]
-        receipt = make_receipt([log])
-        fact, warning = decode_erc20_transfer(receipt.logs[0], receipt)
-        assert fact is None
-        assert "2 topics" in warning
+        facts, warnings = decode_receipt(make_receipt([log]), CONFIG)
+        assert facts[1:] == []
+        assert len(warnings) == 1 and "2 topics" in warnings[0]
 
 
 class TestDecodeReceipt:
@@ -189,9 +185,10 @@ class TestDecodeReceipt:
         assert first == second
 
 
-def round_trip_config() -> BridgeDecoderConfig:
+def round_trip_config(*events: dict) -> BridgeDecoderConfig:
     """The synthetic ABI, plus an event whose ``standard`` is a constant,
-    whose amount is a topic, and whose data has an unused word."""
+    whose amount is a topic, and whose data has an unused word, and
+    ``events``."""
     config = copy.deepcopy(generate(ScenarioParams(seed=1, n_deposits=0, n_withdrawals=0)).config)
     erc20_only = next(e for e in config["events"] if e["fact"] == "tc_token_withdrew")
     erc20_only = copy.deepcopy(erc20_only)
@@ -199,7 +196,7 @@ def round_trip_config() -> BridgeDecoderConfig:
     erc20_only["fields"]["standard"] = {"const": "ERC20"}
     erc20_only["fields"]["amount"] = {"topic": 3, "type": "uint"}
     erc20_only["fields"]["dst_chain_id"] = {"data": 3, "type": "chain_id"}  # word 2 unused
-    config["events"].append(erc20_only)
+    config["events"] += [erc20_only, *events]
     return BridgeDecoderConfig.from_json(config)
 
 
@@ -223,6 +220,22 @@ def decode_one(log: dict) -> list:
     return facts[1:]  # after the transaction fact
 
 
+def draw_fact(data, plan):
+    """A fact that ``plan`` can encode, drawn column by column."""
+    values = {}
+    for name, fplan in plan.fields.items():
+        if "const" in fplan:
+            values[name] = fplan["const"]
+        elif "source" in fplan and plan is not ingest._TRANSFER:
+            values[name] = RT_BRIDGE
+        else:
+            values[name] = data.draw(COLUMN_VALUES[name], label=name)
+    if plan is ingest._TRANSFER:
+        values["chain_id"] = S_CHAIN
+    index = data.draw(st.integers(0, 2**32), label="event_index")
+    return f.RELATIONS[plan.relation](tx_hash=H1, event_index=index, **values)
+
+
 class TestEncodeRoundTrip:
     def test_every_field_kind_is_covered(self):
         kinds = {key for plan in RT_CONFIG.events.values() for fplan in plan.fields.values()
@@ -240,16 +253,7 @@ class TestEncodeRoundTrip:
     @given(st.data())
     def test_decode_inverts_encode(self, data):
         plan = data.draw(st.sampled_from(list(RT_CONFIG.events.values())))
-        values = {}
-        for name, fplan in plan.fields.items():
-            if "const" in fplan:
-                values[name] = fplan["const"]
-            elif "source" in fplan:
-                values[name] = RT_BRIDGE
-            else:
-                values[name] = data.draw(COLUMN_VALUES[name], label=name)
-        index = data.draw(st.integers(0, 2**32), label="event_index")
-        fact = f.RELATIONS[plan.relation](tx_hash=H1, event_index=index, **values)
+        fact = draw_fact(data, plan)
         assert decode_one(encode_log(plan, fact, RT_BRIDGE)) == [fact]
 
     @settings(max_examples=100, deadline=None)
@@ -264,6 +268,148 @@ class TestEncodeRoundTrip:
         fact = f.TcTokenWithdrewFact(H1, 1, "1", U1, AA, CC, S_CHAIN, "NATIVE", "5")
         with pytest.raises(ValueError, match="not the constant"):
             encode_log(plan, fact, RT_BRIDGE)
+
+
+HEX_DIGITS = "0123456789abcdef"
+
+
+def position(data, text: str, end: int) -> int:
+    """An index into ``text`` after its ``0x``, below ``len(text) + end``."""
+    return data.draw(st.integers(2, max(2, len(text) + end - 1)), label="position")
+
+
+def edit_text(data, log: dict, edit) -> None:
+    """Replace a topic after topic0, or the data, by ``edit(text, i)`` at
+    a drawn index ``i``."""
+    key = data.draw(st.sampled_from([*range(1, len(log["topics"])), "data"]), label="text")
+    texts = log if key == "data" else log["topics"]
+    texts[key] = edit(texts[key], position(data, texts[key], 0))
+
+
+def set_word(data, log: dict, plan, ftype: str, word: str) -> None:
+    """Overwrite the word of a field of type ``ftype``, if the plan has one."""
+    readers = [p for p in plan.fields.values() if p.get("type") == ftype]
+    if not readers:
+        return
+    fplan = data.draw(st.sampled_from(readers), label="field")
+    if "data" in fplan:
+        start = 2 + 64 * fplan["data"]
+        log["data"] = log["data"][:start] + word + log["data"][start + 64:]
+    elif fplan["topic"] < len(log["topics"]):
+        log["topics"][fplan["topic"]] = "0x" + word
+
+
+def flip_digit(data, log, plan):
+    step = data.draw(st.integers(1, 15), label="step")
+    edit_text(data, log, lambda t, i: t[:i] + HEX_DIGITS[
+        (HEX_DIGITS.find(t[i:i + 1].lower()) + step) % 16] + t[i + 1:])
+
+
+def uppercase_digit(data, log, plan):
+    edit_text(data, log, lambda t, i: t[:i] + t[i:i + 1].upper() + t[i + 1:])
+
+
+def odd_length(data, log, plan):
+    digit = data.draw(st.sampled_from(HEX_DIGITS), label="digit")
+    edit_text(data, log, lambda t, i: t + digit)
+
+
+def truncate(data, log, plan):
+    edit_text(data, log, lambda t, i: t[:i])
+
+
+def drop_topic(data, log, plan):
+    if len(log["topics"]) > 1:
+        log["topics"].pop(data.draw(st.integers(1, len(log["topics"]) - 1), label="topic"))
+
+
+def extra_word(data, log, plan):
+    word = data.draw(st.binary(min_size=32, max_size=32), label="word").hex()
+    if data.draw(st.booleans(), label="topic"):
+        log["topics"].append("0x" + word)
+    else:
+        log["data"] += word
+
+
+def pad_address(data, log, plan):
+    padding = format(data.draw(st.integers(1, 16**24 - 1), label="padding"), "024x")
+    set_word(data, log, plan, "address", padding + "ab" * 20)
+
+
+def zero_chain_id(data, log, plan):
+    set_word(data, log, plan, "chain_id", "0" * 64)
+
+
+def unknown_enum_code(data, log, plan):
+    code = data.draw(st.integers(2, f.MAX_UINT256), label="code")  # labels hold 0 and 1
+    set_word(data, log, plan, "enum", format(code, "064x"))
+
+
+def whitespace_in_data(data, log, plan):
+    i = position(data, log["data"], 1)
+    log["data"] = log["data"][:i] + data.draw(st.sampled_from(" \t\n")) + log["data"][i:]
+
+
+# Each edits an encoded log in place; none touches topic0.
+MUTATIONS = [flip_digit, uppercase_digit, odd_length, truncate, drop_topic, extra_word,
+             pad_address, zero_chain_id, unknown_enum_code, whitespace_in_data]
+
+
+def refused(*log):
+    return None
+
+
+# Fields that share a word: it must suit each of them, and it cannot
+# round-trip, as the encoder keeps the last field's value.
+SHARED_WORDS = {"signature": "SharedWords(address)", "fact": "sc_token_deposited", "fields": {
+    "deposit_id": {"data": 0, "type": "id"}, "amount": {"data": 0, "type": "uint"},
+    "beneficiary": {"topic": 1, "type": "address"}, "dst_token": {"topic": 1, "type": "address"},
+    "orig_token": {"data": 1, "type": "address"}, "dst_chain_id": {"data": 2, "type": "chain_id"},
+    "standard": {"data": 2, "type": "enum", "labels": {"1": "ERC20", "2": "NATIVE"}},
+}}
+MUTATION_CONFIG = round_trip_config(SHARED_WORDS)
+
+
+class TestCompiledDecoder:
+    """The compiled decoders against the per-field path, on mutated logs."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_same_fact_or_warning_as_the_per_field_path(self, data):
+        plan = data.draw(st.sampled_from([*MUTATION_CONFIG.events.values(), ingest._TRANSFER]))
+        fact = draw_fact(data, plan)
+        log = encode_log(plan, fact, RT_BRIDGE)
+        for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+                                label="mutations"):
+            mutate(data, log, plan)
+        # the arguments that decode_receipt passes, hex lowercased as it does
+        args = ([t.lower() for t in log["topics"]], log["data"].lower(), log["address"],
+                H1, fact.event_index, S_CHAIN)
+        fast = plan.decode(*args)
+        if fast is not None:  # built without the validating constructor
+            assert ingest._decode_fields(plan, *args) == (fast, None)
+            columns = {name: getattr(fast, name) for name, _ in type(fast).COLUMNS}
+            assert fast == f.RELATIONS[plan.relation](**columns)
+        # the receipt decodes as it does when every compiled decoder refuses
+        receipt = make_receipt([log], to=U1)
+        config = MUTATION_CONFIG
+        events = {topic0: p._replace(decode=refused) for topic0, p in config.events.items()}
+        per_field = BridgeDecoderConfig(config.chains, events, config.static)
+        with mock.patch.object(ingest, "_TRANSFER", ingest._TRANSFER._replace(decode=refused)):
+            expected = decode_receipt(receipt, per_field)
+        assert decode_receipt(receipt, config) == expected
+
+    def test_word_index_beyond_any_log_compiles_and_warns(self):
+        config = copy.deepcopy(generate(ScenarioParams(seed=1, n_deposits=0, n_withdrawals=0)).config)
+        fields = config["events"][0]["fields"]  # TokenDeposited -> sc_token_deposited
+        fields["amount"]["data"] = 2**64  # past the largest count a pattern can hold
+        fields["deposit_id"]["topic"] = 2**64
+        plan = next(iter(BridgeDecoderConfig.from_json(config).events.values()))
+        log = deposited_log()
+        args = (log["topics"], log["data"], B1, H1, 2, S_CHAIN)
+        assert plan.decode(*args) is None
+        assert ingest._decode_fields(plan, *args) == (
+            None, f"tx {H1} log 2 (sc_token_deposited): deposit_id: topic {2**64} missing (log has 3)")
 
 
 class TestIngestJsonl:
@@ -309,6 +455,19 @@ class TestIngestJsonl:
         store, report = ingest_jsonl(path, CONFIG)
         assert report.receipts == 5
         assert store.count("transaction") == 5
+
+    def test_each_receipt_is_decoded_through_the_module_global(self, tmp_path, monkeypatch):
+        # the benchmark times decode_receipt by replacing ingest.decode_receipt
+        calls = []
+
+        def counting_decode_receipt(obj, config):
+            calls.append(obj["txHash"])
+            return decode_receipt(obj, config)
+
+        monkeypatch.setattr("bridgewatch.ingest.decode_receipt", counting_decode_receipt)
+        receipts = [self.receipt_obj(i) for i in range(1, 6)]
+        ingest_jsonl(self.write_receipts(tmp_path, receipts), CONFIG)
+        assert calls == [r["txHash"] for r in receipts]
 
     def test_event_facts_have_transaction_envelope(self, tmp_path):
         receipt = {

@@ -30,12 +30,11 @@ only beside ``"type": "enum"``, ``type`` only beside ``topic`` or
 not share a topic0.
 
 Plans are checked once, on load, and each is then compiled into one
-straight-line decoder and its inverse encoder (:func:`encode_log`). The
+straight-line decoder and its inverse encoder (:class:`EventPlan`). The
 decoder matches each topic the plan reads against one pattern, and all the
 data words against another, and builds the fact without re-checking it,
-since the patterns admit only canonical values. A log the patterns refuse goes through the
-per-field path and the fact's validating constructor, which decode it or
-say what is wrong with it.
+since the patterns admit only canonical values. It is the only code that
+turns a log into a fact.
 
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
 token contract). Bridge events are decoded only from logs emitted by a
@@ -43,9 +42,13 @@ configured bridge address. A receipt moving native value into a bridge
 address yields a native escrow fact with pseudo event index 0, ordering
 it before every log of the transaction.
 
-Decoding problems that affect a single log (wrong topic arity, a 32-byte
-beneficiary that is not a valid address) produce a warning and suppress
-that fact only; the rest of the receipt still decodes.
+A log that a decoder refuses yields one warning and no fact; the rest of
+the receipt still decodes. The warning names the transaction, the log,
+the relation and the first field, in plan order, whose word is missing or
+not allowed by its type: ``topic N missing (log has M)``, ``data word N
+out of range``, ``topic N is not one 32-byte hex word``, ``data is not
+whole 32-byte hex words``, ``32-byte value is not a valid 20-byte
+address``, ``chain id must be nonzero`` or ``no enum label for value V``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ __all__ = [
     "IngestReport",
     "decode_receipt",
     "encode_erc20_transfer",
-    "encode_log",
     "ingest_jsonl",
     "load_config",
 ]
@@ -86,38 +88,27 @@ class ConfigError(ValueError):
     """Malformed or incomplete decoder configuration."""
 
 
+# A JSON integer in text: 0x-hex, or canonical ASCII decimal (negative
+# decimals parse, to be refused by name)
+_UINT_TEXT = re.compile(r"(0x[0-9a-fA-F]+|0|-?[1-9][0-9]*)\Z")
+
+
 def _as_uint(value: Any, name: str) -> int:
     if type(value) is int and value >= 0:  # the common case first
         return value
     if isinstance(value, bool):
         raise IngestError(f"{name}: expected unsigned integer, got bool")
+    if isinstance(value, str) and _UINT_TEXT.match(value):
+        value = int(value, 0)
     if isinstance(value, int):
         if value < 0:
             raise IngestError(f"{name}: negative value {value}")
         return value
-    if isinstance(value, str):
-        try:
-            number = int(value, 16) if value.startswith("0x") else int(value, 10)
-        except ValueError:
-            pass
-        else:
-            if number < 0:
-                raise IngestError(f"{name}: negative value {number}")
-            return number
     raise IngestError(f"{name}: cannot parse unsigned integer from {value!r}")
 
 
 def _as_amount(value: Any, name: str) -> str:
     return f.canonical_amount(_as_uint(value, name), name)
-
-
-def _hex_bytes(value: str, name: str) -> bytes:
-    if not isinstance(value, str) or not value.startswith("0x"):
-        raise IngestError(f"{name}: expected 0x-prefixed hex, got {value!r}")
-    try:
-        return bytes.fromhex(value[2:])
-    except ValueError as exc:
-        raise IngestError(f"{name}: invalid hex: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -132,9 +123,6 @@ class BridgeDecoderConfig:
     chains: dict[int, ChainConfig]
     events: dict[str, EventPlan]  # keyed by topic0
     static: tuple  # finality windows, bridge addresses, token tables
-
-    def static_facts(self) -> list:
-        return list(self.static)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BridgeDecoderConfig":
@@ -309,27 +297,36 @@ class IngestReport:
 
 class EventPlan(NamedTuple):
     """One decodable event: topic0 -> relation + field plan, and the
-    decoder and encoder that :func:`_event_plan` compiles from the plan."""
+    decoder and encoder that :func:`_event_plan` compiles from the plan.
+
+    ``decode(topics, data, address, tx_hash, event_index, chain_id)``
+    returns the fact, or None for a log that the plan's patterns refuse
+    (:func:`_refusal` says why). ``encode(fact, address)`` returns the log
+    entry that ``decode`` turns back into ``fact``; ``address`` is the
+    emitter unless a field is read from ``log_address``. A fact that cannot
+    round-trip raises ``ValueError``: a value other than a ``const``
+    field's, an enum value without a code, or an integer that is not a
+    canonical uint256.
+    """
 
     topic0: str
     relation: str
     fields: dict[str, dict]
-    # (topics, data, address, tx_hash, event_index, chain_id) -> the fact,
-    # or None for a log that the plan's patterns refuse (see _decode_fields)
     decode: Callable
-    # (fact, address) -> the log entry that ``decode`` turns back into fact
     encode: Callable
 
 
 # The pattern of a 64-digit hex word that a field type admits, with one
-# group, and the expression turning the group's text ``{v}`` into the
-# column value; ``enum`` builds both from its labels.
+# group; the expression turning the group's text ``{v}`` into the column
+# value; and why a word is refused (None: every word is admitted). ``enum``
+# builds its pattern and value from its labels.
 _WORD = {
-    "address": ("0{24}([0-9a-f]{40})", '"0x" + {v}'),
-    "chain_id": ("(?!0{64})([0-9a-f]{64})", "int({v}, 16)"),
-    "uint": ("([0-9a-f]{64})", "str(int({v}, 16))"),
-    "id": ("([0-9a-f]{64})", "str(int({v}, 16))"),
+    "address": ("0{24}([0-9a-f]{40})", '"0x" + {v}', "32-byte value is not a valid 20-byte address"),
+    "chain_id": ("(?!0{64})([0-9a-f]{64})", "int({v}, 16)", "chain id must be nonzero"),
+    "uint": ("([0-9a-f]{64})", "str(int({v}, 16))", None),
+    "id": ("([0-9a-f]{64})", "str(int({v}, 16))", None),
 }
+_HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z")
 _ZERO_WORD = "0" * 64
 
 
@@ -392,7 +389,7 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
             pattern, value = f"({'|'.join(labels) or '(?!)'})", f"_labels_{name}[{{v}}]"
             encoded = f"_enum_word(_codes_{name}, fact.{name}, {what})"
         else:
-            pattern, value = _WORD[ftype]
+            pattern, value, _ = _WORD[ftype]
             encoded = (f"{'0' * 24!r} + fact.{name}[2:]" if ftype == "address"
                        else f"_uint_word(fact.{name}, {what})")
         readers[source].setdefault(index, []).append((name, pattern, value))
@@ -421,7 +418,7 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
             pattern += word(readers["data"][i], "data_words", first)
             first += len(readers["data"][i])
         try:
-            env["_data"] = re.compile(pattern + "(?:[0-9a-f]{2})*\\Z").match
+            env["_data"] = re.compile(pattern + "(?:[0-9a-f]{64})*\\Z").match
         except OverflowError:  # more words than a pattern counts, or any log holds
             env["_data"] = lambda data: None
         conditions.append("(data_words := _data(data))")
@@ -451,77 +448,43 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 })
 
 
-def encode_log(plan: EventPlan, fact, address: str) -> dict:
-    """The log entry that ``plan`` decodes back to ``fact``.
-
-    ``address`` is the emitter unless a field is read from
-    ``log_address``. A fact that cannot round-trip raises ``ValueError``:
-    a value other than a ``const`` field's, an enum value without a code,
-    or an integer that is not a canonical uint256.
-    """
-    return plan.encode(fact, address)
-
-
 def encode_erc20_transfer(fact: f.Erc20TransferFact) -> dict:
     """The ``Transfer`` log that :func:`decode_receipt` decodes to ``fact``."""
     return _TRANSFER.encode(fact, fact.token)
 
 
-class _FieldError(ValueError):
-    pass
-
-
-def _word_to_address(word: bytes, what: str) -> str:
-    if len(word) != 32:
-        raise _FieldError(f"{what}: expected 32 bytes, got {len(word)}")
-    if any(word[:12]):
-        raise _FieldError(f"{what}: 32-byte value is not a valid 20-byte address")
-    return "0x" + word[12:].hex()
-
-
-def _extract_field(plan: dict, topics: list[str], data: str, address: str, what: str):
-    if "const" in plan:
-        return plan["const"]
-    if "source" in plan:
-        return address
-    if "topic" in plan:
-        idx = plan["topic"]
-        if idx >= len(topics):
-            raise _FieldError(f"{what}: topic {idx} missing (log has {len(topics)})")
-        word = _hex_bytes(topics[idx], what)
-    else:
-        off = 32 * plan["data"]
-        word = _hex_bytes(data, what)[off : off + 32]
-        if len(word) != 32:
-            raise _FieldError(f"{what}: data word {plan['data']} out of range")
-    ftype = plan.get("type", "uint")
-    if ftype == "address":
-        return _word_to_address(word, what)
-    value = int.from_bytes(word, "big")
-    if ftype == "chain_id":
-        return value
-    if ftype == "enum":
-        try:
-            return plan["labels"][str(value)]
-        except KeyError:
-            raise _FieldError(f"{what}: no enum label for value {value}")
-    return str(value)
-
-
-def _decode_fields(plan: EventPlan, topics: list[str], data: str, address: str,
-                   tx_hash: str, event_index: int, chain_id: int) -> tuple[Any, str | None]:
-    """The per-field path, for a log the compiled decoder refused: read the
-    fields one by one and build the fact with its validating constructor.
-    Returns ``(fact, None)``, or ``(None, warning)`` naming what is wrong."""
-    fact_type = f.RELATIONS[plan.relation]
-    known = {"tx_hash": tx_hash, "event_index": event_index, "chain_id": chain_id}
-    kwargs = {name: known[name] for name, _ in fact_type.COLUMNS if name not in plan.fields}
-    try:
-        for name, fplan in plan.fields.items():
-            kwargs[name] = _extract_field(fplan, topics, data, address, name)
-        return fact_type(**kwargs), None
-    except (_FieldError, f.EncodingError, IngestError) as exc:
-        return None, f"tx {tx_hash} log {event_index} ({plan.relation}): {exc}"
+def _refusal(plan: EventPlan, topics: list[str], data: str, address: str,
+             tx_hash: str, event_index: int, chain_id: int) -> str:
+    """The warning for a log that ``plan.decode`` refused, naming the first
+    field, in plan order, whose word is missing or not allowed by its type."""
+    for name, fplan in plan.fields.items():
+        reason = word = None  # const and log_address fields hold checked values
+        if "topic" in fplan:
+            i = fplan["topic"]
+            if i >= len(topics):
+                reason = f"topic {i} missing (log has {len(topics)})"
+            elif len(topics[i]) == 66 and _HEX_WORDS.match(topics[i]):
+                word = topics[i][2:]
+            else:
+                reason = f"topic {i} is not one 32-byte hex word"
+        elif "data" in fplan:
+            i = fplan["data"]
+            if not _HEX_WORDS.match(data):
+                reason = "data is not whole 32-byte hex words"
+            elif len(data) < 66 + 64 * i:
+                reason = f"data word {i} out of range"
+            else:
+                word = data[2 + 64 * i:66 + 64 * i]
+        if word is not None:
+            ftype = fplan.get("type", "uint")
+            if ftype == "enum":
+                if str(int(word, 16)) not in fplan["labels"]:
+                    reason = f"no enum label for value {int(word, 16)}"
+            elif not re.fullmatch(_WORD[ftype][0], word):
+                reason = _WORD[ftype][2]
+        if reason is not None:
+            return f"tx {tx_hash} log {event_index} ({plan.relation}): {name}: {reason}"
+    raise AssertionError(f"{plan.relation}: the decoder refused a log that every field admits")
 
 
 def _decode(plan: EventPlan, log: tuple, out: list, warnings: list[str]) -> bool:
@@ -529,10 +492,8 @@ def _decode(plan: EventPlan, log: tuple, out: list, warnings: list[str]) -> bool
     warning saying why there is none; True when a fact was appended."""
     fact = plan.decode(*log)
     if fact is None:
-        fact, warning = _decode_fields(plan, *log)
-        if warning is not None:
-            warnings.append(warning)
-            return False
+        warnings.append(_refusal(plan, *log))
+        return False
     out.append(fact)
     return True
 
@@ -541,7 +502,7 @@ def _log_fields(obj) -> tuple[str, list[str], str, int]:
     """The checked ``(address, topics, data, logIndex)`` of one log object,
     with its hex text lowercased."""
     try:
-        topics, data = obj["topics"], obj.get("data", "0x")
+        topics, data = obj["topics"], obj["data"]
         if not isinstance(topics, list):
             raise IngestError(f"log topics: expected a list of hex strings, got {topics!r}")
         if not isinstance(data, str):
@@ -572,7 +533,7 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
     if not isinstance(obj, dict):
         raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
     try:
-        entries = obj.get("logs", [])
+        entries = obj["logs"]
         if not isinstance(entries, list):
             raise IngestError(f"logs: expected a list of log objects, got {entries!r}")
         logs = [_log_fields(entry) for entry in entries]
@@ -620,18 +581,16 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
 
 
 def ingest_jsonl(
-    receipts_path: str | Path, config: BridgeDecoderConfig | str | Path
+    receipts_path: str | Path, config: BridgeDecoderConfig
 ) -> tuple[f.FactStore, IngestReport]:
     """Decode a JSONL receipts file into a sealed store plus a report.
 
     The store contains the union of all decoded facts and the config's
     static facts. A malformed JSON line fails fast with its line number.
     """
-    if not isinstance(config, BridgeDecoderConfig):
-        config = load_config(config)
     store = f.FactStore()
     report = IngestReport()
-    store.insert_all(config.static_facts())
+    store.insert_all(config.static)
     path = Path(receipts_path)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

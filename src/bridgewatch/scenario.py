@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .ingest import BridgeDecoderConfig, encode_erc20_transfer, encode_log
+from .ingest import BridgeDecoderConfig, encode_erc20_transfer
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
@@ -325,7 +325,7 @@ def _encode_receipt(tx: _Tx, plans: dict, bridge: str) -> dict:
         if isinstance(fact, f.Erc20TransferFact):
             logs.append(encode_erc20_transfer(fact))
         elif fact.RELATION in plans:
-            logs.append(encode_log(plans[fact.RELATION], fact, bridge))
+            logs.append(plans[fact.RELATION].encode(fact, bridge))
         # native escrows have no log: the receipt's value carries them
     return {
         "chainId": tx.chain_id,
@@ -614,7 +614,7 @@ class _Builder:
 
         self._assign_blocks()
         config = _decoder_config(p, self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
-        store = self._materialize_store(BridgeDecoderConfig.from_json(config).static_facts())
+        store = self._materialize_store(BridgeDecoderConfig.from_json(config).static)
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
         txs = sorted(self.txs, key=lambda t: (t.chain_id, t.block_number))
         return GeneratedScenario(params=p, store=store, ground_truth=gt,
@@ -630,7 +630,7 @@ class _Builder:
                 tx.block_number = block_number
                 tx.timestamp = tx.desired_ts
 
-    def _materialize_store(self, static_facts: list) -> FactStore:
+    def _materialize_store(self, static_facts: tuple) -> FactStore:
         store = FactStore()
         store.insert_all(static_facts)
         for tx in self.txs:

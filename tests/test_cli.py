@@ -121,6 +121,27 @@ class TestPipeComposition:
         assert payload["receipts"] == 8  # 2 txs per flow, 4 flows
         assert payload["warning_count"] == 0
 
+    def test_ingest_warns_on_a_short_topic_and_drops_its_fact(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+            "--out", str(sim), "--emit", "receipts")
+        receipts_path = sim / "receipts.jsonl"
+        receipts = [json.loads(line) for line in receipts_path.read_text().splitlines()]
+        deposited = event_topic(DEPOSITED)
+        receipt = next(r for r in receipts if any(g["topics"][0] == deposited for g in r["logs"]))
+        log = next(g for g in receipt["logs"] if g["topics"][0] == deposited)
+        log["topics"][1] = "0x01"  # deposit_id, without its zero padding
+        receipts_path.write_text("".join(json.dumps(r) + "\n" for r in receipts))
+        capsys.readouterr()
+        out_dir = tmp_path / "facts"
+        assert run("ingest", "--receipts", str(receipts_path),
+                   "--config", str(sim / "decoder_config.json"),
+                   "--out", str(out_dir)) == EXIT_CLEAN
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["warning_count"] == 1
+        assert payload["warnings"][0].endswith("deposit_id: topic 1 is not one 32-byte hex word")
+        assert receipt["txHash"] not in (out_dir / "sc_token_deposited.facts").read_text()
+
 
 DEPOSITED = "TokenDeposited(uint256,address,address,address,uint256,uint8,uint256)"
 
@@ -177,6 +198,16 @@ BAD_INGEST_INPUTS = [
     ("config", lambda c: deposit_fields(c)["amount"].update(labels={"0": "ERC20"}),
      "field 'amount': key 'labels' does not apply to a data field of type 'uint'"),
     ("receipts", lambda r: r.update(blockNumber="-5"), "receipts.jsonl:1: blockNumber: negative value -5"),
+    ("receipts", lambda r: r.update(gasUsed="1_000"),
+     "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from '1_000'"),
+    ("receipts", lambda r: r.update(gasUsed=" +7 "),
+     "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from ' +7 '"),
+    ("receipts", lambda r: r.update(gasUsed="0x_1f"),
+     "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from '0x_1f'"),
+    ("receipts", lambda r: r.update(gasUsed="\u0663"),  # ARABIC-INDIC DIGIT THREE
+     "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from '\u0663'"),
+    ("receipts", lambda r: r.pop("logs"), "receipts.jsonl:1: receipt missing field 'logs'"),
+    ("receipts", lambda r: first_log(r).pop("data"), "receipts.jsonl:1: log entry missing field 'data'"),
 ]
 
 

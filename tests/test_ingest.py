@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,6 @@ from bridgewatch.ingest import (
     IngestError,
     decode_receipt,
     encode_erc20_transfer,
-    encode_log,
     ingest_jsonl,
 )
 from bridgewatch.scenario import ScenarioParams, generate
@@ -165,6 +163,21 @@ class TestDecodeReceipt:
         assert len(warnings) == 1
         assert "not a valid 20-byte address" in warnings[0]
 
+    # forms that a lenient hex reader would accept: (text edited, edit, warning)
+    @pytest.mark.parametrize("key, edit, warning", [
+        (1, lambda t: "0x01", "deposit_id: topic 1 is not one 32-byte hex word"),
+        (1, lambda t: "0x0000" + t[2:], "deposit_id: topic 1 is not one 32-byte hex word"),
+        (2, lambda t: t[:30] + " " + t[30:], "beneficiary: topic 2 is not one 32-byte hex word"),
+        ("data", lambda t: t[:70] + " " + t[70:], "dst_token: data is not whole 32-byte hex words"),
+    ], ids=["short-topic", "zero-extended-topic", "space-in-topic", "space-in-data"])
+    def test_non_canonical_word_suppresses_bridge_fact(self, key, edit, warning):
+        log = deposited_log(2, beneficiary=pad_addr(U2))
+        texts = log if key == "data" else log["topics"]
+        texts[key] = edit(texts[key])
+        facts, warnings = decode_receipt(make_receipt([transfer_log(1), log]), CONFIG)
+        assert [type(x).__name__ for x in facts] == ["TransactionFact", "Erc20TransferFact"]
+        assert warnings == [f"tx {H1} log 2 (sc_token_deposited): {warning}"]
+
     def test_unknown_chain_is_config_error(self):
         receipt = make_receipt([], chain=7777)
         with pytest.raises(ConfigError, match="7777"):
@@ -254,7 +267,7 @@ class TestEncodeRoundTrip:
     def test_decode_inverts_encode(self, data):
         plan = data.draw(st.sampled_from(list(RT_CONFIG.events.values())))
         fact = draw_fact(data, plan)
-        assert decode_one(encode_log(plan, fact, RT_BRIDGE)) == [fact]
+        assert decode_one(plan.encode(fact, RT_BRIDGE)) == [fact]
 
     @settings(max_examples=100, deadline=None)
     @given(ADDRESSES, ADDRESSES, ADDRESSES, UINT256, st.integers(0, 2**32))
@@ -267,7 +280,7 @@ class TestEncodeRoundTrip:
                     if "const" in p.fields.get("standard", {}))
         fact = f.TcTokenWithdrewFact(H1, 1, "1", U1, AA, CC, S_CHAIN, "NATIVE", "5")
         with pytest.raises(ValueError, match="not the constant"):
-            encode_log(plan, fact, RT_BRIDGE)
+            plan.encode(fact, RT_BRIDGE)
 
 
 HEX_DIGITS = "0123456789abcdef"
@@ -309,9 +322,10 @@ def uppercase_digit(data, log, plan):
     edit_text(data, log, lambda t, i: t[:i] + t[i:i + 1].upper() + t[i + 1:])
 
 
-def odd_length(data, log, plan):
-    digit = data.draw(st.sampled_from(HEX_DIGITS), label="digit")
-    edit_text(data, log, lambda t, i: t + digit)
+def append_digits(data, log, plan):
+    """An odd digit count, a partial word or one more word, appended."""
+    digits = data.draw(st.text(HEX_DIGITS, min_size=1, max_size=64), label="digits")
+    edit_text(data, log, lambda t, i: t + digits)
 
 
 def truncate(data, log, plan):
@@ -345,18 +359,78 @@ def unknown_enum_code(data, log, plan):
     set_word(data, log, plan, "enum", format(code, "064x"))
 
 
-def whitespace_in_data(data, log, plan):
-    i = position(data, log["data"], 1)
-    log["data"] = log["data"][:i] + data.draw(st.sampled_from(" \t\n")) + log["data"][i:]
+def whitespace(data, log, plan):
+    space = data.draw(st.sampled_from(" \t\n"), label="space")
+    edit_text(data, log, lambda t, i: t[:i] + space + t[i:])
+
+
+def short_topic(data, log, plan):
+    """A topic written as a JSON-RPC quantity, as ``0x01``."""
+    if len(log["topics"]) > 1:
+        digits = format(data.draw(st.integers(0, 2**160), label="value"), "x")
+        i = data.draw(st.integers(1, len(log["topics"]) - 1), label="topic")
+        log["topics"][i] = "0x" + "0" * (len(digits) % 2) + digits
+
+
+def zero_extended_topic(data, log, plan):
+    if len(log["topics"]) > 1:
+        zeros = "00" * data.draw(st.integers(1, 3), label="zero bytes")
+        i = data.draw(st.integers(1, len(log["topics"]) - 1), label="topic")
+        log["topics"][i] = "0x" + zeros + log["topics"][i][2:]
 
 
 # Each edits an encoded log in place; none touches topic0.
-MUTATIONS = [flip_digit, uppercase_digit, odd_length, truncate, drop_topic, extra_word,
-             pad_address, zero_chain_id, unknown_enum_code, whitespace_in_data]
+MUTATIONS = [flip_digit, uppercase_digit, append_digits, truncate, drop_topic, extra_word,
+             pad_address, zero_chain_id, unknown_enum_code, whitespace, short_topic,
+             zero_extended_topic]
 
 
-def refused(*log):
-    return None
+def abi_read(plan, topics, data, address, tx_hash, event_index, chain_id):
+    """A naive, strict ABI reader that shares no code with the compiled
+    decoders: each field's exact 32-byte word, converted by its type, then
+    the validating constructor. Returns ``(fact, None)``, or ``(None,
+    field)`` for the first field, in plan order, that cannot be read."""
+
+    def words(text):  # the 64-digit words of 0x-prefixed hex, or []
+        if text[:2] != "0x" or len(text) % 64 != 2 or set(text[2:]) - set(HEX_DIGITS):
+            return []
+        return [text[k:k + 64] for k in range(2, len(text), 64)]
+
+    values = {}
+    for name, fplan in plan.fields.items():
+        if "const" in fplan:
+            values[name] = fplan["const"]
+            continue
+        if "source" in fplan:
+            values[name] = address
+            continue
+        if "topic" in fplan:
+            found = words(topics[fplan["topic"]]) if fplan["topic"] < len(topics) else []
+            word = found[0] if len(found) == 1 else None
+        else:
+            found = words(data)
+            word = found[fplan["data"]] if fplan["data"] < len(found) else None
+        if word is None:
+            return None, name
+        number, ftype = int(word, 16), fplan.get("type", "uint")
+        if ftype == "address":
+            value = "0x" + word[24:] if number < 2**160 else None
+        elif ftype == "chain_id":
+            value = number or None
+        elif ftype == "enum":
+            value = fplan["labels"].get(str(number))
+        else:
+            value = str(number)
+        if value is None:
+            return None, name
+        values[name] = value
+    known = {"tx_hash": tx_hash, "event_index": event_index, "chain_id": chain_id}
+    fact_type = f.RELATIONS[plan.relation]
+    values.update((name, known[name]) for name, _ in fact_type.COLUMNS if name not in values)
+    try:
+        return fact_type(**values), None
+    except f.EncodingError as exc:
+        return None, exc.field
 
 
 # Fields that share a word: it must suit each of them, and it cannot
@@ -371,45 +445,44 @@ MUTATION_CONFIG = round_trip_config(SHARED_WORDS)
 
 
 class TestCompiledDecoder:
-    """The compiled decoders against the per-field path, on mutated logs."""
+    """The compiled decoders against a strict ABI reader, on mutated logs."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.data())
-    def test_same_fact_or_warning_as_the_per_field_path(self, data):
+    def test_same_fact_as_a_strict_abi_reader_or_one_warning(self, data):
         plan = data.draw(st.sampled_from([*MUTATION_CONFIG.events.values(), ingest._TRANSFER]))
         fact = draw_fact(data, plan)
-        log = encode_log(plan, fact, RT_BRIDGE)
+        log = plan.encode(fact, RT_BRIDGE)
         for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
                                 label="mutations"):
             mutate(data, log, plan)
         # the arguments that decode_receipt passes, hex lowercased as it does
         args = ([t.lower() for t in log["topics"]], log["data"].lower(), log["address"],
                 H1, fact.event_index, S_CHAIN)
-        fast = plan.decode(*args)
-        if fast is not None:  # built without the validating constructor
-            assert ingest._decode_fields(plan, *args) == (fast, None)
-            columns = {name: getattr(fast, name) for name, _ in type(fast).COLUMNS}
-            assert fast == f.RELATIONS[plan.relation](**columns)
-        # the receipt decodes as it does when every compiled decoder refuses
-        receipt = make_receipt([log], to=U1)
-        config = MUTATION_CONFIG
-        events = {topic0: p._replace(decode=refused) for topic0, p in config.events.items()}
-        per_field = BridgeDecoderConfig(config.chains, events, config.static)
-        with mock.patch.object(ingest, "_TRANSFER", ingest._TRANSFER._replace(decode=refused)):
-            expected = decode_receipt(receipt, per_field)
-        assert decode_receipt(receipt, config) == expected
+        expected, field = abi_read(plan, *args)
+        assert plan.decode(*args) == expected
+        # the receipt yields that fact, or one warning naming that field
+        facts, warnings = decode_receipt(make_receipt([log], to=U1), MUTATION_CONFIG)
+        warning = f"tx {H1} log {fact.event_index} ({plan.relation}): {field}: "
+        if plan is ingest._TRANSFER and len(args[0]) != 3:  # checked before the decoder runs
+            expected, warning = None, f"tx {H1} log {fact.event_index}: Transfer with "
+        if expected is None:
+            assert facts[1:] == [] and len(warnings) == 1
+            assert warnings[0].startswith(warning)
+        else:
+            assert (facts[1:], warnings) == ([expected], [])
 
     def test_word_index_beyond_any_log_compiles_and_warns(self):
         config = copy.deepcopy(generate(ScenarioParams(seed=1, n_deposits=0, n_withdrawals=0)).config)
         fields = config["events"][0]["fields"]  # TokenDeposited -> sc_token_deposited
         fields["amount"]["data"] = 2**64  # past the largest count a pattern can hold
         fields["deposit_id"]["topic"] = 2**64
-        plan = next(iter(BridgeDecoderConfig.from_json(config).events.values()))
-        log = deposited_log()
-        args = (log["topics"], log["data"], B1, H1, 2, S_CHAIN)
-        assert plan.decode(*args) is None
-        assert ingest._decode_fields(plan, *args) == (
-            None, f"tx {H1} log 2 (sc_token_deposited): deposit_id: topic {2**64} missing (log has 3)")
+        config = BridgeDecoderConfig.from_json(config)
+        log = {**deposited_log(), "address": config.chains[S_CHAIN].bridge_addresses[0]}
+        facts, warnings = decode_receipt(make_receipt([log], to=U1), config)
+        assert facts[1:] == []
+        assert warnings == [
+            f"tx {H1} log 2 (sc_token_deposited): deposit_id: topic {2**64} missing (log has 3)"]
 
 
 class TestIngestJsonl:
@@ -495,7 +568,7 @@ class TestConfigValidation:
             BridgeDecoderConfig.from_json({"chains": {}})
 
     def test_static_facts_roundtrip(self):
-        statics = CONFIG.static_facts()
+        statics = CONFIG.static
         kinds = {type(x).__name__ for x in statics}
         assert kinds == {
             "CctxFinalityFact",

@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .facts import FactStore
-from .ingest import IngestReport
 from .rules import RULE_NAMES, RuleOutputs
 
 __all__ = [
@@ -390,7 +389,6 @@ def build_report(
     store: FactStore,
     outputs: RuleOutputs,
     prices: PriceTable | None = None,
-    ingest_report: IngestReport | None = None,
 ) -> dict:
     """Compose the full deterministic analysis report.
 
@@ -445,7 +443,7 @@ def build_report(
             "deposits": latency_stats(outputs.rule4, prices).as_dict(),
             "withdrawals": latency_stats(outputs.rule8, prices).as_dict(),
         },
-        "ingest": ingest_report.as_dict() if ingest_report is not None else None,
+        "ingest": None,  # always null: the ingest report goes to ingest's stdout
     }
     return report
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,16 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _output(text: str) -> None:
+    """Print ``text`` to stdout. A reader that has gone away is not an
+    error: the output is dropped and the command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later output, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 class PriceTableError(ValueError):
     """Malformed price table (names the file, entry index and key)."""
 
@@ -65,7 +76,10 @@ def _load_prices(path: str | None) -> analytics.PriceTable | None:
     if path is None:
         return None
     with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise PriceTableError(f"{path}: not UTF-8: {exc.reason}") from exc
     if not isinstance(entries, list):
         raise PriceTableError(f"{path}: expected a JSON list of price entries")
     table: dict[tuple[int, str], tuple[str, int]] = {}
@@ -100,7 +114,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested {report.receipts} receipts -> {store.total_facts()} facts "
         f"({len(report.warnings)} warnings) in {out_dir}"
     )
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    _output(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return EXIT_CLEAN
 
 
@@ -157,7 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 diffs.append(f"{RULE_NAMES[rule_id]}: engine extra {tup}")
     if diffs:
         for line in diffs:
-            print(line)
+            _output(line)
         _progress(f"{len(diffs)} differences between engine and reference evaluator")
         return EXIT_INTERNAL
     _progress("engine output matches the reference evaluator on all 8 rules")
@@ -172,7 +186,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "deposits": analytics.latency_stats(outputs.rule4, prices).as_dict(),
         "withdrawals": analytics.latency_stats(outputs.rule8, prices).as_dict(),
     }
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    _output(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_CLEAN
 
 
@@ -224,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        FileNotFoundError,
+        OSError,  # a path that cannot be read or written, as a directory given for a file
         FactsParseError,
         FactStoreError,
         IngestError,

@@ -49,6 +49,9 @@ not allowed by its type: ``topic N missing (log has M)``, ``data word N
 out of range``, ``topic N is not one 32-byte hex word``, ``data is not
 whole 32-byte hex words``, ``32-byte value is not a valid 20-byte
 address``, ``chain id must be nonzero`` or ``no enum label for value V``.
+A topic after topic0 that no field reads must still be one 32-byte word;
+if every field is read, the warning names the first such topic that is
+not (``topic N is not one 32-byte hex word``).
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import facts as f
 from .keccak import TRANSFER_TOPIC, event_topic
@@ -68,7 +72,7 @@ __all__ = [
     "BridgeDecoderConfig",
     "IngestReport",
     "decode_receipt",
-    "encode_erc20_transfer",
+    "encode_receipt",
     "ingest_jsonl",
     "load_config",
 ]
@@ -277,7 +281,11 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
 
 def load_config(path: str | Path) -> BridgeDecoderConfig:
     with open(path, encoding="utf-8") as fh:
-        return BridgeDecoderConfig.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from exc
+    return BridgeDecoderConfig.from_json(obj)
 
 
 @dataclass
@@ -327,6 +335,7 @@ _WORD = {
     "id": ("([0-9a-f]{64})", "str(int({v}, 16))", None),
 }
 _HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z")
+_TOPIC = re.compile(r"0x[0-9a-f]{64}\Z").match
 _ZERO_WORD = "0" * 64
 
 
@@ -406,11 +415,17 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
         return "".join(f"(?={pattern})" for _, pattern, _ in reads) + "[0-9a-f]{64}"
 
     conditions = []
-    if readers["topic"]:
-        conditions.append(f"len(topics) > {max(readers['topic'])}")
-    for i in sorted(readers["topic"]):
+    read = sorted(readers["topic"])
+    if read:
+        conditions.append(f"len(topics) > {read[-1]}")
+    for i in read:
         env[f"_topic{i}"] = re.compile(f"0x{word(readers['topic'][i], f'topic{i}', 1)}\\Z").match
         conditions.append(f"(topic{i} := _topic{i}(topics[{i}]))")
+    # the topics after topic0 that no field reads must be words as well
+    env["_topic"] = _TOPIC
+    for after, before in zip([0, *read], [*read, ""]):
+        if before == "" or before > after + 1:
+            conditions.append(f"all(map(_topic, topics[{after + 1}:{before}]))")
     if readers["data"]:
         pattern, first = "0x", 1
         for gap, i in _runs(readers["data"]):
@@ -448,22 +463,18 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 })
 
 
-def encode_erc20_transfer(fact: f.Erc20TransferFact) -> dict:
-    """The ``Transfer`` log that :func:`decode_receipt` decodes to ``fact``."""
-    return _TRANSFER.encode(fact, fact.token)
-
-
 def _refusal(plan: EventPlan, topics: list[str], data: str, address: str,
              tx_hash: str, event_index: int, chain_id: int) -> str:
     """The warning for a log that ``plan.decode`` refused, naming the first
-    field, in plan order, whose word is missing or not allowed by its type."""
+    field, in plan order, whose word is missing or not allowed by its type,
+    or else the first topic that no field reads and is not a word."""
     for name, fplan in plan.fields.items():
         reason = word = None  # const and log_address fields hold checked values
         if "topic" in fplan:
             i = fplan["topic"]
             if i >= len(topics):
                 reason = f"topic {i} missing (log has {len(topics)})"
-            elif len(topics[i]) == 66 and _HEX_WORDS.match(topics[i]):
+            elif _TOPIC(topics[i]):
                 word = topics[i][2:]
             else:
                 reason = f"topic {i} is not one 32-byte hex word"
@@ -484,6 +495,10 @@ def _refusal(plan: EventPlan, topics: list[str], data: str, address: str,
                 reason = _WORD[ftype][2]
         if reason is not None:
             return f"tx {tx_hash} log {event_index} ({plan.relation}): {name}: {reason}"
+    for i, topic in enumerate(topics[1:], 1):  # every topic that a field reads is a word
+        if not _TOPIC(topic):
+            return (f"tx {tx_hash} log {event_index} ({plan.relation}): "
+                    f"topic {i} is not one 32-byte hex word")
     raise AssertionError(f"{plan.relation}: the decoder refused a log that every field admits")
 
 
@@ -580,33 +595,56 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
     return out, warnings
 
 
+def encode_receipt(tx: f.TransactionFact, facts: Iterable, config: BridgeDecoderConfig) -> dict:
+    """The receipt object that :func:`decode_receipt` decodes back to ``tx``
+    and ``facts``, the event facts of that transaction.
+
+    A native escrow has no log: the receipt's value carries it. Every other
+    fact is encoded by the plan of its relation, and a bridge log is
+    emitted by the first bridge address of ``tx``'s chain.
+    """
+    plans = {plan.relation: plan for plan in (_TRANSFER, *config.events.values())}
+    bridge = config.chains[tx.chain_id].bridge_addresses[0]
+    logs = [plans[fact.RELATION].encode(fact, bridge)
+            for fact in sorted(facts, key=attrgetter("event_index"))
+            if not isinstance(fact, (f.ScDepositFact, f.TcWithdrawalFact))]
+    return {"chainId": tx.chain_id, "txHash": tx.tx_hash, "blockNumber": tx.block_number,
+            "blockTimestamp": tx.timestamp, "from": tx.from_address, "to": tx.to_address,
+            "value": tx.value, "status": tx.status, "gasUsed": tx.gas_used, "logs": logs}
+
+
 def ingest_jsonl(
     receipts_path: str | Path, config: BridgeDecoderConfig
 ) -> tuple[f.FactStore, IngestReport]:
     """Decode a JSONL receipts file into a sealed store plus a report.
 
     The store contains the union of all decoded facts and the config's
-    static facts. A malformed JSON line fails fast with its line number.
+    static facts. A malformed JSON line, or one that is not UTF-8, fails
+    fast with its line number.
     """
     store = f.FactStore()
     report = IngestReport()
     store.insert_all(config.static)
     path = Path(receipts_path)
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-            try:
-                decoded, warnings = decode_receipt(obj, config)
-            except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
-                raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            report.receipts += 1
-            report.warnings.extend(warnings)
-            store.insert_all(decoded)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+                try:
+                    decoded, warnings = decode_receipt(obj, config)
+                except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
+                    raise IngestError(f"{path}:{line_no}: {exc}") from exc
+                report.receipts += 1
+                report.warnings.extend(warnings)
+                store.insert_all(decoded)
+        except UnicodeDecodeError as exc:  # raised per read chunk, so find the line
+            line_no = f._first_non_utf8_line(path)
+            raise IngestError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from exc
     store.seal()
     report.facts_per_relation = {
         name: count for name, count in store.relation_counts().items() if count

@@ -35,10 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .ingest import BridgeDecoderConfig, encode_erc20_transfer
+from .ingest import BridgeDecoderConfig, encode_receipt
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
@@ -51,17 +52,20 @@ __all__ = [
     "generate",
     "describe",
     "ANOMALY_KINDS",
+    "EXPECTED_ANOMALY",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-ANOMALY_KINDS = (
-    "forged_release",
-    "replayed_id",
-    "finality_break",
-    "direct_transfer",
-    "orphan_bridge_event",
-)
+# Each injected anomaly kind and the detector kind that flags it
+EXPECTED_ANOMALY = {
+    "forged_release": "UnmatchedLocalWithdrawal",
+    "replayed_id": "DuplicateId",
+    "finality_break": "FinalityViolation",
+    "direct_transfer": "SingleTokenEvent",
+    "orphan_bridge_event": "SingleBridgeEvent",
+}
+ANOMALY_KINDS = tuple(EXPECTED_ANOMALY)
 
 _BASE_TS = 1_700_000_000
 
@@ -189,16 +193,13 @@ class ScenarioParams:
 @dataclass
 class _Tx:
     chain_id: int
-    desired_ts: int
-    seq: int
+    timestamp: int
     tx_hash: str
     from_address: str
     to_address: str
     value: str
     gas_used: int
     event_facts: list
-    timestamp: int = 0
-    block_number: int = 0
 
 
 @dataclass
@@ -207,16 +208,13 @@ class GeneratedScenario:
     store: FactStore
     ground_truth: list[dict]
     config: dict
-    _txs: list[_Tx]
+    decoder: BridgeDecoderConfig  # ``config``, parsed
+    _txs: list[tuple[f.TransactionFact, list]]
 
     def receipts(self) -> list[dict]:
-        """Receipt objects that decode back to exactly ``store``, encoded
-        from the field plans of ``config``; each bridge log is emitted by
-        the configured bridge of its transaction's chain."""
-        config = BridgeDecoderConfig.from_json(self.config)
-        plans = {plan.relation: plan for plan in config.events.values()}
-        return [_encode_receipt(tx, plans, config.chains[tx.chain_id].bridge_addresses[0])
-                for tx in self._txs]
+        """Receipt objects that decode back to exactly ``store``; each
+        bridge log is emitted by the configured bridge of its chain."""
+        return [encode_receipt(tx, facts, self.decoder) for tx, facts in self._txs]
 
     def write_facts_dir(self, path: str | Path) -> None:
         dump_facts_dir(self.store, path)
@@ -319,29 +317,27 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
     }
 
 
-def _encode_receipt(tx: _Tx, plans: dict, bridge: str) -> dict:
-    logs = []
-    for fact in sorted(tx.event_facts, key=lambda x: x.event_index):
-        if isinstance(fact, f.Erc20TransferFact):
-            logs.append(encode_erc20_transfer(fact))
-        elif fact.RELATION in plans:
-            logs.append(plans[fact.RELATION].encode(fact, bridge))
-        # native escrows have no log: the receipt's value carries them
-    return {
-        "chainId": tx.chain_id,
-        "txHash": tx.tx_hash,
-        "blockNumber": tx.block_number,
-        "blockTimestamp": tx.timestamp,
-        "from": tx.from_address,
-        "to": tx.to_address,
-        "value": tx.value,
-        "status": 1,
-        "gasUsed": tx.gas_used,
-        "logs": logs,
-    }
-
-
 # --- generation -------------------------------------------------------------
+
+class _Direction(NamedTuple):
+    """One direction of bridge traffic: the id column of its bridge events
+    and the fact type of each leg (None: the direction has no such leg)."""
+
+    id_column: str
+    native_escrow: type
+    escrow_event: type
+    native_release: type | None
+    release_event: type
+    relayed: bool  # released by the relayer, not claimed by the escrow's sender
+
+
+# Deposits escrow on the source chain and release on the target chain;
+# withdrawals go the other way.
+_DEPOSIT = _Direction("deposit_id", f.ScDepositFact, f.ScTokenDepositedFact,
+                      None, f.TcTokenDepositedFact, relayed=True)
+_WITHDRAWAL = _Direction("withdrawal_id", f.TcWithdrawalFact, f.TcTokenWithdrewFact,
+                         f.ScWithdrawalFact, f.ScTokenWithdrewFact, relayed=False)
+
 
 class _Builder:
     def __init__(self, params: ScenarioParams):
@@ -359,201 +355,106 @@ class _Builder:
         self.attacker = self.rng.address()
         self.users = [self.rng.address() for _ in range(params.n_users)]
         src, dst = params.source.chain_id, params.target.chain_id
-        self.wrapped_native_s = self.rng.address()   # native asset of S, as a token
-        self.native_repr_on_t = self.rng.address()   # its representation on T
-        self.wrapped_native_t = self.rng.address()   # native asset of T, as a token
-        self.native_repr_on_s = self.rng.address()   # its representation on S
+        self.bridges = {src: self.bridge_s, dst: self.bridge_t}
+        wrapped_native_s = self.rng.address()   # native asset of S, as a token
+        native_repr_on_t = self.rng.address()   # its representation on T
+        wrapped_native_t = self.rng.address()   # native asset of T, as a token
+        native_repr_on_s = self.rng.address()   # its representation on S
         self.erc20_pairs = [
             (self.rng.address(), self.rng.address())
             for _ in range(params.n_token_pairs)
         ]
+        # token pairs, as (token on S, token on T), by the chain whose native
+        # asset they carry
+        self.native_pairs = {src: (wrapped_native_s, native_repr_on_t),
+                             dst: (native_repr_on_s, wrapped_native_t)}
         # static tables, as rows of the decoder config
-        self.mappings = [
-            [src, dst, self.wrapped_native_s, self.native_repr_on_t, "NATIVE"],
-            [src, dst, self.native_repr_on_s, self.wrapped_native_t, "NATIVE"],
-        ] + [[src, dst, s_tok, t_tok, "ERC20"] for s_tok, t_tok in self.erc20_pairs]
-        self.wrapped = [[src, self.wrapped_native_s], [dst, self.wrapped_native_t]]
+        self.mappings = [[src, dst, *pair, "NATIVE"] for pair in self.native_pairs.values()]
+        self.mappings += [[src, dst, *pair, "ERC20"] for pair in self.erc20_pairs]
+        self.wrapped = [[src, wrapped_native_s], [dst, wrapped_native_t]]
 
     def tx_hash(self) -> str:
         self._tx_counter += 1
         body = b"".join(self.rng.next_u64().to_bytes(8, "big") for _ in range(3))
         return "0x" + body.hex() + format(self._tx_counter, "016x")
 
-    def add_tx(self, chain: ChainSpec, desired_ts: int, from_addr: str, to_addr: str,
+    def add_tx(self, chain: ChainSpec, timestamp: int, from_addr: str, to_addr: str,
                value: str) -> _Tx:
-        tx = _Tx(
-            chain_id=chain.chain_id,
-            desired_ts=desired_ts,
-            seq=len(self.txs),
-            tx_hash=self.tx_hash(),
-            from_address=from_addr,
-            to_address=to_addr,
-            value=value,
-            gas_used=self._gas_rng.randint(21_000, 400_000),
-            event_facts=[],
-        )
+        tx = _Tx(chain.chain_id, timestamp, self.tx_hash(), from_addr, to_addr, value,
+                 gas_used=self._gas_rng.randint(21_000, 400_000), event_facts=[])
         self.txs.append(tx)
         return tx
 
-    # -- deposit flows (source escrow -> target release) --
+    def truth(self, kind: str, tx_hashes: list[str], **details) -> None:
+        self.ground_truth.append({"kind": kind, "expected_anomaly": EXPECTED_ANOMALY[kind],
+                                  "tx_hashes": sorted(tx_hashes), "details": details})
 
-    def deposit(self, index: int, deposit_id: str, break_finality: bool) -> None:
-        p = self.params
+    def flow(self, way: _Direction, index: int, escrow: ChainSpec, release: ChainSpec,
+             native: ChainSpec | None, break_finality: bool = False, fanout: int = 1) -> None:
+        """One flow of ``way``: an escrow on ``escrow`` and ``fanout``
+        releases on ``release``, all but the first by the attacker.
+        ``native`` is the chain whose native asset the flow moves (escrowed
+        or released as native value), or None for ERC-20 on both legs."""
         rng = self.rng
         sender = rng.choice(self.users)
         benef = rng.choice(self.users)
         amount = rng.amount()
-        native = index % 2 == 1
-        if native:
-            orig_token, dst_token, std = self.wrapped_native_s, self.native_repr_on_t, "NATIVE"
-        else:
-            orig_token, dst_token = rng.choice(self.erc20_pairs)
-            std = "ERC20"
-        escrow_ts = _BASE_TS + (index + 1) * p.source.block_time
-        window = p.source.finality_seconds
+        pair = self.native_pairs[native.chain_id] if native else rng.choice(self.erc20_pairs)
+        orig_token, dst_token = pair if escrow == self.params.source else pair[::-1]
+        escrow_ts = _BASE_TS + (index + 1) * escrow.block_time
+        window = escrow.finality_seconds
         if break_finality:
             gap = rng.randint(1, window - 1)
         else:
             gap = rng.randint(window + 1, window + 3600)
-        release_ts = escrow_ts + gap
+        flow_id = str(index + 1)
 
-        deposited = dict(
-            deposit_id=deposit_id, beneficiary=benef, dst_token=dst_token,
-            orig_token=orig_token, dst_chain_id=p.target.chain_id,
-            standard=std, amount=amount,
-        )
-        if native:
-            esc = self.add_tx(p.source, escrow_ts, sender, self.bridge_s, amount)
-            esc.event_facts.append(
-                f.ScDepositFact(esc.tx_hash, 0, sender, self.bridge_s, amount)
-            )
-            esc.event_facts.append(
-                f.ScTokenDepositedFact(tx_hash=esc.tx_hash, event_index=1, **deposited)
-            )
+        bridge = self.bridges[escrow.chain_id]
+        esc = self.add_tx(escrow, escrow_ts, sender, bridge, amount if native == escrow else "0")
+        if native == escrow:
+            moved = way.native_escrow(esc.tx_hash, 0, sender, bridge, amount)
         else:
-            esc = self.add_tx(p.source, escrow_ts, sender, self.bridge_s, "0")
-            esc.event_facts.append(
-                f.Erc20TransferFact(esc.tx_hash, p.source.chain_id, 1, orig_token,
-                                    sender, self.bridge_s, amount)
-            )
-            esc.event_facts.append(
-                f.ScTokenDepositedFact(tx_hash=esc.tx_hash, event_index=2, **deposited)
-            )
+            moved = f.Erc20TransferFact(esc.tx_hash, escrow.chain_id, 1, orig_token,
+                                        sender, bridge, amount)
+        esc.event_facts += [moved, way.escrow_event(
+            tx_hash=esc.tx_hash, event_index=moved.event_index + 1, **{way.id_column: flow_id},
+            beneficiary=benef, orig_token=orig_token, dst_token=dst_token,
+            dst_chain_id=release.chain_id, standard="NATIVE" if native else "ERC20", amount=amount,
+        )]
 
-        rel = self.add_tx(p.target, release_ts, self.relayer, self.bridge_t, "0")
-        rel.event_facts.append(
-            f.Erc20TransferFact(rel.tx_hash, p.target.chain_id, 1, dst_token,
-                                self.bridge_t, benef, amount)
-        )
-        rel.event_facts.append(
-            f.TcTokenDepositedFact(rel.tx_hash, 2, deposit_id, benef, dst_token, amount)
-        )
+        bridge, released = self.bridges[release.chain_id], []
+        issuer = self.relayer if way.relayed else sender
+        for k in range(fanout):
+            rel = self.add_tx(release, escrow_ts + gap + k * release.block_time,
+                              self.attacker if k else issuer, bridge, "0")
+            if native == release:
+                moved = way.native_release(rel.tx_hash, 1, bridge, benef, amount)
+            else:
+                moved = f.Erc20TransferFact(rel.tx_hash, release.chain_id, 1, dst_token,
+                                            bridge, benef, amount)
+            rel.event_facts += [moved, way.release_event(rel.tx_hash, 2, flow_id, benef,
+                                                         dst_token, amount)]
+            released.append(rel.tx_hash)
         if break_finality:
-            self.ground_truth.append({
-                "kind": "finality_break",
-                "expected_anomaly": "FinalityViolation",
-                "tx_hashes": sorted([esc.tx_hash, rel.tx_hash]),
-                "details": {"id": deposit_id, "gap": gap, "window": window},
-            })
-
-    # -- withdrawal flows (target escrow -> source release) --
-
-    def withdrawal(self, index: int, withdrawal_id: str) -> tuple[_Tx, dict]:
-        p = self.params
-        rng = self.rng
-        sender = rng.choice(self.users)
-        benef = rng.choice(self.users)
-        amount = rng.amount()
-        shape = index % 3  # 0: erc20/erc20, 1: native escrow, 2: native release
-        if shape == 1:
-            orig_token, dst_token, std = self.wrapped_native_t, self.native_repr_on_s, "NATIVE"
-        elif shape == 2:
-            orig_token, dst_token, std = self.native_repr_on_t, self.wrapped_native_s, "NATIVE"
-        else:
-            dst_token, orig_token = rng.choice(self.erc20_pairs)
-            std = "ERC20"
-        escrow_ts = _BASE_TS + (index + 1) * p.target.block_time
-        window = p.target.finality_seconds
-        gap = rng.randint(window + 1, window + 3600)
-        release_ts = escrow_ts + gap
-
-        withdrew = dict(
-            withdrawal_id=withdrawal_id, beneficiary=benef, orig_token=orig_token,
-            dst_token=dst_token, dst_chain_id=p.source.chain_id,
-            standard=std, amount=amount,
-        )
-        if shape == 1:
-            esc = self.add_tx(p.target, escrow_ts, sender, self.bridge_t, amount)
-            esc.event_facts.append(
-                f.TcWithdrawalFact(esc.tx_hash, 0, sender, self.bridge_t, amount)
-            )
-            esc.event_facts.append(
-                f.TcTokenWithdrewFact(tx_hash=esc.tx_hash, event_index=1, **withdrew)
-            )
-        else:
-            esc = self.add_tx(p.target, escrow_ts, sender, self.bridge_t, "0")
-            esc.event_facts.append(
-                f.Erc20TransferFact(esc.tx_hash, p.target.chain_id, 1, orig_token,
-                                    sender, self.bridge_t, amount)
-            )
-            esc.event_facts.append(
-                f.TcTokenWithdrewFact(tx_hash=esc.tx_hash, event_index=2, **withdrew)
-            )
-
-        release = dict(withdrawal_id=withdrawal_id, beneficiary=benef,
-                       dst_token=dst_token, amount=amount)
-        rel = self._release_tx(release_ts, sender, native=(shape == 2), **release)
-        return rel, release
-
-    def _release_tx(self, ts: int, issuer: str, native: bool, *, withdrawal_id: str,
-                    beneficiary: str, dst_token: str, amount: str) -> _Tx:
-        p = self.params
-        rel = self.add_tx(p.source, ts, issuer, self.bridge_s, "0")
-        if native:
-            rel.event_facts.append(
-                f.ScWithdrawalFact(rel.tx_hash, 1, self.bridge_s, beneficiary, amount)
-            )
-        else:
-            rel.event_facts.append(
-                f.Erc20TransferFact(rel.tx_hash, p.source.chain_id, 1, dst_token,
-                                    self.bridge_s, beneficiary, amount)
-            )
-        rel.event_facts.append(
-            f.ScTokenWithdrewFact(rel.tx_hash, 2, withdrawal_id, beneficiary,
-                                  dst_token, amount)
-        )
-        return rel
+            self.truth("finality_break", [esc.tx_hash, *released], id=flow_id, gap=gap,
+                       window=window)
+        if fanout > 1:
+            self.truth("replayed_id", released, id=flow_id, count=fanout)
 
     # -- anomaly injections --
-
-    def replay(self, base_release: _Tx, release: dict, fanout: int, native: bool) -> None:
-        p = self.params
-        hashes = [base_release.tx_hash]
-        for extra in range(fanout - 1):
-            ts = base_release.desired_ts + (extra + 1) * p.source.block_time
-            rel = self._release_tx(ts, self.attacker, native=native, **release)
-            hashes.append(rel.tx_hash)
-        self.ground_truth.append({
-            "kind": "replayed_id",
-            "expected_anomaly": "DuplicateId",
-            "tx_hashes": sorted(hashes),
-            "details": {"id": release["withdrawal_id"], "count": fanout},
-        })
 
     def forged_release(self, index: int, withdrawal_id: str) -> None:
         p = self.params
         ts = _BASE_TS + (self.params.n_deposits + index + 2) * p.source.block_time
         dst_token = self.rng.choice(self.erc20_pairs)[0]
-        rel = self._release_tx(
-            ts, self.attacker, native=False, withdrawal_id=withdrawal_id,
-            beneficiary=self.attacker, dst_token=dst_token, amount=self.rng.amount(),
-        )
-        self.ground_truth.append({
-            "kind": "forged_release",
-            "expected_anomaly": "UnmatchedLocalWithdrawal",
-            "tx_hashes": [rel.tx_hash],
-            "details": {"id": withdrawal_id},
-        })
+        amount = self.rng.amount()
+        rel = self.add_tx(p.source, ts, self.attacker, self.bridge_s, "0")
+        rel.event_facts += [
+            f.Erc20TransferFact(rel.tx_hash, p.source.chain_id, 1, dst_token,
+                                self.bridge_s, self.attacker, amount),
+            f.ScTokenWithdrewFact(rel.tx_hash, 2, withdrawal_id, self.attacker, dst_token, amount),
+        ]
+        self.truth("forged_release", [rel.tx_hash], id=withdrawal_id)
 
     def direct_transfer(self, index: int) -> None:
         p = self.params
@@ -566,12 +467,7 @@ class _Builder:
             f.Erc20TransferFact(tx.tx_hash, p.source.chain_id, 1, token,
                                 sender, self.bridge_s, amount)
         )
-        self.ground_truth.append({
-            "kind": "direct_transfer",
-            "expected_anomaly": "SingleTokenEvent",
-            "tx_hashes": [tx.tx_hash],
-            "details": {"amount": amount},
-        })
+        self.truth("direct_transfer", [tx.tx_hash], amount=amount)
 
     def orphan_bridge_event(self, deposit_id: str, index: int) -> None:
         p = self.params
@@ -583,12 +479,7 @@ class _Builder:
             f.ScTokenDepositedFact(tx.tx_hash, 1, deposit_id, benef, dst_token,
                                    orig_token, p.target.chain_id, "ERC20", self.rng.amount())
         )
-        self.ground_truth.append({
-            "kind": "orphan_bridge_event",
-            "expected_anomaly": "SingleBridgeEvent",
-            "tx_hashes": [tx.tx_hash],
-            "details": {"id": deposit_id},
-        })
+        self.truth("orphan_bridge_event", [tx.tx_hash], id=deposit_id)
 
     # -- assembly --
 
@@ -599,12 +490,14 @@ class _Builder:
         replayed = set(self.rng.sample_indexes(p.n_withdrawals, a.replayed_id))
         fanouts = iter(a.fanouts())
 
+        # deposits alternate ERC-20 and native escrows; withdrawals cycle
+        # through ERC-20 on both legs, a native escrow and a native release
         for i in range(p.n_deposits):
-            self.deposit(i, deposit_id=str(i + 1), break_finality=i in broken)
+            self.flow(_DEPOSIT, i, p.source, p.target, (None, p.source)[i % 2],
+                      break_finality=i in broken)
         for i in range(p.n_withdrawals):
-            rel_tx, release = self.withdrawal(i, withdrawal_id=str(i + 1))
-            if i in replayed:
-                self.replay(rel_tx, release, next(fanouts), native=(i % 3 == 2))
+            self.flow(_WITHDRAWAL, i, p.target, p.source, (None, p.target, p.source)[i % 3],
+                      fanout=next(fanouts) if i in replayed else 1)
         for i in range(a.forged_release):
             self.forged_release(i, withdrawal_id=str(p.n_withdrawals + i + 1))
         for i in range(a.direct_transfer):
@@ -612,43 +505,23 @@ class _Builder:
         for i in range(a.orphan_bridge_event):
             self.orphan_bridge_event(str(p.n_deposits + i + 1), i)
 
-        self._assign_blocks()
         config = _decoder_config(p, self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
-        store = self._materialize_store(BridgeDecoderConfig.from_json(config).static)
-        gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
-        txs = sorted(self.txs, key=lambda t: (t.chain_id, t.block_number))
-        return GeneratedScenario(params=p, store=store, ground_truth=gt,
-                                 config=config, _txs=txs)
-
-    def _assign_blocks(self) -> None:
-        per_chain: dict[int, list[_Tx]] = {}
-        for tx in self.txs:
-            per_chain.setdefault(tx.chain_id, []).append(tx)
-        for txs in per_chain.values():
-            txs.sort(key=lambda t: (t.desired_ts, t.seq))
-            for block_number, tx in enumerate(txs, start=1):
-                tx.block_number = block_number
-                tx.timestamp = tx.desired_ts
-
-    def _materialize_store(self, static_facts: tuple) -> FactStore:
+        decoder = BridgeDecoderConfig.from_json(config)
         store = FactStore()
-        store.insert_all(static_facts)
-        for tx in self.txs:
-            store.insert(
-                f.TransactionFact(
-                    timestamp=tx.timestamp,
-                    chain_id=tx.chain_id,
-                    tx_hash=tx.tx_hash,
-                    block_number=tx.block_number,
-                    from_address=tx.from_address,
-                    to_address=tx.to_address,
-                    value=tx.value,
-                    status=1,
-                    gas_used=tx.gas_used,
-                )
-            )
+        store.insert_all(decoder.static)
+        # blocks are numbered per chain in time order; the sort is stable,
+        # so transactions at the same time keep the order they were made in
+        txs, height = [], {}
+        for tx in sorted(self.txs, key=lambda t: (t.chain_id, t.timestamp)):
+            height[tx.chain_id] = height.get(tx.chain_id, 0) + 1
+            fact = f.TransactionFact(tx.timestamp, tx.chain_id, tx.tx_hash, height[tx.chain_id],
+                                     tx.from_address, tx.to_address, tx.value, 1, tx.gas_used)
+            store.insert(fact)
             store.insert_all(tx.event_facts)
-        return store.seal()
+            txs.append((fact, tx.event_facts))
+        gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
+        return GeneratedScenario(params=p, store=store.seal(), ground_truth=gt, config=config,
+                                 decoder=decoder, _txs=txs)
 
 
 def generate(params: ScenarioParams) -> GeneratedScenario:
@@ -679,14 +552,8 @@ def describe(params: ScenarioParams) -> dict:
         "SC_ValidERC20TokenWithdrawal": params.n_withdrawals + extra_releases + a.forged_release,
         "CCTX_ValidWithdrawal": params.n_withdrawals + extra_releases,
     }
-    anomalies = {
-        "FinalityViolation": a.finality_break,
-        "DuplicateId": a.replayed_id,
-        "AmbiguousMatch": a.replayed_id,
-        "UnmatchedLocalWithdrawal": a.forged_release,
-        "SingleTokenEvent": a.direct_transfer,
-        "SingleBridgeEvent": a.orphan_bridge_event,
-    }
+    anomalies = {EXPECTED_ANOMALY[kind]: getattr(a, kind) for kind in ANOMALY_KINDS}
+    anomalies["AmbiguousMatch"] = a.replayed_id  # one per replayed id, beside its DuplicateId
     return {
         "rule_counts": rules,
         "anomaly_counts": {k: v for k, v in sorted(anomalies.items()) if v},

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,60 @@ def test_bad_ingest_input_exits_two(tmp_path, capsys, target, edit, message):
     assert message in capsys.readouterr().err
 
 
+# (argument, edit of the file or directory it names, message): each exits 2
+# naming the file, and for receipts also the line
+UNREADABLE_INGEST_INPUTS = [
+    ("--receipts", lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\n\xff", 1)),
+     "receipts.jsonl:2: not UTF-8: invalid start byte"),
+    ("--config", lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
+     "decoder_config.json: not UTF-8: invalid start byte"),
+    ("--receipts", lambda p: (p.unlink(), p.mkdir()), "Is a directory: '{path}'"),
+    ("--out", lambda p: p.write_text("x"), "File exists: '{path}'"),
+]
+
+
+@pytest.mark.parametrize("argument, edit, message", UNREADABLE_INGEST_INPUTS,
+                         ids=["receipts-not-utf8", "config-not-utf8", "receipts-is-a-directory",
+                              "out-is-a-file"])
+def test_unreadable_ingest_input_exits_two(tmp_path, capsys, argument, edit, message):
+    sim = tmp_path / "sim"
+    run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+        "--out", str(sim), "--emit", "receipts")
+    paths = {"--receipts": sim / "receipts.jsonl", "--config": sim / "decoder_config.json",
+             "--out": tmp_path / "facts"}
+    edit(paths[argument])
+    capsys.readouterr()
+    argv = [arg for key, path in paths.items() for arg in (key, str(path))]
+    assert run("ingest", *argv) == EXIT_INPUT_ERROR
+    assert message.format(path=paths[argument]) in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, command):
+    sim, facts = tmp_path / "sim", tmp_path / "facts"
+    run("simulate", "--seed", "9", "--deposits", "3", "--withdrawals", "3",
+        "--out", str(sim), "--emit", "receipts")
+    ingest = ["ingest", "--receipts", str(sim / "receipts.jsonl"),
+              "--config", str(sim / "decoder_config.json"), "--out", str(facts)]
+    if command == "stats":
+        run(*ingest)
+    argv = ingest if command == "ingest" else ["stats", "--facts", str(facts)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bridgewatch.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CLEAN, proc.stderr
+    assert "error" not in proc.stderr.lower() and "Traceback" not in proc.stderr
+    assert (facts / "transaction.facts").exists()
+
+
 class TestPrices:
     def test_eval_with_price_table(self, tmp_path):
         facts = tmp_path / "facts"
@@ -265,13 +323,17 @@ class TestPrices:
         ([{"chain_id": 1, "token": "0x00", "usd_per_unit": "2", "decimals": 0}], "entry 0: token:"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "two", "decimals": 0}],
          "entry 0: 'usd_per_unit'"),
+        (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json: not UTF-8: invalid start byte"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"
         run("simulate", "--seed", "6", "--deposits", "1", "--withdrawals", "0",
             "--out", str(facts))
         prices_path = tmp_path / "prices.json"
-        prices_path.write_text(json.dumps(prices))
+        if isinstance(prices, bytes):
+            prices_path.write_bytes(prices)
+        else:
+            prices_path.write_text(json.dumps(prices))
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err

@@ -14,7 +14,7 @@ from bridgewatch.ingest import (
     ConfigError,
     IngestError,
     decode_receipt,
-    encode_erc20_transfer,
+    encode_receipt,
     ingest_jsonl,
 )
 from bridgewatch.scenario import ScenarioParams, generate
@@ -178,6 +178,14 @@ class TestDecodeReceipt:
         assert [type(x).__name__ for x in facts] == ["TransactionFact", "Erc20TransferFact"]
         assert warnings == [f"tx {H1} log 2 (sc_token_deposited): {warning}"]
 
+    def test_malformed_unread_topic_suppresses_bridge_fact(self):
+        log = deposited_log(2, beneficiary=pad_addr(U2))
+        log["topics"].append("0xzzzzzz")
+        facts, warnings = decode_receipt(make_receipt([transfer_log(1), log]), CONFIG)
+        assert [type(x).__name__ for x in facts] == ["TransactionFact", "Erc20TransferFact"]
+        assert warnings == [
+            f"tx {H1} log 2 (sc_token_deposited): topic 3 is not one 32-byte hex word"]
+
     def test_unknown_chain_is_config_error(self):
         receipt = make_receipt([], chain=7777)
         with pytest.raises(ConfigError, match="7777"):
@@ -272,8 +280,9 @@ class TestEncodeRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(ADDRESSES, ADDRESSES, ADDRESSES, UINT256, st.integers(0, 2**32))
     def test_decode_inverts_encode_for_transfers(self, token, src, dst, amount, index):
+        tx = f.TransactionFact(1000, S_CHAIN, H1, 7, U1, U2, "0", 1, 50_000)
         fact = f.Erc20TransferFact(H1, S_CHAIN, index, token, src, dst, amount)
-        assert decode_one(encode_erc20_transfer(fact)) == [fact]
+        assert decode_receipt(encode_receipt(tx, [fact], RT_CONFIG), RT_CONFIG) == ([tx, fact], [])
 
     def test_value_other_than_the_constant_is_refused(self):
         plan = next(p for p in RT_CONFIG.events.values()
@@ -389,7 +398,8 @@ def abi_read(plan, topics, data, address, tx_hash, event_index, chain_id):
     """A naive, strict ABI reader that shares no code with the compiled
     decoders: each field's exact 32-byte word, converted by its type, then
     the validating constructor. Returns ``(fact, None)``, or ``(None,
-    field)`` for the first field, in plan order, that cannot be read."""
+    field)`` for the first field, in plan order, that cannot be read, or
+    else ``(None, "topic N")`` for the first topic that is not one word."""
 
     def words(text):  # the 64-digit words of 0x-prefixed hex, or []
         if text[:2] != "0x" or len(text) % 64 != 2 or set(text[2:]) - set(HEX_DIGITS):
@@ -424,6 +434,9 @@ def abi_read(plan, topics, data, address, tx_hash, event_index, chain_id):
         if value is None:
             return None, name
         values[name] = value
+    for i, topic in enumerate(topics[1:], 1):
+        if len(words(topic)) != 1:
+            return None, f"topic {i}"
     known = {"tx_hash": tx_hash, "event_index": event_index, "chain_id": chain_id}
     fact_type = f.RELATIONS[plan.relation]
     values.update((name, known[name]) for name, _ in fact_type.COLUMNS if name not in values)
@@ -434,10 +447,11 @@ def abi_read(plan, topics, data, address, tx_hash, event_index, chain_id):
 
 
 # Fields that share a word: it must suit each of them, and it cannot
-# round-trip, as the encoder keeps the last field's value.
+# round-trip, as the encoder keeps the last field's value. Topic 1 is read
+# by no field.
 SHARED_WORDS = {"signature": "SharedWords(address)", "fact": "sc_token_deposited", "fields": {
     "deposit_id": {"data": 0, "type": "id"}, "amount": {"data": 0, "type": "uint"},
-    "beneficiary": {"topic": 1, "type": "address"}, "dst_token": {"topic": 1, "type": "address"},
+    "beneficiary": {"topic": 2, "type": "address"}, "dst_token": {"topic": 2, "type": "address"},
     "orig_token": {"data": 1, "type": "address"}, "dst_chain_id": {"data": 2, "type": "chain_id"},
     "standard": {"data": 2, "type": "enum", "labels": {"1": "ERC20", "2": "NATIVE"}},
 }}
@@ -463,7 +477,8 @@ class TestCompiledDecoder:
         assert plan.decode(*args) == expected
         # the receipt yields that fact, or one warning naming that field
         facts, warnings = decode_receipt(make_receipt([log], to=U1), MUTATION_CONFIG)
-        warning = f"tx {H1} log {fact.event_index} ({plan.relation}): {field}: "
+        warning = f"tx {H1} log {fact.event_index} ({plan.relation}): {field}"
+        warning += " is not one 32-byte hex word" if str(field).startswith("topic ") else ": "
         if plan is ingest._TRANSFER and len(args[0]) != 3:  # checked before the decoder runs
             expected, warning = None, f"tx {H1} log {fact.event_index}: Transfer with "
         if expected is None:

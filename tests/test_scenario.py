@@ -267,3 +267,42 @@ PINNED_RECEIPTS = [
 def test_receipt_bytes_are_pinned(tmp_path, params, digest):
     generate(params).write_receipts_jsonl(tmp_path / "receipts.jsonl")
     assert hashlib.sha256((tmp_path / "receipts.jsonl").read_bytes()).hexdigest() == digest
+
+
+def _dir_digest(path) -> str:
+    digest = hashlib.sha256()
+    for file in sorted(path.iterdir()):
+        digest.update(file.name.encode("utf-8") + b"\0" + file.read_bytes())
+    return digest.hexdigest()
+
+
+# sha256 of write_facts_dir (file names and bytes, in name order),
+# write_config and write_ground_truth for the two pinned scenarios and one
+# with uneven replay fan-outs
+PINNED_OUTPUTS = [
+    (PINNED_REPORTS[0][0],
+     "680b92447983c0b9adf1fccbd6301abc01290c49470bb4674fc6de70dbe2ffc2",
+     "d733c52774164faf494775fe5c9ee92a3281052e12e7efddc751d9ee14811161",
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (PINNED_REPORTS[1][0],
+     "4f6ddc91e61004211224ac63c1d2f0e1b2bcb8c8aaa0913e5dcc0f53451cb8ff",
+     "753a3002cdacf50bd46d9de946b436757da188f33abb7ea1954397e0fbb44c89",
+     "5b841cedc33908a8c3c874ee18db2d816457bfc4b252e848b2d71113d36f2415"),
+    (ScenarioParams(seed=13, n_deposits=20, n_withdrawals=20,
+                    anomalies=AnomalySpec(replayed_id=3, replay_fanouts=(2, 5, 9))),
+     "15d9775278a3bb59cc88c38e0e67ec3bde591475f4d57feb5c514c16e380a54a",
+     "c63089af5e16fd86f761efe2634e5f353c0a04bcb8c77f05263cbf3bb3e1f5e2",
+     "5237a9b81487e6555ab016781fc2542025613c6b299a7ae424b15981027f008e"),
+]
+
+
+@pytest.mark.parametrize("params,facts,config,truth", PINNED_OUTPUTS,
+                         ids=["clean", "all-attacks", "uneven-replays"])
+def test_generator_outputs_are_pinned(tmp_path, params, facts, config, truth):
+    generated = generate(params)
+    generated.write_facts_dir(tmp_path / "facts")
+    generated.write_config(tmp_path / "config.json")
+    generated.write_ground_truth(tmp_path / "ground_truth.json")
+    assert _dir_digest(tmp_path / "facts") == facts
+    assert hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest() == config
+    assert hashlib.sha256((tmp_path / "ground_truth.json").read_bytes()).hexdigest() == truth

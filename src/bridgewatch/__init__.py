@@ -10,7 +10,6 @@ reference evaluator for the rule engine.
 
 from .facts import FactStore, dump_facts_dir, load_facts_dir
 from .rules import RuleOutputs, eval_all
-from .scenario import AnomalySpec, ScenarioParams, describe, generate
 
 __version__ = "0.1.0"
 
@@ -20,9 +19,5 @@ __all__ = [
     "dump_facts_dir",
     "RuleOutputs",
     "eval_all",
-    "ScenarioParams",
-    "AnomalySpec",
-    "generate",
-    "describe",
     "__version__",
 ]

@@ -26,6 +26,8 @@ separately and is unaffected by that precedence.
 from __future__ import annotations
 
 import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -332,11 +334,17 @@ class LatencyStats:
         }
 
 
-def _two_decimals(value: Fraction) -> str:
+def _two_decimals(value: Fraction, sqrt: bool = False) -> str:
+    """``value``, or its square root, rounded to 60 significant digits and
+    then half-even to two decimals. A whole part too long for 60 digits
+    gets as many as it needs once rounded up, plus the two decimals."""
+    whole = abs(value.numerator) // value.denominator
+    if sqrt:
+        whole = math.isqrt(whole)
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = max(60, len(str(whole + 1)) + 2)
         dec = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(dec.quantize(Decimal("0.01")))
+        return str((dec.sqrt() if sqrt else dec).quantize(Decimal("0.01")))
 
 
 def latency_stats(cctxs: Iterable, prices: PriceTable | None = None) -> LatencyStats:
@@ -350,33 +358,32 @@ def latency_stats(cctxs: Iterable, prices: PriceTable | None = None) -> LatencyS
     items = list(cctxs)
     if not items:
         return LatencyStats(count=0)
-    latencies = sorted(c.dst_timestamp - c.orig_timestamp for c in items)
+    latencies = sorted([c.dst_timestamp - c.orig_timestamp for c in items])
     n = len(latencies)
-    mean = Fraction(sum(latencies), n)
-    variance = sum((Fraction(x) - mean) ** 2 for x in latencies) / n
-    with localcontext() as ctx:
-        ctx.prec = 60
-        std = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
-        std_str = str(std.quantize(Decimal("0.01")))
-    total_value = sum(int(c.amount) for c in items)
+    total = sum(latencies)
+    mean = Fraction(total, n)
+    # population variance sum((x - mean)^2) / n, kept in integers until the end
+    variance = Fraction(n * sum(x * x for x in latencies) - total * total, n * n)
     total_usd = None
     if prices is not None:
-        acc = Fraction(0)
+        amounts: dict[tuple[int, str], int] = defaultdict(int)  # (chain, token) -> summed amount
         for c in items:
-            entry = prices.get((c.orig_chain_id, c.orig_token))
-            if entry is None:
-                continue
-            usd_per_unit, decimals = entry
-            acc += Fraction(int(c.amount), 10**decimals) * Fraction(usd_per_unit)
+            amounts[c.orig_chain_id, c.orig_token] += int(c.amount)
+        acc = Fraction(0)
+        for key, amount in amounts.items():
+            entry = prices.get(key)
+            if entry is not None:
+                usd_per_unit, decimals = entry
+                acc += Fraction(amount, 10**decimals) * Fraction(usd_per_unit)
         total_usd = _two_decimals(acc)
     return LatencyStats(
         count=n,
         min=latencies[0],
         max=latencies[-1],
         avg=_two_decimals(mean),
-        std=std_str,
+        std=_two_decimals(variance, sqrt=True),
         median=latencies[(n - 1) // 2],
-        total_value=str(total_value),
+        total_value=str(sum(int(c.amount) for c in items)),
         total_usd=total_usd,
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -31,9 +32,7 @@ from .facts import (
     load_facts_dir,
 )
 from .ingest import ConfigError, IngestError, ingest_jsonl, load_config
-from .oracle import OracleSizeError, brute_force
 from .rules import RULE_NAMES, ConfigurationError, eval_all
-from .scenario import AnomalySpec, ParameterError, ScenarioParams, generate
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -43,6 +42,11 @@ EXIT_INTERNAL = 3
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _input_error(exc: Exception) -> int:
+    _progress(f"error: {exc}")
+    return EXIT_INPUT_ERROR
 
 
 def _output(text: str) -> None:
@@ -80,6 +84,8 @@ def _load_prices(path: str | None) -> analytics.PriceTable | None:
             entries = json.load(fh)
         except UnicodeDecodeError as exc:
             raise PriceTableError(f"{path}: not UTF-8: {exc.reason}") from exc
+        except json.JSONDecodeError as exc:
+            raise PriceTableError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise PriceTableError(f"{path}: expected a JSON list of price entries")
     table: dict[tuple[int, str], tuple[str, int]] = {}
@@ -119,9 +125,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    prices = _load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)
-    prices = _load_prices(args.prices)
     report = analytics.build_report(store, outputs, prices=prices)
     rendered = analytics.report_to_json(report)
     Path(args.out).write_text(rendered, encoding="utf-8")
@@ -135,16 +141,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    anomalies = AnomalySpec.from_spec_string(args.anomalies)
-    if args.replay_fanout is not None:
-        anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
-    params = ScenarioParams(
-        seed=args.seed,
-        n_deposits=args.deposits,
-        n_withdrawals=args.withdrawals,
-        anomalies=anomalies,
-    )
-    scenario = generate(params)
+    # imported here, not at the top, so that the other commands start faster
+    from .scenario import AnomalySpec, ParameterError, ScenarioParams, generate
+
+    try:
+        anomalies = AnomalySpec.from_spec_string(args.anomalies)
+        if args.replay_fanout is not None:
+            anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
+        params = ScenarioParams(
+            seed=args.seed,
+            n_deposits=args.deposits,
+            n_withdrawals=args.withdrawals,
+            anomalies=anomalies,
+        )
+        scenario = generate(params)
+    except ParameterError as exc:
+        return _input_error(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario.write_ground_truth(out_dir / "ground_truth.json")
@@ -159,11 +171,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .oracle import OracleSizeError, brute_force  # here, as scenario in cmd_simulate
+
     store = load_facts_dir(args.facts).seal()
-    outputs = eval_all(store)
+    try:
+        expected = {rule_id: brute_force(rule_id, store) for rule_id in RULE_NAMES}
+    except OracleSizeError as exc:
+        return _input_error(exc)
     diffs = []
-    for rule_id, engine_set in outputs.by_rule().items():
-        oracle_set = brute_force(rule_id, store)
+    for rule_id, engine_set in eval_all(store).by_rule().items():
+        oracle_set = expected[rule_id]
         if engine_set != oracle_set:
             for tup in sorted(oracle_set - engine_set):
                 diffs.append(f"{RULE_NAMES[rule_id]}: engine missing {tup}")
@@ -179,9 +196,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    prices = _load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)
-    prices = _load_prices(args.prices)
     stats = {
         "deposits": analytics.latency_stats(outputs.rule4, prices).as_dict(),
         "withdrawals": analytics.latency_stats(outputs.rule8, prices).as_dict(),
@@ -235,6 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Facts, store indexes and rule tuples hold no reference cycles, so the
+    # cyclic collector would only re-walk them: reference counting frees them.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (
@@ -244,16 +265,15 @@ def main(argv: list[str] | None = None) -> int:
         IngestError,
         ConfigError,
         ConfigurationError,
-        ParameterError,
-        OracleSizeError,
         PriceTableError,
-        json.JSONDecodeError,
     ) as exc:
-        _progress(f"error: {exc}")
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
     except Exception as exc:  # pragma: no cover - defensive
         _progress(f"internal error: {exc.__class__.__name__}: {exc}")
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -285,6 +285,8 @@ def load_config(path: str | Path) -> BridgeDecoderConfig:
             obj = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return BridgeDecoderConfig.from_json(obj)
 
 

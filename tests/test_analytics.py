@@ -9,7 +9,10 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from bridgewatch import analytics, facts as f, rules
 from conftest import (
@@ -300,6 +303,46 @@ class TestLatencyStats:
     def test_no_price_table_gives_null_usd(self):
         stats = analytics.latency_stats([self.cctx(0, 100)])
         assert stats.total_usd is None
+
+    def test_values_beyond_sixty_digits_render_in_full(self):
+        amount = 2**256 - 1
+        stats = analytics.latency_stats(
+            [self.cctx(0, 0, amount=str(amount)), self.cctx(0, 2 * 10**70)],
+            prices={(S_CHAIN, AA): ("1", 0)},
+        )
+        assert stats.total_usd == f"{amount + 10}.00"
+        assert stats.avg == f"{10**70}.00"
+        assert stats.std == f"{10**70}.00"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_a_per_item_fraction_reference(self, data):
+        keys = [(chain, token) for chain in (S_CHAIN, T_CHAIN) for token in (AA, CC, addr("dd"))]
+        timestamps = st.integers(0, 2**40)  # dst before orig gives a negative latency
+        items = data.draw(st.lists(st.builds(
+            lambda orig, dst, amount, key: rules.CctxValidDeposit(
+                key[0], orig, H1, T_CHAIN, dst, H2, "1", key[1], CC, U1, U2, str(amount)),
+            timestamps, timestamps, st.integers(0, 2**256 - 1), st.sampled_from(keys),
+        ), min_size=1, max_size=40))
+        usd = st.decimals(min_value=0, max_value=10**9, places=6).map(str)
+        prices = data.draw(st.dictionaries(  # prices some of the tokens drawn, not all
+            st.sampled_from(keys[:-1]), st.tuples(usd, st.integers(0, 40)), max_size=4))
+
+        latencies = sorted(c.dst_timestamp - c.orig_timestamp for c in items)
+        mean = Fraction(sum(latencies), len(latencies))
+        variance = sum((Fraction(x) - mean) ** 2 for x in latencies) / len(latencies)
+        usd_total = Fraction(0)
+        for c in items:
+            if (c.orig_chain_id, c.orig_token) in prices:
+                per_unit, decimals = prices[c.orig_chain_id, c.orig_token]
+                usd_total += Fraction(int(c.amount), 10**decimals) * Fraction(per_unit)
+
+        stats = analytics.latency_stats(items, prices)
+        assert stats.avg == analytics._two_decimals(mean)
+        assert stats.std == analytics._two_decimals(variance, sqrt=True)
+        assert stats.median == latencies[(len(latencies) - 1) // 2]
+        assert stats.total_value == str(sum(int(c.amount) for c in items))
+        assert stats.total_usd == analytics._two_decimals(usd_total)
 
 
 class TestReport:

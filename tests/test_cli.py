@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bridgewatch import cli, oracle
 from bridgewatch.cli import (
     EXIT_ANOMALIES,
     EXIT_CLEAN,
@@ -72,6 +74,14 @@ class TestSimulateEval:
 
 
 class TestCheck:
+    def test_store_above_the_reference_limit_exits_two(self, tmp_path, capsys):
+        facts = tmp_path / "facts"
+        assert run("simulate", "--seed", "4", "--deposits", "1000", "--withdrawals", "1000",
+                   "--out", str(facts)) == EXIT_CLEAN
+        capsys.readouterr()
+        assert run("check", "--facts", str(facts)) == EXIT_INPUT_ERROR
+        assert f"oracle limit is {oracle.MAX_FACTS}" in capsys.readouterr().err
+
     def test_check_passes_on_generated_facts(self, tmp_path, capsys):
         facts = tmp_path / "facts"
         run("simulate", "--seed", "3", "--deposits", "4", "--withdrawals", "4",
@@ -212,6 +222,8 @@ BAD_INGEST_INPUTS = [
      "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from '\u0663'"),
     ("receipts", lambda r: r.pop("logs"), "receipts.jsonl:1: receipt missing field 'logs'"),
     ("receipts", lambda r: first_log(r).pop("data"), "receipts.jsonl:1: log entry missing field 'data'"),
+    ("config text", lambda text: "{bad",
+     "decoder_config.json: not valid JSON: Expecting property name enclosed in double quotes"),
 ]
 
 
@@ -225,6 +237,8 @@ def test_bad_ingest_input_exits_two(tmp_path, capsys, target, edit, message):
         config = json.loads(config_path.read_text())
         edit(config)
         config_path.write_text(json.dumps(config))
+    elif target == "config text":
+        config_path.write_text(edit(config_path.read_text()))
     else:
         first, *rest = receipts_path.read_text().splitlines(keepends=True)
         receipt = json.loads(first)
@@ -324,6 +338,7 @@ class TestPrices:
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "two", "decimals": 0}],
          "entry 0: 'usd_per_unit'"),
         (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json: not UTF-8: invalid start byte"),
+        (b"{bad", "prices.json: not valid JSON: Expecting property name enclosed in double quotes"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"
@@ -337,3 +352,71 @@ class TestPrices:
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    def test_price_table_is_read_before_the_facts(self, tmp_path, capsys, command):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "6", "--deposits", "1", "--withdrawals", "0",
+            "--out", str(facts))
+        (facts / "transaction.facts").write_text("not a row\n")
+        prices_path = tmp_path / "prices.json"
+        prices_path.write_text("{bad")
+        out = ["--out", str(tmp_path / "r.json")] if command == "eval" else []
+        capsys.readouterr()
+        assert run(command, "--facts", str(facts), *out,
+                   "--prices", str(prices_path)) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "prices.json: not valid JSON" in err and "transaction.facts" not in err
+
+
+class TestCollector:
+    """Each command runs with the cyclic collector off and leaves it as it
+    found it, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("anomalies, broken, expected", [
+        ("", False, EXIT_CLEAN),
+        ("forged_release=2", False, EXIT_ANOMALIES),
+        ("", True, EXIT_INPUT_ERROR),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_eval_runs_without_it_and_restores_it(self, tmp_path, monkeypatch, enabled,
+                                                   anomalies, broken, expected):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "2", "--deposits", "5", "--withdrawals", "5",
+            "--anomalies", anomalies, "--out", str(facts))
+        if broken:
+            (facts / "transaction.facts").write_text("not a row\n")
+        during = []
+        eval_all = cli.eval_all
+        monkeypatch.setattr(cli, "eval_all", lambda store: during.append(gc.isenabled())
+                            or eval_all(store))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == expected
+        assert after is enabled
+        assert during == ([] if broken else [False])
+
+
+@pytest.mark.parametrize("command", ["eval", "ingest"])
+def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
+    sim = tmp_path / "sim"
+    run("simulate", "--seed", "9", "--deposits", "3", "--withdrawals", "3",
+        "--out", str(sim), "--emit", "receipts")
+    ingest = ["ingest", "--receipts", str(sim / "receipts.jsonl"),
+              "--config", str(sim / "decoder_config.json"), "--out", str(tmp_path / "facts")]
+    if command == "eval":
+        run(*ingest)
+    argv = ingest if command == "ingest" else [
+        "eval", "--facts", str(tmp_path / "facts"), "--out", str(tmp_path / "r.json")]
+    script = ("import sys; from bridgewatch import cli; code = cli.main(sys.argv[1:]); "
+              "print(sorted(m for m in ('bridgewatch.scenario', 'bridgewatch.oracle') "
+              "if m in sys.modules)); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == EXIT_CLEAN, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -29,17 +29,19 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .facts import FactStore
+from .facts import MAX_UINT256, EncodingError, FactStore, InputError, canonical_address, read_json
 from .rules import RULE_NAMES, RuleOutputs
 
 __all__ = [
     "Anomaly",
     "LatencyStats",
     "PriceTable",
+    "PriceTableError",
+    "load_prices",
     "local_mismatches",
     "unmatched_local",
     "finality_violations",
@@ -310,6 +312,66 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs | None = None) -> list[
 PriceTable = Mapping[tuple[int, str], tuple[str, int]]  # (chain, token) -> (usd per unit, decimals)
 
 
+class PriceTableError(InputError):
+    """Malformed price table (names the file, entry index and key)."""
+
+
+_PRICE_KEYS = ("chain_id", "token", "usd_per_unit", "decimals")
+_MAX_DECIMALS = 255  # an ERC-20 token's decimals is a uint8
+_MAX_EXPONENT = 78  # a nonzero usd_per_unit is at least 1e-78 and below 1e79
+
+
+def _check_price(usd, where: str) -> None:
+    """Raise unless ``usd`` is a number whose magnitude is zero or in the
+    exponent range."""
+    magnitude = None
+    if not isinstance(usd, bool) and isinstance(usd, (str, int, float)):
+        text = str(usd)
+        try:
+            # Decimal reads any exponent at once; Fraction("1e10000000") alone takes seconds
+            if "/" in text or abs(Decimal(text).adjusted()) <= _MAX_EXPONENT:
+                magnitude = abs(Fraction(text))
+            else:
+                magnitude = math.inf
+        except (ArithmeticError, ValueError):  # decimal.InvalidOperation and ZeroDivisionError too
+            pass
+    if magnitude is None:
+        raise PriceTableError(f"{where}: 'usd_per_unit' is not a number: {usd!r}")
+    if magnitude and not Fraction(1, 10**_MAX_EXPONENT) <= magnitude < 10 ** (_MAX_EXPONENT + 1):
+        raise PriceTableError(f"{where}: 'usd_per_unit' must be 0 or of magnitude "
+                              f"1e-{_MAX_EXPONENT} to below 1e{_MAX_EXPONENT + 1}, got {usd!r}")
+
+
+def load_prices(path: str | None) -> PriceTable | None:
+    """The price table in the JSON file ``path``, or None without a path."""
+    if path is None:
+        return None
+    entries = read_json(path, PriceTableError)
+    if not isinstance(entries, list):
+        raise PriceTableError(f"{path}: expected a JSON list of price entries")
+    table: dict[tuple[int, str], tuple[str, int]] = {}
+    for i, entry in enumerate(entries):
+        where = f"{path}: entry {i}"
+        if not isinstance(entry, dict):
+            raise PriceTableError(f"{where}: expected an object with keys {', '.join(_PRICE_KEYS)}")
+        for key in _PRICE_KEYS:
+            if key not in entry:
+                raise PriceTableError(f"{where}: missing key {key!r}")
+        chain_id, token, usd, decimals = (entry[key] for key in _PRICE_KEYS)
+        if not (type(chain_id) is int and 0 < chain_id <= MAX_UINT256):  # not a bool
+            raise PriceTableError(f"{where}: 'chain_id' must be a positive uint256, got {chain_id!r}")
+        if not (type(decimals) is int and 0 <= decimals <= _MAX_DECIMALS):
+            raise PriceTableError(
+                f"{where}: 'decimals' must be an integer from 0 to {_MAX_DECIMALS}, got {decimals!r}")
+        try:
+            token = canonical_address(token, "token")
+        except EncodingError as exc:
+            raise PriceTableError(f"{where}: {exc}") from exc
+        _check_price(usd, where)
+        table[(chain_id, token)] = (str(usd), decimals)
+    return table
+
+
 @dataclass(frozen=True)
 class LatencyStats:
     count: int
@@ -335,16 +397,18 @@ class LatencyStats:
 
 
 def _two_decimals(value: Fraction, sqrt: bool = False) -> str:
-    """``value``, or its square root, rounded to 60 significant digits and
-    then half-even to two decimals. A whole part too long for 60 digits
-    gets as many as it needs once rounded up, plus the two decimals."""
-    whole = abs(value.numerator) // value.denominator
-    if sqrt:
-        whole = math.isqrt(whole)
-    with localcontext() as ctx:
-        ctx.prec = max(60, len(str(whole + 1)) + 2)
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-        return str((dec.sqrt() if sqrt else dec).quantize(Decimal("0.01")))
+    """``value``, or its square root, rounded half-even to two decimals in
+    exact integer arithmetic. A negative value keeps its sign, as ``-0.00``."""
+    n, d = abs(value.numerator), value.denominator
+    if sqrt:  # hundredths below the root, and its square against (hundredths + 1/2)**2
+        hundredths = math.isqrt(10000 * n // d)
+        excess = 40000 * n - d * (2 * hundredths + 1) ** 2
+    else:
+        hundredths, rest = divmod(100 * n, d)
+        excess = 2 * rest - d
+    if excess > 0 or excess == 0 and hundredths % 2:
+        hundredths += 1
+    return f"{'-' * (value < 0)}{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def latency_stats(cctxs: Iterable, prices: PriceTable | None = None) -> LatencyStats:

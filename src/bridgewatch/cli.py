@@ -7,8 +7,8 @@ against the brute-force evaluator, and ``stats`` prints latency/value
 statistics. Machine-readable output goes to stdout or files; progress and
 diagnostics go to stderr.
 
-Exit codes: 0 clean, 1 anomalies found, 2 input/config error, 3 internal
-error.
+Exit codes: 0 clean, 1 anomalies found, 2 input/config error (an
+``InputError`` or ``OSError``), 3 internal error.
 """
 
 from __future__ import annotations
@@ -19,20 +19,12 @@ import gc
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import analytics
-from .facts import (
-    EncodingError,
-    FactsParseError,
-    FactStoreError,
-    canonical_address,
-    dump_facts_dir,
-    load_facts_dir,
-)
-from .ingest import ConfigError, IngestError, ingest_jsonl, load_config
-from .rules import RULE_NAMES, ConfigurationError, eval_all
+from .facts import InputError, dump_facts_dir, load_facts_dir
+from .ingest import ingest_jsonl, load_config
+from .rules import RULE_NAMES, eval_all
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -59,58 +51,6 @@ def _output(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-class PriceTableError(ValueError):
-    """Malformed price table (names the file, entry index and key)."""
-
-
-_PRICE_KEYS = ("chain_id", "token", "usd_per_unit", "decimals")
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        return False
-    try:
-        Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
-def _load_prices(path: str | None) -> analytics.PriceTable | None:
-    if path is None:
-        return None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise PriceTableError(f"{path}: not UTF-8: {exc.reason}") from exc
-        except json.JSONDecodeError as exc:
-            raise PriceTableError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(entries, list):
-        raise PriceTableError(f"{path}: expected a JSON list of price entries")
-    table: dict[tuple[int, str], tuple[str, int]] = {}
-    for i, entry in enumerate(entries):
-        where = f"{path}: entry {i}"
-        if not isinstance(entry, dict):
-            raise PriceTableError(f"{where}: expected an object with keys {', '.join(_PRICE_KEYS)}")
-        for key in _PRICE_KEYS:
-            if key not in entry:
-                raise PriceTableError(f"{where}: missing key {key!r}")
-        chain_id, token, usd, decimals = (entry[key] for key in _PRICE_KEYS)
-        if isinstance(chain_id, bool) or not isinstance(chain_id, int) or chain_id <= 0:
-            raise PriceTableError(f"{where}: 'chain_id' must be a positive integer, got {chain_id!r}")
-        if isinstance(decimals, bool) or not isinstance(decimals, int) or decimals < 0:
-            raise PriceTableError(f"{where}: 'decimals' must be a non-negative integer, got {decimals!r}")
-        try:
-            token = canonical_address(token, "token")
-        except EncodingError as exc:
-            raise PriceTableError(f"{where}: {exc}") from exc
-        if not _is_number(usd):
-            raise PriceTableError(f"{where}: 'usd_per_unit' is not a number: {usd!r}")
-        table[(chain_id, token)] = (str(usd), decimals)
-    return table
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     store, report = ingest_jsonl(args.receipts, config)
@@ -125,7 +65,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    prices = _load_prices(args.prices)
+    prices = analytics.load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)
     report = analytics.build_report(store, outputs, prices=prices)
@@ -142,21 +82,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # imported here, not at the top, so that the other commands start faster
-    from .scenario import AnomalySpec, ParameterError, ScenarioParams, generate
+    from .scenario import AnomalySpec, ScenarioParams, generate
 
-    try:
-        anomalies = AnomalySpec.from_spec_string(args.anomalies)
-        if args.replay_fanout is not None:
-            anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
-        params = ScenarioParams(
-            seed=args.seed,
-            n_deposits=args.deposits,
-            n_withdrawals=args.withdrawals,
-            anomalies=anomalies,
-        )
-        scenario = generate(params)
-    except ParameterError as exc:
-        return _input_error(exc)
+    anomalies = AnomalySpec.from_spec_string(args.anomalies)
+    if args.replay_fanout is not None:
+        anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
+    scenario = generate(ScenarioParams(
+        seed=args.seed,
+        n_deposits=args.deposits,
+        n_withdrawals=args.withdrawals,
+        anomalies=anomalies,
+    ))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario.write_ground_truth(out_dir / "ground_truth.json")
@@ -196,7 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    prices = _load_prices(args.prices)
+    prices = analytics.load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)
     stats = {
@@ -258,15 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (
-        OSError,  # a path that cannot be read or written, as a directory given for a file
-        FactsParseError,
-        FactStoreError,
-        IngestError,
-        ConfigError,
-        ConfigurationError,
-        PriceTableError,
-    ) as exc:
+    # OSError: a path that cannot be read or written, as a directory given for a file
+    except (OSError, InputError) as exc:
         return _input_error(exc)
     except Exception as exc:  # pragma: no cover - defensive
         _progress(f"internal error: {exc.__class__.__name__}: {exc}")

@@ -11,6 +11,7 @@ Facts are immutable, hashable values with canonical field encodings:
 * addresses: ``0x`` + 40 lowercase hex digits
 * transaction hashes: ``0x`` + 64 lowercase hex digits
 * amounts: base-10 strings over unsigned 256-bit integers, no leading zeros
+* other integers: unsigned and at most 2**256 - 1, too (:func:`uint_text`)
 * identifiers (deposit/withdrawal ids, token standards): opaque strings,
   compared by equality, free of tabs and newlines
 
@@ -29,13 +30,16 @@ relation, compatible with common Datalog engine fact-file layouts.
 
 from __future__ import annotations
 
+import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 __all__ = [
+    "InputError",
     "EncodingError",
     "FactsParseError",
     "FactStoreError",
@@ -57,6 +61,10 @@ __all__ = [
     "canonical_address",
     "canonical_tx_hash",
     "canonical_amount",
+    "uint_text",
+    "reading_utf8",
+    "read_json",
+    "long_integer",
     "load_facts_dir",
     "dump_facts_dir",
 ]
@@ -65,7 +73,13 @@ MAX_UINT256 = (1 << 256) - 1
 
 _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}\Z")
 _TX_HASH_RE = re.compile(r"0x[0-9a-f]{64}\Z")
-_DECIMAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
+# negative text parses, to be refused by name
+_INT_TEXT = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+
+
+class InputError(ValueError):
+    """The base of every error that bad input raises. Each names where the
+    input is wrong: file and line, receipt line, or config key."""
 
 
 class EncodingError(ValueError):
@@ -76,13 +90,8 @@ class EncodingError(ValueError):
         self.field = field
 
 
-class FactsParseError(ValueError):
-    """A ``.facts`` file line could not be parsed (carries file and line)."""
-
-    def __init__(self, path: Path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
+class FactsParseError(InputError):
+    """A ``.facts`` file line could not be parsed (names file and line)."""
 
 
 class FactStoreError(RuntimeError):
@@ -111,23 +120,31 @@ def canonical_tx_hash(value: str, field: str = "tx_hash") -> str:
 
 def canonical_amount(value: str | int, field: str = "amount") -> str:
     """Validate a 256-bit unsigned amount, returned as a decimal string."""
-    if isinstance(value, int):
-        if value < 0 or value > MAX_UINT256:
-            raise EncodingError(field, f"amount out of uint256 range: {value}")
-        return str(value)
-    if not isinstance(value, str) or not _DECIMAL_RE.match(value):
-        raise EncodingError(field, f"not a canonical decimal amount: {value!r}")
-    if int(value) > MAX_UINT256:
-        raise EncodingError(field, f"amount out of uint256 range: {value}")
-    return value
+    if isinstance(value, str):
+        uint_text(value, field)
+        return value
+    return str(_uint(value, field))
 
 
 def _uint(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise EncodingError(field, f"expected unsigned integer, got {value!r}")
     if value < 0:
-        raise EncodingError(field, f"must be non-negative: {value}")
+        raise EncodingError(field, f"negative value {value}")
+    if value > MAX_UINT256:  # not shown: it may have more digits than str() converts
+        raise EncodingError(field, "out of uint256 range")
     return value
+
+
+def uint_text(text: str, field: str) -> int:
+    """The value of unsigned-integer text: ASCII decimal digits without
+    sign or leading zero, within uint256. Every input format reads its
+    integer text by this one rule."""
+    if not isinstance(text, str) or not _INT_TEXT.match(text):
+        raise EncodingError(field, f"cannot parse unsigned integer from {text!r}")
+    if len(text) > 78:  # more digits than uint256, and maybe than int() converts
+        raise EncodingError(field, "out of uint256 range")
+    return _uint(int(text), field)
 
 
 def _chain_id(value, field: str) -> int:
@@ -156,13 +173,6 @@ def _opaque(value, field: str) -> str:
     return value
 
 
-def _decimal(text: str, field: str) -> int:
-    """Parse an integer column of a ``.facts`` file: ASCII digits only."""
-    if not _DECIMAL_RE.match(text):
-        raise EncodingError(field, f"not a canonical unsigned integer: {text!r}")
-    return int(text)
-
-
 class _Kind(NamedTuple):
     """The encoding of one column kind."""
 
@@ -174,20 +184,21 @@ class _Kind(NamedTuple):
 
 _INT = "int({v})"
 _HEX = "0[xX][0-9a-fA-F]"
-_DECIMAL = "0|[1-9][0-9]*"
+# Integers of at most 77 digits, all within uint256; a longer one makes its
+# row take the checked path of load_facts_dir.
+_DECIMAL = "0|[1-9][0-9]{0,76}"
 
 # Column kinds, named by the annotations of the fact classes. Hex text may
 # be mixed-case on disk; it is lowercased on load as in the constructor.
 _KINDS = {
     "Address": _Kind(canonical_address, _HEX + "{40}", "{v}.lower()"),
     "TxHash": _Kind(canonical_tx_hash, _HEX + "{64}", "{v}.lower()"),
-    # below 78 digits an amount is within uint256 without converting it
-    "Amount": _Kind(canonical_amount, _DECIMAL, "({v} if len({v}) < 78 else _amount({v}, '{v}'))"),
+    "Amount": _Kind(canonical_amount, _DECIMAL, "{v}"),
     "Opaque": _Kind(_opaque, "[^\t\n\r]*", "{v}"),
     "Uint": _Kind(_uint, _DECIMAL, _INT),
-    "ChainId": _Kind(_chain_id, "[1-9][0-9]*", _INT),
+    "ChainId": _Kind(_chain_id, "[1-9][0-9]{0,76}", _INT),
     "Status": _Kind(_status, "[01]", _INT),
-    "Positive": _Kind(_positive, "[1-9][0-9]*", _INT),
+    "Positive": _Kind(_positive, "[1-9][0-9]{0,76}", _INT),
 }
 _KINDS = {name: kind._replace(name=name) for name, kind in _KINDS.items()}
 
@@ -226,7 +237,7 @@ def _relation(cls):
     # annotations are strings (``from __future__ import annotations``)
     cls.COLUMNS = tuple((f.name, _KINDS[f.type]) for f in fields(cls))
     names = [name for name, _ in cls.COLUMNS]
-    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_amount": canonical_amount}
+    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
     init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
     for name, kind in cls.COLUMNS:
         env[f"_set_{name}"] = getattr(cls, name).__set__
@@ -572,17 +583,20 @@ class FactStore:
         return self
 
 
-def _reject(fact_type: type[_Fact], line: str) -> NoReturn:
-    """Raise the error for a line the relation's row matcher rejected,
-    naming the first column whose text the kind's codec refuses."""
+def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
+    """The fact of a line that the relation's row pattern did not match,
+    built by each column kind's codec. Such a line holds an integer longer
+    than the pattern admits, or text that a codec refuses: the error names
+    the first such column."""
     cols = line.removesuffix("\n").split("\t")
     if len(cols) != len(fact_type.COLUMNS):
         raise EncodingError(
             fact_type.RELATION, f"expected {len(fact_type.COLUMNS)} columns, got {len(cols)}"
         )
-    for (name, kind), text in zip(fact_type.COLUMNS, cols):
-        kind.check(_decimal(text, name) if kind.load == _INT else text, name)
-    raise EncodingError(fact_type.RELATION, f"row not in canonical form: {line!r}")
+    return fact_type._unchecked(*(
+        kind.check(uint_text(text, name) if kind.load == _INT else text, name)
+        for (name, kind), text in zip(fact_type.COLUMNS, cols)
+    ))
 
 
 def load_facts_dir(path: str | Path) -> FactStore:
@@ -603,7 +617,8 @@ def load_facts_dir(path: str | Path) -> FactStore:
         match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
         # the store is new, so only cctx_finality needs insert()'s conflict check
         insert = store.insert if fact_type is CctxFinalityFact else store._relations[name].add
-        with open(file_path, encoding="utf-8", newline="") as fh:
+        with (open(file_path, encoding="utf-8", newline="") as fh,
+              reading_utf8(file_path, FactsParseError)):
             line_no = 0
             try:
                 for line_no, line in enumerate(fh, start=1):
@@ -611,25 +626,65 @@ def load_facts_dir(path: str | Path) -> FactStore:
                     if m is not None:
                         insert(build(m.groups()))
                     elif line != "\n":
-                        _reject(fact_type, line)
+                        insert(_checked_row(fact_type, line))
             except (EncodingError, FactStoreError) as exc:
-                raise FactsParseError(file_path, line_no, str(exc)) from exc
-            except UnicodeDecodeError as exc:  # raised per read chunk, so find the line
-                raise FactsParseError(
-                    file_path, _first_non_utf8_line(file_path), f"not UTF-8: {exc.reason}"
-                ) from exc
+                raise FactsParseError(f"{file_path}:{line_no}: {exc}") from exc
     return store
 
 
-def _first_non_utf8_line(path: Path) -> int:
-    # no multi-byte UTF-8 sequence contains b"\n", so some line fails alone
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    raise AssertionError(f"{path} decodes as UTF-8 line by line")
+@contextmanager
+def reading_utf8(path: str | Path, error: Callable[[str], InputError],
+                 by_line: bool = True) -> Iterator[None]:
+    """Turn text read from ``path`` inside the block that is not UTF-8
+    into ``error``, naming the file and, ``by_line``, its first line that
+    is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        where = path
+        if by_line:  # raised per read chunk; no multi-byte sequence holds b"\n"
+            with open(path, "rb") as fh:
+                try:
+                    for line_no, raw in enumerate(fh, start=1):
+                        raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    where = f"{path}:{line_no}"
+        raise error(f"{where}: not UTF-8: {exc.reason}") from exc
+
+
+def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
+    """The JSON document in the file ``path``. A file that is not UTF-8 or
+    not JSON, or that holds an integer too long to convert, raises
+    ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fh, reading_utf8(path, error, by_line=False):
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise error(f"{path}: {long_integer(text)}") from exc
+
+
+def long_integer(text: str) -> str:
+    """Name the first integer of the JSON ``text`` that is longer than any
+    uint256, by its key path (``logs[0].logIndex: out of uint256 range``).
+    For text that ``json.loads`` refused with a plain ``ValueError``."""
+    too_long = object()
+    stack: list[tuple[str, Any]] = [
+        ("", json.loads(text, parse_int=lambda digits: too_long if len(digits) > 78 else 0))
+    ]
+    while stack:
+        key, value = stack.pop()
+        if value is too_long:
+            return f"{key or 'document'}: out of uint256 range"
+        if isinstance(value, dict):
+            stack += reversed([(f"{key}.{k}" if key else k, v) for k, v in value.items()])
+        elif isinstance(value, list):
+            stack += reversed([(f"{key}[{i}]", v) for i, v in enumerate(value)])
+    raise AssertionError("the JSON text holds no integer longer than 78 digits")
 
 
 def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:

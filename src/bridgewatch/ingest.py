@@ -10,6 +10,9 @@ without code changes. A config JSON document provides:
   keccak-256) -> target bridge relation plus a declarative field
   extraction plan over the log's topics and data words.
 
+Any other key, at the top level, in a chain or in an event entry, is a
+``ConfigError``, so that a misspelt key cannot silently drop a table.
+
 Field extraction plan entries::
 
     {"topic": N, "type": T}        value from topics[N]
@@ -84,35 +87,25 @@ _DECODABLE = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
               "sc_token_withdrew", "sc_withdrawal")
 
 
-class IngestError(ValueError):
+class IngestError(f.InputError):
     """Malformed receipt input (carries file/line context in the message)."""
 
 
-class ConfigError(ValueError):
+class ConfigError(f.InputError):
     """Malformed or incomplete decoder configuration."""
 
 
-# A JSON integer in text: 0x-hex, or canonical ASCII decimal (negative
-# decimals parse, to be refused by name)
-_UINT_TEXT = re.compile(r"(0x[0-9a-fA-F]+|0|-?[1-9][0-9]*)\Z")
+_HEX_UINT = re.compile(r"0x[0-9a-fA-F]+\Z")
 
 
 def _as_uint(value: Any, name: str) -> int:
-    if type(value) is int and value >= 0:  # the common case first
+    """A receipt integer: a JSON integer, ``0x`` hex text or decimal text
+    by the facts' integer rule, within uint256. Raises ``EncodingError``."""
+    if type(value) is int and 0 <= value <= f.MAX_UINT256:  # the common case first
         return value
-    if isinstance(value, bool):
-        raise IngestError(f"{name}: expected unsigned integer, got bool")
-    if isinstance(value, str) and _UINT_TEXT.match(value):
-        value = int(value, 0)
-    if isinstance(value, int):
-        if value < 0:
-            raise IngestError(f"{name}: negative value {value}")
-        return value
-    raise IngestError(f"{name}: cannot parse unsigned integer from {value!r}")
-
-
-def _as_amount(value: Any, name: str) -> str:
-    return f.canonical_amount(_as_uint(value, name), name)
+    if isinstance(value, str) and _HEX_UINT.match(value):
+        value = int(value, 16)  # no digit limit in a power-of-two base
+    return f.uint_text(value, name) if isinstance(value, str) else f._uint(value, name)
 
 
 @dataclass(frozen=True)
@@ -134,21 +127,25 @@ class BridgeDecoderConfig:
         ``ConfigError`` naming the chain key, event field or table row."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
+        _known_keys(obj, "config", "chains", "events", "token_mappings", "wrapped_native_tokens")
         chains: dict[int, ChainConfig] = {}
         static: list = []
         for key, spec in _table(obj, "chains", dict).items():
-            if not _CHAIN_KEY.match(key):
-                raise ConfigError(f"chains: key {key!r} is not a positive integer chain id")
-            chain_id = int(key)
+            try:
+                chain_id = f._chain_id(f.uint_text(key, "chains"), "chains")
+            except f.EncodingError as exc:
+                raise ConfigError(
+                    f"chains: key {key!r} is not a positive integer chain id") from exc
             if not isinstance(spec, dict):
                 raise ConfigError(f"chain {chain_id}: expected an object")
+            _known_keys(spec, f"chain {chain_id}", "role", "finality_seconds", "bridge_addresses")
             role = spec.get("role", "source")
             if role not in ("source", "target"):
                 raise ConfigError(f"chain {chain_id}: role must be source|target")
             try:
                 static.append(f.CctxFinalityFact(chain_id, spec.get("finality_seconds")))
-                bridges = [f.BridgeControlledAddressFact(chain_id, a)
-                           for a in spec.get("bridge_addresses", [])]
+                bridges = [f.BridgeControlledAddressFact(chain_id, a) for a in
+                           _table(spec, "bridge_addresses", list, f"chain {chain_id}: ")]
             except f.EncodingError as exc:
                 raise ConfigError(f"chain {chain_id}: {exc}") from exc
             static += bridges
@@ -160,13 +157,17 @@ class BridgeDecoderConfig:
         for i, entry in enumerate(_table(obj, "events", list)):
             if not isinstance(entry, dict):
                 raise ConfigError(f"events[{i}]: expected an object")
+            _known_keys(entry, f"events[{i}]", "topic0", "signature", "fact", "fields")
             if "topic0" in entry:
                 try:
                     topic0 = f.canonical_tx_hash(entry["topic0"], "topic0")
                 except f.EncodingError as exc:
                     raise ConfigError(f"events[{i}]: {exc}") from exc
             elif isinstance(entry.get("signature"), str):
-                topic0 = event_topic(entry["signature"])
+                signature = entry["signature"]
+                if not signature.isascii():
+                    raise ConfigError(f"events[{i}]: signature is not ASCII: {signature!r}")
+                topic0 = event_topic(signature)
             else:
                 raise ConfigError(f"events[{i}]: event entry needs 'topic0' or 'signature'")
             if topic0 in entry_of:
@@ -185,8 +186,6 @@ class BridgeDecoderConfig:
         return cls(chains, events, tuple(static))
 
 
-_CHAIN_KEY = re.compile(r"[1-9][0-9]*\Z")
-_LABEL_CODE = re.compile(r"(0|[1-9][0-9]*)\Z")
 # The field types that can fill a column, by the column's kind. The emitter
 # of the log counts as the type ``log_address``, which only the entry
 # ``{"source": "log_address"}`` has.
@@ -198,11 +197,17 @@ _FIELD_TYPES = {
 }
 
 
-def _table(obj: dict, key: str, kind: type):
+def _table(obj: dict, key: str, kind: type, where: str = ""):
     value = obj.get(key, kind())
     if not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected a JSON {'object' if kind is dict else 'list'}")
+        raise ConfigError(f"{where}{key}: expected a JSON {'object' if kind is dict else 'list'}")
     return value
+
+
+def _known_keys(obj: dict, where: str, *keys: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} (expected {', '.join(keys)})")
 
 
 def _static_rows(obj: dict, key: str, fact_type: type) -> list:
@@ -264,9 +269,10 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
                                   f"does not suit column kind {kind.name} (use {' or '.join(suits)})")
             if ftype == "enum":
                 labels = plan.get("labels")
-                if not (isinstance(labels, dict) and labels
-                        and all(_LABEL_CODE.match(code) for code in labels)):
+                if not (isinstance(labels, dict) and labels):
                     raise ConfigError(f"{what}: enum needs 'labels', an object keyed by decimal codes")
+                for code in labels:
+                    f.uint_text(code, "labels")
                 plan = {**plan, "labels": {code: kind.check(label, f"label {code}")
                                            for code, label in labels.items()}}
                 keys.add("labels")
@@ -280,14 +286,7 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
 
 
 def load_config(path: str | Path) -> BridgeDecoderConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8: {exc.reason}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return BridgeDecoderConfig.from_json(obj)
+    return BridgeDecoderConfig.from_json(f.read_json(path, ConfigError))
 
 
 @dataclass
@@ -391,13 +390,12 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
         source = "topic" if "topic" in plan else "data"
         index, ftype = plan[source], plan.get("type", "uint")
         if ftype == "enum":
-            labels = {format(int(code), "064x"): label for code, label in plan["labels"].items()
-                      if int(code) <= f.MAX_UINT256}
+            labels = {format(int(code), "064x"): label for code, label in plan["labels"].items()}
             codes: dict = {}
             for code, label in plan["labels"].items():
                 codes.setdefault(label, code)
             env[f"_labels_{name}"], env[f"_codes_{name}"] = labels, codes
-            pattern, value = f"({'|'.join(labels) or '(?!)'})", f"_labels_{name}[{{v}}]"
+            pattern, value = f"({'|'.join(labels)})", f"_labels_{name}[{{v}}]"
             encoded = f"_enum_word(_codes_{name}, fact.{name}, {what})"
         else:
             pattern, value, _ = _WORD[ftype]
@@ -566,7 +564,7 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
         timestamp = _as_uint(obj["blockTimestamp"], "blockTimestamp")
         sender = f.canonical_address(obj["from"], "from")
         to = f.canonical_address(obj["to"], "to")
-        value = _as_amount(obj["value"], "value")
+        value = str(_as_uint(obj["value"], "value"))
         gas_used = _as_uint(obj["gasUsed"], "gasUsed")
     except KeyError as exc:
         raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc
@@ -628,25 +626,25 @@ def ingest_jsonl(
     report = IngestReport()
     store.insert_all(config.static)
     path = Path(receipts_path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-                try:
-                    decoded, warnings = decode_receipt(obj, config)
-                except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
-                    raise IngestError(f"{path}:{line_no}: {exc}") from exc
-                report.receipts += 1
-                report.warnings.extend(warnings)
-                store.insert_all(decoded)
-        except UnicodeDecodeError as exc:  # raised per read chunk, so find the line
-            line_no = f._first_non_utf8_line(path)
-            raise IngestError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from exc
+    with open(path, encoding="utf-8") as fh, f.reading_utf8(path, IngestError):
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise IngestError(f"{path}:{line_no}: JSON nested too deeply") from exc
+            except ValueError as exc:  # an integer with more digits than int() converts
+                raise IngestError(f"{path}:{line_no}: {f.long_integer(line)}") from exc
+            try:
+                decoded, warnings = decode_receipt(obj, config)
+            except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
+                raise IngestError(f"{path}:{line_no}: {exc}") from exc
+            report.receipts += 1
+            report.warnings.extend(warnings)
+            store.insert_all(decoded)
     store.seal()
     report.facts_per_relation = {
         name: count for name, count in store.relation_counts().items() if count

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .facts import FactStore
+from .facts import FactStore, InputError
 
 __all__ = [
     "ConfigurationError",
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-class ConfigurationError(RuntimeError):
+class ConfigurationError(InputError):
     """The store references chains without a finality window."""
 
 

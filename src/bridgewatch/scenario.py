@@ -70,7 +70,7 @@ ANOMALY_KINDS = tuple(EXPECTED_ANOMALY)
 _BASE_TS = 1_700_000_000
 
 
-class ParameterError(ValueError):
+class ParameterError(f.InputError):
     """Inconsistent scenario parameters."""
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -343,6 +344,54 @@ class TestLatencyStats:
         assert stats.median == latencies[(len(latencies) - 1) // 2]
         assert stats.total_value == str(sum(int(c.amount) for c in items))
         assert stats.total_usd == analytics._two_decimals(usd_total)
+
+
+# Rationals to render: any, long whole parts with a short fraction, exact
+# ties between two hundredths, and near ties
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-10**70, 10**70), st.integers(1, 10**40)),
+    st.builds(lambda whole, part: whole + part, st.integers(-10**70, 10**70),
+              st.fractions(0, 1, max_denominator=10**7)),
+    st.integers(-10**9, 10**9).map(lambda k: Fraction(2 * k + 1, 200)),
+    # near a tie after a long whole part, where rounding twice goes wrong
+    st.builds(lambda whole, k, digits, sign: whole + Fraction(2 * k + 1, 200) + sign * Fraction(1, 10**digits),
+              st.integers(10**50, 10**70), st.integers(0, 99), st.integers(3, 80), st.sampled_from([-1, 1])),
+)
+# Squares to take the root of, with exact ties between two hundredths
+SQUARES = st.one_of(
+    RATIONALS.map(abs),
+    st.integers(0, 10**9).map(lambda k: Fraction((2 * k + 1) ** 2, 40000)),
+)
+
+
+class TestTwoDecimals:
+    def test_a_long_whole_part_is_rounded_once(self):
+        assert analytics._two_decimals(10**55 + Fraction(134997, 10**6)) == f"{10**55}.13"
+
+    def test_a_small_negative_keeps_its_sign(self):
+        assert analytics._two_decimals(Fraction(-1, 1000)) == "-0.00"
+        assert analytics._two_decimals(Fraction(0)) == "0.00"
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIONALS)
+    def test_value_is_rounded_half_even(self, value):
+        text = analytics._two_decimals(value)
+        assert re.fullmatch(r"-?(0|[1-9][0-9]*)\.[0-9]{2}", text)
+        assert text.startswith("-") == (value < 0)
+        assert abs(Fraction(text)) * 100 == round(abs(value) * 100)  # Fraction rounds half-even
+
+    @settings(max_examples=300, deadline=None)
+    @given(SQUARES)
+    def test_root_is_rounded_half_even(self, square):
+        text = analytics._two_decimals(square, sqrt=True)
+        assert re.fullmatch(r"(0|[1-9][0-9]*)\.[0-9]{2}", text)
+        hundredths = int(Fraction(text) * 100)
+        # (hundredths -+ 1/2)**2 bound the square of the root in hundredths; on a bound, it is even
+        low, high = Fraction(2 * hundredths - 1, 2) ** 2, Fraction(2 * hundredths + 1, 2) ** 2
+        scaled = square * 10000
+        assert (hundredths == 0 or low <= scaled) and scaled <= high
+        if scaled == high or hundredths and scaled == low:
+            assert hundredths % 2 == 0
 
 
 class TestReport:

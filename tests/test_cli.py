@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bridgewatch import cli, oracle
 from bridgewatch.cli import (
@@ -224,6 +230,36 @@ BAD_INGEST_INPUTS = [
     ("receipts", lambda r: first_log(r).pop("data"), "receipts.jsonl:1: log entry missing field 'data'"),
     ("config text", lambda text: "{bad",
      "decoder_config.json: not valid JSON: Expecting property name enclosed in double quotes"),
+    # integers longer than any uint256, as JSON numbers, decimal text and hex text
+    ("receipts text", lambda line: re.sub(r'"blockTimestamp": \d+', '"blockTimestamp": ' + "9" * 5000, line),
+     "receipts.jsonl:1: blockTimestamp: out of uint256 range"),
+    ("receipts", lambda r: r.update(blockTimestamp="9" * 5000),
+     "receipts.jsonl:1: blockTimestamp: out of uint256 range"),
+    ("receipts", lambda r: r.update(blockTimestamp="0x" + "f" * 5000),
+     "receipts.jsonl:1: blockTimestamp: out of uint256 range"),
+    ("config", lambda c: c["chains"].update({"9" * 5000: c["chains"].pop("1")}),
+     "9" * 20 + "' is not a positive integer chain id"),
+    ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"9" * 5000: "X"}),
+     "field 'standard': labels: out of uint256 range"),
+    ("config text", lambda text: text.replace('"finality_seconds": 1800', '"finality_seconds": ' + "9" * 5000),
+     "decoder_config.json: chains.1.finality_seconds: out of uint256 range"),
+    ("receipts text", lambda line: "[" * 100_000, "receipts.jsonl:1: JSON nested too deeply"),
+    ("config text", lambda text: "[" * 100_000, "decoder_config.json: JSON nested too deeply"),
+    # keys a config does not read, and shapes it cannot read
+    ("config", lambda c: [spec.update(bridge_address=spec.pop("bridge_addresses"))
+                          for spec in c["chains"].values()],
+     "chain 1: unknown key 'bridge_address' (expected role, finality_seconds, bridge_addresses)"),
+    ("config", lambda c: c.update(token_mapping=c.pop("token_mappings")),
+     "config: unknown key 'token_mapping'"),
+    ("config", lambda c: c["events"][1].update(name="TokenReleased"), "events[1]: unknown key 'name'"),
+    ("config", lambda c: c["chains"]["1"].update(bridge_addresses=5),
+     "chain 1: bridge_addresses: expected a JSON list"),
+    ("config", lambda c: c["chains"]["1"].update(bridge_addresses=None),
+     "chain 1: bridge_addresses: expected a JSON list"),
+    ("config", lambda c: c["chains"]["1"].update(bridge_addresses=c["chains"]["1"]["bridge_addresses"][0]),
+     "chain 1: bridge_addresses: expected a JSON list"),
+    ("config", lambda c: c["events"][0].update(signature="TokenD\u00e9posited(uint256)"),
+     "events[0]: signature is not ASCII: 'TokenD\u00e9posited(uint256)'"),
 ]
 
 
@@ -239,6 +275,9 @@ def test_bad_ingest_input_exits_two(tmp_path, capsys, target, edit, message):
         config_path.write_text(json.dumps(config))
     elif target == "config text":
         config_path.write_text(edit(config_path.read_text()))
+    elif target == "receipts text":
+        first, *rest = receipts_path.read_text().splitlines(keepends=True)
+        receipts_path.write_text(edit(first) + "".join(rest))
     else:
         first, *rest = receipts_path.read_text().splitlines(keepends=True)
         receipt = json.loads(first)
@@ -339,6 +378,22 @@ class TestPrices:
          "entry 0: 'usd_per_unit'"),
         (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json: not UTF-8: invalid start byte"),
         (b"{bad", "prices.json: not valid JSON: Expecting property name enclosed in double quotes"),
+        pytest.param(b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": "2", "decimals": '
+                     + b"9" * 5000 + b"}]", "prices.json: [0].decimals: out of uint256 range",
+                     id="decimals-of-5000-digits"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 256}],
+         "entry 0: 'decimals' must be an integer from 0 to 255, got 256"),
+        ([{"chain_id": 2**256, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0}],
+         "entry 0: 'chain_id' must be a positive uint256"),
+        # Fraction("1e10000000") alone takes seconds: the exponent is refused first
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1e10000000", "decimals": 0}],
+         "entry 0: 'usd_per_unit' must be 0 or of magnitude 1e-78 to below 1e79, got '1e10000000'"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1e-79", "decimals": 0}],
+         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": 1e79, "decimals": 0}],
+         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1" + "0" * 79 + "/1", "decimals": 0}],
+         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"
@@ -352,6 +407,18 @@ class TestPrices:
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
+
+    def test_prices_within_the_bounds_are_accepted(self, tmp_path):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "6", "--deposits", "1", "--withdrawals", "0",
+            "--out", str(facts))
+        prices = [{"chain_id": chain, "token": "0x" + "a" * 40, "usd_per_unit": usd, "decimals": decimals}
+                  for chain, (usd, decimals) in enumerate(
+                      [("1e-78", 0), ("9.99e78", 255), (0, 7), ("1/3", 18), (2.5, 6)], start=1)]
+        prices_path = tmp_path / "prices.json"
+        prices_path.write_text(json.dumps(prices))
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
+                   "--prices", str(prices_path)) == EXIT_CLEAN
 
     @pytest.mark.parametrize("command", ["eval", "stats"])
     def test_price_table_is_read_before_the_facts(self, tmp_path, capsys, command):
@@ -420,3 +487,84 @@ def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == EXIT_CLEAN, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# The mutation fuzz below edits one JSON path of the decoder config or of one
+# receipt line; a value too long to write as JSON is written in its place.
+HUGE = "9" * 5000
+
+
+def json_paths(value, path=()):
+    """The path, as a tuple of keys, of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+def mutate(document, path, mutation):
+    """``document`` as JSON text, with the value at ``path`` dropped,
+    replaced, or, for a dictionary key, renamed."""
+    *parents, key = path
+    parent = document
+    for step in parents:
+        parent = parent[step]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "truncate":
+        parent[key] = parent[key][:len(parent[key]) // 2]
+    elif mutation in ("rename to huge", "rename to non-ASCII") and isinstance(parent, dict):
+        parent[HUGE if mutation == "rename to huge" else "été"] = parent.pop(key)
+    else:
+        parent[key] = {"null": None, "list": [], "bool": True, "huge": "HUGE",
+                       "non-ASCII": "été"}.get(mutation, "été")
+    return json.dumps(document).replace('"HUGE"', HUGE)
+
+
+# Where an input error is: a receipt line, or a key of the decoder config.
+INPUT_LOCATION = re.compile(r"receipts\.jsonl:\d+: |\b(chains?|events?|token_mappings|wrapped_native_tokens)\b"
+                            r"|config: unknown key")
+
+
+@pytest.fixture(scope="module")
+def simulated_receipts(tmp_path_factory):
+    sim = tmp_path_factory.mktemp("sim")
+    assert run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+               "--out", str(sim), "--emit", "receipts") == EXIT_CLEAN
+    return ((sim / "decoder_config.json").read_text(),
+            (sim / "receipts.jsonl").read_text().splitlines(keepends=True))
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_ingest_input_exits_at_most_two(simulated_receipts, data):
+    """Each receipt line and config key an ingest can read, mutated: the
+    command exits 0, 1 or 2, and an exit 2 names the line or the key."""
+    config_text, receipt_lines = simulated_receipts
+    line = data.draw(st.sampled_from([None, *range(len(receipt_lines))]), label="receipt line")
+    document = json.loads(config_text if line is None else receipt_lines[line])
+    path = data.draw(st.sampled_from(list(json_paths(document))), label="path")
+    mutations = ["drop", "null", "list", "bool", "huge", "non-ASCII", "rename to huge",
+                 "rename to non-ASCII"]
+    mutation = data.draw(st.sampled_from(mutations + ["truncate"] * isinstance(
+        eval_path(document, path), str)), label="mutation")
+    text = mutate(document, path, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, receipts_path = Path(tmp, "decoder_config.json"), Path(tmp, "receipts.jsonl")
+        config_path.write_text(config_text if line is not None else text)
+        receipts_path.write_text("".join(
+            text + "\n" if i == line else receipt for i, receipt in enumerate(receipt_lines)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("ingest", "--receipts", str(receipts_path), "--config", str(config_path),
+                       "--out", str(Path(tmp, "facts")))
+    assert code in (EXIT_CLEAN, EXIT_ANOMALIES, EXIT_INPUT_ERROR), err.getvalue()
+    if code == EXIT_INPUT_ERROR:
+        assert INPUT_LOCATION.search(err.getvalue()), err.getvalue()
+
+
+def eval_path(document, path):
+    for key in path:
+        document = document[key]
+    return document

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from randstores import random_store
 SAMPLES = {type(x): x for x in static_facts() + f1_facts() + f2_facts()}
 
 # Integer texts that int() accepts but the .facts format does not.
-REJECTED_INTEGERS = ["1_700000000", "+5", " 5", "5 ", "-0", "007", "\u0663", "1800\r", "abc"]
+REJECTED_INTEGERS = ["1_700000000", "+5", " 5", "5 ", "-0", "007", "\u0663", "1800\r", "abc",
+                     str(2**256)]
 
 
 class TestCanonicalization:
@@ -201,6 +203,33 @@ class TestPersistence:
         (tmp_path / "sc_deposit.facts").write_text(row + "\n")
         with pytest.raises(f.FactsParseError, match=r"sc_deposit\.facts:1: amount: .*uint256"):
             f.load_facts_dir(tmp_path)
+
+
+# Every integer column, as (fact of its relation, column index).
+INTEGER_COLUMNS = [
+    (fact, index) for fact in sorted(SAMPLES.values(), key=lambda x: x.RELATION)
+    for index, (name, _) in enumerate(fact.COLUMNS) if isinstance(getattr(fact, name), int)
+]
+
+
+@pytest.mark.parametrize("fact, index", INTEGER_COLUMNS,
+                         ids=[f"{x.RELATION}.{x.COLUMNS[i][0]}" for x, i in INTEGER_COLUMNS])
+def test_integer_columns_hold_uint256(tmp_path, fact, index):
+    """Each integer column loads values up to 2**256 - 1 and names itself
+    for longer ones, as a 5000-digit one."""
+    name = type(fact).COLUMNS[index][0]
+    path = tmp_path / f"{fact.RELATION}.facts"
+    for text in [str(2**256), "9" * 5000]:
+        cols = list(fact.columns())
+        cols[index] = text
+        path.write_text("\t".join(cols) + "\n")
+        with pytest.raises(f.FactsParseError, match=re.escape(f"{path}:1: {name}: out of uint256 range")):
+            f.load_facts_dir(tmp_path)
+    if name != "status":
+        cols[index] = str(2**256 - 1)
+        path.write_text("\t".join(cols) + "\n")
+        (loaded,) = f.load_facts_dir(tmp_path).relation(fact.RELATION)
+        assert getattr(loaded, name) == 2**256 - 1
 
 
 def _dump_bytes(store: f.FactStore, root: Path) -> dict[str, bytes]:

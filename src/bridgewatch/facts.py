@@ -15,6 +15,12 @@ Facts are immutable, hashable values with canonical field encodings:
 * identifiers (deposit/withdrawal ids, token standards): opaque strings,
   compared by equality, free of tabs and newlines
 
+Equal values are shared: every fact built by the validating constructors,
+by :func:`load_facts_dir`, by the receipt decoder or by the generator holds
+one ``str`` object per distinct address, hash, amount and identifier
+(``sys.intern``), so a value repeated across facts and relations is stored
+once and equal values compare by identity.
+
 Each fact class annotates its columns with a kind (``Address``, ``Uint``,
 ...). That one table of (name, kind) per relation yields the validating
 constructor, the compiled row matcher and builder used by
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -65,6 +72,7 @@ __all__ = [
     "reading_utf8",
     "read_json",
     "long_integer",
+    "shown",
     "load_facts_dir",
     "dump_facts_dir",
 ]
@@ -75,6 +83,21 @@ _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}\Z")
 _TX_HASH_RE = re.compile(r"0x[0-9a-f]{64}\Z")
 # negative text parses, to be refused by name
 _INT_TEXT = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+
+
+# The longest repr of bad input that an error message shows (see shown()).
+SHOWN_CHARS = 80
+
+
+def shown(value: Any) -> str:
+    """``repr(value)`` as an error message shows bad input: at most
+    ``SHOWN_CHARS`` characters, a longer one cut to its two ends around
+    ``...``, so that a megabyte of input makes a one-line message."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    half = (SHOWN_CHARS - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
 
 
 class InputError(ValueError):
@@ -104,8 +127,8 @@ def canonical_address(value: str, field: str = "address") -> str:
         raise EncodingError(field, f"expected address string, got {type(value).__name__}")
     v = value.lower()
     if not _ADDRESS_RE.match(v):
-        raise EncodingError(field, f"not a canonical 20-byte hex address: {value!r}")
-    return v
+        raise EncodingError(field, f"not a canonical 20-byte hex address: {shown(value)}")
+    return sys.intern(v)
 
 
 def canonical_tx_hash(value: str, field: str = "tx_hash") -> str:
@@ -114,21 +137,22 @@ def canonical_tx_hash(value: str, field: str = "tx_hash") -> str:
         raise EncodingError(field, f"expected hash string, got {type(value).__name__}")
     v = value.lower()
     if not _TX_HASH_RE.match(v):
-        raise EncodingError(field, f"not a canonical 32-byte hex hash: {value!r}")
-    return v
+        raise EncodingError(field, f"not a canonical 32-byte hex hash: {shown(value)}")
+    return sys.intern(v)
 
 
 def canonical_amount(value: str | int, field: str = "amount") -> str:
     """Validate a 256-bit unsigned amount, returned as a decimal string."""
     if isinstance(value, str):
         uint_text(value, field)
-        return value
-    return str(_uint(value, field))
+    else:
+        _uint(value, field)
+    return sys.intern(str(value))  # str(): intern takes no str subclass
 
 
 def _uint(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise EncodingError(field, f"expected unsigned integer, got {value!r}")
+        raise EncodingError(field, f"expected unsigned integer, got {shown(value)}")
     if value < 0:
         raise EncodingError(field, f"negative value {value}")
     if value > MAX_UINT256:  # not shown: it may have more digits than str() converts
@@ -141,7 +165,7 @@ def uint_text(text: str, field: str) -> int:
     sign or leading zero, within uint256. Every input format reads its
     integer text by this one rule."""
     if not isinstance(text, str) or not _INT_TEXT.match(text):
-        raise EncodingError(field, f"cannot parse unsigned integer from {text!r}")
+        raise EncodingError(field, f"cannot parse unsigned integer from {shown(text)}")
     if len(text) > 78:  # more digits than uint256, and maybe than int() converts
         raise EncodingError(field, "out of uint256 range")
     return _uint(int(text), field)
@@ -170,7 +194,7 @@ def _opaque(value, field: str) -> str:
         raise EncodingError(field, f"expected string, got {type(value).__name__}")
     if "\t" in value or "\n" in value or "\r" in value:
         raise EncodingError(field, "must not contain tab or newline")
-    return value
+    return sys.intern(str(value))
 
 
 class _Kind(NamedTuple):
@@ -190,11 +214,12 @@ _DECIMAL = "0|[1-9][0-9]{0,76}"
 
 # Column kinds, named by the annotations of the fact classes. Hex text may
 # be mixed-case on disk; it is lowercased on load as in the constructor.
+# Text values are shared on load as the constructor's checks share them.
 _KINDS = {
-    "Address": _Kind(canonical_address, _HEX + "{40}", "{v}.lower()"),
-    "TxHash": _Kind(canonical_tx_hash, _HEX + "{64}", "{v}.lower()"),
-    "Amount": _Kind(canonical_amount, _DECIMAL, "{v}"),
-    "Opaque": _Kind(_opaque, "[^\t\n\r]*", "{v}"),
+    "Address": _Kind(canonical_address, _HEX + "{40}", "_intern({v}.lower())"),
+    "TxHash": _Kind(canonical_tx_hash, _HEX + "{64}", "_intern({v}.lower())"),
+    "Amount": _Kind(canonical_amount, _DECIMAL, "_intern({v})"),
+    "Opaque": _Kind(_opaque, "[^\t\n\r]*", "_intern({v})"),
     "Uint": _Kind(_uint, _DECIMAL, _INT),
     "ChainId": _Kind(_chain_id, "[1-9][0-9]{0,76}", _INT),
     "Status": _Kind(_status, "[01]", _INT),
@@ -237,7 +262,7 @@ def _relation(cls):
     # annotations are strings (``from __future__ import annotations``)
     cls.COLUMNS = tuple((f.name, _KINDS[f.type]) for f in fields(cls))
     names = [name for name, _ in cls.COLUMNS]
-    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
+    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_intern": sys.intern}
     init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
     for name, kind in cls.COLUMNS:
         env[f"_set_{name}"] = getattr(cls, name).__set__

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -78,6 +79,7 @@ __all__ = [
     "encode_receipt",
     "ingest_jsonl",
     "load_config",
+    "static_facts",
 ]
 
 NATIVE_EVENT_INDEX = 0  # native value transfers precede all logs
@@ -125,33 +127,7 @@ class BridgeDecoderConfig:
     def from_json(cls, obj: dict) -> "BridgeDecoderConfig":
         """Build a config, checking all of it up front: every problem is a
         ``ConfigError`` naming the chain key, event field or table row."""
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        _known_keys(obj, "config", "chains", "events", "token_mappings", "wrapped_native_tokens")
-        chains: dict[int, ChainConfig] = {}
-        static: list = []
-        for key, spec in _table(obj, "chains", dict).items():
-            try:
-                chain_id = f._chain_id(f.uint_text(key, "chains"), "chains")
-            except f.EncodingError as exc:
-                raise ConfigError(
-                    f"chains: key {key!r} is not a positive integer chain id") from exc
-            if not isinstance(spec, dict):
-                raise ConfigError(f"chain {chain_id}: expected an object")
-            _known_keys(spec, f"chain {chain_id}", "role", "finality_seconds", "bridge_addresses")
-            role = spec.get("role", "source")
-            if role not in ("source", "target"):
-                raise ConfigError(f"chain {chain_id}: role must be source|target")
-            try:
-                static.append(f.CctxFinalityFact(chain_id, spec.get("finality_seconds")))
-                bridges = [f.BridgeControlledAddressFact(chain_id, a) for a in
-                           _table(spec, "bridge_addresses", list, f"chain {chain_id}: ")]
-            except f.EncodingError as exc:
-                raise ConfigError(f"chain {chain_id}: {exc}") from exc
-            static += bridges
-            chains[chain_id] = ChainConfig(chain_id, role, tuple(b.address for b in bridges))
-        if not chains:
-            raise ConfigError("config declares no chains")
+        chains, static = _chains(obj)
         events: dict[str, EventPlan] = {}
         entry_of: dict[str, int] = {}  # topic0 -> index of its events entry
         for i, entry in enumerate(_table(obj, "events", list)):
@@ -166,7 +142,7 @@ class BridgeDecoderConfig:
             elif isinstance(entry.get("signature"), str):
                 signature = entry["signature"]
                 if not signature.isascii():
-                    raise ConfigError(f"events[{i}]: signature is not ASCII: {signature!r}")
+                    raise ConfigError(f"events[{i}]: signature is not ASCII: {f.shown(signature)}")
                 topic0 = event_topic(signature)
             else:
                 raise ConfigError(f"events[{i}]: event entry needs 'topic0' or 'signature'")
@@ -178,12 +154,55 @@ class BridgeDecoderConfig:
             event = entry.get("signature") or topic0
             relation = entry.get("fact")
             if relation not in _DECODABLE:
-                raise ConfigError(f"event {event}: targets unknown relation {relation!r}")
+                raise ConfigError(f"event {event}: targets unknown relation {f.shown(relation)}")
             plans = _field_plans(event, relation, entry.get("fields"))
             events[topic0] = _event_plan(topic0, relation, plans)
-        static += _static_rows(obj, "token_mappings", f.TokenMappingFact)
-        static += _static_rows(obj, "wrapped_native_tokens", f.WrappedNativeTokenFact)
-        return cls(chains, events, tuple(static))
+        return cls(chains, events, static + _tables(obj))
+
+
+def static_facts(obj: dict) -> tuple:
+    """The static facts of the config ``obj`` (finality windows, bridge
+    addresses and the token tables), checked as :meth:`BridgeDecoderConfig.from_json`
+    checks them, without compiling its event plans."""
+    return _chains(obj)[1] + _tables(obj)
+
+
+def _chains(obj: dict) -> tuple[dict[int, ChainConfig], tuple]:
+    """The checked chains of the config ``obj`` and their static facts."""
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    _known_keys(obj, "config", "chains", "events", "token_mappings", "wrapped_native_tokens")
+    chains: dict[int, ChainConfig] = {}
+    static: list = []
+    for key, spec in _table(obj, "chains", dict).items():
+        try:
+            chain_id = f._chain_id(f.uint_text(key, "chains"), "chains")
+        except f.EncodingError as exc:
+            raise ConfigError(
+                f"chains: key {f.shown(key)} is not a positive integer chain id") from exc
+        if not isinstance(spec, dict):
+            raise ConfigError(f"chain {chain_id}: expected an object")
+        _known_keys(spec, f"chain {chain_id}", "role", "finality_seconds", "bridge_addresses")
+        role = spec.get("role", "source")
+        if role not in ("source", "target"):
+            raise ConfigError(f"chain {chain_id}: role must be source|target")
+        try:
+            static.append(f.CctxFinalityFact(chain_id, spec.get("finality_seconds")))
+            bridges = [f.BridgeControlledAddressFact(chain_id, a) for a in
+                       _table(spec, "bridge_addresses", list, f"chain {chain_id}: ")]
+        except f.EncodingError as exc:
+            raise ConfigError(f"chain {chain_id}: {exc}") from exc
+        static += bridges
+        chains[chain_id] = ChainConfig(chain_id, role, tuple(b.address for b in bridges))
+    if not chains:
+        raise ConfigError("config declares no chains")
+    return chains, tuple(static)
+
+
+def _tables(obj: dict) -> tuple:
+    """The static facts of the token tables of the config ``obj``."""
+    return (*_static_rows(obj, "token_mappings", f.TokenMappingFact),
+            *_static_rows(obj, "wrapped_native_tokens", f.WrappedNativeTokenFact))
 
 
 # The field types that can fill a column, by the column's kind. The emitter
@@ -207,7 +226,7 @@ def _table(obj: dict, key: str, kind: type, where: str = ""):
 def _known_keys(obj: dict, where: str, *keys: str) -> None:
     for key in obj:
         if key not in keys:
-            raise ConfigError(f"{where}: unknown key {key!r} (expected {', '.join(keys)})")
+            raise ConfigError(f"{where}: unknown key {f.shown(key)} (expected {', '.join(keys)})")
 
 
 def _static_rows(obj: dict, key: str, fact_type: type) -> list:
@@ -216,7 +235,7 @@ def _static_rows(obj: dict, key: str, fact_type: type) -> list:
     rows = []
     for i, row in enumerate(_table(obj, key, list)):
         if not isinstance(row, list) or len(row) != width:
-            raise ConfigError(f"{key}[{i}]: expected a list of {width} values, got {row!r}")
+            raise ConfigError(f"{key}[{i}]: expected a list of {width} values, got {f.shown(row)}")
         try:
             rows.append(fact_type(*row))
         except f.EncodingError as exc:
@@ -237,7 +256,7 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
                if name not in ("tx_hash", "event_index")}
     for name in sorted(fields.keys() ^ columns.keys()):
         problem = "has no plan" if name in columns else f"is not a column of {relation}"
-        raise ConfigError(f"event {event}: field {name!r} {problem}")
+        raise ConfigError(f"event {event}: field {f.shown(name)} {problem}")
     plans: dict[str, dict] = {}
     for name, plan in fields.items():
         what, kind = f"event {event}: field {name!r}", columns[name]
@@ -252,16 +271,16 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
                 plan = {**plan, "const": kind.check(plan["const"], "const")}
             elif source == "source":
                 if plan["source"] != "log_address":
-                    raise ConfigError(f"{what}: unknown source {plan['source']!r}")
+                    raise ConfigError(f"{what}: unknown source {f.shown(plan['source'])}")
                 ftype = "log_address"
             else:
                 index, low = plan[source], 1 if source == "topic" else 0
                 if isinstance(index, bool) or not isinstance(index, int) or index < low:
                     raise ConfigError(
-                        f"{what}: {source} index must be an integer >= {low}, got {index!r}")
+                        f"{what}: {source} index must be an integer >= {low}, got {f.shown(index)}")
                 ftype = plan.get("type", "uint")
                 if ftype == "log_address" or all(ftype not in t for t in _FIELD_TYPES.values()):
-                    raise ConfigError(f"{what}: unknown field type {ftype!r}")
+                    raise ConfigError(f"{what}: unknown field type {f.shown(ftype)}")
                 keys.add("type")
             suits = _FIELD_TYPES[kind.name]
             if ftype is not None and ftype not in suits:
@@ -280,7 +299,7 @@ def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
             raise ConfigError(f"{what}: {exc}") from exc
         for key in sorted(plan.keys() - keys):
             typed = f" of type {ftype!r}" if "type" in keys else ""
-            raise ConfigError(f"{what}: key {key!r} does not apply to a {source} field{typed}")
+            raise ConfigError(f"{what}: key {f.shown(key)} does not apply to a {source} field{typed}")
         plans[name] = plan
     return plans
 
@@ -327,13 +346,15 @@ class EventPlan(NamedTuple):
 
 # The pattern of a 64-digit hex word that a field type admits, with one
 # group; the expression turning the group's text ``{v}`` into the column
-# value; and why a word is refused (None: every word is admitted). ``enum``
-# builds its pattern and value from its labels.
+# value, shared as the facts' checks share it; and why a word is refused
+# (None: every word is admitted). ``enum`` builds its pattern and value from
+# its labels, which the plan holds shared.
 _WORD = {
-    "address": ("0{24}([0-9a-f]{40})", '"0x" + {v}', "32-byte value is not a valid 20-byte address"),
+    "address": ("0{24}([0-9a-f]{40})", '_intern("0x" + {v})',
+                "32-byte value is not a valid 20-byte address"),
     "chain_id": ("(?!0{64})([0-9a-f]{64})", "int({v}, 16)", "chain id must be nonzero"),
-    "uint": ("([0-9a-f]{64})", "str(int({v}, 16))", None),
-    "id": ("([0-9a-f]{64})", "str(int({v}, 16))", None),
+    "uint": ("([0-9a-f]{64})", "_intern(str(int({v}, 16)))", None),
+    "id": ("([0-9a-f]{64})", "_intern(str(int({v}, 16)))", None),
 }
 _HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z")
 _TOPIC = re.compile(r"0x[0-9a-f]{64}\Z").match
@@ -370,7 +391,7 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
     """
     fact_type = f.RELATIONS[relation]
     env: dict[str, Any] = {"_make": fact_type._unchecked, "_uint_word": _uint_word,
-                           "_enum_word": _enum_word}
+                           "_enum_word": _enum_word, "_intern": sys.intern}
     values: dict[str, str] = {}  # column -> decoded value
     readers: dict[str, dict] = {"topic": {}, "data": {}}  # index -> [(column, pattern, value)]
     words = {"topic": {0: repr(topic0)}, "data": {}}  # index -> encoded word
@@ -519,9 +540,9 @@ def _log_fields(obj) -> tuple[str, list[str], str, int]:
     try:
         topics, data = obj["topics"], obj["data"]
         if not isinstance(topics, list):
-            raise IngestError(f"log topics: expected a list of hex strings, got {topics!r}")
+            raise IngestError(f"log topics: expected a list of hex strings, got {f.shown(topics)}")
         if not isinstance(data, str):
-            raise IngestError(f"log data: expected a hex string, got {data!r}")
+            raise IngestError(f"log data: expected a hex string, got {f.shown(data)}")
         return (
             f.canonical_address(obj["address"], "log address"),
             list(map(str.lower, topics)),
@@ -531,7 +552,8 @@ def _log_fields(obj) -> tuple[str, list[str], str, int]:
     except KeyError as exc:
         raise IngestError(f"log entry missing field {exc.args[0]!r}") from exc
     except TypeError as exc:  # not an object, or a topic that is not a string
-        raise IngestError(f"log entry: expected an object with string topics, got {obj!r}") from exc
+        raise IngestError(
+            f"log entry: expected an object with string topics, got {f.shown(obj)}") from exc
 
 
 def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[str]]:
@@ -543,14 +565,15 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
     address. Returns ``(facts, warnings)``. A malformed receipt raises
     :class:`IngestError`, a receipt of a chain the config lacks
     :class:`ConfigError`. Each field is checked once, here or by a
-    decoder's patterns, and the facts are built from the checked values.
+    decoder's patterns, and the facts are built from the checked values,
+    each text value shared as the facts' checks share it.
     """
     if not isinstance(obj, dict):
         raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
     try:
         entries = obj["logs"]
         if not isinstance(entries, list):
-            raise IngestError(f"logs: expected a list of log objects, got {entries!r}")
+            raise IngestError(f"logs: expected a list of log objects, got {f.shown(entries)}")
         logs = [_log_fields(entry) for entry in entries]
         indexes = [log[3] for log in logs]
         if indexes != sorted(set(indexes)):
@@ -564,7 +587,7 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
         timestamp = _as_uint(obj["blockTimestamp"], "blockTimestamp")
         sender = f.canonical_address(obj["from"], "from")
         to = f.canonical_address(obj["to"], "to")
-        value = str(_as_uint(obj["value"], "value"))
+        value = sys.intern(str(_as_uint(obj["value"], "value")))
         gas_used = _as_uint(obj["gasUsed"], "gasUsed")
     except KeyError as exc:
         raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc

@@ -33,13 +33,15 @@ exact expected rule counts without replaying the generator.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .ingest import BridgeDecoderConfig, encode_receipt
+from .ingest import BridgeDecoderConfig, encode_receipt, static_facts
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
@@ -108,10 +110,10 @@ class SplitMix64:
 
     def address(self) -> str:
         raw = b"".join(self.next_u64().to_bytes(8, "big") for _ in range(3))[:20]
-        return "0x" + raw.hex()
+        return sys.intern("0x" + raw.hex())
 
     def amount(self) -> str:
-        return str(self.randint(1, 9) * 10 ** self.randint(0, 12))
+        return sys.intern(str(self.randint(1, 9) * 10 ** self.randint(0, 12)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,13 @@ class GeneratedScenario:
     store: FactStore
     ground_truth: list[dict]
     config: dict
-    decoder: BridgeDecoderConfig  # ``config``, parsed
     _txs: list[tuple[f.TransactionFact, list]]
+
+    @cached_property
+    def decoder(self) -> BridgeDecoderConfig:
+        """``config``, parsed; its event plans are compiled only when
+        receipts are encoded."""
+        return BridgeDecoderConfig.from_json(self.config)
 
     def receipts(self) -> list[dict]:
         """Receipt objects that decode back to exactly ``store``; each
@@ -340,6 +347,11 @@ _WITHDRAWAL = _Direction("withdrawal_id", f.TcWithdrawalFact, f.TcTokenWithdrewF
 
 
 class _Builder:
+    """Builds a scenario's facts from values that are canonical by
+    construction (hex of whole bytes, decimal text of ``int``s), each text
+    value shared, so the facts are built unchecked; the tests rebuild every
+    fact with its validating constructor."""
+
     def __init__(self, params: ScenarioParams):
         params.validate()
         self.params = params
@@ -376,7 +388,7 @@ class _Builder:
     def tx_hash(self) -> str:
         self._tx_counter += 1
         body = b"".join(self.rng.next_u64().to_bytes(8, "big") for _ in range(3))
-        return "0x" + body.hex() + format(self._tx_counter, "016x")
+        return sys.intern("0x" + body.hex() + format(self._tx_counter, "016x"))
 
     def add_tx(self, chain: ChainSpec, timestamp: int, from_addr: str, to_addr: str,
                value: str) -> _Tx:
@@ -407,16 +419,16 @@ class _Builder:
             gap = rng.randint(1, window - 1)
         else:
             gap = rng.randint(window + 1, window + 3600)
-        flow_id = str(index + 1)
+        flow_id = sys.intern(str(index + 1))
 
         bridge = self.bridges[escrow.chain_id]
         esc = self.add_tx(escrow, escrow_ts, sender, bridge, amount if native == escrow else "0")
         if native == escrow:
-            moved = way.native_escrow(esc.tx_hash, 0, sender, bridge, amount)
+            moved = way.native_escrow._unchecked(esc.tx_hash, 0, sender, bridge, amount)
         else:
-            moved = f.Erc20TransferFact(esc.tx_hash, escrow.chain_id, 1, orig_token,
-                                        sender, bridge, amount)
-        esc.event_facts += [moved, way.escrow_event(
+            moved = f.Erc20TransferFact._unchecked(esc.tx_hash, escrow.chain_id, 1, orig_token,
+                                                   sender, bridge, amount)
+        esc.event_facts += [moved, way.escrow_event._unchecked(
             tx_hash=esc.tx_hash, event_index=moved.event_index + 1, **{way.id_column: flow_id},
             beneficiary=benef, orig_token=orig_token, dst_token=dst_token,
             dst_chain_id=release.chain_id, standard="NATIVE" if native else "ERC20", amount=amount,
@@ -428,12 +440,12 @@ class _Builder:
             rel = self.add_tx(release, escrow_ts + gap + k * release.block_time,
                               self.attacker if k else issuer, bridge, "0")
             if native == release:
-                moved = way.native_release(rel.tx_hash, 1, bridge, benef, amount)
+                moved = way.native_release._unchecked(rel.tx_hash, 1, bridge, benef, amount)
             else:
-                moved = f.Erc20TransferFact(rel.tx_hash, release.chain_id, 1, dst_token,
-                                            bridge, benef, amount)
-            rel.event_facts += [moved, way.release_event(rel.tx_hash, 2, flow_id, benef,
-                                                         dst_token, amount)]
+                moved = f.Erc20TransferFact._unchecked(rel.tx_hash, release.chain_id, 1, dst_token,
+                                                       bridge, benef, amount)
+            rel.event_facts += [moved, way.release_event._unchecked(rel.tx_hash, 2, flow_id, benef,
+                                                                    dst_token, amount)]
             released.append(rel.tx_hash)
         if break_finality:
             self.truth("finality_break", [esc.tx_hash, *released], id=flow_id, gap=gap,
@@ -450,9 +462,10 @@ class _Builder:
         amount = self.rng.amount()
         rel = self.add_tx(p.source, ts, self.attacker, self.bridge_s, "0")
         rel.event_facts += [
-            f.Erc20TransferFact(rel.tx_hash, p.source.chain_id, 1, dst_token,
-                                self.bridge_s, self.attacker, amount),
-            f.ScTokenWithdrewFact(rel.tx_hash, 2, withdrawal_id, self.attacker, dst_token, amount),
+            f.Erc20TransferFact._unchecked(rel.tx_hash, p.source.chain_id, 1, dst_token,
+                                           self.bridge_s, self.attacker, amount),
+            f.ScTokenWithdrewFact._unchecked(rel.tx_hash, 2, withdrawal_id, self.attacker,
+                                             dst_token, amount),
         ]
         self.truth("forged_release", [rel.tx_hash], id=withdrawal_id)
 
@@ -464,8 +477,8 @@ class _Builder:
         amount = self.rng.amount()
         tx = self.add_tx(p.source, ts, sender, token, "0")
         tx.event_facts.append(
-            f.Erc20TransferFact(tx.tx_hash, p.source.chain_id, 1, token,
-                                sender, self.bridge_s, amount)
+            f.Erc20TransferFact._unchecked(tx.tx_hash, p.source.chain_id, 1, token,
+                                           sender, self.bridge_s, amount)
         )
         self.truth("direct_transfer", [tx.tx_hash], amount=amount)
 
@@ -476,8 +489,9 @@ class _Builder:
         orig_token, dst_token = self.rng.choice(self.erc20_pairs)
         tx = self.add_tx(p.source, ts, self.rng.choice(self.users), self.bridge_s, "0")
         tx.event_facts.append(
-            f.ScTokenDepositedFact(tx.tx_hash, 1, deposit_id, benef, dst_token,
-                                   orig_token, p.target.chain_id, "ERC20", self.rng.amount())
+            f.ScTokenDepositedFact._unchecked(tx.tx_hash, 1, deposit_id, benef, dst_token,
+                                              orig_token, p.target.chain_id, "ERC20",
+                                              self.rng.amount())
         )
         self.truth("orphan_bridge_event", [tx.tx_hash], id=deposit_id)
 
@@ -499,29 +513,29 @@ class _Builder:
             self.flow(_WITHDRAWAL, i, p.target, p.source, (None, p.target, p.source)[i % 3],
                       fanout=next(fanouts) if i in replayed else 1)
         for i in range(a.forged_release):
-            self.forged_release(i, withdrawal_id=str(p.n_withdrawals + i + 1))
+            self.forged_release(i, withdrawal_id=sys.intern(str(p.n_withdrawals + i + 1)))
         for i in range(a.direct_transfer):
             self.direct_transfer(i)
         for i in range(a.orphan_bridge_event):
-            self.orphan_bridge_event(str(p.n_deposits + i + 1), i)
+            self.orphan_bridge_event(sys.intern(str(p.n_deposits + i + 1)), i)
 
         config = _decoder_config(p, self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
-        decoder = BridgeDecoderConfig.from_json(config)
         store = FactStore()
-        store.insert_all(decoder.static)
+        store.insert_all(static_facts(config))
         # blocks are numbered per chain in time order; the sort is stable,
         # so transactions at the same time keep the order they were made in
         txs, height = [], {}
         for tx in sorted(self.txs, key=lambda t: (t.chain_id, t.timestamp)):
             height[tx.chain_id] = height.get(tx.chain_id, 0) + 1
-            fact = f.TransactionFact(tx.timestamp, tx.chain_id, tx.tx_hash, height[tx.chain_id],
-                                     tx.from_address, tx.to_address, tx.value, 1, tx.gas_used)
+            fact = f.TransactionFact._unchecked(tx.timestamp, tx.chain_id, tx.tx_hash,
+                                                height[tx.chain_id], tx.from_address,
+                                                tx.to_address, tx.value, 1, tx.gas_used)
             store.insert(fact)
             store.insert_all(tx.event_facts)
             txs.append((fact, tx.event_facts))
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
         return GeneratedScenario(params=p, store=store.seal(), ground_truth=gt, config=config,
-                                 decoder=decoder, _txs=txs)
+                                 _txs=txs)
 
 
 def generate(params: ScenarioParams) -> GeneratedScenario:

@@ -74,6 +74,15 @@ def f2_facts() -> list:
     ]
 
 
+def assert_values_shared(*stores: f.FactStore) -> None:
+    """Every text column value that is equal across facts, relations and
+    ``stores`` is one object."""
+    values = [value for store in stores for fact in store for name, _ in fact.COLUMNS
+              if isinstance(value := getattr(fact, name), str)]
+    assert values
+    assert len({id(value) for value in values}) == len(set(values))
+
+
 def build_store(*fact_groups) -> f.FactStore:
     store = f.FactStore()
     for group in fact_groups:

@@ -16,6 +16,7 @@ from bridgewatch.ingest import (
     decode_receipt,
     encode_receipt,
     ingest_jsonl,
+    static_facts,
 )
 from bridgewatch.scenario import ScenarioParams, generate
 from conftest import AA, B1, B2, CC, H1, S_CHAIN, T_CHAIN, U1, U2, addr, txh
@@ -581,6 +582,13 @@ class TestConfigValidation:
     def test_chains_required(self):
         with pytest.raises(ConfigError, match="no chains"):
             BridgeDecoderConfig.from_json({"chains": {}})
+        with pytest.raises(ConfigError, match="no chains"):
+            static_facts({"chains": {}})
+
+    def test_static_facts_check_the_tables(self):
+        with pytest.raises(ConfigError, match=r"wrapped_native_tokens\[0\]: expected a list of 2"):
+            static_facts({"chains": {"1": {"finality_seconds": 10}},
+                          "wrapped_native_tokens": [[1]]})
 
     def test_static_facts_roundtrip(self):
         statics = CONFIG.static

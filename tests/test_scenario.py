@@ -8,8 +8,8 @@ import json
 import pytest
 
 from bridgewatch import analytics, keccak
-from bridgewatch.facts import load_facts_dir
-from bridgewatch.ingest import BridgeDecoderConfig, ingest_jsonl
+from bridgewatch.facts import RELATIONS, dump_facts_dir, load_facts_dir
+from bridgewatch.ingest import BridgeDecoderConfig, ingest_jsonl, static_facts
 from bridgewatch.rules import eval_all
 from bridgewatch.scenario import (
     AnomalySpec,
@@ -18,6 +18,15 @@ from bridgewatch.scenario import (
     SplitMix64,
     describe,
     generate,
+)
+from conftest import assert_values_shared
+
+# A small scenario with every attack kind, so that every fact type of the
+# generator occurs.
+SMALL_ATTACK = ScenarioParams(
+    seed=21, n_deposits=6, n_withdrawals=6,
+    anomalies=AnomalySpec(forged_release=1, replayed_id=1, finality_break=1,
+                          direct_transfer=1, orphan_bridge_event=1),
 )
 
 
@@ -206,6 +215,38 @@ class TestGeneration:
         plans = len(generated.config["events"])
         assert sum(len(r["logs"]) for r in receipts) > plans
         assert len(calls) <= plans
+
+    def test_generated_facts_pass_their_validating_constructors(self):
+        # the generator builds its facts unchecked; this is where they are checked
+        facts = list(generate(SMALL_ATTACK).store)
+        assert {type(fact) for fact in facts} == set(RELATIONS.values())
+        for fact in facts:
+            assert type(fact)(*(getattr(fact, name) for name, _ in fact.COLUMNS)) == fact
+
+    def test_generate_compiles_no_event_plan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an event plan was compiled")
+
+        monkeypatch.setattr("bridgewatch.ingest._event_plan", refuse)
+        generated = generate(SMALL_ATTACK)
+        monkeypatch.undo()
+        statics = static_facts(generated.config)
+        assert statics == BridgeDecoderConfig.from_json(generated.config).static
+        assert set(statics) <= set(generated.store)
+
+    def test_equal_values_are_one_object(self, tmp_path):
+        generated = generate(SMALL_ATTACK)
+        generated.write_facts_dir(tmp_path / "facts")
+        generated.write_receipts_jsonl(tmp_path / "receipts.jsonl")
+        loaded = load_facts_dir(tmp_path / "facts")
+        ingested, _ = ingest_jsonl(tmp_path / "receipts.jsonl", generated.decoder)
+        for store in (generated.store, loaded, ingested):
+            assert_values_shared(store)
+        assert_values_shared(generated.store, loaded, ingested)
+        # sharing changes no byte: dump -> load -> dump is the identity
+        dump_facts_dir(loaded, tmp_path / "again")
+        for path in sorted((tmp_path / "facts").iterdir()):
+            assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
 
     def test_facts_dir_round_trip(self, tmp_path):
         scenario = generate(ScenarioParams(seed=4, n_deposits=4, n_withdrawals=4))

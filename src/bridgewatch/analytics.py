@@ -31,6 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, filterfalse
 from typing import Iterable, Mapping
 
 from .facts import MAX_UINT256, EncodingError, FactStore, InputError, canonical_address, read_json
@@ -117,25 +118,25 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
         raise RuntimeError("store must be sealed")
     by_tx, bridge = store.by_tx, store.bridge_addresses
 
-    def touching(name: str, facts: list) -> list:
+    def touches(tr) -> bool:
         # a transfer counts when it moves funds into or out of the bridge
-        if name != "erc20_transfer":
-            return facts
-        return [tr for tr in facts
-                if (tr.chain_id, tr.to_address) in bridge or (tr.chain_id, tr.from_address) in bridge]
+        return (tr.chain_id, tr.to_address) in bridge or (tr.chain_id, tr.from_address) in bridge
 
     def events(tx_hash: str, relations: tuple[str, ...]) -> list:
-        return [e for name in relations for e in touching(name, by_tx[name].get(tx_hash, []))]
+        return [e for name in relations for e in by_tx[name].get(tx_hash, ())
+                if name != "erc20_transfer" or touches(e)]
 
-    token_txs = {
-        tx_hash for name in _TOKEN_EVENTS for tx_hash, facts in by_tx[name].items()
-        if touching(name, facts)
-    }
-    bridge_txs = set().union(*(by_tx[name] for name in _BRIDGE_EVENTS))
+    # The one set of tx hashes, every transaction with a token event; the
+    # differences with the bridge indexes' keys run in C.
+    token_txs = {tr.tx_hash for tr in store.relation("erc20_transfer") if touches(tr)}
+    token_txs.update(*(by_tx[name] for name in _TOKEN_EVENTS if name != "erc20_transfer"))
+    bridge_indexes = [by_tx[name] for name in _BRIDGE_EVENTS]
+    single_bridge = set(filterfalse(token_txs.__contains__, chain.from_iterable(bridge_indexes)))
+    token_txs.difference_update(*bridge_indexes)
     out: list[Anomaly] = []
     for kind, tx_hashes, relations in (
-        ("SingleTokenEvent", token_txs - bridge_txs, _TOKEN_EVENTS),
-        ("SingleBridgeEvent", bridge_txs - token_txs, _BRIDGE_EVENTS),
+        ("SingleTokenEvent", token_txs, _TOKEN_EVENTS),
+        ("SingleBridgeEvent", single_bridge, _BRIDGE_EVENTS),
     ):
         for tx_hash in tx_hashes:
             found = events(tx_hash, relations)

@@ -30,8 +30,9 @@ already brought into canonical form.
 
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
-is sealed. Persistence is one tab-separated ``<relation>.facts`` file per
-relation, compatible with common Datalog engine fact-file layouts.
+is sealed, each a dict from key to a tuple of facts. Persistence is one
+tab-separated ``<relation>.facts`` file per relation, compatible with
+common Datalog engine fact-file layouts.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "read_json",
     "long_integer",
     "shown",
+    "index_by",
     "load_facts_dir",
     "dump_facts_dir",
 ]
@@ -490,28 +492,36 @@ _CHAIN_ID_COLUMNS = tuple(
 )
 
 
-def _index_by(facts: Iterable[_Fact], key: Callable) -> dict:
-    out: dict = {}
-    for f in facts:
-        out.setdefault(key(f), []).append(f)
-    return out
+def index_by(items: frozenset, key: Callable) -> dict[Any, tuple]:
+    """``items`` grouped by ``key``: each key to the tuple of its items, in
+    the iteration order of ``items``. Linear in the items, however many of
+    them share a key."""
+    index = dict(zip(map(key, items), zip(items)))  # one 1-tuple per key, in C
+    if len(index) < len(items):  # some items share a key: group them in lists first
+        groups: dict = {}
+        for item in items:
+            groups.setdefault(key(item), []).append(item)
+        index.update(zip(groups, map(tuple, groups.values())))
+    return index
 
 
 class FactStore:
     """Set-semantics container for the thirteen relations.
 
     Single-writer while building; ``seal()`` freezes it and builds the
-    secondary indexes, after which it is safe for concurrent readers.
+    secondary indexes, after which it is safe for concurrent readers. Each
+    index of facts maps a key (a tx hash, a deposit or withdrawal id) to
+    the tuple of the facts with that key, built by :func:`index_by`.
     """
 
     def __init__(self):
         self._relations: dict[str, set | frozenset] = {name: set() for name in RELATIONS}
         self._sealed = False
         # indexes, populated by seal()
-        self.transactions_by_hash: dict[str, list[TransactionFact]] = {}
-        self.by_tx: dict[str, dict[str, list]] = {}
-        self.deposits_by_id: dict[str, list[ScTokenDepositedFact]] = {}
-        self.withdrawals_by_id: dict[str, list[ScTokenWithdrewFact]] = {}
+        self.transactions_by_hash: dict[str, tuple[TransactionFact, ...]] = {}
+        self.by_tx: dict[str, dict[str, tuple[_Fact, ...]]] = {}
+        self.deposits_by_id: dict[str, tuple[ScTokenDepositedFact, ...]] = {}
+        self.withdrawals_by_id: dict[str, tuple[ScTokenWithdrewFact, ...]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()
@@ -578,18 +588,14 @@ class FactStore:
             return self
         for name, facts in self._relations.items():
             self._relations[name] = frozenset(facts)
-        self.transactions_by_hash = _index_by(
-            self._relations["transaction"], lambda f: f.tx_hash
+        tx_hash = attrgetter("tx_hash")
+        self.transactions_by_hash = index_by(self._relations["transaction"], tx_hash)
+        self.by_tx = {name: index_by(self._relations[name], tx_hash) for name in EVENT_RELATIONS}
+        self.deposits_by_id = index_by(
+            self._relations["sc_token_deposited"], attrgetter("deposit_id")
         )
-        self.by_tx = {
-            name: _index_by(self._relations[name], lambda f: f.tx_hash)
-            for name in EVENT_RELATIONS
-        }
-        self.deposits_by_id = _index_by(
-            self._relations["sc_token_deposited"], lambda f: f.deposit_id
-        )
-        self.withdrawals_by_id = _index_by(
-            self._relations["sc_token_withdrew"], lambda f: f.withdrawal_id
+        self.withdrawals_by_id = index_by(
+            self._relations["sc_token_withdrew"], attrgetter("withdrawal_id")
         )
         self.bridge_addresses = {
             (f.chain_id, f.address) for f in self._relations["bridge_controlled_address"]

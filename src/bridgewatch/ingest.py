@@ -151,11 +151,10 @@ class BridgeDecoderConfig:
                     f"events[{i}]: repeats the topic0 {topic0} of events[{entry_of[topic0]}]"
                 )
             entry_of[topic0] = i
-            event = entry.get("signature") or topic0
             relation = entry.get("fact")
             if relation not in _DECODABLE:
-                raise ConfigError(f"event {event}: targets unknown relation {f.shown(relation)}")
-            plans = _field_plans(event, relation, entry.get("fields"))
+                raise ConfigError(f"events[{i}]: targets unknown relation {f.shown(relation)}")
+            plans = _field_plans(f"events[{i}]", relation, entry.get("fields"))
             events[topic0] = _event_plan(topic0, relation, plans)
         return cls(chains, events, static + _tables(obj))
 
@@ -243,23 +242,24 @@ def _static_rows(obj: dict, key: str, fact_type: type) -> list:
     return rows
 
 
-def _field_plans(event: str, relation: str, fields) -> dict[str, dict]:
-    """Check one event's field plan against the columns of its relation.
+def _field_plans(entry: str, relation: str, fields) -> dict[str, dict]:
+    """Check the field plan of the events entry named ``entry``
+    (``events[i]``) against the columns of its relation.
 
     A ``const`` and the enum labels are stored canonical, as the fact would
     hold them, so that the compiled decoder can put them into facts
     unchecked and the encoder can compare facts against them.
     """
     if not isinstance(fields, dict):
-        raise ConfigError(f"event {event}: 'fields' must be an object")
+        raise ConfigError(f"{entry}: 'fields' must be an object")
     columns = {name: kind for name, kind in f.RELATIONS[relation].COLUMNS
                if name not in ("tx_hash", "event_index")}
     for name in sorted(fields.keys() ^ columns.keys()):
         problem = "has no plan" if name in columns else f"is not a column of {relation}"
-        raise ConfigError(f"event {event}: field {f.shown(name)} {problem}")
+        raise ConfigError(f"{entry}: field {f.shown(name)} {problem}")
     plans: dict[str, dict] = {}
     for name, plan in fields.items():
-        what, kind = f"event {event}: field {name!r}", columns[name]
+        what, kind = f"{entry}: field {name!r}", columns[name]
         if not isinstance(plan, dict):
             raise ConfigError(f"{what}: expected an object")
         given = [key for key in ("topic", "data", "const", "source") if key in plan]
@@ -639,11 +639,13 @@ def encode_receipt(tx: f.TransactionFact, facts: Iterable, config: BridgeDecoder
 def ingest_jsonl(
     receipts_path: str | Path, config: BridgeDecoderConfig
 ) -> tuple[f.FactStore, IngestReport]:
-    """Decode a JSONL receipts file into a sealed store plus a report.
+    """Decode a JSONL receipts file into a store plus a report.
 
     The store contains the union of all decoded facts and the config's
-    static facts. A malformed JSON line, or one that is not UTF-8, fails
-    fast with its line number.
+    static facts. It is returned unsealed, without the indexes that only
+    evaluation reads: call ``seal()`` on it before evaluating rules. A
+    malformed JSON line, or one that is not UTF-8, fails fast with its line
+    number.
     """
     store = f.FactStore()
     report = IngestReport()
@@ -668,7 +670,6 @@ def ingest_jsonl(
             report.receipts += 1
             report.warnings.extend(warnings)
             store.insert_all(decoded)
-    store.seal()
     report.facts_per_relation = {
         name: count for name, count in store.relation_counts().items() if count
     }

@@ -17,10 +17,11 @@ strictly after the origin chain's finality window:
 Boundary equality is a non-match.
 
 Implementation is hand-coded hash joins keyed on tx_hash for the local
-rules and on the (id, beneficiary, dst_token, dst_chain, amount) join key
-for rules 4/8, the only place that pairs legs (see ``CctxSet``). The six
-local rules share one body per leg shape: rules 1/5 (native escrow), 2/6
-(token escrow) and 3/7 (release) differ only in their relations, the
+rules. Rules 4/8 join on (id, beneficiary, dst_token, dst_chain, amount),
+through an index on the id and a check of the other fields per candidate
+pair; that join is the only place that pairs legs (see ``CctxSet``). The
+six local rules share one body per leg shape: rules 1/5 (native escrow),
+2/6 (token escrow) and 3/7 (release) differ only in their relations, the
 field order of their escrow tuples and the key of the token mapping. The
 ``oracle`` module re-derives every rule with naive nested loops; the test
 suite holds the two evaluators equal.
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .facts import FactStore, InputError
+from .facts import FactStore, InputError, index_by
 
 __all__ = [
     "ConfigurationError",
@@ -326,20 +328,24 @@ def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
     return _releases(store, "tc_token_deposited", {}, TcValidErc20TokenDeposit)
 
 
-def _cctx_join(escrows: frozenset, releases: frozenset, finality: dict, result_type) -> CctxSet:
-    """Join escrow and release tuples on (id, beneficiary, dst_token,
-    dst_chain, amount). A pair strictly after the origin chain's finality
-    window is a cross-chain tuple; a pair at or inside it is ``early``."""
-    by_key: dict[tuple, list] = {}
-    for esc in escrows:
-        key = (esc[2], esc.beneficiary, esc.dst_token, esc.dst_chain_id, esc.amount)
-        by_key.setdefault(key, []).append(esc)
+# The join key beside the id, as the escrow tuples name it; a release tuple
+# holds the same values as ``rel[3:]``.
+_ESCROW_KEY = attrgetter("beneficiary", "dst_token", "dst_chain_id", "amount")
+
+
+def _cctx_join(native: frozenset, erc20: frozenset, releases: frozenset, finality: dict,
+               result_type) -> CctxSet:
+    """Join the escrow tuples of both kinds and the release tuples on (id,
+    beneficiary, dst_token, dst_chain, amount). A pair strictly after the
+    origin chain's finality window is a cross-chain tuple; a pair at or
+    inside it is ``early``."""
+    escrows_by_id = index_by(native | erc20, itemgetter(2))  # the union is let go at once
     out, matched_escrows, matched_releases, early = set(), set(), set(), set()
     for rel in releases:
-        key = (rel[2], rel.beneficiary, rel.dst_token, rel.chain_id, rel.amount)
-        for esc in by_key.get(key, ()):
+        key = rel[3:]
+        for esc in escrows_by_id.get(rel[2], ()):
             window = finality.get(esc.orig_chain_id)
-            if window is None:
+            if window is None or _ESCROW_KEY(esc) != key:
                 continue
             if esc.timestamp + window >= rel.timestamp:
                 early.add((esc, rel, window))
@@ -354,9 +360,15 @@ def _cctx_join(escrows: frozenset, releases: frozenset, finality: dict, result_t
                     esc.sender, rel.beneficiary, rel.amount,
                 )
             )
+    # Each set is copied into the compact frozenset that is kept and let go
+    # before the next copy, so that at most one set is held twice at a time.
+    del escrows_by_id
     result = CctxSet(out)
+    del out
     result.matched_escrows = frozenset(matched_escrows)
+    del matched_escrows
     result.matched_releases = frozenset(matched_releases)
+    del matched_releases
     result.early = frozenset(early)
     return result
 
@@ -374,7 +386,7 @@ def eval_rule4(
     r1 = eval_rule1(store) if rule1 is None else rule1
     r2 = eval_rule2(store) if rule2 is None else rule2
     r3 = eval_rule3(store) if rule3 is None else rule3
-    return _cctx_join(r1 | r2, r3, store.finality, CctxValidDeposit)
+    return _cctx_join(r1, r2, r3, store.finality, CctxValidDeposit)
 
 
 def eval_rule5(store: FactStore) -> frozenset[WithdrawalEscrow]:
@@ -420,7 +432,7 @@ def eval_rule8(
     r5 = eval_rule5(store) if rule5 is None else rule5
     r6 = eval_rule6(store) if rule6 is None else rule6
     r7 = eval_rule7(store) if rule7 is None else rule7
-    return _cctx_join(r5 | r6, r7, store.finality, CctxValidWithdrawal)
+    return _cctx_join(r5, r6, r7, store.finality, CctxValidWithdrawal)
 
 
 @dataclass(frozen=True)

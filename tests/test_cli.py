@@ -177,7 +177,7 @@ def first_log(receipt):
 # (file edited, edit, message): every one exits 2 naming the key, row or line
 BAD_INGEST_INPUTS = [
     ("config", lambda c: deposit_fields(c).pop("amount"),
-     f"event {DEPOSITED}: field 'amount' has no plan"),
+     "events[0]: field 'amount' has no plan"),
     ("config", lambda c: deposit_fields(c)["amount"].update(data=-1),
      "field 'amount': data index must be an integer >= 0, got -1"),
     ("config", lambda c: deposit_fields(c)["deposit_id"].update(topic=0),
@@ -206,11 +206,11 @@ BAD_INGEST_INPUTS = [
         **deposit_fields(c), "amount": {"data": 3, "type": "uint"}}}),
      f"events[5]: repeats the topic0 {event_topic(DEPOSITED)} of events[0]"),
     ("config", lambda c: deposit_fields(c)["amount"].update(type="address"),
-     f"event {DEPOSITED}: field 'amount': type 'address' does not suit column kind Amount (use uint or id)"),
+     "events[0]: field 'amount': type 'address' does not suit column kind Amount (use uint or id)"),
     ("receipts", lambda r: r.update(chainId=7777),
      "receipts.jsonl:1: receipt chain 7777 not in decoder config"),
     ("config", lambda c: deposit_fields(c).update(amount={"source": "log_address"}),
-     f"event {DEPOSITED}: field 'amount': source 'log_address' does not suit column kind Amount"),
+     "events[0]: field 'amount': source 'log_address' does not suit column kind Amount"),
     ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"0": 5}),
      "field 'standard': label 0: expected string, got int"),
     ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"1": "ER\tC20"}),
@@ -260,11 +260,15 @@ BAD_INGEST_INPUTS = [
      "chain 1: bridge_addresses: expected a JSON list"),
     ("config", lambda c: c["events"][0].update(signature="TokenD\u00e9posited(uint256)"),
      "events[0]: signature is not ASCII: 'TokenD\u00e9posited(uint256)'"),
+    # an entry is named by its index, not by its signature, which may be long
+    ("config", lambda c: c["events"][0].update(signature=f"X({'uint256,' * 1000}uint256)", fields={}),
+     "events[0]: field 'amount' has no plan"),
 ]
 
 
 # The longest stderr line of a BAD_INGEST_INPUTS row, without its directory:
-# 171 characters, while the rows with 5000-digit input repeated it in full.
+# 139 characters (171 while config messages named an events entry by its
+# signature), while the rows with 5000-digit input repeated it in full.
 MAX_ERROR_CHARS = 200
 
 

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import gc
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgewatch import facts as f
-from bridgewatch.scenario import ScenarioParams, generate
+from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 from conftest import AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, static_facts
 from randstores import random_store
 
@@ -140,6 +145,37 @@ class TestStore:
         store = build_store(static_facts(), f1_facts())
         assert store.chain_ids() == {1, 100}
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_indexes_group_their_relations(self, seed):
+        store = random_store(seed)
+        indexes = [(store.transactions_by_hash, "transaction", "tx_hash"),
+                   *((store.by_tx[name], name, "tx_hash") for name in f.EVENT_RELATIONS),
+                   (store.deposits_by_id, "sc_token_deposited", "deposit_id"),
+                   (store.withdrawals_by_id, "sc_token_withdrew", "withdrawal_id")]
+        for index, name, column in indexes:
+            naive: dict = {}
+            for fact in store.relation(name):
+                naive.setdefault(getattr(fact, column), []).append(fact)
+            assert index.keys() == naive.keys()
+            for key, group in index.items():
+                assert type(group) is tuple
+                assert Counter(group) == Counter(naive[key])
+        # mutants share their original's tx hash, so keys are shared too
+        assert any(len(group) > 1 for group in store.by_tx["erc20_transfer"].values())
+
+    def test_seal_is_linear_when_every_fact_shares_its_keys(self):
+        # one deposit id and one tx hash for all: grouping that copied a
+        # key's tuple on every fact would take minutes here
+        n = 100_000
+        store = f.FactStore()
+        store.insert_all(f.ScTokenDepositedFact._unchecked(H1, i, "7", U1, CC, AA, 100, "ERC20", "5")
+                         for i in range(n))
+        start = time.perf_counter()
+        store.seal()
+        assert time.perf_counter() - start < 5
+        assert len(store.deposits_by_id["7"]) == len(store.by_tx["sc_token_deposited"][H1]) == n
+
 
 class TestPersistence:
     def test_load_single_line(self, tmp_path):
@@ -263,6 +299,44 @@ def test_loaded_store_bytes_per_fact_is_bounded(tmp_path):
         tracemalloc.stop()
     assert store.total_facts() == 6011
     assert traced / store.total_facts() <= MAX_LOADED_BYTES_PER_FACT
+
+
+# Traced peak bytes per fact over load_facts_dir -> seal -> eval_all ->
+# build_report -> report_to_json in a new interpreter: for the clean store
+# above, and for a 6,521-fact store with every attack kind and 28-way replays.
+# 547 and 556 B with list-valued indexes, two sets of every tx hash in
+# local_mismatches and a join keyed on 5-tuples; 487 and 497 B with
+# tuple-valued indexes, one set and the join's escrows indexed by id
+# (CPython 3.11). The bounds leave 10% headroom.
+EVAL_HIGH_WATER = {
+    "clean": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 535),
+    "attack": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500, anomalies=AnomalySpec(
+        forged_release=15, replayed_id=5, finality_break=15, direct_transfer=15,
+        orphan_bridge_event=15, replay_fanout=28)), 545),
+}
+
+HIGH_WATER_SCRIPT = """
+import sys, tracemalloc
+from bridgewatch import analytics, facts, rules
+tracemalloc.start()
+store = facts.load_facts_dir(sys.argv[1]).seal()
+analytics.report_to_json(analytics.build_report(store, rules.eval_all(store)))
+print(tracemalloc.get_traced_memory()[1] / store.total_facts())
+"""
+
+
+@pytest.mark.parametrize("name", EVAL_HIGH_WATER)
+def test_eval_high_water_bytes_per_fact_is_bounded(tmp_path, name):
+    params, max_bytes_per_fact = EVAL_HIGH_WATER[name]
+    generate(params).write_facts_dir(tmp_path)
+    # in a new interpreter, so that what earlier tests left in this one does
+    # not count: a table of interned strings that the load must grow, say
+    src = str(Path(f.__file__).resolve().parents[1])
+    peak = subprocess.run(
+        [sys.executable, "-c", HIGH_WATER_SCRIPT, str(tmp_path)], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert float(peak) <= max_bytes_per_fact
 
 
 def _dump_bytes(store: f.FactStore, root: Path) -> dict[str, bytes]:

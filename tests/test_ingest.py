@@ -565,6 +565,7 @@ class TestIngestJsonl:
         }
         path = self.write_receipts(tmp_path, [receipt])
         store, _ = ingest_jsonl(path, CONFIG)
+        store.seal()
         for tr in store.relation("erc20_transfer"):
             assert store.transactions_by_hash.get(tr.tx_hash)
 

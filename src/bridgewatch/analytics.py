@@ -12,8 +12,9 @@ Seven anomaly kinds cover the deviations the monitor can witness:
   with no escrow backing them) and are graded ``critical``.
 * ``FinalityViolation``: both legs match on every join key but the time
   gap is inside the origin chain's finality window.
-* ``DuplicateId``: one identifier reused across several release-side
-  bridge events (replay signature).
+* ``DuplicateId``: one deposit id reused across several source-chain
+  deposit events (the escrow side), or one withdrawal id across several
+  source-chain withdrawal events (the release side); the replay signature.
 * ``AmbiguousMatch``: one identifier participating in more than one
   cross-chain derivation.
 
@@ -470,13 +471,12 @@ def build_report(
     reported separately and keeps the identity captured = matched +
     unmatched.
     """
-    violations = finality_violations(outputs)
-    explained: set[tuple[str, str]] = set()
-    for v in violations:
-        vid = dict(v.evidence)["id"]
-        for tx_hash in v.tx_hashes:
-            explained.add((tx_hash, vid))
-
+    explained = {  # (tx_hash, id) of both legs of every finality violation
+        (leg.tx_hash, rel[2])
+        for cctxs in (outputs.rule4, outputs.rule8)
+        for esc, rel, _ in cctxs.early
+        for leg in (esc, rel)
+    }
     unmatched = [
         a
         for a in unmatched_local(outputs)
@@ -485,7 +485,7 @@ def build_report(
     anomalies = (
         local_mismatches(store)
         + unmatched
-        + violations
+        + finality_violations(outputs)
         + duplicate_ids(store, outputs)
     )
     grouped: dict[str, list[dict]] = {}

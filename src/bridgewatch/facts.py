@@ -241,7 +241,7 @@ def _compile(cls: type, env: dict, functions: dict[str, list[str]]) -> list[Call
     lines = [f"def _factory({', '.join(env)}):"]
     for signature, body in functions.items():
         lines += [f"  def {signature}:", *(f"    {line}" for line in body)]
-    lines.append(f"  return {', '.join(names)}")
+    lines.append(f"  return {', '.join(names)},")
     namespace: dict = {}
     exec("\n".join(lines), {}, namespace)
     compiled = namespace["_factory"](**env)

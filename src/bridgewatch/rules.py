@@ -1,41 +1,39 @@
 """Cross-chain rule evaluation over a sealed fact store.
 
-Eight rules validate bridge traffic. Rules 1-3 certify the two legs of a
-token deposit (escrow on the source chain, release on the target chain);
-rule 4 correlates them into cross-chain deposit transactions. Rules 5-8
-mirror them for withdrawals. Every rule is a conjunctive query with set
-semantics: a tuple is derived exactly when every conjunct holds, and a
-single local event participates in as many cross-chain tuples as the data
-supports (identifier reuse yields multiple derivations by design; the
-analytics layer flags the reuse).
+Eight rules validate bridge traffic, as the paper's Datalog clauses do.
+Rules 1-3 certify the two legs of a token deposit (escrow on the source
+chain, release on the target chain); rule 4 pairs them into cross-chain
+deposits. Rules 5-8 mirror them for withdrawals. Every rule is a
+conjunctive query with set semantics: a tuple is derived exactly when every
+conjunct holds, and one local event takes part in as many cross-chain
+tuples as the data supports (identifier reuse yields several derivations
+by design; the analytics layer flags the reuse).
 
-The two cross-chain rules additionally require the release to land
-strictly after the origin chain's finality window:
+Each conjunct is written once, by name, in :data:`CONJUNCTS`. A local rule
+is a list of leg shapes (native escrow, token escrow, token release, native
+release), and each shape lists its conjuncts. :func:`compile_rule`
+generates every rule body from these tables as nested loops over the
+store's indexes by tx hash. Rules 4/8 index the escrows by id, and pair an
+escrow and a release that hold ``join_key`` (beneficiary, dst_token,
+dst_chain, amount) strictly after the origin chain's finality window:
 
     orig_timestamp + finality(orig_chain) < dst_timestamp
 
-Boundary equality is a non-match.
-
-Implementation is hand-coded hash joins keyed on tx_hash for the local
-rules. Rules 4/8 join on (id, beneficiary, dst_token, dst_chain, amount),
-through an index on the id and a check of the other fields per candidate
-pair; that join is the only place that pairs legs (see ``CctxSet``). The
-six local rules share one body per leg shape: rules 1/5 (native escrow),
-2/6 (token escrow) and 3/7 (release) differ only in their relations, the
-field order of their escrow tuples and the key of the token mapping. The
-``oracle`` module re-derives every rule with naive nested loops; the test
-suite holds the two evaluators equal.
+Boundary equality is a non-match. The ``oracle`` module re-derives every
+rule with naive nested loops; the test suite holds the two evaluators equal.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .facts import FactStore, InputError, index_by
+from .facts import FactStore, InputError, _compile, index_by
 
 __all__ = [
     "ConfigurationError",
@@ -169,17 +167,6 @@ RULE_NAMES = {
     8: "CCTX_ValidWithdrawal",
 }
 
-RULE_TYPES = {
-    1: DepositEscrow,
-    2: DepositEscrow,
-    3: TcValidErc20TokenDeposit,
-    4: CctxValidDeposit,
-    5: WithdrawalEscrow,
-    6: WithdrawalEscrow,
-    7: ScValidErc20TokenWithdrawal,
-    8: CctxValidWithdrawal,
-}
-
 
 class CctxSet(frozenset):
     """The cross-chain tuples of rule 4 or 8, plus what the same join saw:
@@ -195,171 +182,207 @@ def _require_sealed(store: FactStore) -> None:
         raise RuntimeError("store must be sealed before evaluation")
 
 
-# Escrow legs look token mappings up as (escrow_chain, event.dst_chain_id,
-# event.orig_token, event.dst_token, event.standard). A withdrawal runs its
-# deposit's mapping backwards, so rules 5 and 6 read the mappings with
-# chains and tokens swapped; a builder per direction orders the tuple.
-
-
-def _deposit_escrow(ev, timestamp, sender, bridge_addr, chain) -> DepositEscrow:
-    return DepositEscrow(
-        timestamp, ev.tx_hash, ev.deposit_id, sender, bridge_addr, ev.beneficiary,
-        ev.dst_token, ev.orig_token, chain, ev.dst_chain_id, ev.standard, ev.amount,
+def _no_finality(chains) -> ConfigurationError:
+    return ConfigurationError(
+        f"no cctx_finality fact for chain(s): {', '.join(map(str, sorted(chains)))}"
     )
 
 
-def _withdrawal_escrow(ev, timestamp, sender, bridge_addr, chain) -> WithdrawalEscrow:
-    return WithdrawalEscrow(
-        timestamp, ev.tx_hash, ev.withdrawal_id, sender, bridge_addr, ev.beneficiary,
-        ev.orig_token, ev.dst_token, ev.dst_chain_id, chain, ev.standard, ev.amount,
+# Every conjunct of the eight rule bodies, once, by name. A local conjunct
+# reads the bridge event ``ev``, the same-transaction fact ``leg`` that it
+# pairs with and the transaction ``tx``; the leg shape fills in ``{chain}``,
+# ``{bridge}``, ``{token}`` and ``{recipient}``, and ``mappings`` is the
+# direction's token mapping set. The cross-chain conjuncts read an escrow
+# tuple ``esc`` and a release tuple ``rel`` with the same id, and ``window``,
+# the finality window of the escrow's chain.
+CONJUNCTS = {
+    "token": "leg.token == {token}",
+    "beneficiary": "{recipient} == ev.beneficiary",
+    "amount": "leg.amount == ev.amount",
+    "order": "ev.event_index > leg.event_index",
+    "chain": "tx.chain_id == leg.chain_id",
+    "success": "tx.status == 1",
+    "sender": "tx.from_address == leg.sender",
+    "value": "tx.value == ev.amount",
+    "zero_value": 'tx.value == "0"',
+    "bridge": "({chain}, {bridge}) in bridges",
+    "mapping": "({chain}, ev.dst_chain_id, ev.orig_token, ev.dst_token, ev.standard) in mappings",
+    "wrapped_native": "({chain}, ev.orig_token) in wrapped",
+    "join_key": "esc.beneficiary == rel.beneficiary and esc.dst_token == rel.dst_token"
+                " and esc.dst_chain_id == rel.chain_id and esc.amount == rel.amount",
+    "finality": "esc.timestamp + window < rel.timestamp",
+}
+
+
+class _Shape(NamedTuple):
+    """A kind of same-transaction leg that certifies a bridge event."""
+
+    legs: tuple[str | None, str | None]  # its relation for deposits, for withdrawals
+    conjuncts: tuple[str, ...]  # in evaluation order
+    chain: str  # the chain of the leg
+    bridge: str  # the bridge address that the leg's funds pass
+    sender: str = ""  # who escrows
+    token: str = ""  # the event's token that a token leg moves
+    recipient: str = ""  # who a release pays
+
+
+_NATIVE_ESCROW = _Shape(
+    ("sc_deposit", "tc_withdrawal"),
+    ("amount", "order", "success", "sender", "value", "mapping", "wrapped_native", "bridge"),
+    chain="tx.chain_id", bridge="leg.bridge_addr", sender="leg.sender",
+)
+_TOKEN_ESCROW = _Shape(
+    ("erc20_transfer", "erc20_transfer"),
+    ("token", "amount", "order", "bridge", "mapping", "chain", "success", "zero_value"),
+    chain="leg.chain_id", bridge="leg.to_address", sender="tx.from_address",
+    token="ev.orig_token",
+)
+_TOKEN_RELEASE = _Shape(
+    ("erc20_transfer", "erc20_transfer"),
+    ("token", "beneficiary", "amount", "order", "success", "zero_value", "chain", "bridge"),
+    chain="tx.chain_id", bridge="leg.from_address", token="ev.dst_token",
+    recipient="leg.to_address",
+)
+_NATIVE_RELEASE = _Shape(
+    (None, "sc_withdrawal"),
+    ("beneficiary", "amount", "order", "success", "zero_value", "bridge"),
+    chain="tx.chain_id", bridge="leg.bridge_addr", recipient="leg.beneficiary",
+)
+
+# The six local rules: (direction, bridge event, leg shapes, head). The
+# direction, 0 for deposits and 1 for withdrawals, picks each shape's leg
+# relation and the token mappings: a withdrawal runs its deposit's mapping
+# backwards, so rules 5 and 6 read the mappings with chains and tokens
+# swapped. Rule 7 derives its tuple from a leg of either shape; rule 3 has
+# no native release, so a native release never certifies a deposit.
+_LOCAL_RULES = {
+    1: (0, "sc_token_deposited", (_NATIVE_ESCROW,), DepositEscrow),
+    2: (0, "sc_token_deposited", (_TOKEN_ESCROW,), DepositEscrow),
+    3: (0, "tc_token_deposited", (_TOKEN_RELEASE,), TcValidErc20TokenDeposit),
+    5: (1, "tc_token_withdrew", (_NATIVE_ESCROW,), WithdrawalEscrow),
+    6: (1, "tc_token_withdrew", (_TOKEN_ESCROW,), WithdrawalEscrow),
+    7: (1, "sc_token_withdrew", (_TOKEN_RELEASE, _NATIVE_RELEASE), ScValidErc20TokenWithdrawal),
+}
+
+RULE_TYPES = {rule_id: spec[3] for rule_id, spec in _LOCAL_RULES.items()}
+RULE_TYPES.update({4: CctxValidDeposit, 8: CctxValidWithdrawal})
+
+_READS_TX = re.compile(r"\btx\.").search
+
+
+def _local_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
+    """For each bridge event and shape: a loop over the shape's legs in the
+    event's transaction and, inside it, over the transactions with that
+    hash. Each conjunct sits in the innermost loop whose variable it reads,
+    in the shape's order. The head takes its timestamp from ``tx``, its
+    sender, bridge address and chain (an escrow's ``orig_chain_id``, a
+    release's ``chain_id``) from the shape, and every other column from the
+    event's column of the same name."""
+    _, _, shapes, head = _LOCAL_RULES[rule_id]
+    lines = ["out = set()", "add = out.add", "for ev in events:"]
+    for n, shape in enumerate(shapes):
+        texts = [conjuncts[name].format_map(shape._asdict()) for name in shape.conjuncts]
+        on_leg = [text for text in texts if not _READS_TX(text)]
+        on_tx = [text for text in texts if _READS_TX(text)]
+        taken = {"timestamp": "tx.timestamp", "sender": shape.sender, "bridge_addr": shape.bridge,
+                 "orig_chain_id": shape.chain, "chain_id": shape.chain}
+        columns = ", ".join(taken.get(name, f"ev.{name}") for name in head._fields)
+        lines += [
+            f"  for leg in legs{n}.get(ev.tx_hash, ()):",
+            f"    if {' and '.join(on_leg) or 'True'}:",
+            "      for tx in txs.get(ev.tx_hash, ()):",
+            f"        if {' and '.join(on_tx) or 'True'}:",
+            f"          add(_head({columns}))",
+        ]
+    legs = ", ".join(f"legs{n}" for n in range(len(shapes)))
+    return {f"rule{rule_id}(events, txs, bridges, mappings, wrapped, {legs})":
+            [*lines, "return frozenset(out)"]}
+
+
+def _join_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
+    """Each release against the escrows with its id: a pair with the same
+    ``join_key`` is a cross-chain tuple if it holds ``finality``, and
+    ``early`` if not. A chain without a window raises ``KeyError``."""
+    return {f"rule{rule_id}(releases, escrows_by_id, finality)": [
+        "out, matched_escrows, matched_releases, early = set(), set(), set(), set()",
+        "for rel in releases:",
+        "  for esc in escrows_by_id.get(rel[2], ()):",
+        f"    if {conjuncts['join_key']}:",
+        "      window = finality[esc.orig_chain_id]",
+        f"      if {conjuncts['finality']}:",
+        "        matched_escrows.add(esc)",
+        "        matched_releases.add(rel)",
+        "        out.add(_head(esc.orig_chain_id, esc.timestamp, esc.tx_hash, rel.chain_id,"
+        " rel.timestamp, rel.tx_hash, rel[2], esc.orig_token, esc.dst_token, esc.sender,"
+        " rel.beneficiary, rel.amount))",
+        "      else:",
+        "        early.add((esc, rel, window))",
+        "return out, matched_escrows, matched_releases, early",
+    ]}
+
+
+def compile_rule(rule_id: int, conjuncts: dict[str, str] = CONJUNCTS) -> Callable:
+    """The body of rule ``rule_id``, compiled from ``conjuncts``."""
+    body = _local_body if rule_id in _LOCAL_RULES else _join_body
+    head = RULE_TYPES[rule_id]
+    return _compile(head, {"_head": head}, body(rule_id, conjuncts))[0]
+
+
+# Each body is compiled on its rule's first evaluation: commands that
+# evaluate no rule, such as ``ingest``, import this module too.
+_body = cache(compile_rule)
+
+
+def _eval_local(store: FactStore, rule_id: int) -> frozenset:
+    _require_sealed(store)
+    direction, event, shapes, _ = _LOCAL_RULES[rule_id]
+    mappings = store.token_mappings
+    if direction:
+        mappings = {(dst_chain, orig_chain, dst_token, orig_token, standard)
+                    for orig_chain, dst_chain, orig_token, dst_token, standard in mappings}
+    return _body(rule_id)(
+        store.relation(event), store.transactions_by_hash, store.bridge_addresses, mappings,
+        store.wrapped_native, *(store.by_tx[shape.legs[direction]] for shape in shapes),
     )
-
-
-def _withdrawal_mappings(store: FactStore) -> set[tuple]:
-    return {
-        (dst_chain, orig_chain, dst_token, orig_token, standard)
-        for orig_chain, dst_chain, orig_token, dst_token, standard in store.token_mappings
-    }
-
-
-def _native_escrows(store: FactStore, event: str, escrow: str, mappings: set, make) -> frozenset:
-    """Rules 1 and 5: a bridge event paired with a native value escrow."""
-    out = set()
-    escrow_by_tx = store.by_tx[escrow]
-    for ev in store.relation(event):
-        for esc in escrow_by_tx.get(ev.tx_hash, ()):
-            if esc.amount != ev.amount or ev.event_index <= esc.event_index:
-                continue
-            for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
-                if tx.status != 1 or tx.from_address != esc.sender or tx.value != ev.amount:
-                    continue
-                chain = tx.chain_id
-                if (chain, ev.dst_chain_id, ev.orig_token, ev.dst_token, ev.standard) not in mappings:
-                    continue
-                if (chain, ev.orig_token) not in store.wrapped_native:
-                    continue
-                if (chain, esc.bridge_addr) not in store.bridge_addresses:
-                    continue
-                out.add(make(ev, tx.timestamp, esc.sender, esc.bridge_addr, chain))
-    return frozenset(out)
-
-
-def _erc20_escrows(store: FactStore, event: str, mappings: set, make) -> frozenset:
-    """Rules 2 and 6: a bridge event paired with a token transfer into the
-    bridge."""
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    for ev in store.relation(event):
-        for tr in transfers_by_tx.get(ev.tx_hash, ()):
-            if (tr.token != ev.orig_token or tr.amount != ev.amount
-                    or ev.event_index <= tr.event_index):
-                continue
-            if (tr.chain_id, tr.to_address) not in store.bridge_addresses:
-                continue
-            if (tr.chain_id, ev.dst_chain_id, ev.orig_token, ev.dst_token, ev.standard) not in mappings:
-                continue
-            for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
-                if tx.chain_id != tr.chain_id or tx.status != 1 or tx.value != "0":
-                    continue
-                out.add(make(ev, tx.timestamp, tx.from_address, tr.to_address, tr.chain_id))
-    return frozenset(out)
-
-
-def _releases(store: FactStore, event: str, native_by_tx: dict, result_type) -> frozenset:
-    """Rules 3 and 7: a bridge event paired with a token transfer out of
-    the bridge to the beneficiary, or with a native value release from
-    ``native_by_tx`` (rule 3 has none), in a zero-value transaction."""
-    out = set()
-    transfers_by_tx = store.by_tx["erc20_transfer"]
-    id_field = result_type._fields[2]  # the event's id column has the same name
-    for ev in store.relation(event):
-        releases = []
-        for tr in transfers_by_tx.get(ev.tx_hash, ()):
-            if (tr.token == ev.dst_token and tr.to_address == ev.beneficiary
-                    and tr.amount == ev.amount and ev.event_index > tr.event_index):
-                releases.append((tr.chain_id, tr.from_address))
-        for nat in native_by_tx.get(ev.tx_hash, ()):
-            if (nat.beneficiary == ev.beneficiary and nat.amount == ev.amount
-                    and ev.event_index > nat.event_index):
-                releases.append((None, nat.bridge_addr))
-        if not releases:
-            continue
-        for tx in store.transactions_by_hash.get(ev.tx_hash, ()):
-            if tx.status != 1 or tx.value != "0":
-                continue
-            for rel_chain, bridge_addr in releases:
-                if rel_chain is not None and rel_chain != tx.chain_id:
-                    continue
-                if (tx.chain_id, bridge_addr) not in store.bridge_addresses:
-                    continue
-                out.add(result_type(tx.timestamp, ev.tx_hash, getattr(ev, id_field),
-                                    ev.beneficiary, ev.dst_token, tx.chain_id, ev.amount))
-    return frozenset(out)
 
 
 def eval_rule1(store: FactStore) -> frozenset[DepositEscrow]:
-    """Native-token deposits on the source chain.
-
-    A bridge deposit event must pair, within the same transaction, with a
-    native value escrow into a bridge-controlled address, a successful
-    transaction whose value equals the escrowed amount, a registered token
-    mapping, and the source chain's wrapped-native token; the bridge event
-    must come after the escrow.
-    """
-    _require_sealed(store)
-    return _native_escrows(
-        store, "sc_token_deposited", "sc_deposit", store.token_mappings, _deposit_escrow
-    )
+    """Native-token deposits on the source chain: a bridge deposit event
+    paired with a native value escrow into the bridge in the same
+    transaction (the native escrow shape)."""
+    return _eval_local(store, 1)
 
 
 def eval_rule2(store: FactStore) -> frozenset[DepositEscrow]:
     """ERC-20 deposits on the source chain: the escrow is a token transfer
     into a bridge-controlled address and the transaction moves no native
     value."""
-    _require_sealed(store)
-    return _erc20_escrows(store, "sc_token_deposited", store.token_mappings, _deposit_escrow)
+    return _eval_local(store, 2)
 
 
 def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
     """Deposit releases on the target chain: a bridge deposit event paired
     with a token transfer from a bridge-controlled address to the
     beneficiary, inside a successful zero-value transaction."""
+    return _eval_local(store, 3)
+
+
+def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxSet:
+    """Join the escrow tuples of both kinds and the release tuples of rule
+    ``rule_id``, each given or evaluated here, through an index of the
+    escrows by id. Raises :class:`ConfigurationError` for a pair whose
+    escrow chain has no finality window."""
     _require_sealed(store)
-    return _releases(store, "tc_token_deposited", {}, TcValidErc20TokenDeposit)
-
-
-# The join key beside the id, as the escrow tuples name it; a release tuple
-# holds the same values as ``rel[3:]``.
-_ESCROW_KEY = attrgetter("beneficiary", "dst_token", "dst_chain_id", "amount")
-
-
-def _cctx_join(native: frozenset, erc20: frozenset, releases: frozenset, finality: dict,
-               result_type) -> CctxSet:
-    """Join the escrow tuples of both kinds and the release tuples on (id,
-    beneficiary, dst_token, dst_chain, amount). A pair strictly after the
-    origin chain's finality window is a cross-chain tuple; a pair at or
-    inside it is ``early``."""
+    native, erc20, releases = (
+        _eval_local(store, leg_rule) if given is None else given
+        for leg_rule, given in enumerate(legs, rule_id - 3)
+    )
     escrows_by_id = index_by(native | erc20, itemgetter(2))  # the union is let go at once
-    out, matched_escrows, matched_releases, early = set(), set(), set(), set()
-    for rel in releases:
-        key = rel[3:]
-        for esc in escrows_by_id.get(rel[2], ()):
-            window = finality.get(esc.orig_chain_id)
-            if window is None or _ESCROW_KEY(esc) != key:
-                continue
-            if esc.timestamp + window >= rel.timestamp:
-                early.add((esc, rel, window))
-                continue
-            matched_escrows.add(esc)
-            matched_releases.add(rel)
-            out.add(
-                result_type(
-                    esc.orig_chain_id, esc.timestamp, esc.tx_hash,
-                    rel.chain_id, rel.timestamp, rel.tx_hash,
-                    rel[2], esc.orig_token, esc.dst_token,
-                    esc.sender, rel.beneficiary, rel.amount,
-                )
-            )
+    try:
+        out, matched_escrows, matched_releases, early = _body(rule_id)(
+            releases, escrows_by_id, store.finality)
+    except KeyError as missing:
+        raise _no_finality(missing.args) from None
     # Each set is copied into the compact frozenset that is kept and let go
     # before the next copy, so that at most one set is held twice at a time.
     del escrows_by_id
@@ -373,66 +396,39 @@ def _cctx_join(native: frozenset, erc20: frozenset, releases: frozenset, finalit
     return result
 
 
-def eval_rule4(
-    store: FactStore,
-    rule1: frozenset | None = None,
-    rule2: frozenset | None = None,
-    rule3: frozenset | None = None,
-) -> CctxSet:
+def eval_rule4(store: FactStore, rule1: frozenset | None = None,
+               rule2: frozenset | None = None, rule3: frozenset | None = None) -> CctxSet:
     """Cross-chain deposits: a target-chain release matching a source-chain
     escrow (native or ERC-20) on id, beneficiary, token, chain and amount,
     strictly after the source chain's finality window."""
-    _require_sealed(store)
-    r1 = eval_rule1(store) if rule1 is None else rule1
-    r2 = eval_rule2(store) if rule2 is None else rule2
-    r3 = eval_rule3(store) if rule3 is None else rule3
-    return _cctx_join(r1, r2, r3, store.finality, CctxValidDeposit)
+    return _cctx_join(store, 4, rule1, rule2, rule3)
 
 
 def eval_rule5(store: FactStore) -> frozenset[WithdrawalEscrow]:
     """Native-token withdrawal escrows on the target chain (inverse of the
     native deposit rule, with the token mapping looked up in the deposit
     direction)."""
-    _require_sealed(store)
-    return _native_escrows(
-        store, "tc_token_withdrew", "tc_withdrawal", _withdrawal_mappings(store), _withdrawal_escrow
-    )
+    return _eval_local(store, 5)
 
 
 def eval_rule6(store: FactStore) -> frozenset[WithdrawalEscrow]:
     """ERC-20 withdrawal escrows on the target chain."""
-    _require_sealed(store)
-    return _erc20_escrows(store, "tc_token_withdrew", _withdrawal_mappings(store), _withdrawal_escrow)
+    return _eval_local(store, 6)
 
 
 def eval_rule7(store: FactStore) -> frozenset[ScValidErc20TokenWithdrawal]:
-    """Withdrawal releases on the source chain.
-
-    The release is either a token transfer from a bridge-controlled
-    address to the beneficiary or a native value release recorded by the
-    bridge; the enclosing transaction succeeds with zero value. Unlike the
-    escrow rules there is no token-mapping conjunct.
-    """
-    _require_sealed(store)
-    return _releases(
-        store, "sc_token_withdrew", store.by_tx["sc_withdrawal"], ScValidErc20TokenWithdrawal
-    )
+    """Withdrawal releases on the source chain: a bridge withdrawal event
+    paired with a token transfer or a native value release from the bridge
+    to the beneficiary (the token or the native release shape)."""
+    return _eval_local(store, 7)
 
 
-def eval_rule8(
-    store: FactStore,
-    rule5: frozenset | None = None,
-    rule6: frozenset | None = None,
-    rule7: frozenset | None = None,
-) -> CctxSet:
+def eval_rule8(store: FactStore, rule5: frozenset | None = None,
+               rule6: frozenset | None = None, rule7: frozenset | None = None) -> CctxSet:
     """Cross-chain withdrawals: a source-chain release matching a
     target-chain escrow, strictly after the target chain's finality
     window."""
-    _require_sealed(store)
-    r5 = eval_rule5(store) if rule5 is None else rule5
-    r6 = eval_rule6(store) if rule6 is None else rule6
-    r7 = eval_rule7(store) if rule7 is None else rule7
-    return _cctx_join(r5, r6, r7, store.finality, CctxValidWithdrawal)
+    return _cctx_join(store, 8, rule5, rule6, rule7)
 
 
 @dataclass(frozen=True)
@@ -462,11 +458,9 @@ def eval_all(store: FactStore) -> RuleOutputs:
     store's facts has no finality window.
     """
     _require_sealed(store)
-    missing = sorted(store.chain_ids() - set(store.finality))
+    missing = store.chain_ids() - set(store.finality)
     if missing:
-        raise ConfigurationError(
-            f"no cctx_finality fact for chain(s): {', '.join(map(str, missing))}"
-        )
+        raise _no_finality(missing)
     r1, r2, r3 = eval_rule1(store), eval_rule2(store), eval_rule3(store)
     r5, r6, r7 = eval_rule5(store), eval_rule6(store), eval_rule7(store)
     return RuleOutputs(

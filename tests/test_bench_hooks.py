@@ -1,19 +1,54 @@
 """The benchmark's tracer wraps program functions by name; every name it
-wraps must still exist, or only traced benchmark runs would notice."""
+wraps must still exist and still be called as the per-layer metrics expect,
+or only traced benchmark runs would notice."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from bridgewatch.rules import RULE_NAMES
+from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
+
 ROOT = Path(__file__).resolve().parents[1]
+PATH = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_instruments_every_layer():
     script = "import tracing; tracing.instrument(tracing.Tracer())"
-    path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, cwd=ROOT / "bench")
+                          env={**os.environ, "PYTHONPATH": PATH}, cwd=ROOT / "bench")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_eval_counts_every_rule_and_analytics_pass(tmp_path):
+    anomalies = AnomalySpec(forged_release=1, replayed_id=1, finality_break=1,
+                            direct_transfer=1, orphan_bridge_event=1)
+    generate(ScenarioParams(seed=5, n_deposits=30, n_withdrawals=30, anomalies=anomalies)
+             ).write_facts_dir(tmp_path / "facts")
+    spans, report = tmp_path / "spans.json", tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracing.py"), "--spans", str(spans), "cli", "--",
+         "eval", "--facts", str(tmp_path / "facts"), "--out", str(report)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": PATH},
+    )
+    assert proc.returncode == 1, proc.stderr  # the injected anomalies are found
+    counts = json.loads(spans.read_text())["counts"]
+    rule_counts = json.loads(report.read_text())["rule_counts"]
+    for i, name in RULE_NAMES.items():
+        assert counts[f"rules.eval_rule{i}.calls"] == 1
+        assert counts[f"rules.rule{i}.tuples"] == rule_counts[name] > 0
+    for name in _tracing().ANALYTICS_PASSES:
+        assert counts[f"analytics.{name}.calls"] >= 1
+    assert counts["analytics.matched_projections.calls"] == 2

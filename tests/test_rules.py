@@ -13,10 +13,12 @@ import pytest
 
 from bridgewatch import facts as f
 from bridgewatch import rules
+from bridgewatch.oracle import brute_force
 from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
     addr, build_store, f1_facts, f2_facts, static_facts,
 )
+from randstores import random_store
 
 R1_TUPLE = rules.ScValidNativeTokenDeposit(
     1000, H1, "7", U1, B1, U2, CC, AA, S_CHAIN, T_CHAIN, "ERC20", "5"
@@ -57,6 +59,19 @@ def store_with(mutate=None, extra=None, drop=None):
     return build_store(all_facts)
 
 
+def bridge_event_before_escrow(fact):
+    """Swap the order of the native escrow and the deposit event of F1."""
+    if isinstance(fact, f.ScDepositFact):
+        return replace(fact, event_index=1)
+    if isinstance(fact, f.ScTokenDepositedFact) and fact.tx_hash == H1:
+        return replace(fact, event_index=0)
+    return fact
+
+
+def source_wrapped_native(fact) -> bool:
+    return isinstance(fact, f.WrappedNativeTokenFact) and fact.chain_id == S_CHAIN
+
+
 class TestRule1:
     def test_reference_deposit(self, f1_store):
         assert rules.eval_rule1(f1_store) == {R1_TUPLE}
@@ -70,14 +85,7 @@ class TestRule1:
         assert rules.eval_rule1(store_with(mutate)) == frozenset()
 
     def test_bridge_event_before_escrow_blocks(self):
-        def mutate(fact):
-            if isinstance(fact, f.ScDepositFact):
-                return replace(fact, event_index=1)
-            if isinstance(fact, f.ScTokenDepositedFact) and fact.tx_hash == H1:
-                return replace(fact, event_index=0)
-            return fact
-
-        assert rules.eval_rule1(store_with(mutate)) == frozenset()
+        assert rules.eval_rule1(store_with(bridge_event_before_escrow)) == frozenset()
 
     def test_value_mismatch_blocks(self):
         def mutate(fact):
@@ -88,10 +96,7 @@ class TestRule1:
         assert rules.eval_rule1(store_with(mutate)) == frozenset()
 
     def test_missing_wrapped_native_blocks(self):
-        def drop(fact):
-            return isinstance(fact, f.WrappedNativeTokenFact) and fact.chain_id == S_CHAIN
-
-        assert rules.eval_rule1(store_with(drop=drop)) == frozenset()
+        assert rules.eval_rule1(store_with(drop=source_wrapped_native)) == frozenset()
 
 
 class TestRule2:
@@ -155,8 +160,6 @@ class TestRule3:
         store = store_with(drop=drop, extra=[f.ScWithdrawalFact(H2, 0, B2, U2, "5")])
         assert rules.eval_rule3(store) == frozenset()
         assert rules.eval_rule7(store) == {R7_TUPLE}
-        from bridgewatch.oracle import brute_force
-
         assert brute_force(3, store) == frozenset()
 
 
@@ -258,8 +261,6 @@ class TestHashOnlyJoin:
         tuples = rules.eval_rule1(store)
         assert {t.orig_chain_id for t in tuples} == {S_CHAIN, T_CHAIN}
         assert len(tuples) == 2
-        from bridgewatch.oracle import brute_force
-
         assert tuples == brute_force(1, store)
 
 
@@ -277,11 +278,14 @@ class TestEvalAll:
         assert all(len(s) == 0 for s in outputs.by_rule().values())
 
     def test_missing_finality_is_configuration_error(self):
-        def drop(fact):
-            return isinstance(fact, f.CctxFinalityFact) and fact.chain_id == T_CHAIN
-
-        with pytest.raises(rules.ConfigurationError, match="100"):
-            rules.eval_all(store_with(drop=drop))
+        # the cross-chain rules need the window of their escrow's chain
+        for evaluate, chain in ((rules.eval_all, T_CHAIN), (rules.eval_rule4, S_CHAIN),
+                                (rules.eval_rule8, T_CHAIN)):
+            store = store_with(
+                drop=lambda fact: isinstance(fact, f.CctxFinalityFact) and fact.chain_id == chain
+            )
+            with pytest.raises(rules.ConfigurationError, match=rf"chain\(s\): {chain}$"):
+                evaluate(store)
 
     @pytest.mark.parametrize("fact_type, column", CHAIN_ID_COLUMNS,
                              ids=[f"{t.RELATION}.{c}" for t, c in CHAIN_ID_COLUMNS])
@@ -295,6 +299,31 @@ class TestEvalAll:
         store = f.FactStore()
         with pytest.raises(RuntimeError, match="sealed"):
             rules.eval_rule1(store)
+
+
+def test_every_conjunct_is_needed(monkeypatch):
+    """The engine compiled with any one conjunct left out differs from the
+    oracle on some store: the reference scenario with the escrow after the
+    bridge event or without the source chain's wrapped-native token (which
+    none of these random stores tells apart, since their mutants leave the
+    original derivation in place), or a seeded random store."""
+    stores = [
+        store_with(bridge_event_before_escrow), store_with(drop=source_wrapped_native),
+        *(random_store(seed * 7919 + 13) for seed in range(10)),
+    ]
+    evaluators = [getattr(rules, f"eval_rule{i}") for i in range(1, 9)]
+    expected = [[brute_force(i, store) for i in range(1, 9)] for store in stores]
+
+    def agrees() -> bool:
+        return all(evaluate(store) == oracle for store, outputs in zip(stores, expected)
+                   for evaluate, oracle in zip(evaluators, outputs))
+
+    assert agrees()
+    for name in rules.CONJUNCTS:
+        conjuncts = {**rules.CONJUNCTS, name: "True"}
+        bodies = {i: rules.compile_rule(i, conjuncts) for i in rules.RULE_TYPES}
+        monkeypatch.setattr(rules, "_body", bodies.__getitem__)
+        assert not agrees(), f"no store needs the conjunct {name!r}"
 
 
 class TestCsvExport:

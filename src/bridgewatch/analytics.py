@@ -29,13 +29,15 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, filterfalse
+from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .facts import MAX_UINT256, EncodingError, FactStore, InputError, canonical_address, read_json
+from .facts import (MAX_UINT256, EncodingError, FactStore, InputError, canonical_address,
+                    index_by, read_json)
 from .rules import RULE_NAMES, RuleOutputs
 
 __all__ = [
@@ -246,24 +248,24 @@ def finality_violations(outputs: RuleOutputs) -> list[Anomaly]:
 # identifier reuse
 # ---------------------------------------------------------------------------
 
-def duplicate_ids(store: FactStore, outputs: RuleOutputs | None = None) -> list[Anomaly]:
+def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     """Identifier reuse across bridge events, plus multi-derivation
     cross-chain transactions.
 
     A deposit id shared by several source-chain deposit events, or a
     withdrawal id shared by several source-chain (release side)
     withdrawal events, yields one ``DuplicateId`` with the occurrence
-    count. When rule outputs are supplied, ids participating in more than
-    one cross-chain derivation yield one ``AmbiguousMatch`` each.
+    count. An id participating in more than one cross-chain derivation of
+    ``outputs`` yields one ``AmbiguousMatch``. The pass groups the events
+    and the derivations by id itself (:func:`facts.index_by`), so the
+    groups live only while it runs.
     """
     if not store.sealed:
         raise RuntimeError("store must be sealed")
     out: list[Anomaly] = []
-    for index, id_field, relation in (
-        (store.deposits_by_id, "deposit_id", "sc_token_deposited"),
-        (store.withdrawals_by_id, "withdrawal_id", "sc_token_withdrew"),
-    ):
-        for value, facts_list in index.items():
+    for relation, id_field in (("sc_token_deposited", "deposit_id"),
+                               ("sc_token_withdrew", "withdrawal_id")):
+        for value, facts_list in index_by(store.relation(relation), attrgetter(id_field)).items():
             if len(facts_list) < 2:
                 continue
             chains = set()
@@ -281,29 +283,21 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs | None = None) -> list[
                     ),
                 )
             )
-    if outputs is not None:
-        for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
-            by_id: dict[str, list] = {}
-            for c in cctx_set:
-                by_id.setdefault(c[6], []).append(c)
-            for value, cctxs in by_id.items():
-                if len(cctxs) < 2:
-                    continue
-                hashes = sorted(
-                    {c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs}
+    for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
+        for value, cctxs in index_by(cctx_set, attrgetter(id_field)).items():
+            if len(cctxs) < 2:
+                continue
+            hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
+            chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})
+            out.append(
+                Anomaly(
+                    kind="AmbiguousMatch",
+                    chain_ids=tuple(chains),
+                    tx_hashes=tuple(hashes),
+                    amount=str(sum(int(c.amount) for c in cctxs)),
+                    evidence=_evidence(**{id_field: value, "derivations": len(cctxs)}),
                 )
-                chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})
-                out.append(
-                    Anomaly(
-                        kind="AmbiguousMatch",
-                        chain_ids=tuple(chains),
-                        tx_hashes=tuple(hashes),
-                        amount=str(sum(int(c.amount) for c in cctxs)),
-                        evidence=_evidence(
-                            **{id_field: value, "derivations": len(cctxs)}
-                        ),
-                    )
-                )
+            )
     return sorted(out, key=Anomaly.sort_key)
 
 
@@ -386,16 +380,7 @@ class LatencyStats:
     total_usd: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min": self.min,
-            "max": self.max,
-            "avg": self.avg,
-            "std": self.std,
-            "median": self.median,
-            "total_value": self.total_value,
-            "total_usd": self.total_usd,
-        }
+        return asdict(self)
 
 
 def _two_decimals(value: Fraction, sqrt: bool = False) -> str:

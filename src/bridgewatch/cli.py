@@ -82,15 +82,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # imported here, not at the top, so that the other commands start faster
-    from .scenario import AnomalySpec, ScenarioParams, generate
+    from .scenario import AnomalySpec, ScenarioParams, generate, parse_count
 
     anomalies = AnomalySpec.from_spec_string(args.anomalies)
     if args.replay_fanout is not None:
-        anomalies = dataclasses.replace(anomalies, replay_fanout=args.replay_fanout)
+        anomalies = dataclasses.replace(
+            anomalies, replay_fanout=parse_count(args.replay_fanout, "--replay-fanout"))
     scenario = generate(ScenarioParams(
-        seed=args.seed,
-        n_deposits=args.deposits,
-        n_withdrawals=args.withdrawals,
+        seed=parse_count(args.seed, "--seed"),
+        n_deposits=parse_count(args.deposits, "--deposits"),
+        n_withdrawals=parse_count(args.withdrawals, "--withdrawals"),
         anomalies=anomalies,
     ))
     out_dir = Path(args.out)
@@ -163,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="generate a synthetic two-chain scenario")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--deposits", type=int, required=True)
-    p.add_argument("--withdrawals", type=int, required=True)
+    # integers are read as canonical text by cmd_simulate, not by argparse's int()
+    p.add_argument("--seed", required=True)
+    p.add_argument("--deposits", required=True)
+    p.add_argument("--withdrawals", required=True)
     p.add_argument("--anomalies", default="", help="kind=count[,kind=count...]")
-    p.add_argument("--replay-fanout", type=int, default=None,
+    p.add_argument("--replay-fanout", default=None,
                    help="releases per replayed id (default 3)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--emit", choices=("facts", "receipts"), default="facts")

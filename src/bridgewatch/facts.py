@@ -71,8 +71,8 @@ __all__ = [
     "canonical_amount",
     "uint_text",
     "reading_utf8",
+    "parse_json",
     "read_json",
-    "long_integer",
     "shown",
     "index_by",
     "load_facts_dir",
@@ -509,9 +509,17 @@ class FactStore:
     """Set-semantics container for the thirteen relations.
 
     Single-writer while building; ``seal()`` freezes it and builds the
-    secondary indexes, after which it is safe for concurrent readers. Each
-    index of facts maps a key (a tx hash, a deposit or withdrawal id) to
-    the tuple of the facts with that key, built by :func:`index_by`.
+    secondary indexes, after which it is safe for concurrent readers:
+
+    * ``transactions_by_hash``: each tx hash to its transaction facts;
+    * ``by_tx``: per event relation, each tx hash to its facts of that
+      relation;
+    * ``bridge_addresses``, ``token_mappings``, ``wrapped_native``: the
+      static relations as sets of plain tuples;
+    * ``finality``: each chain id to its finality window in seconds.
+
+    The indexes of facts map a key to the tuple of the facts with that key,
+    built by :func:`index_by`.
     """
 
     def __init__(self):
@@ -520,8 +528,6 @@ class FactStore:
         # indexes, populated by seal()
         self.transactions_by_hash: dict[str, tuple[TransactionFact, ...]] = {}
         self.by_tx: dict[str, dict[str, tuple[_Fact, ...]]] = {}
-        self.deposits_by_id: dict[str, tuple[ScTokenDepositedFact, ...]] = {}
-        self.withdrawals_by_id: dict[str, tuple[ScTokenWithdrewFact, ...]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()
@@ -591,12 +597,6 @@ class FactStore:
         tx_hash = attrgetter("tx_hash")
         self.transactions_by_hash = index_by(self._relations["transaction"], tx_hash)
         self.by_tx = {name: index_by(self._relations[name], tx_hash) for name in EVENT_RELATIONS}
-        self.deposits_by_id = index_by(
-            self._relations["sc_token_deposited"], attrgetter("deposit_id")
-        )
-        self.withdrawals_by_id = index_by(
-            self._relations["sc_token_withdrew"], attrgetter("withdrawal_id")
-        )
         self.bridge_addresses = {
             (f.chain_id, f.address) for f in self._relations["bridge_controlled_address"]
         }
@@ -684,22 +684,28 @@ def reading_utf8(path: str | Path, error: Callable[[str], InputError],
 
 
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
-    """The JSON document in the file ``path``. A file that is not UTF-8 or
-    not JSON, or that holds an integer too long to convert, raises
-    ``error`` naming the file."""
+    """The JSON document in the file ``path``, read by :func:`parse_json`.
+    A file that is not UTF-8 raises ``error`` naming the file, too."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path, error, by_line=False):
         text = fh.read()
+    return parse_json(text, path, error)
+
+
+def parse_json(text: str, where: str | Path, error: Callable[[str], InputError]) -> Any:
+    """The JSON document ``text``. Text that is not JSON, that nests too
+    deeply or that holds an integer too long to convert raises ``error``
+    naming ``where`` (a file, or a file and line)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from exc
+        raise error(f"{where}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise error(f"{path}: JSON nested too deeply") from exc
+        raise error(f"{where}: JSON nested too deeply") from exc
     except ValueError as exc:  # an integer with more digits than int() converts
-        raise error(f"{path}: {long_integer(text)}") from exc
+        raise error(f"{where}: {_long_integer(text)}") from exc
 
 
-def long_integer(text: str) -> str:
+def _long_integer(text: str) -> str:
     """Name the first integer of the JSON ``text`` that is longer than any
     uint256, by its key path (``logs[0].logIndex: out of uint256 range``).
     For text that ``json.loads`` refused with a plain ``ValueError``."""

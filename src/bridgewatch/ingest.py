@@ -59,7 +59,6 @@ not (``topic N is not one 32-byte hex word``).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -643,9 +642,9 @@ def ingest_jsonl(
 
     The store contains the union of all decoded facts and the config's
     static facts. It is returned unsealed, without the indexes that only
-    evaluation reads: call ``seal()`` on it before evaluating rules. A
-    malformed JSON line, or one that is not UTF-8, fails fast with its line
-    number.
+    evaluation reads: call ``seal()`` on it before evaluating rules. A line
+    that is not JSON (:func:`facts.parse_json`) or not UTF-8 fails fast
+    with its line number.
     """
     store = f.FactStore()
     report = IngestReport()
@@ -655,14 +654,7 @@ def ingest_jsonl(
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise IngestError(f"{path}:{line_no}: JSON nested too deeply") from exc
-            except ValueError as exc:  # an integer with more digits than int() converts
-                raise IngestError(f"{path}:{line_no}: {f.long_integer(line)}") from exc
+            obj = f.parse_json(line, f"{path}:{line_no}", IngestError)
             try:
                 decoded, warnings = decode_receipt(obj, config)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks

@@ -24,6 +24,11 @@ languages. ``randint`` maps the 64-bit output with a plain modulus; the
 bias is irrelevant at these ranges and keeps the algorithm trivial to
 port.
 
+Every scenario runs in one fixed world: the chains ``SOURCE`` and
+``TARGET``, ``N_USERS`` users and ``N_TOKEN_PAIRS`` ERC-20 token pairs.
+Parameters choose only the seed, the flow counts and the injected
+anomalies.
+
 Deposit flows alternate ERC-20 and native escrows by index; withdrawal
 flows cycle through ERC-20/ERC-20, native escrow, and native release
 shapes. That split is positional, not random, so ``describe`` can state
@@ -46,10 +51,10 @@ from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.
 
 __all__ = [
     "SplitMix64",
-    "ChainSpec",
     "AnomalySpec",
     "ScenarioParams",
     "ParameterError",
+    "parse_count",
     "GeneratedScenario",
     "generate",
     "describe",
@@ -70,6 +75,18 @@ EXPECTED_ANOMALY = {
 ANOMALY_KINDS = tuple(EXPECTED_ANOMALY)
 
 _BASE_TS = 1_700_000_000
+
+
+class _Chain(NamedTuple):
+    chain_id: int
+    finality_seconds: int
+    block_time: int
+
+
+SOURCE = _Chain(1, 1800, 12)
+TARGET = _Chain(100, 45, 3)
+N_USERS = 8
+N_TOKEN_PAIRS = 3
 
 
 class ParameterError(f.InputError):
@@ -117,13 +134,6 @@ class SplitMix64:
 
 
 @dataclass(frozen=True)
-class ChainSpec:
-    chain_id: int
-    finality_seconds: int
-    block_time: int
-
-
-@dataclass(frozen=True)
 class AnomalySpec:
     forged_release: int = 0
     replayed_id: int = 0
@@ -140,7 +150,8 @@ class AnomalySpec:
 
     @classmethod
     def from_spec_string(cls, spec: str) -> "AnomalySpec":
-        """Parse the CLI grammar ``kind=count[,kind=count...]``."""
+        """Parse the CLI grammar ``kind=count[,kind=count...]``, each kind
+        at most once."""
         counts: dict[str, int] = {}
         if spec.strip():
             for part in spec.split(","):
@@ -148,11 +159,19 @@ class AnomalySpec:
                 key = key.strip()
                 if key not in ANOMALY_KINDS:
                     raise ParameterError(f"unknown anomaly kind {key!r}")
-                try:
-                    counts[key] = int(value)
-                except ValueError:
-                    raise ParameterError(f"bad count for {key!r}: {value!r}")
+                if key in counts:
+                    raise ParameterError(f"anomaly kind {key!r} given twice")
+                counts[key] = parse_count(value, key)
         return cls(**counts)
+
+
+def parse_count(text: str, name: str) -> int:
+    """The count or flag ``text`` named ``name``: canonical unsigned
+    decimal text, as receipts write their integers (:func:`facts.uint_text`)."""
+    try:
+        return f.uint_text(text, name)
+    except f.EncodingError as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -160,10 +179,6 @@ class ScenarioParams:
     seed: int
     n_deposits: int
     n_withdrawals: int
-    source: ChainSpec = ChainSpec(1, 1800, 12)
-    target: ChainSpec = ChainSpec(100, 45, 3)
-    n_users: int = 8
-    n_token_pairs: int = 3
     anomalies: AnomalySpec = field(default_factory=AnomalySpec)
 
     def validate(self) -> None:
@@ -172,17 +187,11 @@ class ScenarioParams:
             raise ParameterError("seed must fit in 64 bits")
         if self.n_deposits < 0 or self.n_withdrawals < 0:
             raise ParameterError("flow counts must be non-negative")
-        if self.n_users < 1 or self.n_token_pairs < 1:
-            raise ParameterError("need at least one user and one token pair")
-        if self.source.chain_id == self.target.chain_id:
-            raise ParameterError("chains must differ")
         for name in ANOMALY_KINDS:
             if getattr(a, name) < 0:
                 raise ParameterError(f"{name} count must be non-negative")
         if a.finality_break > self.n_deposits:
             raise ParameterError("finality_break count exceeds deposit count")
-        if a.finality_break and self.source.finality_seconds < 2:
-            raise ParameterError("finality_break needs a window of at least 2 seconds")
         if a.replayed_id > self.n_withdrawals:
             raise ParameterError("replayed_id count exceeds withdrawal count")
         fanouts = a.fanouts()
@@ -244,21 +253,21 @@ class GeneratedScenario:
 
 # --- synthetic bridge ABI ---------------------------------------------------
 
-def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
-                    mappings: list[list], wrapped: list[list]) -> dict:
+def _decoder_config(bridge_s: str, bridge_t: str, mappings: list[list],
+                    wrapped: list[list]) -> dict:
     """The decoder config of a scenario: the one definition of the
     synthetic bridge ABI, which both encodes and decodes its receipts."""
     standard = {"0": "ERC20", "1": "NATIVE"}
     return {
         "chains": {
-            str(params.source.chain_id): {
+            str(SOURCE.chain_id): {
                 "role": "source",
-                "finality_seconds": params.source.finality_seconds,
+                "finality_seconds": SOURCE.finality_seconds,
                 "bridge_addresses": [bridge_s],
             },
-            str(params.target.chain_id): {
+            str(TARGET.chain_id): {
                 "role": "target",
-                "finality_seconds": params.target.finality_seconds,
+                "finality_seconds": TARGET.finality_seconds,
                 "bridge_addresses": [bridge_t],
             },
         },
@@ -327,9 +336,12 @@ def _decoder_config(params: ScenarioParams, bridge_s: str, bridge_t: str,
 # --- generation -------------------------------------------------------------
 
 class _Direction(NamedTuple):
-    """One direction of bridge traffic: the id column of its bridge events
-    and the fact type of each leg (None: the direction has no such leg)."""
+    """One direction of bridge traffic: its escrow and release chains, the
+    id column of its bridge events and the fact type of each leg (None: the
+    direction has no such leg)."""
 
+    escrow: _Chain
+    release: _Chain
     id_column: str
     native_escrow: type
     escrow_event: type
@@ -340,10 +352,11 @@ class _Direction(NamedTuple):
 
 # Deposits escrow on the source chain and release on the target chain;
 # withdrawals go the other way.
-_DEPOSIT = _Direction("deposit_id", f.ScDepositFact, f.ScTokenDepositedFact,
+_DEPOSIT = _Direction(SOURCE, TARGET, "deposit_id", f.ScDepositFact, f.ScTokenDepositedFact,
                       None, f.TcTokenDepositedFact, relayed=True)
-_WITHDRAWAL = _Direction("withdrawal_id", f.TcWithdrawalFact, f.TcTokenWithdrewFact,
-                         f.ScWithdrawalFact, f.ScTokenWithdrewFact, relayed=False)
+_WITHDRAWAL = _Direction(TARGET, SOURCE, "withdrawal_id", f.TcWithdrawalFact,
+                         f.TcTokenWithdrewFact, f.ScWithdrawalFact, f.ScTokenWithdrewFact,
+                         relayed=False)
 
 
 class _Builder:
@@ -365,8 +378,8 @@ class _Builder:
         self.bridge_t = self.rng.address()
         self.relayer = self.rng.address()
         self.attacker = self.rng.address()
-        self.users = [self.rng.address() for _ in range(params.n_users)]
-        src, dst = params.source.chain_id, params.target.chain_id
+        self.users = [self.rng.address() for _ in range(N_USERS)]
+        src, dst = SOURCE.chain_id, TARGET.chain_id
         self.bridges = {src: self.bridge_s, dst: self.bridge_t}
         wrapped_native_s = self.rng.address()   # native asset of S, as a token
         native_repr_on_t = self.rng.address()   # its representation on T
@@ -374,7 +387,7 @@ class _Builder:
         native_repr_on_s = self.rng.address()   # its representation on S
         self.erc20_pairs = [
             (self.rng.address(), self.rng.address())
-            for _ in range(params.n_token_pairs)
+            for _ in range(N_TOKEN_PAIRS)
         ]
         # token pairs, as (token on S, token on T), by the chain whose native
         # asset they carry
@@ -390,7 +403,7 @@ class _Builder:
         body = b"".join(self.rng.next_u64().to_bytes(8, "big") for _ in range(3))
         return sys.intern("0x" + body.hex() + format(self._tx_counter, "016x"))
 
-    def add_tx(self, chain: ChainSpec, timestamp: int, from_addr: str, to_addr: str,
+    def add_tx(self, chain: _Chain, timestamp: int, from_addr: str, to_addr: str,
                value: str) -> _Tx:
         tx = _Tx(chain.chain_id, timestamp, self.tx_hash(), from_addr, to_addr, value,
                  gas_used=self._gas_rng.randint(21_000, 400_000), event_facts=[])
@@ -401,18 +414,18 @@ class _Builder:
         self.ground_truth.append({"kind": kind, "expected_anomaly": EXPECTED_ANOMALY[kind],
                                   "tx_hashes": sorted(tx_hashes), "details": details})
 
-    def flow(self, way: _Direction, index: int, escrow: ChainSpec, release: ChainSpec,
-             native: ChainSpec | None, break_finality: bool = False, fanout: int = 1) -> None:
-        """One flow of ``way``: an escrow on ``escrow`` and ``fanout``
-        releases on ``release``, all but the first by the attacker.
+    def flow(self, way: _Direction, index: int, native: _Chain | None,
+             break_finality: bool = False, fanout: int = 1) -> None:
+        """One flow of ``way``: an escrow on its escrow chain and ``fanout``
+        releases on its release chain, all but the first by the attacker.
         ``native`` is the chain whose native asset the flow moves (escrowed
         or released as native value), or None for ERC-20 on both legs."""
-        rng = self.rng
+        rng, escrow, release = self.rng, way.escrow, way.release
         sender = rng.choice(self.users)
         benef = rng.choice(self.users)
         amount = rng.amount()
         pair = self.native_pairs[native.chain_id] if native else rng.choice(self.erc20_pairs)
-        orig_token, dst_token = pair if escrow == self.params.source else pair[::-1]
+        orig_token, dst_token = pair if escrow == SOURCE else pair[::-1]
         escrow_ts = _BASE_TS + (index + 1) * escrow.block_time
         window = escrow.finality_seconds
         if break_finality:
@@ -456,13 +469,12 @@ class _Builder:
     # -- anomaly injections --
 
     def forged_release(self, index: int, withdrawal_id: str) -> None:
-        p = self.params
-        ts = _BASE_TS + (self.params.n_deposits + index + 2) * p.source.block_time
+        ts = _BASE_TS + (self.params.n_deposits + index + 2) * SOURCE.block_time
         dst_token = self.rng.choice(self.erc20_pairs)[0]
         amount = self.rng.amount()
-        rel = self.add_tx(p.source, ts, self.attacker, self.bridge_s, "0")
+        rel = self.add_tx(SOURCE, ts, self.attacker, self.bridge_s, "0")
         rel.event_facts += [
-            f.Erc20TransferFact._unchecked(rel.tx_hash, p.source.chain_id, 1, dst_token,
+            f.Erc20TransferFact._unchecked(rel.tx_hash, SOURCE.chain_id, 1, dst_token,
                                            self.bridge_s, self.attacker, amount),
             f.ScTokenWithdrewFact._unchecked(rel.tx_hash, 2, withdrawal_id, self.attacker,
                                              dst_token, amount),
@@ -470,27 +482,25 @@ class _Builder:
         self.truth("forged_release", [rel.tx_hash], id=withdrawal_id)
 
     def direct_transfer(self, index: int) -> None:
-        p = self.params
-        ts = _BASE_TS + (self.params.n_deposits + index + 2) * p.source.block_time + 1
+        ts = _BASE_TS + (self.params.n_deposits + index + 2) * SOURCE.block_time + 1
         token = self.rng.choice(self.erc20_pairs)[0]
         sender = self.rng.choice(self.users)
         amount = self.rng.amount()
-        tx = self.add_tx(p.source, ts, sender, token, "0")
+        tx = self.add_tx(SOURCE, ts, sender, token, "0")
         tx.event_facts.append(
-            f.Erc20TransferFact._unchecked(tx.tx_hash, p.source.chain_id, 1, token,
+            f.Erc20TransferFact._unchecked(tx.tx_hash, SOURCE.chain_id, 1, token,
                                            sender, self.bridge_s, amount)
         )
         self.truth("direct_transfer", [tx.tx_hash], amount=amount)
 
     def orphan_bridge_event(self, deposit_id: str, index: int) -> None:
-        p = self.params
-        ts = _BASE_TS + (self.params.n_deposits + index + 2) * p.source.block_time + 2
+        ts = _BASE_TS + (self.params.n_deposits + index + 2) * SOURCE.block_time + 2
         benef = self.rng.choice(self.users)
         orig_token, dst_token = self.rng.choice(self.erc20_pairs)
-        tx = self.add_tx(p.source, ts, self.rng.choice(self.users), self.bridge_s, "0")
+        tx = self.add_tx(SOURCE, ts, self.rng.choice(self.users), self.bridge_s, "0")
         tx.event_facts.append(
             f.ScTokenDepositedFact._unchecked(tx.tx_hash, 1, deposit_id, benef, dst_token,
-                                              orig_token, p.target.chain_id, "ERC20",
+                                              orig_token, TARGET.chain_id, "ERC20",
                                               self.rng.amount())
         )
         self.truth("orphan_bridge_event", [tx.tx_hash], id=deposit_id)
@@ -507,10 +517,9 @@ class _Builder:
         # deposits alternate ERC-20 and native escrows; withdrawals cycle
         # through ERC-20 on both legs, a native escrow and a native release
         for i in range(p.n_deposits):
-            self.flow(_DEPOSIT, i, p.source, p.target, (None, p.source)[i % 2],
-                      break_finality=i in broken)
+            self.flow(_DEPOSIT, i, (None, SOURCE)[i % 2], break_finality=i in broken)
         for i in range(p.n_withdrawals):
-            self.flow(_WITHDRAWAL, i, p.target, p.source, (None, p.target, p.source)[i % 3],
+            self.flow(_WITHDRAWAL, i, (None, TARGET, SOURCE)[i % 3],
                       fanout=next(fanouts) if i in replayed else 1)
         for i in range(a.forged_release):
             self.forged_release(i, withdrawal_id=sys.intern(str(p.n_withdrawals + i + 1)))
@@ -519,7 +528,7 @@ class _Builder:
         for i in range(a.orphan_bridge_event):
             self.orphan_bridge_event(sys.intern(str(p.n_deposits + i + 1)), i)
 
-        config = _decoder_config(p, self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
+        config = _decoder_config(self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
         store = FactStore()
         store.insert_all(static_facts(config))
         # blocks are numbered per chain in time order; the sort is stable,

@@ -4,8 +4,12 @@ A random store is a valid scenario (so the rules actually fire) blended
 with two kinds of adversarial content: mutants (scenario facts with one
 field rewritten from a shared value pool, breaking exactly one conjunct
 at a time) and pure noise tuples drawn from the same pools (creating
-partial joins). One transaction is duplicated onto the other chain under
-the same hash to exercise the hash-only joins of the rule bodies.
+partial joins). A mutant may be drawn from any fact but a finality window,
+and one in four replaces its original: a conjunct that reads no column of
+its rule's head (the event order, the transaction value, the wrapped-native
+table) is told apart only by a derivation that its mutant removes. One
+transaction is duplicated onto the other chain under the same hash to
+exercise the hash-only joins of the rule bodies.
 """
 
 from __future__ import annotations
@@ -132,9 +136,14 @@ def random_facts(seed: int, mutants: int = 120, noise: int = 150) -> list:
     pools = _pools(rng, base)
     out = list(base)
 
-    events = [x for x in base if hasattr(x, "tx_hash")]
+    originals = [i for i, x in enumerate(base) if not isinstance(x, f.CctxFinalityFact)]
     for _ in range(mutants):
-        out.append(_mutate(rng, rng.choice(events), pools))
+        i = rng.choice(originals)
+        mutant = _mutate(rng, base[i], pools)
+        if rng.randint(0, 3) == 0:
+            out[i] = mutant
+        else:
+            out.append(mutant)
     for _ in range(noise):
         out.append(_noise_fact(rng, pools))
 

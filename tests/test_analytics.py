@@ -214,7 +214,7 @@ class TestDuplicateIds:
         store = build_store(
             static_facts(), self.release_facts("e1", "3"), self.release_facts("e2", "3")
         )
-        anomalies = analytics.duplicate_ids(store)
+        anomalies = analytics.duplicate_ids(store, outputs_for(store))
         assert len(anomalies) == 1
         assert anomalies[0].kind == "DuplicateId"
         assert dict(anomalies[0].evidence)["count"] == "2"
@@ -223,14 +223,14 @@ class TestDuplicateIds:
         store = build_store(
             static_facts(), self.release_facts("e1", "3"), self.release_facts("e2", "4")
         )
-        assert analytics.duplicate_ids(store) == []
+        assert analytics.duplicate_ids(store, outputs_for(store)) == []
 
     def test_occurrence_sum_equals_nonunique_tuples(self):
         groups = [("a1", "3"), ("a2", "3"), ("a3", "3"), ("b1", "9"), ("b2", "9"), ("c1", "4")]
         store = build_store(
             static_facts(), *[self.release_facts(tag, wid) for tag, wid in groups]
         )
-        anomalies = analytics.duplicate_ids(store)
+        anomalies = analytics.duplicate_ids(store, outputs_for(store))
         total = sum(int(dict(a.evidence)["count"]) for a in anomalies)
         nonunique = 5  # three with id 3, two with id 9
         assert total == nonunique

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps program functions by name; every name it
 wraps must still exist and still be called as the per-layer metrics expect,
-or only traced benchmark runs would notice."""
+or only traced benchmark runs would notice. Likewise, each workload's
+set-up must still build from the scenario parameters it sets."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bridgewatch.rules import RULE_NAMES
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 
@@ -18,11 +21,22 @@ ROOT = Path(__file__).resolve().parents[1]
 PATH = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclass() looks its module up there
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_workload_sets_up_and_matches_its_reference(tmp_path, name):
+    p = WORKLOADS.params(name, seed=1, scale=0.02)
+    generated = WORKLOADS.set_up(name, p, tmp_path / "inputs")
+    assert WORKLOADS.reference(name, p, generated, tmp_path / "reference")["problems"] == []
 
 
 def test_tracer_instruments_every_layer():
@@ -49,6 +63,6 @@ def test_traced_eval_counts_every_rule_and_analytics_pass(tmp_path):
     for i, name in RULE_NAMES.items():
         assert counts[f"rules.eval_rule{i}.calls"] == 1
         assert counts[f"rules.rule{i}.tuples"] == rule_counts[name] > 0
-    for name in _tracing().ANALYTICS_PASSES:
+    for name in _bench_module("tracing").ANALYTICS_PASSES:
         assert counts[f"analytics.{name}.calls"] >= 1
     assert counts["analytics.matched_projections.calls"] == 2

@@ -73,6 +73,29 @@ class TestSimulateEval:
         assert run("simulate", "--seed", "1", "--deposits", "1", "--withdrawals", "1",
                    "--anomalies", "bogus=3", "--out", str(tmp_path / "x")) == EXIT_INPUT_ERROR
 
+    # (flags over --seed 1 --deposits 1 --withdrawals 1, message): integers are
+    # read as receipts read theirs, and each anomaly kind is given once
+    @pytest.mark.parametrize("flags, message", [
+        ({"--anomalies": "direct_transfer=1_0,direct_transfer=2, orphan_bridge_event=+1"},
+         "error: direct_transfer: cannot parse unsigned integer from '1_0'"),
+        ({"--anomalies": "direct_transfer=1,direct_transfer=2"},
+         "error: anomaly kind 'direct_transfer' given twice"),
+        ({"--anomalies": "orphan_bridge_event=+1"},
+         "error: orphan_bridge_event: cannot parse unsigned integer from '+1'"),
+        ({"--anomalies": "direct_transfer=\u0663"},  # ARABIC-INDIC DIGIT THREE
+         "error: direct_transfer: cannot parse unsigned integer from '\u0663'"),
+        ({"--deposits": "1_0"}, "error: --deposits: cannot parse unsigned integer from '1_0'"),
+        ({"--withdrawals": " 1"}, "error: --withdrawals: cannot parse unsigned integer from ' 1'"),
+        ({"--seed": "-1"}, "error: --seed: negative value -1"),
+        ({"--replay-fanout": "\u0663"},
+         "error: --replay-fanout: cannot parse unsigned integer from '\u0663'"),
+    ])
+    def test_non_canonical_simulate_input_exits_two(self, tmp_path, capsys, flags, message):
+        flags = {"--seed": "1", "--deposits": "1", "--withdrawals": "1", **flags}
+        argv = [arg for flag in flags.items() for arg in flag]
+        assert run("simulate", *argv, "--out", str(tmp_path / "x")) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == message + "\n"
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("simulate", "--seed", "1", "--out", str(tmp_path / "x"))
@@ -228,6 +251,8 @@ BAD_INGEST_INPUTS = [
      "receipts.jsonl:1: gasUsed: cannot parse unsigned integer from '\u0663'"),
     ("receipts", lambda r: r.pop("logs"), "receipts.jsonl:1: receipt missing field 'logs'"),
     ("receipts", lambda r: first_log(r).pop("data"), "receipts.jsonl:1: log entry missing field 'data'"),
+    ("receipts text", lambda line: "{bad\n",
+     "receipts.jsonl:1: not valid JSON: Expecting property name enclosed in double quotes"),
     ("config text", lambda text: "{bad",
      "decoder_config.json: not valid JSON: Expecting property name enclosed in double quotes"),
     # integers longer than any uint256, as JSON numbers, decimal text and hex text

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -147,10 +148,13 @@ class TestStore:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_indexes_group_their_relations(self, seed):
         store = random_store(seed)
+        # the by-id groups are built as analytics.duplicate_ids builds them
+        by_id = [(f.index_by(store.relation(name), attrgetter(column)), name, column)
+                 for name, column in (("sc_token_deposited", "deposit_id"),
+                                      ("sc_token_withdrew", "withdrawal_id"))]
         indexes = [(store.transactions_by_hash, "transaction", "tx_hash"),
                    *((store.by_tx[name], name, "tx_hash") for name in f.EVENT_RELATIONS),
-                   (store.deposits_by_id, "sc_token_deposited", "deposit_id"),
-                   (store.withdrawals_by_id, "sc_token_withdrew", "withdrawal_id")]
+                   *by_id]
         for index, name, column in indexes:
             naive: dict = {}
             for fact in store.relation(name):
@@ -171,8 +175,9 @@ class TestStore:
                          for i in range(n))
         start = time.perf_counter()
         store.seal()
+        by_id = f.index_by(store.relation("sc_token_deposited"), attrgetter("deposit_id"))
         assert time.perf_counter() - start < 5
-        assert len(store.deposits_by_id["7"]) == len(store.by_tx["sc_token_deposited"][H1]) == n
+        assert len(by_id["7"]) == len(store.by_tx["sc_token_deposited"][H1]) == n
 
 
 class TestPersistence:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -61,17 +62,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ScenarioParams(seed=1, n_deposits=-1, n_withdrawals=0).validate()
 
-    def test_finality_break_needs_window(self):
-        from bridgewatch.scenario import ChainSpec
-
-        params = ScenarioParams(
-            seed=1, n_deposits=2, n_withdrawals=0,
-            source=ChainSpec(1, 1, 12),
-            anomalies=AnomalySpec(finality_break=1),
-        )
-        with pytest.raises(ParameterError, match="window"):
-            params.validate()
-
     def test_anomaly_counts_bounded_by_base_flows(self):
         params = ScenarioParams(
             seed=1, n_deposits=2, n_withdrawals=1,
@@ -94,6 +84,17 @@ class TestValidation:
         assert AnomalySpec.from_spec_string("") == AnomalySpec()
         with pytest.raises(ParameterError):
             AnomalySpec.from_spec_string("nonsense=1")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("direct_transfer=1,direct_transfer=2", "anomaly kind 'direct_transfer' given twice"),
+        ("direct_transfer=1_0", "direct_transfer: cannot parse unsigned integer from '1_0'"),
+        ("orphan_bridge_event=+1", "cannot parse unsigned integer from '+1'"),
+        ("direct_transfer=\u0663", "cannot parse unsigned integer from '\u0663'"),
+        ("direct_transfer=-1", "direct_transfer: negative value -1"),
+    ])
+    def test_spec_string_counts_are_canonical_and_once(self, spec, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            AnomalySpec.from_spec_string(spec)
 
 
 class TestDescribe:

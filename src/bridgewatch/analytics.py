@@ -37,7 +37,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .facts import (MAX_UINT256, EncodingError, FactStore, InputError, canonical_address,
-                    index_by, read_json)
+                    group, index_by, read_json)
 from .rules import RULE_NAMES, RuleOutputs
 
 __all__ = [
@@ -126,7 +126,7 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
         return (tr.chain_id, tr.to_address) in bridge or (tr.chain_id, tr.from_address) in bridge
 
     def events(tx_hash: str, relations: tuple[str, ...]) -> list:
-        return [e for name in relations for e in by_tx[name].get(tx_hash, ())
+        return [e for name in relations for e in group(by_tx[name], tx_hash)
                 if name != "erc20_transfer" or touches(e)]
 
     # The one set of tx hashes, every transaction with a token event; the
@@ -145,7 +145,7 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
             found = events(tx_hash, relations)
             # without a transaction fact, fall back to the events' own chains;
             # bridge and escrow facts carry none, so the chain may be unknown
-            chains = [t.chain_id for t in store.transactions_by_hash.get(tx_hash, ())] or [
+            chains = [t.chain_id for t in group(store.transactions_by_hash, tx_hash)] or [
                 e.chain_id for e in found if hasattr(e, "chain_id")
             ]
             out.append(
@@ -266,11 +266,11 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     for relation, id_field in (("sc_token_deposited", "deposit_id"),
                                ("sc_token_withdrew", "withdrawal_id")):
         for value, facts_list in index_by(store.relation(relation), attrgetter(id_field)).items():
-            if len(facts_list) < 2:
+            if facts_list.__class__ is not tuple:  # the id's one fact
                 continue
             chains = set()
             for fct in facts_list:
-                for tx in store.transactions_by_hash.get(fct.tx_hash, ()):
+                for tx in group(store.transactions_by_hash, fct.tx_hash):
                     chains.add(tx.chain_id)
             out.append(
                 Anomaly(
@@ -285,7 +285,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
             )
     for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
         for value, cctxs in index_by(cctx_set, attrgetter(id_field)).items():
-            if len(cctxs) < 2:
+            if cctxs.__class__ is not tuple:  # the id's one derivation
                 continue
             hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
             chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})

@@ -30,7 +30,9 @@ already brought into canonical form.
 
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
-is sealed, each a dict from key to a tuple of facts. Persistence is one
+is sealed, each a dict from key to the key's fact when it has one, and to
+the tuple of its facts when several share the key (:func:`index_by`, read
+through :func:`group`). Persistence is one
 tab-separated ``<relation>.facts`` file per relation, compatible with
 common Datalog engine fact-file layouts.
 """
@@ -42,7 +44,8 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, is_not
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
@@ -75,6 +78,7 @@ __all__ = [
     "read_json",
     "shown",
     "index_by",
+    "group",
     "load_facts_dir",
     "dump_facts_dir",
 ]
@@ -434,6 +438,8 @@ class ScTokenWithdrewFact(_Fact):
 
 @_relation
 class BridgeControlledAddressFact(_Fact):
+    """An address that holds or moves the bridge's funds on one chain."""
+
     RELATION: ClassVar[str] = "bridge_controlled_address"
 
     chain_id: ChainId
@@ -442,6 +448,9 @@ class BridgeControlledAddressFact(_Fact):
 
 @_relation
 class TokenMappingFact(_Fact):
+    """A token on its origin chain and the token the bridge mints or
+    releases for it on the destination chain, under one token standard."""
+
     RELATION: ClassVar[str] = "token_mapping"
 
     orig_chain_id: ChainId
@@ -453,6 +462,9 @@ class TokenMappingFact(_Fact):
 
 @_relation
 class WrappedNativeTokenFact(_Fact):
+    """The token that stands for a chain's native currency in the bridge's
+    token mappings."""
+
     RELATION: ClassVar[str] = "wrapped_native_token"
 
     chain_id: ChainId
@@ -492,17 +504,29 @@ _CHAIN_ID_COLUMNS = tuple(
 )
 
 
-def index_by(items: frozenset, key: Callable) -> dict[Any, tuple]:
-    """``items`` grouped by ``key``: each key to the tuple of its items, in
-    the iteration order of ``items``. Linear in the items, however many of
-    them share a key."""
-    index = dict(zip(map(key, items), zip(items)))  # one 1-tuple per key, in C
-    if len(index) < len(items):  # some items share a key: group them in lists first
-        groups: dict = {}
-        for item in items:
-            groups.setdefault(key(item), []).append(item)
-        index.update(zip(groups, map(tuple, groups.values())))
+def index_by(items: frozenset, key: Callable) -> dict[Any, Any]:
+    """``items`` grouped by ``key``: each key to its item when the key has
+    one, and to the tuple of its items, in the iteration order of
+    ``items``, when several share it. Read a key's items with
+    :func:`group`. An item must not be a plain tuple, so that
+    ``value.__class__ is tuple`` tells the two shapes apart: no fact is a
+    tuple, and a rule's named tuple has a class of its own. Linear in the
+    items, however many of them share a key."""
+    index = dict(zip(map(key, items), items))  # each key to its last item, in C
+    if len(index) < len(items):  # some keys are shared: group the items before the last
+        earlier: dict = {}
+        last_of = index.__getitem__
+        for item in compress(items, map(is_not, map(last_of, map(key, items)), items)):
+            earlier.setdefault(key(item), []).append(item)
+        index.update({k: (*items_before, last_of(k)) for k, items_before in earlier.items()})
     return index
+
+
+def group(index: dict, key: Any) -> tuple:
+    """The items of ``key`` in an index built by :func:`index_by`, as a
+    tuple: ``()`` for a key that it does not hold."""
+    value = index.get(key, ())
+    return value if value.__class__ is tuple else (value,)
 
 
 class FactStore:
@@ -518,16 +542,18 @@ class FactStore:
       static relations as sets of plain tuples;
     * ``finality``: each chain id to its finality window in seconds.
 
-    The indexes of facts map a key to the tuple of the facts with that key,
-    built by :func:`index_by`.
+    The indexes of facts map a key to its fact when the key has one, and
+    to the tuple of its facts when several share it; they are built by
+    :func:`index_by` and read through :func:`group`. Almost every tx hash
+    has one fact per relation, and a bare fact takes no 48-byte 1-tuple.
     """
 
     def __init__(self):
         self._relations: dict[str, set | frozenset] = {name: set() for name in RELATIONS}
         self._sealed = False
         # indexes, populated by seal()
-        self.transactions_by_hash: dict[str, tuple[TransactionFact, ...]] = {}
-        self.by_tx: dict[str, dict[str, tuple[_Fact, ...]]] = {}
+        self.transactions_by_hash: dict[str, TransactionFact | tuple[TransactionFact, ...]] = {}
+        self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()

@@ -269,6 +269,10 @@ RULE_TYPES.update({4: CctxValidDeposit, 8: CctxValidWithdrawal})
 
 _READS_TX = re.compile(r"\btx\.").search
 
+# The items of an index value named ``{0}``, as facts.group reads them but
+# inline: a call would add a Python frame to every probe.
+_GROUP = "({0} if {0}.__class__ is tuple else ({0},))"
+
 
 def _local_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
     """For each bridge event and shape: a loop over the shape's legs in the
@@ -288,9 +292,11 @@ def _local_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]
                  "orig_chain_id": shape.chain, "chain_id": shape.chain}
         columns = ", ".join(taken.get(name, f"ev.{name}") for name in head._fields)
         lines += [
-            f"  for leg in legs{n}.get(ev.tx_hash, ()):",
+            f"  legs_hit = legs{n}.get(ev.tx_hash, ())",
+            f"  for leg in {_GROUP.format('legs_hit')}:",
             f"    if {' and '.join(on_leg) or 'True'}:",
-            "      for tx in txs.get(ev.tx_hash, ()):",
+            "      txs_hit = txs.get(ev.tx_hash, ())",
+            f"      for tx in {_GROUP.format('txs_hit')}:",
             f"        if {' and '.join(on_tx) or 'True'}:",
             f"          add(_head({columns}))",
         ]
@@ -306,7 +312,8 @@ def _join_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
     return {f"rule{rule_id}(releases, escrows_by_id, finality)": [
         "out, matched_escrows, matched_releases, early = set(), set(), set(), set()",
         "for rel in releases:",
-        "  for esc in escrows_by_id.get(rel[2], ()):",
+        "  escrows_hit = escrows_by_id.get(rel[2], ())",
+        f"  for esc in {_GROUP.format('escrows_hit')}:",
         f"    if {conjuncts['join_key']}:",
         "      window = finality[esc.orig_chain_id]",
         f"      if {conjuncts['finality']}:",

@@ -158,7 +158,7 @@ class AnomalySpec:
                 key, _, value = part.partition("=")
                 key = key.strip()
                 if key not in ANOMALY_KINDS:
-                    raise ParameterError(f"unknown anomaly kind {key!r}")
+                    raise ParameterError(f"unknown anomaly kind {f.shown(key)}")
                 if key in counts:
                     raise ParameterError(f"anomaly kind {key!r} given twice")
                 counts[key] = parse_count(value, key)

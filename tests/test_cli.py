@@ -89,6 +89,8 @@ class TestSimulateEval:
         ({"--seed": "-1"}, "error: --seed: negative value -1"),
         ({"--replay-fanout": "\u0663"},
          "error: --replay-fanout: cannot parse unsigned integer from '\u0663'"),
+        ({"--anomalies": "x" * 5000 + "=1"},
+         f"error: unknown anomaly kind '{'x' * 37}...{'x' * 37}'"),  # the kind through shown()
     ])
     def test_non_canonical_simulate_input_exits_two(self, tmp_path, capsys, flags, message):
         flags = {"--seed": "1", "--deposits": "1", "--withdrawals": "1", **flags}

@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, filterfalse
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .facts import (MAX_UINT256, EncodingError, FactStore, InputError, canonical_address,
                     group, index_by, read_json)
@@ -55,29 +54,24 @@ __all__ = [
     "report_to_json",
 ]
 
+# The severity of each kind that has one; an unmatched local tuple is graded
+# by its side (unmatched_local).
 SEVERITY = {
     "SingleTokenEvent": "low",
     "SingleBridgeEvent": "medium",
-    "UnmatchedLocalDeposit": "medium",
-    "UnmatchedLocalWithdrawal": "medium",
     "FinalityViolation": "high",
     "DuplicateId": "critical",
     "AmbiguousMatch": "high",
 }
 
 
-@dataclass(frozen=True)
-class Anomaly:
+class Anomaly(NamedTuple):
     kind: str
     chain_ids: tuple[int, ...]
     tx_hashes: tuple[str, ...]
     amount: str
     evidence: tuple[tuple[str, str], ...]
-    severity: str = ""
-
-    def __post_init__(self):
-        if not self.severity:
-            object.__setattr__(self, "severity", SEVERITY[self.kind])
+    severity: str
 
     def sort_key(self):
         return (self.kind, self.chain_ids, self.tx_hashes, self.evidence, int(self.amount),
@@ -155,6 +149,7 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
                     tx_hashes=(tx_hash,),
                     amount=str(sum(int(e.amount) for e in found)),
                     evidence=_evidence(event_count=len(found)),
+                    severity=SEVERITY[kind],
                 )
             )
     return sorted(out, key=Anomaly.sort_key)
@@ -237,6 +232,7 @@ def finality_violations(outputs: RuleOutputs) -> list[Anomaly]:
                 direction=direction, id=rel[2], gap=rel.timestamp - esc.timestamp,
                 window=window, escrow_tx=esc.tx_hash, release_tx=rel.tx_hash,
             ),
+            severity=SEVERITY["FinalityViolation"],
         )
         for cctxs, direction in ((outputs.rule4, "deposit"), (outputs.rule8, "withdrawal"))
         for esc, rel, window in cctxs.early
@@ -281,6 +277,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
                     evidence=_evidence(
                         **{id_field: value, "relation": relation, "count": len(facts_list)}
                     ),
+                    severity=SEVERITY["DuplicateId"],
                 )
             )
     for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
@@ -296,6 +293,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
                     tx_hashes=tuple(hashes),
                     amount=str(sum(int(c.amount) for c in cctxs)),
                     evidence=_evidence(**{id_field: value, "derivations": len(cctxs)}),
+                    severity=SEVERITY["AmbiguousMatch"],
                 )
             )
     return sorted(out, key=Anomaly.sort_key)
@@ -368,8 +366,7 @@ def load_prices(path: str | None) -> PriceTable | None:
     return table
 
 
-@dataclass(frozen=True)
-class LatencyStats:
+class LatencyStats(NamedTuple):
     count: int
     min: int | None = None
     max: int | None = None
@@ -380,7 +377,7 @@ class LatencyStats:
     total_usd: str | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _two_decimals(value: Fraction, sqrt: bool = False) -> str:

@@ -14,7 +14,6 @@ Exit codes: 0 clean, 1 anomalies found, 2 input/config error (an
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -86,8 +85,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     anomalies = AnomalySpec.from_spec_string(args.anomalies)
     if args.replay_fanout is not None:
-        anomalies = dataclasses.replace(
-            anomalies, replay_fanout=parse_count(args.replay_fanout, "--replay-fanout"))
+        anomalies = anomalies._replace(
+            replay_fanout=parse_count(args.replay_fanout, "--replay-fanout"))
     scenario = generate(ScenarioParams(
         seed=parse_count(args.seed, "--seed"),
         n_deposits=parse_count(args.deposits, "--deposits"),

@@ -26,7 +26,11 @@ Each fact class annotates its columns with a kind (``Address``, ``Uint``,
 constructor, the compiled row matcher and builder used by
 :func:`load_facts_dir`, the row renderer used by :func:`dump_facts_dir`, and
 the unchecked builder that the receipt decoder calls with values it has
-already brought into canonical form.
+already brought into canonical form. It also yields what makes each fact
+a value (:func:`_relation`): one slot per column and no ``__dict__``; equal
+only to a fact of its own class with equal columns; hashed as the tuple of
+its columns; shown as ``Name(col=value, ...)``; no field to assign or
+delete (``AttributeError``); pickled through the validating constructor.
 
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
@@ -43,7 +47,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from itertools import compress
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -259,33 +262,50 @@ RELATIONS: dict[str, type[_Fact]] = {}
 
 
 def _relation(cls):
-    """Make ``cls`` a frozen slotted dataclass and derive, from its
-    annotated (name, kind) columns, the validating ``__init__``, the row
-    pattern and builder of :func:`load_facts_dir`, the row renderer of
-    :func:`dump_facts_dir`, and ``_unchecked``, which takes every column
-    already canonical and checks none of them."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    # annotations are strings (``from __future__ import annotations``)
-    cls.COLUMNS = tuple((f.name, _KINDS[f.type]) for f in fields(cls))
-    names = [name for name, _ in cls.COLUMNS]
+    """Rebuild ``cls`` with the ``__slots__`` of its annotated (name, kind)
+    columns, in ``COLUMNS`` order, and compile in one ``exec``: the
+    validating ``__init__``; the row pattern and builder of
+    :func:`load_facts_dir` and the row renderer of :func:`dump_facts_dir`;
+    ``_unchecked``, which takes every column already canonical and checks
+    none of them; and the value methods. A fact equals only a fact of its
+    class with equal columns, hashes as their tuple, shows as
+    ``Name(col=value, ...)``, refuses to assign or delete a field
+    (``AttributeError``) and pickles through the validating constructor."""
+    # annotations are strings (``from __future__ import annotations``); the
+    # ClassVar ones name no kind
+    columns = tuple((name, _KINDS[kind]) for name, kind in cls.__annotations__.items()
+                    if kind in _KINDS)
+    names = [name for name, _ in columns]
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(names), "COLUMNS": columns})
     env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_intern": sys.intern}
     init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
-    for name, kind in cls.COLUMNS:
+    for name, kind in columns:
         env[f"_set_{name}"] = getattr(cls, name).__set__
         env[f"_check_{name}"] = kind.check
         init.append(f"_set_{name}(self, _check_{name}({name}, {name!r}))")
         build.append(f"_set_{name}(self, {kind.load.format(v=name)})")
         plain.append(f"_set_{name}(self, {name})")
     row = "\\t".join(f"{{self.{name}}}" for name in names)
-    cls.__init__, from_groups, cls._to_row, unchecked = _compile(cls, env, {
+    values = "".join(f"self.{name}, " for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    (cls.__init__, from_groups, cls._to_row, unchecked, cls.__eq__, cls.__hash__, cls.__repr__,
+     cls.__setattr__, cls.__delattr__, cls.__reduce__) = _compile(cls, env, {
         f"__init__(self, {', '.join(names)})": init,
         "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
         f"_unchecked({', '.join(names)})": [*plain, "return self"],
+        "__eq__(self, other)": [f"return ({values}) == ({values.replace('self.', 'other.')})"
+                                " if other.__class__ is self.__class__ else NotImplemented"],
+        "__hash__(self)": [f"return hash(({values}))"],
+        "__repr__(self)": [f'return f"{cls.__name__}({shown})"'],
+        "__setattr__(self, name, _)": ['raise AttributeError(f"cannot assign to field {name!r}")'],
+        "__delattr__(self, name)": ['raise AttributeError(f"cannot delete field {name!r}")'],
+        "__reduce__(self)": [f"return _cls, ({values})"],
     })
     cls._from_groups, cls._unchecked = staticmethod(from_groups), staticmethod(unchecked)
     # compiled by load_facts_dir, so that only loading pays for it
-    cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in cls.COLUMNS) + "\n?\\Z"
+    cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in columns) + "\n?\\Z"
     RELATIONS[cls.RELATION] = cls
     return cls
 

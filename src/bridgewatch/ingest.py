@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
@@ -109,15 +108,13 @@ def _as_uint(value: Any, name: str) -> int:
     return f.uint_text(value, name) if isinstance(value, str) else f._uint(value, name)
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     chain_id: int
     role: str  # "source" | "target"
     bridge_addresses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BridgeDecoderConfig:
+class BridgeDecoderConfig(NamedTuple):
     chains: dict[int, ChainConfig]
     events: dict[str, EventPlan]  # keyed by topic0
     static: tuple  # finality windows, bridge addresses, token tables
@@ -307,11 +304,10 @@ def load_config(path: str | Path) -> BridgeDecoderConfig:
     return BridgeDecoderConfig.from_json(f.read_json(path, ConfigError))
 
 
-@dataclass
-class IngestReport:
-    receipts: int = 0
-    facts_per_relation: dict[str, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+class IngestReport(NamedTuple):
+    receipts: int
+    facts_per_relation: dict[str, int]
+    warnings: list[str]
 
     def as_dict(self) -> dict:
         return {
@@ -647,7 +643,7 @@ def ingest_jsonl(
     with its line number.
     """
     store = f.FactStore()
-    report = IngestReport()
+    receipts, warnings = 0, []
     store.insert_all(config.static)
     path = Path(receipts_path)
     with open(path, encoding="utf-8") as fh, f.reading_utf8(path, IngestError):
@@ -656,13 +652,11 @@ def ingest_jsonl(
                 continue
             obj = f.parse_json(line, f"{path}:{line_no}", IngestError)
             try:
-                decoded, warnings = decode_receipt(obj, config)
+                decoded, found = decode_receipt(obj, config)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            report.receipts += 1
-            report.warnings.extend(warnings)
+            receipts += 1
+            warnings += found
             store.insert_all(decoded)
-    report.facts_per_relation = {
-        name: count for name, count in store.relation_counts().items() if count
-    }
-    return store, report
+    counts = {name: count for name, count in store.relation_counts().items() if count}
+    return store, IngestReport(receipts, counts, warnings)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from pathlib import Path
@@ -438,8 +437,7 @@ def eval_rule8(store: FactStore, rule5: frozenset | None = None,
     return _cctx_join(store, 8, rule5, rule6, rule7)
 
 
-@dataclass(frozen=True)
-class RuleOutputs:
+class RuleOutputs(NamedTuple):
     """All eight rule outputs for one store."""
 
     rule1: frozenset[DepositEscrow]
@@ -452,7 +450,7 @@ class RuleOutputs:
     rule8: CctxSet
 
     def by_rule(self) -> dict[int, frozenset]:
-        return {i: getattr(self, f"rule{i}") for i in range(1, 9)}
+        return dict(enumerate(self, 1))
 
     def counts(self) -> dict[str, int]:
         return {RULE_NAMES[i]: len(s) for i, s in self.by_rule().items()}

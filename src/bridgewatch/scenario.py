@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -133,8 +131,7 @@ class SplitMix64:
         return sys.intern(str(self.randint(1, 9) * 10 ** self.randint(0, 12)))
 
 
-@dataclass(frozen=True)
-class AnomalySpec:
+class AnomalySpec(NamedTuple):
     forged_release: int = 0
     replayed_id: int = 0
     finality_break: int = 0
@@ -174,12 +171,11 @@ def parse_count(text: str, name: str) -> int:
         raise ParameterError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(NamedTuple):
     seed: int
     n_deposits: int
     n_withdrawals: int
-    anomalies: AnomalySpec = field(default_factory=AnomalySpec)
+    anomalies: AnomalySpec = AnomalySpec()
 
     def validate(self) -> None:
         a = self.anomalies
@@ -201,8 +197,7 @@ class ScenarioParams:
             raise ParameterError("replay fanout must be at least 2")
 
 
-@dataclass
-class _Tx:
+class _Tx(NamedTuple):
     chain_id: int
     timestamp: int
     tx_hash: str
@@ -213,24 +208,19 @@ class _Tx:
     event_facts: list
 
 
-@dataclass
-class GeneratedScenario:
+class GeneratedScenario(NamedTuple):
     params: ScenarioParams
     store: FactStore
     ground_truth: list[dict]
     config: dict
-    _txs: list[tuple[f.TransactionFact, list]]
-
-    @cached_property
-    def decoder(self) -> BridgeDecoderConfig:
-        """``config``, parsed; its event plans are compiled only when
-        receipts are encoded."""
-        return BridgeDecoderConfig.from_json(self.config)
+    txs: list[tuple[f.TransactionFact, list]]
 
     def receipts(self) -> list[dict]:
         """Receipt objects that decode back to exactly ``store``; each
-        bridge log is emitted by the configured bridge of its chain."""
-        return [encode_receipt(tx, facts, self.decoder) for tx, facts in self._txs]
+        bridge log is emitted by the configured bridge of its chain. The
+        event plans of ``config`` are compiled only here."""
+        decoder = BridgeDecoderConfig.from_json(self.config)
+        return [encode_receipt(tx, facts, decoder) for tx, facts in self.txs]
 
     def write_facts_dir(self, path: str | Path) -> None:
         dump_facts_dir(self.store, path)
@@ -441,11 +431,11 @@ class _Builder:
         else:
             moved = f.Erc20TransferFact._unchecked(esc.tx_hash, escrow.chain_id, 1, orig_token,
                                                    sender, bridge, amount)
-        esc.event_facts += [moved, way.escrow_event._unchecked(
+        esc.event_facts.extend([moved, way.escrow_event._unchecked(
             tx_hash=esc.tx_hash, event_index=moved.event_index + 1, **{way.id_column: flow_id},
             beneficiary=benef, orig_token=orig_token, dst_token=dst_token,
             dst_chain_id=release.chain_id, standard="NATIVE" if native else "ERC20", amount=amount,
-        )]
+        )])
 
         bridge, released = self.bridges[release.chain_id], []
         issuer = self.relayer if way.relayed else sender
@@ -457,8 +447,8 @@ class _Builder:
             else:
                 moved = f.Erc20TransferFact._unchecked(rel.tx_hash, release.chain_id, 1, dst_token,
                                                        bridge, benef, amount)
-            rel.event_facts += [moved, way.release_event._unchecked(rel.tx_hash, 2, flow_id, benef,
-                                                                    dst_token, amount)]
+            rel.event_facts.extend([moved, way.release_event._unchecked(
+                rel.tx_hash, 2, flow_id, benef, dst_token, amount)])
             released.append(rel.tx_hash)
         if break_finality:
             self.truth("finality_break", [esc.tx_hash, *released], id=flow_id, gap=gap,
@@ -473,12 +463,12 @@ class _Builder:
         dst_token = self.rng.choice(self.erc20_pairs)[0]
         amount = self.rng.amount()
         rel = self.add_tx(SOURCE, ts, self.attacker, self.bridge_s, "0")
-        rel.event_facts += [
+        rel.event_facts.extend([
             f.Erc20TransferFact._unchecked(rel.tx_hash, SOURCE.chain_id, 1, dst_token,
                                            self.bridge_s, self.attacker, amount),
             f.ScTokenWithdrewFact._unchecked(rel.tx_hash, 2, withdrawal_id, self.attacker,
                                              dst_token, amount),
-        ]
+        ])
         self.truth("forged_release", [rel.tx_hash], id=withdrawal_id)
 
     def direct_transfer(self, index: int) -> None:
@@ -544,7 +534,7 @@ class _Builder:
             txs.append((fact, tx.event_facts))
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
         return GeneratedScenario(params=p, store=store.seal(), ground_truth=gt, config=config,
-                                 _txs=txs)
+                                 txs=txs)
 
 
 def generate(params: ScenarioParams) -> GeneratedScenario:

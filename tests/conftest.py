@@ -4,7 +4,7 @@ F1 is a complete valid deposit: chain 1 (finality 1800s) escrows 5 native
 units with bridge B1 at t=1000, chain 100 (finality 45s) releases token CC
 to the beneficiary at t=2900. F2 is the reverse withdrawal: native escrow
 on chain 100 at t=5000, native release on chain 1 at t=5050. Tests mutate
-these with dataclasses.replace to break exactly one conjunct at a time.
+these with :func:`replace` to break exactly one conjunct at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ def f2_facts() -> list:
         f.ScWithdrawalFact(H4, 0, B1, U1, "5"),
         f.ScTokenWithdrewFact(H4, 1, "9", U1, AA, "5"),
     ]
+
+
+def replace(fact, **changes):
+    """``fact`` with ``changes`` to its columns, built by the validating
+    constructor of its class."""
+    return fact.__class__(**{**{name: getattr(fact, name) for name, _ in fact.COLUMNS}, **changes})
 
 
 def assert_values_shared(*stores: f.FactStore) -> None:

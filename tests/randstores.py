@@ -14,11 +14,10 @@ exercise the hash-only joins of the rule bodies.
 
 from __future__ import annotations
 
-import dataclasses
-
 from bridgewatch import facts as f
 from bridgewatch.facts import FactStore
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, SplitMix64, generate
+from conftest import replace
 
 _STANDARDS = ("ERC20", "NATIVE", "X721")
 
@@ -33,8 +32,8 @@ def _pools(rng: SplitMix64, base_facts: list) -> dict:
         "ts": sorted({x.timestamp for x in base_facts if hasattr(x, "timestamp")}),
     }
     for fact in base_facts:
-        for field in dataclasses.fields(fact):
-            value = getattr(fact, field.name)
+        for name, _ in fact.COLUMNS:
+            value = getattr(fact, name)
             if isinstance(value, str) and value.startswith("0x") and len(value) == 42:
                 pools["addr"].add(value)
         for name in ("deposit_id", "withdrawal_id"):
@@ -52,8 +51,7 @@ def _pools(rng: SplitMix64, base_facts: list) -> dict:
 
 
 def _mutate(rng: SplitMix64, fact, pools: dict):
-    field = rng.choice(dataclasses.fields(fact))
-    name = field.name
+    name, _ = rng.choice(fact.COLUMNS)
     if name == "tx_hash":
         new = rng.choice(pools["hash"])
     elif name in ("amount", "value"):
@@ -77,7 +75,7 @@ def _mutate(rng: SplitMix64, fact, pools: dict):
         new = rng.randint(1, 5000)
     else:
         new = rng.choice(pools["addr"])
-    return dataclasses.replace(fact, **{name: new})
+    return replace(fact, **{name: new})
 
 
 def _noise_fact(rng: SplitMix64, pools: dict):
@@ -153,7 +151,7 @@ def random_facts(seed: int, mutants: int = 120, noise: int = 150) -> list:
     for _ in range(2):
         tx = rng.choice(txs)
         other = rng.choice([c for c in pools["chain"] if c != tx.chain_id])
-        out.append(dataclasses.replace(tx, chain_id=other))
+        out.append(replace(tx, chain_id=other))
     return out
 
 

@@ -11,7 +11,6 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from bridgewatch.scenario import (
     describe,
     generate,
 )
-from conftest import H1, H2, build_store, f1_facts, static_facts
+from conftest import H1, H2, build_store, f1_facts, replace, static_facts
 from randstores import random_store
 
 MAX_ORACLE_SECONDS = 60.0

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bridgewatch import analytics, facts as f, rules
 from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
-    addr, build_store, f1_facts, f2_facts, static_facts, txh,
+    addr, build_store, f1_facts, f2_facts, replace, static_facts, txh,
 )
 from randstores import random_store
 

@@ -508,8 +508,9 @@ class TestCollector:
         assert during == ([] if broken else [False])
 
 
-@pytest.mark.parametrize("command", ["eval", "ingest"])
-def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
+def imported_by(tmp_path, command: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of ``modules`` that a new interpreter has imported once it has
+    run ``command`` (``eval`` or ``ingest``) on a small simulated input."""
     sim = tmp_path / "sim"
     run("simulate", "--seed", "9", "--deposits", "3", "--withdrawals", "3",
         "--out", str(sim), "--emit", "receipts")
@@ -519,13 +520,25 @@ def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
         run(*ingest)
     argv = ingest if command == "ingest" else [
         "eval", "--facts", str(tmp_path / "facts"), "--out", str(tmp_path / "r.json")]
-    script = ("import sys; from bridgewatch import cli; code = cli.main(sys.argv[1:]); "
-              "print(sorted(m for m in ('bridgewatch.scenario', 'bridgewatch.oracle') "
-              "if m in sys.modules)); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    script = ("import sys; from bridgewatch import cli; code = cli.main(sys.argv[2:]); "
+              "print(*sorted(m for m in sys.argv[1].split(',') if m in sys.modules)); "
+              "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, ",".join(modules), *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == EXIT_CLEAN, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("command", ["eval", "ingest"])
+def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
+    assert imported_by(tmp_path, command, ("bridgewatch.scenario", "bridgewatch.oracle")) == []
+
+
+# dataclasses imports inspect, which imports ast, dis and tokenize: start-up
+# that every command would pay for. No module of the program imports either.
+@pytest.mark.parametrize("command", ["eval", "ingest"])
+def test_eval_and_ingest_import_neither_dataclasses_nor_inspect(tmp_path, command):
+    assert imported_by(tmp_path, command, ("dataclasses", "inspect")) == []
 
 
 # The mutation fuzz below edits one JSON path of the decoder config or of one

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from bridgewatch import facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
-from conftest import AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, static_facts
+from conftest import (
+    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts,
+)
 from randstores import random_store
 
 # One fact of each of the thirteen relations.
@@ -102,6 +106,50 @@ class TestFactValidation:
         fact = f.ScDepositFact(H1.upper().replace("0X", "0x"), 0, U1.upper().replace("0X", "0x"), B1, "5")
         assert fact.tx_hash == H1
         assert fact.sender == U1
+
+
+@pytest.mark.parametrize("fact_type", f.RELATIONS.values(), ids=list(f.RELATIONS))
+class TestFactClass:
+    """What every fact class promises of its instances: they are values."""
+
+    def test_equal_facts_hash_equal(self, fact_type):
+        fact = SAMPLES[fact_type]
+        values = tuple(getattr(fact, name) for name, _ in fact.COLUMNS)
+        twin = replace(fact)
+        assert twin is not fact and twin == fact and not twin != fact
+        assert hash(twin) == hash(fact) == hash(values)
+        assert fact != values
+
+    def test_repr_names_each_column(self, fact_type):
+        fact = SAMPLES[fact_type]
+        shown = ", ".join(f"{name}={getattr(fact, name)!r}" for name, _ in fact.COLUMNS)
+        assert repr(fact) == f"{type(fact).__name__}({shown})"
+
+    def test_fields_cannot_be_assigned_or_deleted(self, fact_type):
+        fact = SAMPLES[fact_type]
+        before = fact.columns()
+        for name, _ in fact.COLUMNS:
+            with pytest.raises(AttributeError):
+                setattr(fact, name, getattr(fact, name))
+            with pytest.raises(AttributeError):
+                delattr(fact, name)
+        assert fact.columns() == before
+
+    def test_slots_are_the_columns(self, fact_type):
+        assert tuple(fact_type.__slots__) == tuple(name for name, _ in fact_type.COLUMNS)
+        assert not hasattr(SAMPLES[fact_type], "__dict__")
+
+    def test_pickle_and_copy_round_trip(self, fact_type):
+        fact = SAMPLES[fact_type]
+        for clone in (pickle.loads(pickle.dumps(fact)), copy.copy(fact), copy.deepcopy(fact)):
+            assert type(clone) is type(fact) and clone == fact
+
+
+def test_facts_of_two_relations_with_equal_values_are_unequal():
+    deposit, withdrawal = f.ScDepositFact(H1, 0, U1, B1, "5"), f.TcWithdrawalFact(H1, 0, U1, B1, "5")
+    assert deposit.columns() == withdrawal.columns()
+    assert deposit != withdrawal and not deposit == withdrawal
+    assert len({deposit, withdrawal}) == 2
 
 
 class TestStore:
@@ -318,22 +366,24 @@ def _in_new_interpreter(script: str, facts_dir: Path) -> str:
     ).stdout
 
 
-# Traced bytes per fact of a store loaded from the dump of
-# ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 6,011 facts:
-# 593 B when each row held its own strings, 234 B with equal values shared
-# (CPython 3.11). The bound leaves 15% headroom over the shared layout. The
-# second load of a new interpreter is measured: the first also grows the
-# table of interned strings and the pattern cache, which later loads reuse
-# (305 B per fact in all).
+# Traced bytes per fact that a store loaded from the dump of
+# ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 6,011 facts,
+# frees when it is dropped: 593 B when each row held its own strings, 234 B
+# with equal values shared (CPython 3.11). The bound leaves 15% headroom over
+# the shared layout. The freed bytes are what the store holds: the growth
+# over a load also counts the table of interned strings, which grows in
+# whichever load crosses its next size, and the pattern cache (305 B per
+# fact over a first load at the time of the 234 B above).
 MAX_LOADED_BYTES_PER_FACT = 270
 
 LOADED_SCRIPT = """
 import sys, tracemalloc
 from bridgewatch import facts
-facts.load_facts_dir(sys.argv[1])
 tracemalloc.start()
 store = facts.load_facts_dir(sys.argv[1])
-print(store.total_facts(), tracemalloc.get_traced_memory()[0] / store.total_facts())
+total, kept = store.total_facts(), tracemalloc.get_traced_memory()[0]
+del store
+print(total, (kept - tracemalloc.get_traced_memory()[0]) / total)
 """
 
 

@@ -7,7 +7,6 @@ out in full so the field order stays pinned.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ from bridgewatch import rules
 from bridgewatch.oracle import brute_force
 from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
-    addr, build_store, f1_facts, f2_facts, static_facts,
+    addr, build_store, f1_facts, f2_facts, replace, static_facts,
 )
 from randstores import random_store
 

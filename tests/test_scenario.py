@@ -240,7 +240,8 @@ class TestGeneration:
         generated.write_facts_dir(tmp_path / "facts")
         generated.write_receipts_jsonl(tmp_path / "receipts.jsonl")
         loaded = load_facts_dir(tmp_path / "facts")
-        ingested, _ = ingest_jsonl(tmp_path / "receipts.jsonl", generated.decoder)
+        ingested, _ = ingest_jsonl(tmp_path / "receipts.jsonl",
+                                   BridgeDecoderConfig.from_json(generated.config))
         for store in (generated.store, loaded, ingested):
             assert_values_shared(store)
         assert_values_shared(generated.store, loaded, ingested)

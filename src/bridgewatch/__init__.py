@@ -6,10 +6,13 @@ unmatched legs, finality violations, replayed identifiers, and
 token/bridge event mismatches. Ships with a deterministic two-chain
 scenario generator with labeled attack injection and a brute-force
 reference evaluator for the rule engine.
+
+Importing the package imports ``facts`` only; ``RuleOutputs`` and
+``eval_all`` import ``rules`` on first access, so that a command that
+never evaluates (``ingest``) does not pay for it.
 """
 
 from .facts import FactStore, dump_facts_dir, load_facts_dir
-from .rules import RuleOutputs, eval_all
 
 __version__ = "0.1.0"
 
@@ -21,3 +24,11 @@ __all__ = [
     "eval_all",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("RuleOutputs", "eval_all"):
+        from . import rules
+
+        return getattr(rules, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

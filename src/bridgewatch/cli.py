@@ -20,10 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import analytics
 from .facts import InputError, dump_facts_dir, load_facts_dir
-from .ingest import ingest_jsonl, load_config
-from .rules import RULE_NAMES, eval_all
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -50,6 +47,26 @@ def _output(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+# Each command imports only the modules it runs: ``ingest`` never loads
+# rules or analytics, ``eval`` never loads the decoder or keccak. The three
+# stages below stay attributes of this module, looked up by the commands at
+# each call, so that they can be wrapped here; each imports its module on
+# its first call.
+def load_config(path: str | Path):
+    from .ingest import load_config
+    return load_config(path)
+
+
+def ingest_jsonl(receipts_path: str | Path, config):
+    from .ingest import ingest_jsonl
+    return ingest_jsonl(receipts_path, config)
+
+
+def eval_all(store):
+    from .rules import eval_all
+    return eval_all(store)
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     store, report = ingest_jsonl(args.receipts, config)
@@ -64,15 +81,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import analytics
+
     prices = analytics.load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)
     report = analytics.build_report(store, outputs, prices=prices)
+    n_facts = store.total_facts()
+    # the render's transient then fits into the memory the store just freed
+    del store, outputs
     rendered = analytics.report_to_json(report)
     Path(args.out).write_text(rendered, encoding="utf-8")
     n_anomalies = analytics.total_anomalies(report)
     _progress(
-        f"evaluated {store.total_facts()} facts: "
+        f"evaluated {n_facts} facts: "
         + ", ".join(f"{name}={count}" for name, count in report["rule_counts"].items())
     )
     _progress(f"anomalies: {n_anomalies} -> {args.out}")
@@ -80,7 +102,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # imported here, not at the top, so that the other commands start faster
     from .scenario import AnomalySpec, ScenarioParams, generate, parse_count
 
     anomalies = AnomalySpec.from_spec_string(args.anomalies)
@@ -107,7 +128,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .oracle import OracleSizeError, brute_force  # here, as scenario in cmd_simulate
+    from .oracle import OracleSizeError, brute_force
+    from .rules import RULE_NAMES
 
     store = load_facts_dir(args.facts).seal()
     try:
@@ -132,6 +154,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analytics
+
     prices = analytics.load_prices(args.prices)
     store = load_facts_dir(args.facts).seal()
     outputs = eval_all(store)

@@ -269,8 +269,9 @@ def _relation(cls):
     ``_unchecked``, which takes every column already canonical and checks
     none of them; and the value methods. A fact equals only a fact of its
     class with equal columns, hashes as their tuple, shows as
-    ``Name(col=value, ...)``, refuses to assign or delete a field
-    (``AttributeError``) and pickles through the validating constructor."""
+    ``Name(col=value, ...)`` and pickles through the validating
+    constructor; :class:`_Fact` refuses to assign or delete a field
+    (``AttributeError``)."""
     # annotations are strings (``from __future__ import annotations``); the
     # ClassVar ones name no kind
     columns = tuple((name, _KINDS[kind]) for name, kind in cls.__annotations__.items()
@@ -290,7 +291,7 @@ def _relation(cls):
     values = "".join(f"self.{name}, " for name in names)
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
     (cls.__init__, from_groups, cls._to_row, unchecked, cls.__eq__, cls.__hash__, cls.__repr__,
-     cls.__setattr__, cls.__delattr__, cls.__reduce__) = _compile(cls, env, {
+     cls.__reduce__) = _compile(cls, env, {
         f"__init__(self, {', '.join(names)})": init,
         "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
@@ -299,8 +300,6 @@ def _relation(cls):
                                 " if other.__class__ is self.__class__ else NotImplemented"],
         "__hash__(self)": [f"return hash(({values}))"],
         "__repr__(self)": [f'return f"{cls.__name__}({shown})"'],
-        "__setattr__(self, name, _)": ['raise AttributeError(f"cannot assign to field {name!r}")'],
-        "__delattr__(self, name)": ['raise AttributeError(f"cannot delete field {name!r}")'],
         "__reduce__(self)": [f"return _cls, ({values})"],
     })
     cls._from_groups, cls._unchecked = staticmethod(from_groups), staticmethod(unchecked)
@@ -320,6 +319,13 @@ class _Fact:
 
     def columns(self) -> tuple[str, ...]:
         return tuple(self._to_row().split("\t"))
+
+    # the constructors set each slot through its descriptor, not through these
+    def __setattr__(self, name: str, _) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 @_relation
@@ -771,20 +777,23 @@ def _long_integer(text: str) -> str:
 
 
 def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:
-    """Write one sorted ``<relation>.facts`` file per non-empty relation.
+    """Write one sorted ``<relation>.facts`` file per non-empty relation,
+    and remove the file of each empty one that an earlier dump left.
 
     Rows are sorted lexicographically so dumps are deterministic;
-    ``load_facts_dir`` on the result reproduces the store exactly.
+    ``load_facts_dir`` on the result reproduces the store exactly, also
+    in a directory that held another dump.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name, fact_type in RELATIONS.items():
         facts = store._relations[name]
+        file_path = root / f"{name}.facts"
         if not facts:
+            file_path.unlink(missing_ok=True)
             continue
         rows = sorted(map(fact_type._to_row, facts))
-        file_path = root / f"{name}.facts"
         with open(file_path, "w", encoding="utf-8", newline="\n") as fh:
             for row in rows:
                 fh.write(row + "\n")

@@ -11,19 +11,22 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bridgewatch import cli, oracle
+from bridgewatch import analytics, cli, oracle
 from bridgewatch.cli import (
     EXIT_ANOMALIES,
     EXIT_CLEAN,
     EXIT_INPUT_ERROR,
     main,
 )
+from bridgewatch.facts import load_facts_dir
+from bridgewatch.ingest import ingest_jsonl, load_config
 from bridgewatch.keccak import event_topic
 
 
@@ -153,6 +156,19 @@ class TestPipeComposition:
         assert run("eval", "--facts", str(sim_facts), "--out", str(report_a)) == EXIT_ANOMALIES
         assert run("eval", "--facts", str(ingested), "--out", str(report_b)) == EXIT_ANOMALIES
         assert report_a.read_bytes() == report_b.read_bytes()
+
+    def test_ingest_into_a_used_directory_keeps_no_old_relation(self, tmp_path):
+        out_dir = tmp_path / "facts"
+        for withdrawals in ("3", "0"):  # the second run has no withdrawal relations
+            sim = tmp_path / f"sim{withdrawals}"
+            run("simulate", "--seed", "9", "--deposits", "3", "--withdrawals", withdrawals,
+                "--out", str(sim), "--emit", "receipts")
+            assert run("ingest", "--receipts", str(sim / "receipts.jsonl"),
+                       "--config", str(sim / "decoder_config.json"),
+                       "--out", str(out_dir)) == EXIT_CLEAN
+        store, _ = ingest_jsonl(sim / "receipts.jsonl", load_config(sim / "decoder_config.json"))
+        assert store.count("tc_withdrawal") == 0
+        assert load_facts_dir(out_dir) == store
 
     def test_ingest_report_on_stdout(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -508,6 +524,30 @@ class TestCollector:
         assert during == ([] if broken else [False])
 
 
+# With the collector off, reference counting alone must free the store
+# before the report renders, so that the render reuses the memory it held.
+def test_eval_frees_the_store_before_it_renders(tmp_path, monkeypatch):
+    facts = tmp_path / "facts"
+    run("simulate", "--seed", "2", "--deposits", "5", "--withdrawals", "5",
+        "--anomalies", "forged_release=2", "--out", str(facts))
+    stores, freed = [], []
+    load, render = cli.load_facts_dir, analytics.report_to_json
+
+    def loading(path):
+        store = load(path)
+        stores.append(weakref.ref(store))
+        return store
+
+    def rendering(report):
+        freed.append(stores[0]() is None)
+        return render(report)
+
+    monkeypatch.setattr(cli, "load_facts_dir", loading)
+    monkeypatch.setattr(analytics, "report_to_json", rendering)
+    assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_ANOMALIES
+    assert freed == [True]
+
+
 def imported_by(tmp_path, command: str, modules: tuple[str, ...]) -> list[str]:
     """Those of ``modules`` that a new interpreter has imported once it has
     run ``command`` (``eval`` or ``ingest``) on a small simulated input."""
@@ -539,6 +579,23 @@ def test_eval_and_ingest_import_neither_generator_nor_oracle(tmp_path, command):
 @pytest.mark.parametrize("command", ["eval", "ingest"])
 def test_eval_and_ingest_import_neither_dataclasses_nor_inspect(tmp_path, command):
     assert imported_by(tmp_path, command, ("dataclasses", "inspect")) == []
+
+
+# Each command imports what it runs and nothing more.
+@pytest.mark.parametrize("command, unused", [
+    ("eval", ("bridgewatch.ingest", "bridgewatch.keccak")),
+    ("ingest", ("bridgewatch.rules", "bridgewatch.analytics", "decimal", "fractions")),
+], ids=["eval", "ingest"])
+def test_command_imports_only_what_it_runs(tmp_path, command, unused):
+    assert imported_by(tmp_path, command, unused) == []
+
+
+def test_package_import_leaves_rules_unimported():
+    script = "import sys, bridgewatch; print('bridgewatch.rules' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # The mutation fuzz below edits one JSON path of the decoder config or of one

@@ -179,6 +179,31 @@ class TestDecodeReceipt:
         assert [type(x).__name__ for x in facts] == ["TransactionFact", "Erc20TransferFact"]
         assert warnings == [f"tx {H1} log 2 (sc_token_deposited): {warning}"]
 
+    # one edit of the deposit log per README reason, and the warning it gives;
+    # CONFIG's plan order is deposit_id, beneficiary, then data words 0-4
+    @pytest.mark.parametrize("edit, warning", [
+        (lambda log: log["topics"].pop(), "beneficiary: topic 2 missing (log has 2)"),
+        (lambda log: log.update(data=log["data"][:2 + 64 * 4]), "amount: data word 4 out of range"),
+        (lambda log: log["topics"].__setitem__(1, "0x01"),
+         "deposit_id: topic 1 is not one 32-byte hex word"),
+        (lambda log: log.update(data=log["data"] + "ab"),
+         "dst_token: data is not whole 32-byte hex words"),
+        (lambda log: log["topics"].__setitem__(2, "0x" + "11" * 32),
+         "beneficiary: 32-byte value is not a valid 20-byte address"),
+        (lambda log: log.update(data=log["data"][:130] + "0" * 64 + log["data"][194:]),
+         "dst_chain_id: chain id must be nonzero"),
+        (lambda log: log.update(data=log["data"][:194] + pad_uint(7)[2:] + log["data"][258:]),
+         "standard: no enum label for value 7"),
+        (lambda log: log["topics"].append("0xzz"), "topic 3 is not one 32-byte hex word"),
+    ], ids=["topic-missing", "data-word-out-of-range", "topic-not-a-word", "data-not-words",
+            "not-an-address", "zero-chain-id", "no-enum-label", "unread-topic-not-a-word"])
+    def test_each_refusal_reason_is_warned_in_full(self, edit, warning):
+        log = deposited_log(2, beneficiary=pad_addr(U2))
+        edit(log)
+        facts, warnings = decode_receipt(make_receipt([transfer_log(1), log]), CONFIG)
+        assert [type(x).__name__ for x in facts] == ["TransactionFact", "Erc20TransferFact"]
+        assert warnings == [f"tx {H1} log 2 (sc_token_deposited): {warning}"]
+
     def test_malformed_unread_topic_suppresses_bridge_fact(self):
         log = deposited_log(2, beneficiary=pad_addr(U2))
         log["topics"].append("0xzzzzzz")

@@ -34,24 +34,26 @@ not share a topic0.
 
 Plans are checked once, on load, and each is then compiled into one
 straight-line decoder and its inverse encoder (:class:`EventPlan`). The
-decoder matches each topic the plan reads against one pattern, and all the
-data words against another, and builds the fact without re-checking it,
-since the patterns admit only canonical values. It is the only code that
-turns a log into a fact.
+decoder checks the words of the fields in plan order and returns either
+the fact, built from the checked words without checking them again, or
+the reason it refuses the log. It is the only code that accepts or refuses
+a log, and the only source of the reasons.
 
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
 token contract). Bridge events are decoded only from logs emitted by a
 configured bridge address. A receipt moving native value into a bridge
 address yields a native escrow fact with pseudo event index 0, ordering
-it before every log of the transaction.
+it before every log of the transaction whose ``logIndex`` is above 0. A
+bridge log with ``logIndex`` 0 ties with it, and is not ordered after it.
 
 A log that a decoder refuses yields one warning and no fact; the rest of
-the receipt still decodes. The warning names the transaction, the log,
-the relation and the first field, in plan order, whose word is missing or
-not allowed by its type: ``topic N missing (log has M)``, ``data word N
-out of range``, ``topic N is not one 32-byte hex word``, ``data is not
-whole 32-byte hex words``, ``32-byte value is not a valid 20-byte
-address``, ``chain id must be nonzero`` or ``no enum label for value V``.
+the receipt still decodes. The warning is the decoder's reason after the
+transaction, the log and the relation. The reason names the first field,
+in plan order, whose word is missing or not allowed by its type: ``topic
+N missing (log has M)``, ``data word N out of range``, ``topic N is not
+one 32-byte hex word``, ``data is not whole 32-byte hex words``,
+``32-byte value is not a valid 20-byte address``, ``chain id must be
+nonzero`` or ``no enum label for value V``.
 A topic after topic0 that no field reads must still be one 32-byte word;
 if every field is read, the warning names the first such topic that is
 not (``topic N is not one 32-byte hex word``).
@@ -80,7 +82,7 @@ __all__ = [
     "static_facts",
 ]
 
-NATIVE_EVENT_INDEX = 0  # native value transfers precede all logs
+NATIVE_EVENT_INDEX = 0  # native value transfers precede every log but one at logIndex 0 (a tie)
 
 # Bridge relations a config event entry may target.
 _DECODABLE = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
@@ -323,13 +325,15 @@ class EventPlan(NamedTuple):
     decoder and encoder that :func:`_event_plan` compiles from the plan.
 
     ``decode(topics, data, address, tx_hash, event_index, chain_id)``
-    returns the fact, or None for a log that the plan's patterns refuse
-    (:func:`_refusal` says why). ``encode(fact, address)`` returns the log
-    entry that ``decode`` turns back into ``fact``; ``address`` is the
-    emitter unless a field is read from ``log_address``. A fact that cannot
-    round-trip raises ``ValueError``: a value other than a ``const``
-    field's, an enum value without a code, or an integer that is not a
-    canonical uint256.
+    returns the fact, or for a log that it refuses the reason, a string:
+    ``"<field>: <reason>"`` for the first field, in plan order, whose word
+    is missing or not allowed by its type, or else ``"topic N is not one
+    32-byte hex word"`` for the first topic that no field reads and that
+    is not one word. ``encode(fact, address)`` returns the log entry that
+    ``decode`` turns back into ``fact``; ``address`` is the emitter unless
+    a field is read from ``log_address``. A fact that cannot round-trip
+    raises ``ValueError``: a value other than a ``const`` field's, an enum
+    value without a code, or an integer that is not a canonical uint256.
     """
 
     topic0: str
@@ -339,21 +343,21 @@ class EventPlan(NamedTuple):
     encode: Callable
 
 
-# The pattern of a 64-digit hex word that a field type admits, with one
-# group; the expression turning the group's text ``{v}`` into the column
-# value, shared as the facts' checks share it; and why a word is refused
-# (None: every word is admitted). ``enum`` builds its pattern and value from
-# its labels, which the plan holds shared.
+# For each field type: the condition on its 64-digit hex word ``{w}`` that
+# refuses it (None: every word is admitted), and why; and the expression
+# turning the word into the column value, shared as the facts' checks share
+# it. ``enum`` builds all three from its labels, which the plan holds shared.
 _WORD = {
-    "address": ("0{24}([0-9a-f]{40})", '_intern("0x" + {v})',
-                "32-byte value is not a valid 20-byte address"),
-    "chain_id": ("(?!0{64})([0-9a-f]{64})", "int({v}, 16)", "chain id must be nonzero"),
-    "uint": ("([0-9a-f]{64})", "_intern(str(int({v}, 16)))", None),
-    "id": ("([0-9a-f]{64})", "_intern(str(int({v}, 16)))", None),
+    "address": ("{w} > _MAX_ADDRESS", "32-byte value is not a valid 20-byte address",
+                '_intern("0x" + {w}[24:])'),
+    "chain_id": ("{w} == _ZERO_WORD", "chain id must be nonzero", "int({w}, 16)"),
+    "uint": (None, None, "_intern(str(int({w}, 16)))"),
+    "id": (None, None, "_intern(str(int({w}, 16)))"),
 }
-_HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z")
+_HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z").match
 _TOPIC = re.compile(r"0x[0-9a-f]{64}\Z").match
 _ZERO_WORD = "0" * 64
+_MAX_ADDRESS = "0" * 24 + "f" * 40  # the greatest word whose top 12 bytes are zero
 
 
 def _uint_word(value: int | str, what: str) -> str:
@@ -376,23 +380,31 @@ def _runs(slots: dict[int, Any]) -> list[tuple[int, int]]:
 def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPlan:
     """Compile a checked field plan into its decoder and encoder.
 
-    The decoder matches each topic it reads and the data words against one
-    pattern each. The patterns admit only words whose conversion suits the
-    column (a left-padded address, a nonzero chain id, a labelled enum code),
-    so the fact is built unchecked. Columns without a plan are the
-    decoder's arguments of the same name. The encoder is its inverse; it
-    takes the fields in plan order, so that an error names the first field
-    that cannot be encoded.
+    The decoder checks each field in plan order: its topic exists and is
+    one word, or the data is whole words (checked once) and holds its word;
+    then the word meets its type's condition (a left-padded address, a
+    nonzero chain id, a labelled enum code). The topics that no field reads
+    are checked last. It returns the reason of the first check that fails,
+    or the fact built unchecked from the words; columns without a plan are
+    its arguments of the same name. The encoder is its inverse; it takes
+    the fields in plan order, so that an error names the first field that
+    cannot be encoded.
     """
     fact_type = f.RELATIONS[relation]
     env: dict[str, Any] = {"_make": fact_type._unchecked, "_uint_word": _uint_word,
-                           "_enum_word": _enum_word, "_intern": sys.intern}
+                           "_enum_word": _enum_word, "_intern": sys.intern, "_topic": _TOPIC,
+                           "_hex_words": _HEX_WORDS, "_ZERO_WORD": _ZERO_WORD,
+                           "_MAX_ADDRESS": _MAX_ADDRESS}
     values: dict[str, str] = {}  # column -> decoded value
-    readers: dict[str, dict] = {"topic": {}, "data": {}}  # index -> [(column, pattern, value)]
     words = {"topic": {0: repr(topic0)}, "data": {}}  # index -> encoded word
+    decode: list[str] = []
     encode: list[str] = []
+
+    def refuse(condition: str, reason: str) -> None:  # reason: an f-string body
+        decode.append(f"if {condition}: return f{reason!r}")
+
     for name, plan in fields.items():
-        what = repr(f"{relation}.{name}")
+        what, word = repr(f"{relation}.{name}"), f"word_{name}"
         if "const" in plan:
             env[f"_const_{name}"], values[name] = plan["const"], f"_const_{name}"
             encode += [f"if fact.{name} != _const_{name}:",
@@ -404,57 +416,43 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
             encode.append(f"address = fact.{name}")
             continue
         source = "topic" if "topic" in plan else "data"
-        index, ftype = plan[source], plan.get("type", "uint")
+        i, ftype = plan[source], plan.get("type", "uint")
+        if source == "topic":
+            refuse(f"len(topics) <= {i}", f"{name}: topic {i} missing (log has {{len(topics)}})")
+            refuse(f"not _topic(topics[{i}])", f"{name}: topic {i} is not one 32-byte hex word")
+            decode.append(f"{word} = topics[{i}][2:]")
+        else:
+            if not words["data"]:
+                refuse("not _hex_words(data)", f"{name}: data is not whole 32-byte hex words")
+            refuse(f"len(data) < {66 + 64 * i}", f"{name}: data word {i} out of range")
+            decode.append(f"{word} = data[{2 + 64 * i}:{66 + 64 * i}]")
         if ftype == "enum":
             labels = {format(int(code), "064x"): label for code, label in plan["labels"].items()}
             codes: dict = {}
             for code, label in plan["labels"].items():
                 codes.setdefault(label, code)
             env[f"_labels_{name}"], env[f"_codes_{name}"] = labels, codes
-            pattern, value = f"({'|'.join(labels)})", f"_labels_{name}[{{v}}]"
+            refuse(f"{word} not in _labels_{name}",
+                   f"{name}: no enum label for value {{int({word}, 16)}}")
+            value = f"_labels_{name}[{{w}}]"
             encoded = f"_enum_word(_codes_{name}, fact.{name}, {what})"
         else:
-            pattern, value, _ = _WORD[ftype]
+            condition, reason, value = _WORD[ftype]
+            if condition is not None:
+                refuse(condition.format(w=word), f"{name}: {reason}")
             encoded = (f"{'0' * 24!r} + fact.{name}[2:]" if ftype == "address"
                        else f"_uint_word(fact.{name}, {what})")
-        readers[source].setdefault(index, []).append((name, pattern, value))
-        encode.append(f"word_{name} = {encoded}")
-        words[source][index] = f"'0x' + word_{name}" if source == "topic" else f"word_{name}"
-
-    def word(reads: list, match: str, first: int) -> str:
-        """The pattern of a word with the ``reads`` of its readers, whose
-        groups are ``match[first]`` on; a word read twice suits both."""
-        for n, (name, _, value) in enumerate(reads, first):
-            values[name] = value.format(v=f"{match}[{n}]")
-        if len(reads) == 1:
-            return reads[0][1]
-        return "".join(f"(?={pattern})" for _, pattern, _ in reads) + "[0-9a-f]{64}"
-
-    conditions = []
-    read = sorted(readers["topic"])
-    if read:
-        conditions.append(f"len(topics) > {read[-1]}")
-    for i in read:
-        env[f"_topic{i}"] = re.compile(f"0x{word(readers['topic'][i], f'topic{i}', 1)}\\Z").match
-        conditions.append(f"(topic{i} := _topic{i}(topics[{i}]))")
+        values[name] = value.format(w=word)
+        encode.append(f"{word} = {encoded}")
+        words[source][i] = f"'0x' + {word}" if source == "topic" else word
     # the topics after topic0 that no field reads must be words as well
-    env["_topic"] = _TOPIC
-    for after, before in zip([0, *read], [*read, ""]):
-        if before == "" or before > after + 1:
-            conditions.append(f"all(map(_topic, topics[{after + 1}:{before}]))")
-    if readers["data"]:
-        pattern, first = "0x", 1
-        for gap, i in _runs(readers["data"]):
-            pattern += f"(?:[0-9a-f]{{64}}){{{gap}}}" * bool(gap)
-            pattern += word(readers["data"][i], "data_words", first)
-            first += len(readers["data"][i])
-        try:
-            env["_data"] = re.compile(pattern + "(?:[0-9a-f]{64})*\\Z").match
-        except OverflowError:  # more words than a pattern counts, or any log holds
-            env["_data"] = lambda data: None
-        conditions.append("(data_words := _data(data))")
-    build = f"return _make({', '.join(values.get(name, name) for name, _ in fact_type.COLUMNS)})"
-    decode = [f"if {' and '.join(conditions)}:", f"  {build}"] if conditions else [build]
+    read = sorted(words["topic"])
+    for after, before in zip(read, [*read[1:], None]):
+        if before != after + 1:
+            decode += [f"for i in range({after + 1}, {before or 'len(topics)'}):",
+                       "  if not _topic(topics[i]):",
+                       "    return f'topic {i} is not one 32-byte hex word'"]
+    decode.append(f"return _make({', '.join(values.get(c, c) for c, _ in fact_type.COLUMNS)})")
     # positions that no field fills are zero words
     topics = ", ".join(f"*[{'0x' + _ZERO_WORD!r}] * {gap}, " * bool(gap) + words["topic"][i]
                        for gap, i in _runs(words["topic"]))
@@ -479,51 +477,12 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 })
 
 
-def _refusal(plan: EventPlan, topics: list[str], data: str, address: str,
-             tx_hash: str, event_index: int, chain_id: int) -> str:
-    """The warning for a log that ``plan.decode`` refused, naming the first
-    field, in plan order, whose word is missing or not allowed by its type,
-    or else the first topic that no field reads and is not a word."""
-    for name, fplan in plan.fields.items():
-        reason = word = None  # const and log_address fields hold checked values
-        if "topic" in fplan:
-            i = fplan["topic"]
-            if i >= len(topics):
-                reason = f"topic {i} missing (log has {len(topics)})"
-            elif _TOPIC(topics[i]):
-                word = topics[i][2:]
-            else:
-                reason = f"topic {i} is not one 32-byte hex word"
-        elif "data" in fplan:
-            i = fplan["data"]
-            if not _HEX_WORDS.match(data):
-                reason = "data is not whole 32-byte hex words"
-            elif len(data) < 66 + 64 * i:
-                reason = f"data word {i} out of range"
-            else:
-                word = data[2 + 64 * i:66 + 64 * i]
-        if word is not None:
-            ftype = fplan.get("type", "uint")
-            if ftype == "enum":
-                if str(int(word, 16)) not in fplan["labels"]:
-                    reason = f"no enum label for value {int(word, 16)}"
-            elif not re.fullmatch(_WORD[ftype][0], word):
-                reason = _WORD[ftype][2]
-        if reason is not None:
-            return f"tx {tx_hash} log {event_index} ({plan.relation}): {name}: {reason}"
-    for i, topic in enumerate(topics[1:], 1):  # every topic that a field reads is a word
-        if not _TOPIC(topic):
-            return (f"tx {tx_hash} log {event_index} ({plan.relation}): "
-                    f"topic {i} is not one 32-byte hex word")
-    raise AssertionError(f"{plan.relation}: the decoder refused a log that every field admits")
-
-
 def _decode(plan: EventPlan, log: tuple, out: list, warnings: list[str]) -> bool:
     """Append the fact ``plan`` decodes from ``log`` to ``out``, or the
     warning saying why there is none; True when a fact was appended."""
     fact = plan.decode(*log)
-    if fact is None:
-        warnings.append(_refusal(plan, *log))
+    if type(fact) is str:
+        warnings.append(f"tx {log[3]} log {log[4]} ({plan.relation}): {fact}")
         return False
     out.append(fact)
     return True
@@ -560,7 +519,7 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
     address. Returns ``(facts, warnings)``. A malformed receipt raises
     :class:`IngestError`, a receipt of a chain the config lacks
     :class:`ConfigError`. Each field is checked once, here or by a
-    decoder's patterns, and the facts are built from the checked values,
+    compiled decoder, and the facts are built from the checked values,
     each text value shared as the facts' checks share it.
     """
     if not isinstance(obj, dict):

@@ -6,7 +6,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bridgewatch import facts as f, ingest
 from bridgewatch.ingest import (
@@ -249,15 +249,15 @@ def round_trip_config(*events: dict) -> BridgeDecoderConfig:
 
 RT_CONFIG = round_trip_config()
 RT_BRIDGE = RT_CONFIG.chains[S_CHAIN].bridge_addresses[0]
-ADDRESSES = st.binary(min_size=20, max_size=20).map(lambda b: "0x" + b.hex())
+ADDRESSES = st.one_of(st.sampled_from(["0x" + "00" * 20, "0x" + "ff" * 20]),  # the extremes
+                      st.binary(min_size=20, max_size=20).map(lambda b: "0x" + b.hex()))
 UINT256 = st.integers(0, f.MAX_UINT256).map(str)
-COLUMN_VALUES = {
-    "deposit_id": UINT256, "withdrawal_id": UINT256, "amount": UINT256,
-    "beneficiary": ADDRESSES, "dst_token": ADDRESSES, "orig_token": ADDRESSES,
-    "token": ADDRESSES, "from_address": ADDRESSES, "to_address": ADDRESSES,
-    "dst_chain_id": st.integers(1, f.MAX_UINT256),
-    "standard": st.sampled_from(["ERC20", "NATIVE"]),
-}
+# The values of a field, by its type; and of a constant, by its column's
+# kind, where any text may be one that an Opaque column refuses.
+TYPE_VALUES = {"address": ADDRESSES, "log_address": ADDRESSES, "uint": UINT256, "id": UINT256,
+               "chain_id": st.integers(1, f.MAX_UINT256)}
+KIND_VALUES = {"Address": ADDRESSES, "ChainId": st.integers(1, f.MAX_UINT256),
+               "Amount": UINT256, "Opaque": st.one_of(UINT256, st.text(min_size=1, max_size=6))}
 
 
 def decode_one(log: dict) -> list:
@@ -267,16 +267,20 @@ def decode_one(log: dict) -> list:
     return facts[1:]  # after the transaction fact
 
 
-def draw_fact(data, plan):
-    """A fact that ``plan`` can encode, drawn column by column."""
+def draw_fact(data, plan, emitter: str | None = None):
+    """A fact that ``plan`` can encode, drawn field by field; its
+    ``log_address`` fields hold ``emitter``, when one is given."""
     values = {}
     for name, fplan in plan.fields.items():
         if "const" in fplan:
             values[name] = fplan["const"]
-        elif "source" in fplan and plan is not ingest._TRANSFER:
-            values[name] = RT_BRIDGE
+        elif "source" in fplan and emitter is not None:
+            values[name] = emitter
+        elif "labels" in fplan:
+            values[name] = data.draw(st.sampled_from(sorted(set(fplan["labels"].values()))),
+                                     label=name)
         else:
-            values[name] = data.draw(COLUMN_VALUES[name], label=name)
+            values[name] = data.draw(TYPE_VALUES[fplan.get("type", "log_address")], label=name)
     if plan is ingest._TRANSFER:
         values["chain_id"] = S_CHAIN
     index = data.draw(st.integers(0, 2**32), label="event_index")
@@ -300,7 +304,7 @@ class TestEncodeRoundTrip:
     @given(st.data())
     def test_decode_inverts_encode(self, data):
         plan = data.draw(st.sampled_from(list(RT_CONFIG.events.values())))
-        fact = draw_fact(data, plan)
+        fact = draw_fact(data, plan, RT_BRIDGE)
         assert decode_one(plan.encode(fact, RT_BRIDGE)) == [fact]
 
     @settings(max_examples=100, deadline=None)
@@ -367,6 +371,12 @@ def truncate(data, log, plan):
     edit_text(data, log, lambda t, i: t[:i])
 
 
+def drop_data_word(data, log, plan):
+    """Whole words still, one fewer."""
+    if len(log["data"]) > 2:
+        log["data"] = log["data"][:-64]
+
+
 def drop_topic(data, log, plan):
     if len(log["topics"]) > 1:
         log["topics"].pop(data.draw(st.integers(1, len(log["topics"]) - 1), label="topic"))
@@ -415,8 +425,8 @@ def zero_extended_topic(data, log, plan):
 
 
 # Each edits an encoded log in place; none touches topic0.
-MUTATIONS = [flip_digit, uppercase_digit, append_digits, truncate, drop_topic, extra_word,
-             pad_address, zero_chain_id, unknown_enum_code, whitespace, short_topic,
+MUTATIONS = [flip_digit, uppercase_digit, append_digits, truncate, drop_data_word, drop_topic,
+             extra_word, pad_address, zero_chain_id, unknown_enum_code, whitespace, short_topic,
              zero_extended_topic]
 
 
@@ -472,6 +482,21 @@ def abi_read(plan, topics, data, address, tx_hash, event_index, chain_id):
         return None, exc.field
 
 
+def decode_as_abi_read(plan, args: tuple) -> tuple:
+    """``(plan.decode(*args), the fact abi_read reads)``, after checking that
+    the decoder returns that fact, or else a reason naming the field that
+    the reader cannot read (or the topic that is not one word)."""
+    expected, field = abi_read(plan, *args)
+    result = plan.decode(*args)
+    if not isinstance(result, str):
+        assert result == expected
+    else:
+        assert expected is None
+        assert result.startswith(f"{field} is not one 32-byte hex word"
+                                 if str(field).startswith("topic ") else f"{field}: ")
+    return result, expected
+
+
 # Fields that share a word: it must suit each of them, and it cannot
 # round-trip, as the encoder keeps the last field's value. Topic 1 is read
 # by no field.
@@ -491,7 +516,7 @@ class TestCompiledDecoder:
     @given(st.data())
     def test_same_fact_as_a_strict_abi_reader_or_one_warning(self, data):
         plan = data.draw(st.sampled_from([*MUTATION_CONFIG.events.values(), ingest._TRANSFER]))
-        fact = draw_fact(data, plan)
+        fact = draw_fact(data, plan, None if plan is ingest._TRANSFER else RT_BRIDGE)
         log = plan.encode(fact, RT_BRIDGE)
         for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
                                 label="mutations"):
@@ -499,24 +524,23 @@ class TestCompiledDecoder:
         # the arguments that decode_receipt passes, hex lowercased as it does
         args = ([t.lower() for t in log["topics"]], log["data"].lower(), log["address"],
                 H1, fact.event_index, S_CHAIN)
-        expected, field = abi_read(plan, *args)
-        assert plan.decode(*args) == expected
-        # the receipt yields that fact, or one warning naming that field
+        result, expected = decode_as_abi_read(plan, args)
+        # the receipt yields that fact, or that reason as its one warning
         facts, warnings = decode_receipt(make_receipt([log], to=U1), MUTATION_CONFIG)
-        warning = f"tx {H1} log {fact.event_index} ({plan.relation}): {field}"
-        warning += " is not one 32-byte hex word" if str(field).startswith("topic ") else ": "
         if plan is ingest._TRANSFER and len(args[0]) != 3:  # checked before the decoder runs
-            expected, warning = None, f"tx {H1} log {fact.event_index}: Transfer with "
+            expected, warning = None, (f"tx {H1} log {fact.event_index}: Transfer with "
+                                       f"{len(args[0])} topics (expected 3)")
+        else:
+            warning = f"tx {H1} log {fact.event_index} ({plan.relation}): {result}"
         if expected is None:
-            assert facts[1:] == [] and len(warnings) == 1
-            assert warnings[0].startswith(warning)
+            assert (facts[1:], warnings) == ([], [warning])
         else:
             assert (facts[1:], warnings) == ([expected], [])
 
     def test_word_index_beyond_any_log_compiles_and_warns(self):
         config = copy.deepcopy(generate(ScenarioParams(seed=1, n_deposits=0, n_withdrawals=0)).config)
         fields = config["events"][0]["fields"]  # TokenDeposited -> sc_token_deposited
-        fields["amount"]["data"] = 2**64  # past the largest count a pattern can hold
+        fields["amount"]["data"] = 2**64  # far past the words of any log
         fields["deposit_id"]["topic"] = 2**64
         config = BridgeDecoderConfig.from_json(config)
         log = {**deposited_log(), "address": config.chains[S_CHAIN].bridge_addresses[0]}
@@ -524,6 +548,51 @@ class TestCompiledDecoder:
         assert facts[1:] == []
         assert warnings == [
             f"tx {H1} log 2 (sc_token_deposited): deposit_id: topic {2**64} missing (log has 3)"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_configs_decode_as_a_strict_abi_reader(self, data):
+        relation = data.draw(st.sampled_from(ingest._DECODABLE), label="relation")
+        columns = [(name, kind.name) for name, kind in f.RELATIONS[relation].COLUMNS
+                   if name not in ("tx_hash", "event_index")]
+        fields = {name: draw_field_plan(data, kind)
+                  for name, kind in data.draw(st.permutations(columns), label="plan order")}
+        try:
+            config = BridgeDecoderConfig.from_json({
+                "chains": {str(S_CHAIN): {"finality_seconds": 1, "bridge_addresses": [B1]}},
+                "events": [{"signature": "Drawn()", "fact": relation, "fields": fields}]})
+        except ConfigError:  # a const or a label that its column refuses
+            assume(False)
+        (plan,) = config.events.values()
+        fact = draw_fact(data, plan)
+        log = plan.encode(fact, RT_BRIDGE)
+        read = [(k, p[k]) for p in plan.fields.values() for k in ("topic", "data", "source")
+                if k in p]
+        if len(set(read)) == len(read):  # no word nor emitter shared, so the fact round-trips
+            assert plan.decode(log["topics"], log["data"], log["address"], H1,
+                               fact.event_index, S_CHAIN) == fact
+        for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=2), label="mutations"):
+            mutate(data, log, plan)
+        decode_as_abi_read(plan, ([t.lower() for t in log["topics"]], log["data"].lower(),
+                                  log["address"], H1, fact.event_index, S_CHAIN))
+
+
+def draw_field_plan(data, kind: str) -> dict:
+    """A field plan for a column of ``kind``: a constant, the emitter, or a
+    topic or data word of a type that suits the column, at a small index,
+    so that plans leave gaps, leave topics unread and share words."""
+    ftype = data.draw(st.sampled_from([*ingest._FIELD_TYPES[kind], "const"]), label="type")
+    if ftype == "const":
+        return {"const": data.draw(KIND_VALUES[kind], label="const")}
+    if ftype == "log_address":
+        return {"source": "log_address"}
+    source = data.draw(st.sampled_from(["topic", "data"]), label="source")
+    plan = {source: data.draw(st.integers(source == "topic", 4), label="index"), "type": ftype}
+    if ftype == "enum":
+        plan["labels"] = data.draw(st.dictionaries(
+            st.integers(0, f.MAX_UINT256).map(str), st.text(min_size=1, max_size=6),
+            min_size=1, max_size=3), label="labels")
+    return plan
 
 
 class TestIngestJsonl:

@@ -139,7 +139,7 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
             found = events(tx_hash, relations)
             # without a transaction fact, fall back to the events' own chains;
             # bridge and escrow facts carry none, so the chain may be unknown
-            chains = [t.chain_id for t in group(store.transactions_by_hash, tx_hash)] or [
+            chains = [t.chain_id for t in group(by_tx["transaction"], tx_hash)] or [
                 e.chain_id for e in found if hasattr(e, "chain_id")
             ]
             out.append(
@@ -266,7 +266,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
                 continue
             chains = set()
             for fct in facts_list:
-                for tx in group(store.transactions_by_hash, fct.tx_hash):
+                for tx in group(store.by_tx["transaction"], fct.tx_hash):
                     chains.add(tx.chain_id)
             out.append(
                 Anomaly(

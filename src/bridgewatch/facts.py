@@ -508,19 +508,6 @@ class CctxFinalityFact(_Fact):
     finality_seconds: Positive
 
 
-# Relations whose tuples are tied to a specific transaction.
-EVENT_RELATIONS = (
-    "erc20_transfer",
-    "sc_deposit",
-    "sc_token_deposited",
-    "tc_token_deposited",
-    "tc_withdrawal",
-    "tc_token_withdrew",
-    "sc_withdrawal",
-    "sc_token_withdrew",
-)
-
-
 # Every column naming a chain, as (relation, column), except the finality
 # table's: each chain they name needs a finality window.
 _CHAIN_ID_COLUMNS = tuple(
@@ -561,8 +548,8 @@ class FactStore:
     Single-writer while building; ``seal()`` freezes it and builds the
     secondary indexes, after which it is safe for concurrent readers:
 
-    * ``transactions_by_hash``: each tx hash to its transaction facts;
-    * ``by_tx``: per event relation, each tx hash to its facts of that
+    * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
+      and the eight event relations), each tx hash to its facts of that
       relation;
     * ``bridge_addresses``, ``token_mappings``, ``wrapped_native``: the
       static relations as sets of plain tuples;
@@ -578,7 +565,6 @@ class FactStore:
         self._relations: dict[str, set | frozenset] = {name: set() for name in RELATIONS}
         self._sealed = False
         # indexes, populated by seal()
-        self.transactions_by_hash: dict[str, TransactionFact | tuple[TransactionFact, ...]] = {}
         self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
@@ -630,9 +616,6 @@ class FactStore:
             return NotImplemented
         return self._relations == other._relations
 
-    def __hash__(self):  # stores are mutable until sealed
-        return id(self)
-
     def chain_ids(self) -> set[int]:
         """Every chain id referenced by any fact (excluding cctx_finality)."""
         ids: set[int] = set()
@@ -647,8 +630,8 @@ class FactStore:
         for name, facts in self._relations.items():
             self._relations[name] = frozenset(facts)
         tx_hash = attrgetter("tx_hash")
-        self.transactions_by_hash = index_by(self._relations["transaction"], tx_hash)
-        self.by_tx = {name: index_by(self._relations[name], tx_hash) for name in EVENT_RELATIONS}
+        self.by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
+                      if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
         self.bridge_addresses = {
             (f.chain_id, f.address) for f in self._relations["bridge_controlled_address"]
         }

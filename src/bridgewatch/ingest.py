@@ -6,8 +6,8 @@ without code changes. A config JSON document provides:
 * per-chain settings: role (``source``/``target``), finality window,
   bridge-controlled addresses;
 * static relations: token mappings and wrapped-native tokens;
-* an event map: topic0 (or a human-readable event signature, hashed with
-  keccak-256) -> target bridge relation plus a declarative field
+* an event map: topic0 (or, in its place, a human-readable event signature,
+  hashed with keccak-256) -> target bridge relation plus a declarative field
   extraction plan over the log's topics and data words.
 
 Any other key, at the top level, in a chain or in an event entry, is a
@@ -132,6 +132,8 @@ class BridgeDecoderConfig(NamedTuple):
             if not isinstance(entry, dict):
                 raise ConfigError(f"events[{i}]: expected an object")
             _known_keys(entry, f"events[{i}]", "topic0", "signature", "fact", "fields")
+            if "topic0" in entry and "signature" in entry:
+                raise ConfigError(f"events[{i}]: names its event by both 'topic0' and 'signature'")
             if "topic0" in entry:
                 try:
                     topic0 = f.canonical_tx_hash(entry["topic0"], "topic0")

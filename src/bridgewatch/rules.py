@@ -347,7 +347,7 @@ def _eval_local(store: FactStore, rule_id: int) -> frozenset:
         mappings = {(dst_chain, orig_chain, dst_token, orig_token, standard)
                     for orig_chain, dst_chain, orig_token, dst_token, standard in mappings}
     return _body(rule_id)(
-        store.relation(event), store.transactions_by_hash, store.bridge_addresses, mappings,
+        store.relation(event), store.by_tx["transaction"], store.bridge_addresses, mappings,
         store.wrapped_native, *(store.by_tx[shape.legs[direction]] for shape in shapes),
     )
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .ingest import BridgeDecoderConfig, encode_receipt, static_facts
+from .ingest import NATIVE_EVENT_INDEX, BridgeDecoderConfig, encode_receipt, static_facts
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
@@ -427,7 +427,8 @@ class _Builder:
         bridge = self.bridges[escrow.chain_id]
         esc = self.add_tx(escrow, escrow_ts, sender, bridge, amount if native == escrow else "0")
         if native == escrow:
-            moved = way.native_escrow._unchecked(esc.tx_hash, 0, sender, bridge, amount)
+            moved = way.native_escrow._unchecked(esc.tx_hash, NATIVE_EVENT_INDEX, sender, bridge,
+                                                   amount)
         else:
             moved = f.Erc20TransferFact._unchecked(esc.tx_hash, escrow.chain_id, 1, orig_token,
                                                    sender, bridge, amount)

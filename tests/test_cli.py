@@ -94,6 +94,9 @@ class TestSimulateEval:
          "error: --replay-fanout: cannot parse unsigned integer from '\u0663'"),
         ({"--anomalies": "x" * 5000 + "=1"},
          f"error: unknown anomaly kind '{'x' * 37}...{'x' * 37}'"),  # the kind through shown()
+        ({"--seed": str(2**64)}, "error: seed must fit in 64 bits"),
+        ({"--deposits": "2", "--anomalies": "finality_break=3"},
+         "error: finality_break count exceeds deposit count"),
     ])
     def test_non_canonical_simulate_input_exits_two(self, tmp_path, capsys, flags, message):
         flags = {"--seed": "1", "--deposits": "1", "--withdrawals": "1", **flags}
@@ -123,6 +126,28 @@ class TestCheck:
         assert run("check", "--facts", str(facts)) == EXIT_CLEAN
         out = capsys.readouterr()
         assert "matches" in out.err
+
+    def test_engine_that_differs_from_the_oracle_exits_three(self, tmp_path, capsys,
+                                                              monkeypatch):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "3", "--deposits", "4", "--withdrawals", "4",
+            "--out", str(facts))
+        store = load_facts_dir(facts).seal()
+        dropped = min(cli.eval_all(store).rule4)
+        foreign = dropped._replace(deposit_id="999999")
+        eval_all = cli.eval_all
+
+        def skewed_eval_all(store):
+            outputs = eval_all(store)
+            return outputs._replace(rule4=outputs.rule4 - {dropped} | {foreign})
+
+        monkeypatch.setattr(cli, "eval_all", skewed_eval_all)
+        capsys.readouterr()
+        assert run("check", "--facts", str(facts)) == cli.EXIT_INTERNAL
+        out = capsys.readouterr()
+        assert out.out.splitlines() == [f"CCTX_ValidDeposit: engine missing {dropped}",
+                                        f"CCTX_ValidDeposit: engine extra {foreign}"]
+        assert out.err == "2 differences between engine and reference evaluator\n"
 
 
 class TestStats:
@@ -156,6 +181,26 @@ class TestPipeComposition:
         assert run("eval", "--facts", str(sim_facts), "--out", str(report_a)) == EXIT_ANOMALIES
         assert run("eval", "--facts", str(ingested), "--out", str(report_b)) == EXIT_ANOMALIES
         assert report_a.read_bytes() == report_b.read_bytes()
+
+    def test_topic0_names_an_event_as_its_signature_does(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run("simulate", "--seed", "1", "--deposits", "3", "--withdrawals", "3",
+            "--anomalies", "forged_release=1,replayed_id=1", "--out", str(sim), "--emit", "receipts")
+        config = json.loads((sim / "decoder_config.json").read_text())
+        for entry in config["events"]:
+            entry["topic0"] = event_topic(entry.pop("signature"))
+        by_topic0 = tmp_path / "by_topic0.json"
+        by_topic0.write_text(json.dumps(config))
+        runs = []
+        for config_path in (sim / "decoder_config.json", by_topic0):
+            out_dir = tmp_path / config_path.stem
+            capsys.readouterr()
+            assert run("ingest", "--receipts", str(sim / "receipts.jsonl"),
+                       "--config", str(config_path), "--out", str(out_dir)) == EXIT_CLEAN
+            runs.append((capsys.readouterr().out,
+                         {path.name: path.read_bytes() for path in out_dir.iterdir()}))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 13
 
     def test_ingest_into_a_used_directory_keeps_no_old_relation(self, tmp_path):
         out_dir = tmp_path / "facts"
@@ -213,6 +258,12 @@ def deposit_fields(config):
 
 def first_log(receipt):
     return receipt["logs"][0]
+
+
+def name_first_event(config, **name):
+    """Name the first event entry's event by ``name`` in place of its signature."""
+    config["events"][0].pop("signature")
+    config["events"][0].update(name)
 
 
 # (file edited, edit, message): every one exits 2 naming the key, row or line
@@ -306,6 +357,29 @@ BAD_INGEST_INPUTS = [
     # an entry is named by its index, not by its signature, which may be long
     ("config", lambda c: c["events"][0].update(signature=f"X({'uint256,' * 1000}uint256)", fields={}),
      "events[0]: field 'amount' has no plan"),
+    # an event is named by its topic0 or by its signature, never by both
+    ("config", lambda c: c["events"][0].update(topic0=event_topic("Other(uint256)")),
+     "events[0]: names its event by both 'topic0' and 'signature'"),
+    ("config", lambda c: name_first_event(c, topic0=event_topic(DEPOSITED), signature=5),
+     "events[0]: names its event by both 'topic0' and 'signature'"),
+    ("config", lambda c: name_first_event(c, topic0="0x12"),
+     "events[0]: topic0: not a canonical 32-byte hex hash: '0x12'"),
+    ("config", name_first_event, "events[0]: event entry needs 'topic0' or 'signature'"),
+    ("config text", lambda text: "[]", "error: config must be a JSON object"),
+    ("config", lambda c: c["events"].__setitem__(0, 5), "events[0]: expected an object"),
+    ("config", lambda c: c["chains"].update({"1": 5}), "chain 1: expected an object"),
+    ("config", lambda c: c["chains"]["1"].update(role="middle"),
+     "chain 1: role must be source|target"),
+    ("config", lambda c: c["chains"]["1"].pop("finality_seconds"),
+     "chain 1: finality_seconds: expected unsigned integer, got None"),
+    ("config", lambda c: c["events"][0].update(fields=[]), "events[0]: 'fields' must be an object"),
+    ("config", lambda c: deposit_fields(c).update(amount=5),
+     "events[0]: field 'amount': expected an object"),
+    ("config", lambda c: deposit_fields(c).update(amount={"source": "block"}),
+     "events[0]: field 'amount': unknown source 'block'"),
+    ("receipts text", lambda line: "[]\n", "receipts.jsonl:1: expected a receipt object, got list"),
+    ("receipts", lambda r: r["logs"].reverse(),
+     "receipts.jsonl:1: logIndex values must be strictly increasing"),
 ]
 
 

@@ -188,6 +188,11 @@ class TestStore:
         reference.insert_all(all_facts)
         assert store == reference
 
+    def test_store_is_unhashable(self):
+        # a store equals another by its relations, so it cannot hash by identity
+        with pytest.raises(TypeError):
+            hash(f.FactStore())
+
     def test_chain_ids_collects_references(self):
         store = build_store(static_facts(), f1_facts())
         assert store.chain_ids() == {1, 100}
@@ -196,13 +201,16 @@ class TestStore:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_indexes_group_their_relations(self, seed):
         store = random_store(seed)
+        # every relation with a tx_hash column, and no other
+        assert list(store.by_tx) == [
+            "transaction", "erc20_transfer", "sc_deposit", "sc_token_deposited",
+            "tc_token_deposited", "tc_withdrawal", "tc_token_withdrew", "sc_withdrawal",
+            "sc_token_withdrew"]
         # the by-id groups are built as analytics.duplicate_ids builds them
         by_id = [(f.index_by(store.relation(name), attrgetter(column)), name, column)
                  for name, column in (("sc_token_deposited", "deposit_id"),
                                       ("sc_token_withdrew", "withdrawal_id"))]
-        indexes = [(store.transactions_by_hash, "transaction", "tx_hash"),
-                   *((store.by_tx[name], name, "tx_hash") for name in f.EVENT_RELATIONS),
-                   *by_id]
+        indexes = [*((index, name, "tx_hash") for name, index in store.by_tx.items()), *by_id]
         for index, name, column in indexes:
             naive: dict = {}
             for fact in store.relation(name):
@@ -236,7 +244,7 @@ class TestStore:
                 f.dump_facts_dir(stores[0], tmp_path)
                 stores = [f.load_facts_dir(tmp_path).seal()]
         for store in stores:
-            for index in [store.transactions_by_hash, *store.by_tx.values()]:
+            for index in store.by_tx.values():
                 assert not [v for v in index.values() if type(v) is tuple and len(v) < 2]
 
     def test_seal_is_linear_when_every_fact_shares_its_keys(self):

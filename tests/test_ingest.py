@@ -661,7 +661,7 @@ class TestIngestJsonl:
         store, _ = ingest_jsonl(path, CONFIG)
         store.seal()
         for tr in store.relation("erc20_transfer"):
-            assert store.transactions_by_hash.get(tr.tx_hash)
+            assert store.by_tx["transaction"].get(tr.tx_hash)
 
 
 class TestConfigValidation:

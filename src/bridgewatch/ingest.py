@@ -30,7 +30,8 @@ identifiers and token standards. A plan covers exactly its relation's columns bu
 ``event_index``, holds no key its kind of entry does not read (``labels``
 only beside ``"type": "enum"``, ``type`` only beside ``topic`` or
 ``data``), and gives enum labels that the column accepts; two entries may
-not share a topic0.
+not share a topic0, and none may name the ERC-20 ``Transfer`` topic,
+which has a decoder of its own.
 
 Plans are checked once, on load, and each is then compiled into one
 straight-line decoder and its inverse encoder (:class:`EventPlan`). The
@@ -42,9 +43,10 @@ a log, and the only source of the reasons.
 ERC-20 ``Transfer`` logs are decoded unconditionally (any emitter is a
 token contract). Bridge events are decoded only from logs emitted by a
 configured bridge address. A receipt moving native value into a bridge
-address yields a native escrow fact with pseudo event index 0, ordering
-it before every log of the transaction whose ``logIndex`` is above 0. A
-bridge log with ``logIndex`` 0 ties with it, and is not ordered after it.
+address yields a native escrow fact with pseudo event index 0. Native
+value moves before every log of the transaction, so no rule compares
+that index with a log's, and a bridge log at ``logIndex`` 0 pairs with
+the escrow as well as one at any other index.
 
 A log that a decoder refuses yields one warning and no fact; the rest of
 the receipt still decodes. The warning is the decoder's reason after the
@@ -82,7 +84,7 @@ __all__ = [
     "static_facts",
 ]
 
-NATIVE_EVENT_INDEX = 0  # native value transfers precede every log but one at logIndex 0 (a tie)
+NATIVE_EVENT_INDEX = 0  # no rule orders a native escrow against the logs it precedes
 
 # Bridge relations a config event entry may target.
 _DECODABLE = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
@@ -139,13 +141,19 @@ class BridgeDecoderConfig(NamedTuple):
                     topic0 = f.canonical_tx_hash(entry["topic0"], "topic0")
                 except f.EncodingError as exc:
                     raise ConfigError(f"events[{i}]: {exc}") from exc
-            elif isinstance(entry.get("signature"), str):
+            elif "signature" in entry:
                 signature = entry["signature"]
+                if not isinstance(signature, str):
+                    raise ConfigError(
+                        f"events[{i}]: signature must be a string, got {f.shown(signature)}")
                 if not signature.isascii():
                     raise ConfigError(f"events[{i}]: signature is not ASCII: {f.shown(signature)}")
                 topic0 = event_topic(signature)
             else:
                 raise ConfigError(f"events[{i}]: event entry needs 'topic0' or 'signature'")
+            if topic0 == TRANSFER_TOPIC:
+                raise ConfigError(f"events[{i}]: names the ERC-20 Transfer event, which is "
+                                  "decoded from every emitter as erc20_transfer")
             if topic0 in entry_of:
                 raise ConfigError(
                     f"events[{i}]: repeats the topic0 {topic0} of events[{entry_of[topic0]}]"
@@ -479,17 +487,6 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 })
 
 
-def _decode(plan: EventPlan, log: tuple, out: list, warnings: list[str]) -> bool:
-    """Append the fact ``plan`` decodes from ``log`` to ``out``, or the
-    warning saying why there is none; True when a fact was appended."""
-    fact = plan.decode(*log)
-    if type(fact) is str:
-        warnings.append(f"tx {log[3]} log {log[4]} ({plan.relation}): {fact}")
-        return False
-    out.append(fact)
-    return True
-
-
 def _log_fields(obj) -> tuple[str, list[str], str, int]:
     """The checked ``(address, topics, data, logIndex)`` of one log object,
     with its hex text lowercased."""
@@ -557,17 +554,24 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
                                         sender, to, value, status, gas_used)]
     warnings: list[str] = []
     bridges, events = chain.bridge_addresses, config.events
+    # each topic0 has one decoder, as no config entry names the Transfer topic
     for address, topics, data, index in logs:
-        log = (topics, data, address, tx_hash, index, chain_id)
         topic0 = topics[0] if topics else None
         if topic0 == TRANSFER_TOPIC:
             if len(topics) != 3:
                 warnings.append(f"tx {tx_hash} log {index}: Transfer with "
                                 f"{len(topics)} topics (expected 3)")
-            elif _decode(_TRANSFER, log, out, warnings):
                 continue
-        if topic0 in events and address in bridges:
-            _decode(events[topic0], log, out, warnings)
+            plan = _TRANSFER
+        elif topic0 in events and address in bridges:
+            plan = events[topic0]
+        else:
+            continue
+        fact = plan.decode(topics, data, address, tx_hash, index, chain_id)
+        if type(fact) is str:
+            warnings.append(f"tx {tx_hash} log {index} ({plan.relation}): {fact}")
+        else:
+            out.append(fact)
     if value != "0" and to in bridges:
         escrow_type = f.ScDepositFact if chain.role == "source" else f.TcWithdrawalFact
         out.append(escrow_type._unchecked(tx_hash, NATIVE_EVENT_INDEX, sender, to, value))

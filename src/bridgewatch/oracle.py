@@ -76,8 +76,6 @@ def _rule1(store: FactStore) -> set:
                                 continue
                             if bca.address != esc.bridge_addr:
                                 continue
-                            if not dep.event_index > esc.event_index:
-                                continue
                             out.add(
                                 ScValidNativeTokenDeposit(
                                     tx.timestamp, dep.tx_hash, dep.deposit_id,
@@ -243,8 +241,6 @@ def _rule5(store: FactStore) -> set:
                             if bca.chain_id != tx.chain_id:
                                 continue
                             if bca.address != esc.bridge_addr:
-                                continue
-                            if not wdr.event_index > esc.event_index:
                                 continue
                             out.add(
                                 TcValidNativeTokenWithdrawal(

@@ -227,7 +227,7 @@ class _Shape(NamedTuple):
 
 _NATIVE_ESCROW = _Shape(
     ("sc_deposit", "tc_withdrawal"),
-    ("amount", "order", "success", "sender", "value", "mapping", "wrapped_native", "bridge"),
+    ("amount", "success", "sender", "value", "mapping", "wrapped_native", "bridge"),
     chain="tx.chain_id", bridge="leg.bridge_addr", sender="leg.sender",
 )
 _TOKEN_ESCROW = _Shape(
@@ -334,8 +334,9 @@ def compile_rule(rule_id: int, conjuncts: dict[str, str] = CONJUNCTS) -> Callabl
     return _compile(head, {"_head": head}, body(rule_id, conjuncts))[0]
 
 
-# Each body is compiled on its rule's first evaluation: commands that
-# evaluate no rule, such as ``ingest``, import this module too.
+# Each body is compiled on its rule's first evaluation, so that a caller of
+# one rule (``eval_rule1``) compiles one body, and an importer of the head
+# types alone (``oracle``) compiles none.
 _body = cache(compile_rule)
 
 

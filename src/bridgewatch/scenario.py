@@ -33,6 +33,16 @@ Deposit flows alternate ERC-20 and native escrows by index; withdrawal
 flows cycle through ERC-20/ERC-20, native escrow, and native release
 shapes. That split is positional, not random, so ``describe`` can state
 exact expected rule counts without replaying the generator.
+
+The synthetic bridge emits one event per bridge relation, and its decoder
+config lays each event out from the relation's columns: those after
+``tx_hash`` and ``event_index``, in column order, fill topics 1, 2, ...
+up to the event's number of indexed columns, then data words 0, 1, ....
+A ``bridge_addr`` column is the log's emitter and takes no position. The
+column kind gives the field type and the signature type: ``Address`` is
+``address``/``address``, ``ChainId`` ``chain_id``/``uint256``, ``Amount``
+``uint``/``uint256`` and ``Opaque`` ``id``/``uint256``, except ``standard``,
+an ``enum``/``uint8`` labelled ``ERC20`` (0) and ``NATIVE`` (1).
 """
 
 from __future__ import annotations
@@ -243,11 +253,47 @@ class GeneratedScenario(NamedTuple):
 
 # --- synthetic bridge ABI ---------------------------------------------------
 
+# The events of the synthetic bridge, in config order, as (name, relation,
+# indexed columns); _event_entry lays out each relation's columns as a log.
+_EVENTS = (
+    ("TokenDeposited", "sc_token_deposited", 2),
+    ("TokenReleased", "tc_token_deposited", 2),
+    ("WithdrawalInitiated", "tc_token_withdrew", 2),
+    ("WithdrawalCompleted", "sc_token_withdrew", 2),
+    ("NativeReleased", "sc_withdrawal", 1),
+)
+
+# The field type and the ABI type of a column, by its kind
+_TYPES = {"Address": ("address", "address"), "ChainId": ("chain_id", "uint256"),
+          "Amount": ("uint", "uint256"), "Opaque": ("id", "uint256")}
+
+
+def _event_entry(name: str, relation: str, indexed: int) -> dict:
+    """The config entry of the event ``name``, whose first ``indexed``
+    columns of ``relation`` are topics and the rest data words, by the
+    layout rule of the module docstring."""
+    fields, params = {}, []
+    for column, kind in f.RELATIONS[relation].COLUMNS[2:]:  # after tx_hash, event_index
+        if column == "bridge_addr":
+            fields[column] = {"source": "log_address"}
+            continue
+        at = len(params)
+        plan = {"topic": at + 1} if at < indexed else {"data": at - indexed}
+        ftype, abi = ("enum", "uint8") if column == "standard" else _TYPES[kind.name]
+        fields[column] = {**plan, "type": ftype}
+        if ftype == "enum":
+            fields[column]["labels"] = {"0": "ERC20", "1": "NATIVE"}
+        params.append(abi)
+    return {"signature": f"{name}({','.join(params)})", "fact": relation, "fields": fields}
+
+
 def _decoder_config(bridge_s: str, bridge_t: str, mappings: list[list],
                     wrapped: list[list]) -> dict:
     """The decoder config of a scenario: the one definition of the
-    synthetic bridge ABI, which both encodes and decodes its receipts."""
-    standard = {"0": "ERC20", "1": "NATIVE"}
+    synthetic bridge ABI, which both encodes and decodes its receipts. Each
+    event of ``_EVENTS`` carries its relation's columns after ``tx_hash``
+    and ``event_index``: the first ``indexed`` as topics 1, 2, ..., the
+    rest as data words 0, 1, ..., typed by their column kinds."""
     return {
         "chains": {
             str(SOURCE.chain_id): {
@@ -261,63 +307,7 @@ def _decoder_config(bridge_s: str, bridge_t: str, mappings: list[list],
                 "bridge_addresses": [bridge_t],
             },
         },
-        "events": [
-            {
-                "signature": "TokenDeposited(uint256,address,address,address,uint256,uint8,uint256)",
-                "fact": "sc_token_deposited",
-                "fields": {
-                    "deposit_id": {"topic": 1, "type": "id"},
-                    "beneficiary": {"topic": 2, "type": "address"},
-                    "dst_token": {"data": 0, "type": "address"},
-                    "orig_token": {"data": 1, "type": "address"},
-                    "dst_chain_id": {"data": 2, "type": "chain_id"},
-                    "standard": {"data": 3, "type": "enum", "labels": standard},
-                    "amount": {"data": 4, "type": "uint"},
-                },
-            },
-            {
-                "signature": "TokenReleased(uint256,address,address,uint256)",
-                "fact": "tc_token_deposited",
-                "fields": {
-                    "deposit_id": {"topic": 1, "type": "id"},
-                    "beneficiary": {"topic": 2, "type": "address"},
-                    "dst_token": {"data": 0, "type": "address"},
-                    "amount": {"data": 1, "type": "uint"},
-                },
-            },
-            {
-                "signature": "WithdrawalInitiated(uint256,address,address,address,uint256,uint8,uint256)",
-                "fact": "tc_token_withdrew",
-                "fields": {
-                    "withdrawal_id": {"topic": 1, "type": "id"},
-                    "beneficiary": {"topic": 2, "type": "address"},
-                    "orig_token": {"data": 0, "type": "address"},
-                    "dst_token": {"data": 1, "type": "address"},
-                    "dst_chain_id": {"data": 2, "type": "chain_id"},
-                    "standard": {"data": 3, "type": "enum", "labels": standard},
-                    "amount": {"data": 4, "type": "uint"},
-                },
-            },
-            {
-                "signature": "WithdrawalCompleted(uint256,address,address,uint256)",
-                "fact": "sc_token_withdrew",
-                "fields": {
-                    "withdrawal_id": {"topic": 1, "type": "id"},
-                    "beneficiary": {"topic": 2, "type": "address"},
-                    "dst_token": {"data": 0, "type": "address"},
-                    "amount": {"data": 1, "type": "uint"},
-                },
-            },
-            {
-                "signature": "NativeReleased(address,uint256)",
-                "fact": "sc_withdrawal",
-                "fields": {
-                    "bridge_addr": {"source": "log_address"},
-                    "beneficiary": {"topic": 1, "type": "address"},
-                    "amount": {"data": 0, "type": "uint"},
-                },
-            },
-        ],
+        "events": [_event_entry(*event) for event in _EVENTS],
         "token_mappings": mappings,
         "wrapped_native_tokens": wrapped,
     }

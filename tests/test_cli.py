@@ -72,6 +72,16 @@ class TestSimulateEval:
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
         assert "cctx_finality.facts:2: not UTF-8: invalid start byte" in capsys.readouterr().err
 
+    def test_conflicting_finality_windows_exit_two(self, tmp_path, capsys):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "1", "--deposits", "2", "--withdrawals", "2", "--out", str(facts))
+        with open(facts / "cctx_finality.facts", "a", encoding="utf-8") as fh:
+            fh.write("1\t1801\n")  # chain 1 has window 1800 on line 1
+        capsys.readouterr()
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.endswith(
+            "cctx_finality.facts:3: conflicting cctx_finality for chain 1: 1800 vs 1801\n")
+
     def test_bad_anomaly_spec_exits_two(self, tmp_path):
         assert run("simulate", "--seed", "1", "--deposits", "1", "--withdrawals", "1",
                    "--anomalies", "bogus=3", "--out", str(tmp_path / "x")) == EXIT_INPUT_ERROR
@@ -214,6 +224,29 @@ class TestPipeComposition:
         store, _ = ingest_jsonl(sim / "receipts.jsonl", load_config(sim / "decoder_config.json"))
         assert store.count("tc_withdrawal") == 0
         assert load_facts_dir(out_dir) == store
+
+    def test_native_deposit_with_its_bridge_log_at_log_index_zero_is_certified(self, tmp_path):
+        """Native value moves before every log of its transaction, so a bridge
+        log numbered 0, as receipts of real chains number their first log,
+        pairs with the native escrow."""
+        sim = tmp_path / "sim"
+        run("simulate", "--seed", "1", "--deposits", "4", "--withdrawals", "0",
+            "--out", str(sim), "--emit", "receipts")
+        receipts_path = sim / "receipts.jsonl"
+        receipts = [json.loads(line) for line in receipts_path.read_text().splitlines()]
+        native = next(r for r in receipts if r["value"] != "0")
+        for index, log in enumerate(native["logs"]):
+            log["logIndex"] = index
+        receipts_path.write_text("".join(json.dumps(r) + "\n" for r in receipts))
+        facts, report_path = tmp_path / "facts", tmp_path / "report.json"
+        assert run("ingest", "--receipts", str(receipts_path),
+                   "--config", str(sim / "decoder_config.json"), "--out", str(facts)) == EXIT_CLEAN
+        assert f"{native['txHash']}\t0\t" in (facts / "sc_token_deposited.facts").read_text()
+        assert run("eval", "--facts", str(facts), "--out", str(report_path)) == EXIT_CLEAN
+        report = json.loads(report_path.read_text())
+        assert report["anomaly_counts"] == {}
+        assert report["rule_counts"]["SC_ValidNativeTokenDeposit"] == 2
+        assert run("check", "--facts", str(facts)) == EXIT_CLEAN
 
     def test_ingest_report_on_stdout(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -365,6 +398,11 @@ BAD_INGEST_INPUTS = [
     ("config", lambda c: name_first_event(c, topic0="0x12"),
      "events[0]: topic0: not a canonical 32-byte hex hash: '0x12'"),
     ("config", name_first_event, "events[0]: event entry needs 'topic0' or 'signature'"),
+    ("config", lambda c: c["events"][0].update(signature=5),
+     "events[0]: signature must be a string, got 5"),
+    # the Transfer topic has one decoder, erc20_transfer, whatever emits it
+    ("config", lambda c: name_first_event(c, topic0=event_topic("Transfer(address,address,uint256)")),
+     "events[0]: names the ERC-20 Transfer event, which is decoded from every emitter as erc20_transfer"),
     ("config text", lambda text: "[]", "error: config must be a JSON object"),
     ("config", lambda c: c["events"].__setitem__(0, 5), "events[0]: expected an object"),
     ("config", lambda c: c["chains"].update({"1": 5}), "chain 1: expected an object"),

@@ -15,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from bridgewatch import facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
@@ -496,3 +496,78 @@ def test_column_text_loads_as_constructed_or_names_the_column(fact, data):
     values = [getattr(fact, column) for column, _ in cls.COLUMNS]
     values[index] = int(text) if isinstance(values[index], int) else text
     assert store.relation(cls.RELATION) == {cls(*values)}
+
+
+@pytest.fixture(scope="module")
+def small_facts_dir(tmp_path_factory) -> dict[str, bytes]:
+    """The dumped files of a small scenario with every anomaly kind."""
+    root = tmp_path_factory.mktemp("facts")
+    generate(ScenarioParams(1, 2, 2, AnomalySpec(1, 1, 1, 1, 1))).write_facts_dir(root)
+    return {p.name: p.read_bytes() for p in sorted(root.glob("*.facts"))}
+
+
+def _byte_mutation(data, text: bytes) -> bytes:
+    """``text``, a dumped ``.facts`` file, with one byte mutation drawn
+    from ``data``."""
+    lines = text.splitlines(keepends=True)
+    line = data.draw(st.integers(0, len(lines) - 1), label="line")
+    row = lines[line]
+    name = data.draw(st.sampled_from(["edit a tab", "drop a tab", "duplicate a tab", "insert a CR",
+                                      "insert a non-UTF-8 byte", "write an over-long integer",
+                                      "duplicate a line", "swap the case of a line"]))
+    event(name)
+    if name.endswith("a tab"):
+        at = data.draw(st.sampled_from([i for i, byte in enumerate(row) if byte == ord("\t")]))
+        by = (data.draw(st.sampled_from([b" ", b"x", b"0", b"\\"])) if name == "edit a tab"
+              else b"" if name == "drop a tab" else b"\t\t")
+        row = row[:at] + by + row[at + 1:]
+    elif name.startswith("insert"):
+        byte = b"\r" if name == "insert a CR" else data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"]))
+        at = data.draw(st.integers(0, len(row)), label="offset")
+        row = row[:at] + byte + row[at:]
+    elif name == "write an over-long integer":
+        # 76 to 81 digits: around both the row pattern's 77 and uint256's 78
+        columns = row.removesuffix(b"\n").split(b"\t")
+        column = data.draw(st.integers(0, len(columns) - 1), label="column")
+        columns[column] = str(data.draw(st.integers(10**75, 10**80))).encode()
+        row = b"\t".join(columns) + b"\n"
+    elif name == "duplicate a line":
+        row *= 2
+    else:
+        row = row.swapcase()
+    lines[line] = row
+    return b"".join(lines)
+
+
+def _canonical(fact_type, text: str) -> bytes:
+    """The dump of the ``.facts`` text of ``fact_type``: hex columns
+    lowercased (identifiers and standards are case-sensitive), blank lines
+    dropped, rows sorted and repeats removed."""
+    hexed = [kind.name in ("Address", "TxHash") for _, kind in fact_type.COLUMNS]
+    rows = {"\t".join(col.lower() if lower else col for col, lower in zip(line.split("\t"), hexed))
+            for line in text.split("\n") if line}
+    return "".join(row + "\n" for row in sorted(rows)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_byte_mutated_facts_file_names_its_line_or_dumps_back_canonical(small_facts_dir, data):
+    """A ``.facts`` file with one byte mutation either fails to load with a
+    ``FactsParseError`` naming ``file:line``, or loads and dumps back as the
+    mutated file made canonical: nothing non-canonical is kept, nor any
+    row lost."""
+    name = data.draw(st.sampled_from(sorted(small_facts_dir)), label="file")
+    text = _byte_mutation(data, small_facts_dir[name])
+    fact_type = f.RELATIONS[name.removesuffix(".facts")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in", name)
+        path.parent.mkdir()
+        path.write_bytes(text)
+        try:
+            store = f.load_facts_dir(path.parent)
+        except f.FactsParseError as exc:
+            m = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+            assert m and 1 <= int(m.group(1)) <= len(text.splitlines()), str(exc)
+            event("refused")
+            return
+        assert _dump_bytes(store, Path(tmp, "out")) == {name: _canonical(fact_type, text.decode())}

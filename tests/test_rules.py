@@ -62,8 +62,20 @@ def bridge_event_before_escrow(fact):
     """Swap the order of the native escrow and the deposit event of F1."""
     if isinstance(fact, f.ScDepositFact):
         return replace(fact, event_index=1)
+    return bridge_event_at_escrow(fact)
+
+
+def bridge_event_at_escrow(fact):
+    """Give F1's deposit event the native escrow's pseudo index 0."""
     if isinstance(fact, f.ScTokenDepositedFact) and fact.tx_hash == H1:
         return replace(fact, event_index=0)
+    return fact
+
+
+def bridge_event_before_release(fact):
+    """Swap the order of F1's release transfer and its bridge event."""
+    if fact.RELATION in ("erc20_transfer", "tc_token_deposited") and fact.tx_hash == H2:
+        return replace(fact, event_index=1 - fact.event_index)
     return fact
 
 
@@ -83,8 +95,11 @@ class TestRule1:
 
         assert rules.eval_rule1(store_with(mutate)) == frozenset()
 
-    def test_bridge_event_before_escrow_blocks(self):
-        assert rules.eval_rule1(store_with(bridge_event_before_escrow)) == frozenset()
+    def test_bridge_event_at_or_before_native_escrow_is_certified(self):
+        """Native value moves before every log of its transaction, so the
+        escrow's pseudo index does not order it against the bridge event."""
+        assert rules.eval_rule1(store_with(bridge_event_at_escrow)) == {R1_TUPLE}
+        assert rules.eval_rule1(store_with(bridge_event_before_escrow)) == {R1_TUPLE}
 
     def test_value_mismatch_blocks(self):
         def mutate(fact):
@@ -303,7 +318,7 @@ class TestEvalAll:
 def test_every_conjunct_is_needed(monkeypatch):
     """The engine compiled with any one conjunct left out differs from the
     oracle on some seeded random store. The reference scenario with the
-    escrow after the bridge event, or without the source chain's
+    release transfer after its bridge event, or without the source chain's
     wrapped-native token, tells the ``order`` or ``wrapped_native``
     conjunct apart on its own, too."""
     evaluators = [getattr(rules, f"eval_rule{i}") for i in range(1, 9)]
@@ -315,7 +330,7 @@ def test_every_conjunct_is_needed(monkeypatch):
         return all(evaluate(store) == expected for store, outputs in cases
                    for evaluate, expected in zip(evaluators, outputs))
 
-    fixtures = {"order": case(store_with(bridge_event_before_escrow)),
+    fixtures = {"order": case(store_with(bridge_event_before_release)),
                 "wrapped_native": case(store_with(drop=source_wrapped_native))}
     # value is the rarest: its mutant must replace a native escrow's transaction
     randoms = [case(random_store(seed * 7919 + 13)) for seed in range(20)]

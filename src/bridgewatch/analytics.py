@@ -344,6 +344,7 @@ def load_prices(path: str | None) -> PriceTable | None:
     if not isinstance(entries, list):
         raise PriceTableError(f"{path}: expected a JSON list of price entries")
     table: dict[tuple[int, str], tuple[str, int]] = {}
+    entry_of: dict[tuple[int, str], int] = {}
     for i, entry in enumerate(entries):
         where = f"{path}: entry {i}"
         if not isinstance(entry, dict):
@@ -362,7 +363,12 @@ def load_prices(path: str | None) -> PriceTable | None:
         except EncodingError as exc:
             raise PriceTableError(f"{where}: {exc}") from exc
         _check_price(usd, where)
-        table[(chain_id, token)] = (str(usd), decimals)
+        key = (chain_id, token)
+        if key in entry_of:
+            raise PriceTableError(f"{path}: entries {entry_of[key]} and {i} both price "
+                                  f"token {token} on chain {chain_id}")
+        entry_of[key] = i
+        table[key] = (str(usd), decimals)
     return table
 
 
@@ -375,9 +381,6 @@ class LatencyStats(NamedTuple):
     median: int | None = None
     total_value: str = "0"
     total_usd: str | None = None
-
-    def as_dict(self) -> dict:
-        return self._asdict()
 
 
 def _two_decimals(value: Fraction, sqrt: bool = False) -> str:
@@ -494,8 +497,8 @@ def build_report(
         "anomaly_counts": {kind: len(items) for kind, items in sorted(grouped.items())},
         "anomalies": {kind: items for kind, items in sorted(grouped.items())},
         "latency": {
-            "deposits": latency_stats(outputs.rule4, prices).as_dict(),
-            "withdrawals": latency_stats(outputs.rule8, prices).as_dict(),
+            "deposits": latency_stats(outputs.rule4, prices)._asdict(),
+            "withdrawals": latency_stats(outputs.rule8, prices)._asdict(),
         },
         "ingest": None,  # always null: the ingest report goes to ingest's stdout
     }

@@ -1,11 +1,11 @@
 """Command-line surface for the monitoring pipeline.
 
 Subcommands: ``ingest`` decodes receipts into a facts directory, ``eval``
-runs the rules plus analytics over a facts directory, ``simulate``
-generates synthetic scenarios, ``check`` diffs the hash-join engine
-against the brute-force evaluator, and ``stats`` prints latency/value
-statistics. Machine-readable output goes to stdout or files; progress and
-diagnostics go to stderr.
+runs the rules plus analytics over a facts directory and writes the
+report (anomalies, and latency and value statistics), ``simulate``
+generates synthetic scenarios, and ``check`` diffs the hash-join engine
+against the brute-force evaluator. Machine-readable output goes to stdout
+or files; progress and diagnostics go to stderr.
 
 Exit codes: 0 clean, 1 anomalies found, 2 input/config error (an
 ``InputError`` or ``OSError``), 3 internal error.
@@ -153,20 +153,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    from . import analytics
-
-    prices = analytics.load_prices(args.prices)
-    store = load_facts_dir(args.facts).seal()
-    outputs = eval_all(store)
-    stats = {
-        "deposits": analytics.latency_stats(outputs.rule4, prices).as_dict(),
-        "withdrawals": analytics.latency_stats(outputs.rule8, prices).as_dict(),
-    }
-    _output(json.dumps(stats, indent=2, sort_keys=True))
-    return EXIT_CLEAN
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgewatch",
@@ -201,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="diff the engine against the brute-force evaluator")
     p.add_argument("--facts", required=True, help="facts directory")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("stats", help="print latency/value statistics")
-    p.add_argument("--facts", required=True, help="facts directory")
-    p.add_argument("--prices", help="optional static price table JSON")
-    p.set_defaults(func=cmd_stats)
 
     return parser
 

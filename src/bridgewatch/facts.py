@@ -718,20 +718,40 @@ def reading_utf8(path: str | Path, error: Callable[[str], InputError],
         raise error(f"{where}: not UTF-8: {exc.reason}") from exc
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice. Not a ``ValueError``, so that
+    :func:`parse_json` lets it pass."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(key)
+        obj[key] = value
+    return obj
+
+
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
     """The JSON document in the file ``path``, read by :func:`parse_json`.
-    A file that is not UTF-8 raises ``error`` naming the file, too."""
+    A file that is not UTF-8, or an object that names one key twice (which
+    ``json.loads`` alone would read as its last value), raises ``error``
+    naming the file, too."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path, error, by_line=False):
         text = fh.read()
-    return parse_json(text, path, error)
+    try:
+        return parse_json(text, path, error, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise error(f"{path}: duplicate key {shown(exc.args[0])}") from None
 
 
-def parse_json(text: str, where: str | Path, error: Callable[[str], InputError]) -> Any:
+def parse_json(text: str, where: str | Path, error: Callable[[str], InputError],
+               object_pairs_hook: Callable[[list], Any] | None = None) -> Any:
     """The JSON document ``text``. Text that is not JSON, that nests too
     deeply or that holds an integer too long to convert raises ``error``
     naming ``where`` (a file, or a file and line)."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not valid JSON: {exc}") from exc
     except RecursionError as exc:

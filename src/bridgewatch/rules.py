@@ -25,11 +25,9 @@ rule with naive nested loops; the test suite holds the two evaluators equal.
 
 from __future__ import annotations
 
-import csv
 import re
 from functools import cache
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .facts import FactStore, InputError, _compile, index_by
@@ -57,7 +55,6 @@ __all__ = [
     "eval_rule7",
     "eval_rule8",
     "eval_all",
-    "write_rule_outputs_csv",
 ]
 
 
@@ -472,20 +469,3 @@ def eval_all(store: FactStore) -> RuleOutputs:
     return RuleOutputs(
         r1, r2, r3, eval_rule4(store, r1, r2, r3), r5, r6, r7, eval_rule8(store, r5, r6, r7)
     )
-
-
-def write_rule_outputs_csv(outputs: RuleOutputs, path: str | Path) -> list[Path]:
-    """Write one ``<RuleName>.csv`` per rule (header row, rows sorted) for
-    diffing against an external Datalog engine run on the same facts."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    written = []
-    for rule_id, tuples in outputs.by_rule().items():
-        file_path = root / f"{RULE_NAMES[rule_id]}.csv"
-        with open(file_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RULE_TYPES[rule_id]._fields)
-            for row in sorted(tuples):
-                writer.writerow(row)
-        written.append(file_path)
-    return written

@@ -2,19 +2,23 @@
 
 Generates the full event choreography of valid deposits (escrow on the
 source chain, release on the target chain) and withdrawals (the reverse),
-then injects anomalies that each break exactly one conjunct of the rule
-set:
+then injects anomalies. Only ``finality_break`` breaks exactly one
+conjunct of the rule set; the others leave out a leg or an event, or break
+nothing:
 
-* ``forged_release``: release-side facts on the source chain with no
-  escrow anywhere (expected detector kind: UnmatchedLocalWithdrawal).
+* ``forged_release``: a valid release on the source chain whose id no
+  escrow carries (expected detector kind: UnmatchedLocalWithdrawal).
 * ``replayed_id``: one withdrawal id reused across several release
-  transactions (DuplicateId, plus one AmbiguousMatch per reused id).
+  transactions. It breaks nothing: every release is valid, and the one id
+  derives ``fanout`` cross-chain tuples (DuplicateId, plus one
+  AmbiguousMatch per reused id).
 * ``finality_break``: a deposit whose legs match on every join key but
-  land inside the finality window (FinalityViolation).
+  land inside the finality window, so only ``finality`` fails
+  (FinalityViolation).
 * ``direct_transfer``: a token transfer straight into the bridge address
   with no bridge event (SingleTokenEvent).
-* ``orphan_bridge_event``: a bridge deposit event with no token movement
-  (SingleBridgeEvent).
+* ``orphan_bridge_event``: a bridge deposit event with no leg of any
+  shape: no token movement and no native value (SingleBridgeEvent).
 
 Randomness comes from SplitMix64: state advances by the golden-gamma
 constant 0x9E3779B97F4A7C15 and the output is a xor-shift/multiply

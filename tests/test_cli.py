@@ -119,6 +119,12 @@ class TestSimulateEval:
             run("simulate", "--seed", "1", "--out", str(tmp_path / "x"))
         assert excinfo.value.code == 2
 
+    def test_stats_is_not_a_command(self, tmp_path):
+        # the latency and value statistics are report["latency"] of eval --out
+        with pytest.raises(SystemExit) as excinfo:
+            run("stats", "--facts", str(tmp_path))
+        assert excinfo.value.code == 2
+
 
 class TestCheck:
     def test_store_above_the_reference_limit_exits_two(self, tmp_path, capsys):
@@ -158,18 +164,6 @@ class TestCheck:
         assert out.out.splitlines() == [f"CCTX_ValidDeposit: engine missing {dropped}",
                                         f"CCTX_ValidDeposit: engine extra {foreign}"]
         assert out.err == "2 differences between engine and reference evaluator\n"
-
-
-class TestStats:
-    def test_stats_prints_both_directions(self, tmp_path, capsys):
-        facts = tmp_path / "facts"
-        run("simulate", "--seed", "4", "--deposits", "6", "--withdrawals", "3",
-            "--out", str(facts))
-        assert run("stats", "--facts", str(facts)) == EXIT_CLEAN
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["deposits"]["count"] == 6
-        assert payload["withdrawals"]["count"] == 3
-        assert payload["deposits"]["min"] > 1800  # strictly outside the window
 
 
 class TestPipeComposition:
@@ -404,6 +398,8 @@ BAD_INGEST_INPUTS = [
     ("config", lambda c: name_first_event(c, topic0=event_topic("Transfer(address,address,uint256)")),
      "events[0]: names the ERC-20 Transfer event, which is decoded from every emitter as erc20_transfer"),
     ("config text", lambda text: "[]", "error: config must be a JSON object"),
+    ("config text", lambda text: text.replace('"100": {', '"1": {', 1),
+     "decoder_config.json: duplicate key '1'"),
     ("config", lambda c: c["events"].__setitem__(0, 5), "events[0]: expected an object"),
     ("config", lambda c: c["chains"].update({"1": 5}), "chain 1: expected an object"),
     ("config", lambda c: c["chains"]["1"].update(role="middle"),
@@ -487,16 +483,14 @@ def test_unreadable_ingest_input_exits_two(tmp_path, capsys, argument, edit, mes
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("command", ["ingest", "stats"])
+# ingest is the one command that writes to stdout when it succeeds
+@pytest.mark.parametrize("command", ["ingest"])
 def test_closed_stdout_keeps_the_exit_code(tmp_path, command):
     sim, facts = tmp_path / "sim", tmp_path / "facts"
     run("simulate", "--seed", "9", "--deposits", "3", "--withdrawals", "3",
         "--out", str(sim), "--emit", "receipts")
-    ingest = ["ingest", "--receipts", str(sim / "receipts.jsonl"),
-              "--config", str(sim / "decoder_config.json"), "--out", str(facts)]
-    if command == "stats":
-        run(*ingest)
-    argv = ingest if command == "ingest" else ["stats", "--facts", str(facts)]
+    argv = [command, "--receipts", str(sim / "receipts.jsonl"),
+            "--config", str(sim / "decoder_config.json"), "--out", str(facts)]
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout fails with EPIPE
     try:
@@ -561,6 +555,15 @@ class TestPrices:
          "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1" + "0" * 79 + "/1", "decimals": 0}],
          "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": True, "decimals": 0}],
+         "entry 0: 'usd_per_unit' is not a number: True"),
+        # one price per (chain, token), whatever the case of the token's hex
+        ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0},
+          {"chain_id": 100, "token": "0x" + "a" * 40, "usd_per_unit": "3", "decimals": 0},
+          {"chain_id": 1, "token": "0x" + "A" * 40, "usd_per_unit": "5", "decimals": 0}],
+         f"prices.json: entries 0 and 2 both price token 0x{'a' * 40} on chain 1"),
+        (b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": "2", "decimals": 0, '
+         b'"usd_per_unit": "5"}]', "prices.json: duplicate key 'usd_per_unit'"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"
@@ -587,7 +590,7 @@ class TestPrices:
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_CLEAN
 
-    @pytest.mark.parametrize("command", ["eval", "stats"])
+    @pytest.mark.parametrize("command", ["eval"])
     def test_price_table_is_read_before_the_facts(self, tmp_path, capsys, command):
         facts = tmp_path / "facts"
         run("simulate", "--seed", "6", "--deposits", "1", "--withdrawals", "0",
@@ -595,9 +598,8 @@ class TestPrices:
         (facts / "transaction.facts").write_text("not a row\n")
         prices_path = tmp_path / "prices.json"
         prices_path.write_text("{bad")
-        out = ["--out", str(tmp_path / "r.json")] if command == "eval" else []
         capsys.readouterr()
-        assert run(command, "--facts", str(facts), *out,
+        assert run(command, "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert "prices.json: not valid JSON" in err and "transaction.facts" not in err
@@ -695,7 +697,7 @@ def test_eval_and_ingest_import_neither_dataclasses_nor_inspect(tmp_path, comman
 
 # Each command imports what it runs and nothing more.
 @pytest.mark.parametrize("command, unused", [
-    ("eval", ("bridgewatch.ingest", "bridgewatch.keccak")),
+    ("eval", ("bridgewatch.ingest", "bridgewatch.keccak", "csv")),
     ("ingest", ("bridgewatch.rules", "bridgewatch.analytics", "decimal", "fractions")),
 ], ids=["eval", "ingest"])
 def test_command_imports_only_what_it_runs(tmp_path, command, unused):

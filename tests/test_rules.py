@@ -342,14 +342,3 @@ def test_every_conjunct_is_needed(monkeypatch):
         assert not agrees(randoms), f"no random store needs the conjunct {name!r}"
         if name in fixtures:
             assert not agrees([fixtures[name]]), f"its fixture store does not need {name!r}"
-
-
-class TestCsvExport:
-    def test_headers_and_rows(self, full_store, tmp_path):
-        outputs = rules.eval_all(full_store)
-        written = rules.write_rule_outputs_csv(outputs, tmp_path)
-        assert len(written) == 8
-        content = (tmp_path / "CCTX_ValidDeposit.csv").read_text().splitlines()
-        assert content[0].startswith("orig_chain_id,orig_timestamp,orig_tx_hash")
-        assert len(content) == 2
-        assert H1 in content[1] and H2 in content[1]

@@ -154,25 +154,30 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every parser refuses a prefix of an option (--deposit for --deposits)
     parser = argparse.ArgumentParser(
         prog="bridgewatch",
         description="Cross-chain bridge monitoring: decode, evaluate, detect.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="decode receipts JSONL into a facts directory")
+    p = sub.add_parser("ingest", allow_abbrev=False,
+                       help="decode receipts JSONL into a facts directory")
     p.add_argument("--receipts", required=True, help="receipts JSONL file")
     p.add_argument("--config", required=True, help="decoder config JSON")
     p.add_argument("--out", required=True, help="output facts directory")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("eval", help="evaluate rules and analytics over a facts directory")
+    p = sub.add_parser("eval", allow_abbrev=False,
+                       help="evaluate rules and analytics over a facts directory")
     p.add_argument("--facts", required=True, help="facts directory")
     p.add_argument("--out", required=True, help="report JSON output path")
     p.add_argument("--prices", help="optional static price table JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("simulate", help="generate a synthetic two-chain scenario")
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="generate a synthetic two-chain scenario")
     # integers are read as canonical text by cmd_simulate, not by argparse's int()
     p.add_argument("--seed", required=True)
     p.add_argument("--deposits", required=True)
@@ -184,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("facts", "receipts"), default="facts")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check", help="diff the engine against the brute-force evaluator")
+    p = sub.add_parser("check", allow_abbrev=False,
+                       help="diff the engine against the brute-force evaluator")
     p.add_argument("--facts", required=True, help="facts directory")
     p.set_defaults(func=cmd_check)
 

@@ -31,6 +31,9 @@ a value (:func:`_relation`): one slot per column and no ``__dict__``; equal
 only to a fact of its own class with equal columns; hashed as the tuple of
 its columns; shown as ``Name(col=value, ...)``; no field to assign or
 delete (``AttributeError``); pickled through the validating constructor.
+Each of these methods is generated source, compiled on its first use per
+class (:class:`_FirstUse`): a command compiles only the methods that it
+runs, and each then runs as if compiled at import.
 
 The store keeps one set per relation (set semantics: duplicates collapse,
 insertion order never matters) plus secondary indexes built when the store
@@ -257,21 +260,54 @@ def _compile(cls: type, env: dict, functions: dict[str, list[str]]) -> list[Call
     return compiled
 
 
+class _FirstUse:
+    """One generated function, ``def <signature>: <body>`` over ``env``,
+    compiled by :func:`_compile` when it is first used, so that a command
+    pays only for the functions that it runs.
+
+    Called, it compiles itself once and then calls the compiled function.
+    Set as a method of ``cls``, it compiles on the first lookup and puts
+    the compiled function (a ``staticmethod``, if ``static``) in its own
+    place in the class, so that every later call costs what a method
+    compiled at import costs; special methods, which the interpreter looks
+    up on the class, too."""
+
+    __slots__ = ("cls", "env", "signature", "body", "static", "function")
+
+    def __init__(self, cls: type, env: dict, signature: str, body: list[str],
+                 static: bool = False):
+        self.cls, self.env, self.signature, self.body = cls, env, signature, body
+        self.static, self.function = static, None
+
+    def compiled(self) -> Callable:
+        if self.function is None:
+            self.function, = _compile(self.cls, self.env, {self.signature: self.body})
+        return self.function
+
+    def __call__(self, *args):
+        return (self.function or self.compiled())(*args)
+
+    def __get__(self, obj, objtype=None):
+        fn = self.compiled()
+        setattr(self.cls, fn.__name__, staticmethod(fn) if self.static else fn)
+        return fn if self.static else fn.__get__(obj, objtype)
+
+
 # Every fact class by relation name, in definition order; filled by _relation.
 RELATIONS: dict[str, type[_Fact]] = {}
 
 
 def _relation(cls):
     """Rebuild ``cls`` with the ``__slots__`` of its annotated (name, kind)
-    columns, in ``COLUMNS`` order, and compile in one ``exec``: the
-    validating ``__init__``; the row pattern and builder of
-    :func:`load_facts_dir` and the row renderer of :func:`dump_facts_dir`;
-    ``_unchecked``, which takes every column already canonical and checks
-    none of them; and the value methods. A fact equals only a fact of its
-    class with equal columns, hashes as their tuple, shows as
-    ``Name(col=value, ...)`` and pickles through the validating
-    constructor; :class:`_Fact` refuses to assign or delete a field
-    (``AttributeError``)."""
+    columns, in ``COLUMNS`` order, and give it the generated methods, each
+    compiled on its first use (:class:`_FirstUse`): the validating
+    ``__init__``; the row builder of :func:`load_facts_dir` and the row
+    renderer of :func:`dump_facts_dir`; ``_unchecked``, which takes every
+    column already canonical and checks none of them; and the value
+    methods. A fact equals only a fact of its class with equal columns,
+    hashes as their tuple, shows as ``Name(col=value, ...)`` and pickles
+    through the validating constructor; :class:`_Fact` refuses to assign
+    or delete a field (``AttributeError``)."""
     # annotations are strings (``from __future__ import annotations``); the
     # ClassVar ones name no kind
     columns = tuple((name, _KINDS[kind]) for name, kind in cls.__annotations__.items()
@@ -290,8 +326,7 @@ def _relation(cls):
     row = "\\t".join(f"{{self.{name}}}" for name in names)
     values = "".join(f"self.{name}, " for name in names)
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    (cls.__init__, from_groups, cls._to_row, unchecked, cls.__eq__, cls.__hash__, cls.__repr__,
-     cls.__reduce__) = _compile(cls, env, {
+    for signature, lines in {
         f"__init__(self, {', '.join(names)})": init,
         "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
@@ -301,8 +336,10 @@ def _relation(cls):
         "__hash__(self)": [f"return hash(({values}))"],
         "__repr__(self)": [f'return f"{cls.__name__}({shown})"'],
         "__reduce__(self)": [f"return _cls, ({values})"],
-    })
-    cls._from_groups, cls._unchecked = staticmethod(from_groups), staticmethod(unchecked)
+    }.items():
+        name = signature.split("(", 1)[0]
+        setattr(cls, name, _FirstUse(cls, env, signature, lines,
+                                     static=name in ("_from_groups", "_unchecked")))
     # compiled by load_facts_dir, so that only loading pays for it
     cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in columns) + "\n?\\Z"
     RELATIONS[cls.RELATION] = cls

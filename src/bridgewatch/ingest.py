@@ -34,7 +34,8 @@ not share a topic0, and none may name the ERC-20 ``Transfer`` topic,
 which has a decoder of its own.
 
 Plans are checked once, on load, and each is then compiled into one
-straight-line decoder and its inverse encoder (:class:`EventPlan`). The
+straight-line decoder; its inverse encoder, which only the generator
+calls, is compiled on its first call (:class:`EventPlan`). The
 decoder checks the words of the fields in plan order and returns either
 the fact, built from the checked words without checking them again, or
 the reason it refuses the log. It is the only code that accepts or refuses
@@ -47,6 +48,12 @@ address yields a native escrow fact with pseudo event index 0. Native
 value moves before every log of the transaction, so no rule compares
 that index with a log's, and a bridge log at ``logIndex`` 0 pairs with
 the escrow as well as one at any other index.
+
+A receipt with status 0 that has logs is refused: a chain drops the logs of
+a reverted transaction. A contract address (a receipt's ``to``, a log's
+emitter) repeats across receipts, so each distinct text of one is checked
+once per :func:`ingest_jsonl` call; a ``value`` that is canonical decimal
+text is kept as it is.
 
 A log that a decoder refuses yields one warning and no fact; the rest of
 the receipt still decodes. The warning is the decoder's reason after the
@@ -63,6 +70,7 @@ not (``topic N is not one 32-byte hex word``).
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from operator import attrgetter
@@ -100,6 +108,8 @@ class ConfigError(f.InputError):
 
 
 _HEX_UINT = re.compile(r"0x[0-9a-fA-F]+\Z")
+# Decimal text that is canonical as it is: all within uint256 (facts._DECIMAL)
+_DECIMAL_TEXT = re.compile(rf"(?:{f._DECIMAL})\Z").match
 
 
 def _as_uint(value: Any, name: str) -> int:
@@ -332,7 +342,8 @@ class IngestReport(NamedTuple):
 
 class EventPlan(NamedTuple):
     """One decodable event: topic0 -> relation + field plan, and the
-    decoder and encoder that :func:`_event_plan` compiles from the plan.
+    decoder and encoder that :func:`_event_plan` compiles from the plan,
+    the encoder on its first call.
 
     ``decode(topics, data, address, tx_hash, event_index, chain_id)``
     returns the fact, or for a log that it refuses the reason, a string:
@@ -388,7 +399,8 @@ def _runs(slots: dict[int, Any]) -> list[tuple[int, int]]:
 
 
 def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPlan:
-    """Compile a checked field plan into its decoder and encoder.
+    """Compile a checked field plan into its decoder, and its encoder on
+    the encoder's first call.
 
     The decoder checks each field in plan order: its topic exists and is
     one word, or the data is whole words (checked once) and holds its word;
@@ -470,10 +482,10 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
                                  for gap, i in _runs(words["data"]))])
     encode.append(f"return {{'address': address, 'topics': [{topics}], "
                   f"'data': {data}, 'logIndex': fact.event_index}}")
-    decoder, encoder = f._compile(fact_type, env, {
-        "decode(topics, data, address, tx_hash, event_index, chain_id)": decode,
-        "encode(fact, address)": encode,
-    })
+    decoder, = f._compile(fact_type, env, {
+        "decode(topics, data, address, tx_hash, event_index, chain_id)": decode})
+    # only the generator encodes, so that ingest never compiles an encoder
+    encoder = f._FirstUse(fact_type, env, "encode(fact, address)", encode)
     return EventPlan(topic0, relation, fields, decoder, encoder)
 
 
@@ -487,9 +499,21 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 })
 
 
-def _log_fields(obj) -> tuple[str, list[str], str, int]:
+def _contract(contracts: dict[str, str], value: Any, field: str) -> str:
+    """``f.canonical_address(value, field)`` for the address of a contract,
+    which many receipts name: ``contracts`` maps each canonical address
+    text met so far to its one shared string, so that each is checked once."""
+    canonical = contracts.get(value) if type(value) is str else None
+    if canonical is None:
+        canonical = f.canonical_address(value, field)
+        if canonical == value:
+            contracts[canonical] = canonical
+    return canonical
+
+
+def _log_fields(obj, contracts: dict[str, str]) -> tuple[str, list[str], str, int]:
     """The checked ``(address, topics, data, logIndex)`` of one log object,
-    with its hex text lowercased."""
+    with its hex text lowercased; the emitter through :func:`_contract`."""
     try:
         topics, data = obj["topics"], obj["data"]
         if not isinstance(topics, list):
@@ -497,7 +521,7 @@ def _log_fields(obj) -> tuple[str, list[str], str, int]:
         if not isinstance(data, str):
             raise IngestError(f"log data: expected a hex string, got {f.shown(data)}")
         return (
-            f.canonical_address(obj["address"], "log address"),
+            _contract(contracts, obj["address"], "log address"),
             list(map(str.lower, topics)),
             data.lower(),
             _as_uint(obj["logIndex"], "logIndex"),
@@ -509,7 +533,8 @@ def _log_fields(obj) -> tuple[str, list[str], str, int]:
             f"log entry: expected an object with string topics, got {f.shown(obj)}") from exc
 
 
-def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[str]]:
+def decode_receipt(obj: Any, config: BridgeDecoderConfig,
+                   contracts: dict[str, str] | None = None) -> tuple[list, list[str]]:
     """Check one receipt object (a parsed JSONL line) and decode it into facts.
 
     Always emits a transaction fact; adds one erc20_transfer per Transfer
@@ -519,28 +544,38 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig) -> tuple[list, list[st
     :class:`IngestError`, a receipt of a chain the config lacks
     :class:`ConfigError`. Each field is checked once, here or by a
     compiled decoder, and the facts are built from the checked values,
-    each text value shared as the facts' checks share it.
+    each text value shared as the facts' checks share it: the contract
+    addresses through :func:`_contract` and its memo ``contracts``, which
+    :func:`ingest_jsonl` shares among the receipts of a file. A sender is
+    a user, and takes the plain check.
     """
+    if contracts is None:
+        contracts = {}
     if not isinstance(obj, dict):
         raise IngestError(f"expected a receipt object, got {type(obj).__name__}")
     try:
         entries = obj["logs"]
         if not isinstance(entries, list):
             raise IngestError(f"logs: expected a list of log objects, got {f.shown(entries)}")
-        logs = [_log_fields(entry) for entry in entries]
+        logs = [_log_fields(entry, contracts) for entry in entries]
         indexes = [log[3] for log in logs]
         if indexes != sorted(set(indexes)):
             raise IngestError("logIndex values must be strictly increasing")
         status = _as_uint(obj["status"], "status")
         if status > 1:
             raise IngestError(f"status: expected 0 or 1, got {status}")
+        if status == 0 and logs:
+            raise IngestError("status: a reverted transaction (status 0) has no logs, "
+                              f"got {len(logs)}")
         chain_id = _as_uint(obj["chainId"], "chainId")
         tx_hash = f.canonical_tx_hash(obj["txHash"], "txHash")
         block_number = _as_uint(obj["blockNumber"], "blockNumber")
         timestamp = _as_uint(obj["blockTimestamp"], "blockTimestamp")
         sender = f.canonical_address(obj["from"], "from")
-        to = f.canonical_address(obj["to"], "to")
-        value = sys.intern(str(_as_uint(obj["value"], "value")))
+        to = _contract(contracts, obj["to"], "to")
+        value = obj["value"]
+        value = sys.intern(value if type(value) is str and _DECIMAL_TEXT(value)
+                           else str(_as_uint(value, "value")))
         gas_used = _as_uint(obj["gasUsed"], "gasUsed")
     except KeyError as exc:
         raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc
@@ -608,7 +643,7 @@ def ingest_jsonl(
     with its line number.
     """
     store = f.FactStore()
-    receipts, warnings = 0, []
+    receipts, warnings, contracts = 0, [], {}
     store.insert_all(config.static)  # with the cctx_finality conflict check
     # no decoder yields cctx_finality, so decoded facts skip insert()'s checks
     relations = store._relations
@@ -617,9 +652,14 @@ def ingest_jsonl(
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = f.parse_json(line, f"{path}:{line_no}", IngestError)
             try:
-                decoded, found = decode_receipt(obj, config)
+                obj = json.loads(line)
+            except (ValueError, RecursionError):
+                # parsed again to name the fault with its line, which only a failing line pays for
+                f.parse_json(line, f"{path}:{line_no}", IngestError)
+                raise
+            try:
+                decoded, found = decode_receipt(obj, config, contracts)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
             receipts += 1

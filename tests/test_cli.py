@@ -119,6 +119,18 @@ class TestSimulateEval:
             run("simulate", "--seed", "1", "--out", str(tmp_path / "x"))
         assert excinfo.value.code == 2
 
+    # a prefix of an option is refused, not read as the option
+    @pytest.mark.parametrize("argv", [
+        "simulate --seed 1 --deposit 4 --withdrawals 4 --out {tmp}/x",
+        "eval --fact {tmp}/facts --out {tmp}/r.json",
+    ], ids=["simulate-deposit", "eval-fact"])
+    def test_abbreviated_flag_exits_two(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv.format(tmp=tmp_path).split())
+        assert excinfo.value.code == 2
+        assert "error: the following arguments are required: --" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_stats_is_not_a_command(self, tmp_path):
         # the latency and value statistics are report["latency"] of eval --out
         with pytest.raises(SystemExit) as excinfo:
@@ -321,6 +333,9 @@ BAD_INGEST_INPUTS = [
     ("receipts", lambda r: r.update(logs="x"),
      "receipts.jsonl:1: logs: expected a list of log objects, got 'x'"),
     ("receipts", lambda r: r.update(status=7), "receipts.jsonl:1: status: expected 0 or 1, got 7"),
+    # a chain drops the logs of a reverted transaction
+    ("receipts", lambda r: r.update(status=0),
+     "receipts.jsonl:1: status: a reverted transaction (status 0) has no logs, got 2"),
     ("config", lambda c: c["events"].append({**c["events"][0], "fields": {
         **deposit_fields(c), "amount": {"data": 3, "type": "uint"}}}),
      f"events[5]: repeats the topic0 {event_topic(DEPOSITED)} of events[0]"),

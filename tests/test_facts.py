@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import os
 import pickle
 import re
@@ -20,7 +21,7 @@ from hypothesis import event, given, settings, strategies as st
 from bridgewatch import facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 from conftest import (
-    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts,
+    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts, txh,
 )
 from randstores import random_store
 
@@ -372,6 +373,49 @@ def _in_new_interpreter(script: str, facts_dir: Path) -> str:
         [sys.executable, "-c", script, str(facts_dir)], capture_output=True,
         text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
+
+
+# In a new interpreter: the generated methods of each fact class that have
+# been compiled after importing the CLI, and after loading a directory of
+# transaction and cctx_finality rows; the event plans whose encoder has been
+# compiled once a decoder config is loaded; and whether the special methods,
+# which the interpreter looks up on the class, work on their first use.
+FIRST_USE_SCRIPT = """
+import json, pickle, sys
+from pathlib import Path
+from bridgewatch import cli, facts as f
+METHODS = ("__init__", "_from_groups", "_to_row", "_unchecked", "__eq__", "__hash__",
+           "__repr__", "__reduce__")
+def compiled():
+    return [f"{name}.{method}" for name, cls in f.RELATIONS.items() for method in METHODS
+            if not isinstance(vars(cls)[method], f._FirstUse)]
+root = Path(sys.argv[1])
+print(json.dumps(compiled()))
+store = cli.load_facts_dir(root / "facts")
+print(json.dumps(compiled()))
+from bridgewatch import ingest
+config = ingest.load_config(root / "decoder_config.json")
+print(json.dumps([plan.relation for plan in (ingest._TRANSFER, *config.events.values())
+                  if plan.encode.function is not None]))
+fact = min(store.relation("transaction"), key=lambda fact: fact.tx_hash)
+print(json.dumps([pickle.loads(pickle.dumps(fact)) == fact, repr(fact)[:16]]))
+"""
+
+
+def test_fact_methods_and_encoders_compile_on_first_use(tmp_path):
+    store = f.FactStore()
+    store.insert_all([f.TransactionFact(1000 + i, 1, txh(f"{i:02x}"), i, AA, B1, "0", 1, 21_000)
+                      for i in (1, 2)] + [f.CctxFinalityFact(1, 1800), f.CctxFinalityFact(100, 45)])
+    f.dump_facts_dir(store, tmp_path / "facts")
+    config = generate(ScenarioParams(seed=1, n_deposits=2, n_withdrawals=2)).config
+    (tmp_path / "decoder_config.json").write_text(json.dumps(config), encoding="utf-8")
+    imported, loaded, encoders, first_use = map(
+        json.loads, _in_new_interpreter(FIRST_USE_SCRIPT, tmp_path).splitlines())
+    assert imported == []
+    assert loaded == ["transaction._from_groups", "transaction.__hash__",
+                      "cctx_finality._from_groups", "cctx_finality.__hash__"]
+    assert encoders == []
+    assert first_use == [True, "TransactionFact("]
 
 
 # Traced bytes per fact that a store loaded from the dump of

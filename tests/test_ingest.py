@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -224,6 +225,67 @@ class TestDecodeReceipt:
         facts, warnings = decode_receipt(receipt, CONFIG)
         assert not any(isinstance(x, f.ScTokenDepositedFact) for x in facts)
         assert not warnings
+
+    # each form of a receipt's value: the text its facts hold, one shared string
+    @pytest.mark.parametrize("value, text", [
+        ("0", "0"),
+        ("255", "255"),
+        ("1" + "0" * 76, "1" + "0" * 76),  # 77 digits, the longest kept as given
+        (str(f.MAX_UINT256), str(f.MAX_UINT256)),  # 78 digits
+        ("0x00ff", "255"),
+        (255, "255"),
+    ], ids=["zero", "decimal", "77-digits", "78-digits", "hex", "json-int"])
+    def test_value_forms_decode_to_canonical_text(self, value, text):
+        facts, _ = decode_receipt(make_receipt([], value=value, to=U2), CONFIG)
+        assert facts[0].value == text and facts[0].value is sys.intern(text)
+
+    @pytest.mark.parametrize("value, message", [
+        (str(f.MAX_UINT256 + 1), "value: out of uint256 range"),  # 78 digits
+        ("1" + "0" * 78, "value: out of uint256 range"),  # 79 digits
+        ("00", "value: cannot parse unsigned integer from '00'"),
+        ("-1", "value: negative value -1"),
+        ("1e3", "value: cannot parse unsigned integer from '1e3'"),
+        (True, "value: expected unsigned integer, got True"),
+        (None, "value: expected unsigned integer, got None"),
+    ], ids=["78-digits", "79-digits", "leading-zero", "negative", "exponent", "true", "null"])
+    def test_value_forms_refused_by_name(self, value, message):
+        with pytest.raises(IngestError) as excinfo:
+            decode_receipt(make_receipt([], value=value, to=U2), CONFIG)
+        assert str(excinfo.value) == message
+
+    def test_contract_addresses_in_any_case_share_one_string(self):
+        mixed = make_receipt([transfer_log(1, token="0x" + AA[2:].upper())], value="5",
+                             to="0x" + B1[2:].upper())
+        lower = make_receipt([transfer_log(1)], value="5")
+        contracts: dict = {}
+        decoded = [decode_receipt(receipt, CONFIG, contracts)[0]
+                   for receipt in (mixed, lower, lower)]
+        assert decoded[0] == decoded[1] == decoded[2]
+        for tx, transfer, escrow in decoded:
+            assert tx.to_address is escrow.bridge_addr is sys.intern(B1)
+            assert transfer.token is sys.intern(AA)
+        assert contracts == {B1: B1, AA: AA}  # canonical text only
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("to", 5, "to: expected address string, got int"),
+        ("to", [B1], "to: expected address string, got list"),
+        ("address", None, "log address: expected address string, got NoneType"),
+        ("address", {B1: B1}, "log address: expected address string, got dict"),
+    ])
+    def test_contract_address_that_is_no_string_is_refused_by_name(self, key, value, message):
+        receipt = make_receipt([transfer_log(1)])
+        (receipt if key == "to" else receipt["logs"][0])[key] = value
+        with pytest.raises(IngestError) as excinfo:
+            decode_receipt(receipt, CONFIG, {B1: B1, AA: AA})
+        assert str(excinfo.value) == message
+
+    def test_reverted_receipt_decodes_without_logs_and_is_refused_with_them(self):
+        facts, warnings = decode_receipt({**make_receipt([]), "status": 0}, CONFIG)
+        assert warnings == []
+        assert facts == [f.TransactionFact(1000, S_CHAIN, H1, 7, U1, B1, "0", 0, 50_000)]
+        with pytest.raises(IngestError) as excinfo:
+            decode_receipt({**make_receipt([transfer_log(1)]), "status": 0}, CONFIG)
+        assert str(excinfo.value) == "status: a reverted transaction (status 0) has no logs, got 1"
 
     def test_decoding_is_deterministic(self):
         receipt = make_receipt([transfer_log(1), deposited_log(2, beneficiary=pad_addr(U2))])
@@ -643,9 +705,9 @@ class TestIngestJsonl:
         # the benchmark times decode_receipt by replacing ingest.decode_receipt
         calls = []
 
-        def counting_decode_receipt(obj, config):
+        def counting_decode_receipt(obj, *args):  # args: the config and the address memo
             calls.append(obj["txHash"])
-            return decode_receipt(obj, config)
+            return decode_receipt(obj, *args)
 
         monkeypatch.setattr("bridgewatch.ingest.decode_receipt", counting_decode_receipt)
         receipts = [self.receipt_obj(i) for i in range(1, 6)]

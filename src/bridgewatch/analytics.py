@@ -35,8 +35,8 @@ from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .facts import (MAX_UINT256, EncodingError, FactStore, InputError, canonical_address,
-                    group, index_by, read_json)
+from .facts import (EncodingError, FactStore, InputError, _chain_id, _uint, canonical_address,
+                    group, index_by, known_keys, read_json, shown)
 from .rules import RULE_NAMES, RuleOutputs
 
 __all__ = [
@@ -315,25 +315,18 @@ _MAX_DECIMALS = 255  # an ERC-20 token's decimals is a uint8
 _MAX_EXPONENT = 78  # a nonzero usd_per_unit is at least 1e-78 and below 1e79
 
 
-def _check_price(usd, where: str) -> None:
-    """Raise unless ``usd`` is a number whose magnitude is zero or in the
-    exponent range."""
-    magnitude = None
-    if not isinstance(usd, bool) and isinstance(usd, (str, int, float)):
-        text = str(usd)
-        try:
-            # Decimal reads any exponent at once; Fraction("1e10000000") alone takes seconds
-            if "/" in text or abs(Decimal(text).adjusted()) <= _MAX_EXPONENT:
-                magnitude = abs(Fraction(text))
-            else:
-                magnitude = math.inf
-        except (ArithmeticError, ValueError):  # decimal.InvalidOperation and ZeroDivisionError too
-            pass
-    if magnitude is None:
-        raise PriceTableError(f"{where}: 'usd_per_unit' is not a number: {usd!r}")
+def _check_price(usd) -> None:
+    """Raise unless ``usd`` is a number that is zero or of a magnitude in the exponent range."""
+    text = str(usd)  # of a JSON value, only a str, int or float parses
+    try:
+        # Decimal reads any exponent at once; Fraction("1e10000000") alone takes seconds
+        exponent_ok = "/" in text or abs(Decimal(text).adjusted()) <= _MAX_EXPONENT
+        magnitude = abs(Fraction(text)) if exponent_ok else math.inf
+    except (ArithmeticError, ValueError):  # decimal.InvalidOperation and ZeroDivisionError too
+        raise EncodingError("usd_per_unit", f"not a number: {shown(usd)}") from None
     if magnitude and not Fraction(1, 10**_MAX_EXPONENT) <= magnitude < 10 ** (_MAX_EXPONENT + 1):
-        raise PriceTableError(f"{where}: 'usd_per_unit' must be 0 or of magnitude "
-                              f"1e-{_MAX_EXPONENT} to below 1e{_MAX_EXPONENT + 1}, got {usd!r}")
+        raise EncodingError("usd_per_unit", f"must be 0 or of magnitude 1e-{_MAX_EXPONENT} "
+                            f"to below 1e{_MAX_EXPONENT + 1}, got {shown(usd)}")
 
 
 def load_prices(path: str | None) -> PriceTable | None:
@@ -343,31 +336,28 @@ def load_prices(path: str | None) -> PriceTable | None:
     entries = read_json(path, PriceTableError)
     if not isinstance(entries, list):
         raise PriceTableError(f"{path}: expected a JSON list of price entries")
-    table: dict[tuple[int, str], tuple[str, int]] = {}
-    entry_of: dict[tuple[int, str], int] = {}
+    table: dict[tuple[int, str], tuple[str, int]] = {}  # the j-th key is entry j's
     for i, entry in enumerate(entries):
         where = f"{path}: entry {i}"
         if not isinstance(entry, dict):
             raise PriceTableError(f"{where}: expected an object with keys {', '.join(_PRICE_KEYS)}")
+        known_keys(entry, where, PriceTableError, *_PRICE_KEYS)
         for key in _PRICE_KEYS:
             if key not in entry:
                 raise PriceTableError(f"{where}: missing key {key!r}")
         chain_id, token, usd, decimals = (entry[key] for key in _PRICE_KEYS)
-        if not (type(chain_id) is int and 0 < chain_id <= MAX_UINT256):  # not a bool
-            raise PriceTableError(f"{where}: 'chain_id' must be a positive uint256, got {chain_id!r}")
-        if not (type(decimals) is int and 0 <= decimals <= _MAX_DECIMALS):
-            raise PriceTableError(
-                f"{where}: 'decimals' must be an integer from 0 to {_MAX_DECIMALS}, got {decimals!r}")
         try:
+            _chain_id(chain_id, "chain_id")
+            if _uint(decimals, "decimals") > _MAX_DECIMALS:
+                raise EncodingError("decimals", f"must be at most {_MAX_DECIMALS}, got {decimals}")
             token = canonical_address(token, "token")
+            _check_price(usd)
         except EncodingError as exc:
             raise PriceTableError(f"{where}: {exc}") from exc
-        _check_price(usd, where)
         key = (chain_id, token)
-        if key in entry_of:
-            raise PriceTableError(f"{path}: entries {entry_of[key]} and {i} both price "
+        if key in table:
+            raise PriceTableError(f"{path}: entries {list(table).index(key)} and {i} both price "
                                   f"token {token} on chain {chain_id}")
-        entry_of[key] = i
         table[key] = (str(usd), decimals)
     return table
 

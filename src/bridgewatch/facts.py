@@ -82,6 +82,7 @@ __all__ = [
     "reading_utf8",
     "parse_json",
     "read_json",
+    "known_keys",
     "shown",
     "index_by",
     "group",
@@ -105,7 +106,10 @@ def shown(value: Any) -> str:
     """``repr(value)`` as an error message shows bad input: at most
     ``SHOWN_CHARS`` characters, a longer one cut to its two ends around
     ``...``, so that a megabyte of input makes a one-line message."""
-    text = repr(value)
+    return _cut(repr(value))
+
+
+def _cut(text: str) -> str:
     if len(text) <= SHOWN_CHARS:
         return text
     half = (SHOWN_CHARS - 3) // 2
@@ -166,7 +170,7 @@ def _uint(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise EncodingError(field, f"expected unsigned integer, got {shown(value)}")
     if value < 0:
-        raise EncodingError(field, f"negative value {value}")
+        raise EncodingError(field, f"negative value {shown(value)}")
     if value > MAX_UINT256:  # not shown: it may have more digits than str() converts
         raise EncodingError(field, "out of uint256 range")
     return value
@@ -705,18 +709,19 @@ def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
 def load_facts_dir(path: str | Path) -> FactStore:
     """Load a directory of ``<relation>.facts`` TSV files into a new store.
 
-    Missing files mean empty relations. Any line with the wrong column
-    count (or a malformed field) raises :class:`FactsParseError` naming the
-    file and 1-based line number.
+    Missing files mean empty relations. A ``.facts`` file of no relation,
+    or any line with the wrong column count (or a malformed field), raises
+    :class:`FactsParseError` naming the file and, for a line, its number.
     """
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
     store = FactStore()
-    for name, fact_type in RELATIONS.items():
-        file_path = root / f"{name}.facts"
-        if not file_path.exists():
-            continue
+    for file_path in sorted(root.glob("*.facts")):
+        name = file_path.stem
+        if name not in RELATIONS:
+            raise FactsParseError(f"{file_path}: unknown relation {shown(name)}")
+        fact_type = RELATIONS[name]
         match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
         # the store is new, so only cctx_finality needs insert()'s conflict check
         insert = store.insert if fact_type is CctxFinalityFact else store._relations[name].add
@@ -769,6 +774,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys: str) -> None:
+    """Raise ``error`` naming ``where`` and the first key of ``obj`` not in ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise error(f"{where}: unknown key {shown(key)} (expected {', '.join(keys)})")
+
+
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
     """The JSON document in the file ``path``, read by :func:`parse_json`.
     A file that is not UTF-8, or an object that names one key twice (which
@@ -808,7 +820,7 @@ def _long_integer(text: str) -> str:
     while stack:
         key, value = stack.pop()
         if value is too_long:
-            return f"{key or 'document'}: out of uint256 range"
+            return f"{_cut(key) or 'document'}: out of uint256 range"
         if isinstance(value, dict):
             stack += reversed([(f"{key}.{k}" if key else k, v) for k, v in value.items()])
         elif isinstance(value, list):

@@ -143,7 +143,8 @@ class BridgeDecoderConfig(NamedTuple):
         for i, entry in enumerate(_table(obj, "events", list)):
             if not isinstance(entry, dict):
                 raise ConfigError(f"events[{i}]: expected an object")
-            _known_keys(entry, f"events[{i}]", "topic0", "signature", "fact", "fields")
+            f.known_keys(entry, f"events[{i}]", ConfigError,
+                         "topic0", "signature", "fact", "fields")
             if "topic0" in entry and "signature" in entry:
                 raise ConfigError(f"events[{i}]: names its event by both 'topic0' and 'signature'")
             if "topic0" in entry:
@@ -188,7 +189,8 @@ def _chains(obj: dict) -> tuple[dict[int, ChainConfig], tuple]:
     """The checked chains of the config ``obj`` and their static facts."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    _known_keys(obj, "config", "chains", "events", "token_mappings", "wrapped_native_tokens")
+    f.known_keys(obj, "config", ConfigError,
+                 "chains", "events", "token_mappings", "wrapped_native_tokens")
     chains: dict[int, ChainConfig] = {}
     static: list = []
     for key, spec in _table(obj, "chains", dict).items():
@@ -199,7 +201,8 @@ def _chains(obj: dict) -> tuple[dict[int, ChainConfig], tuple]:
                 f"chains: key {f.shown(key)} is not a positive integer chain id") from exc
         if not isinstance(spec, dict):
             raise ConfigError(f"chain {chain_id}: expected an object")
-        _known_keys(spec, f"chain {chain_id}", "role", "finality_seconds", "bridge_addresses")
+        f.known_keys(spec, f"chain {chain_id}", ConfigError,
+                     "role", "finality_seconds", "bridge_addresses")
         role = spec.get("role", "source")
         if role not in ("source", "target"):
             raise ConfigError(f"chain {chain_id}: role must be source|target")
@@ -238,12 +241,6 @@ def _table(obj: dict, key: str, kind: type, where: str = ""):
     if not isinstance(value, kind):
         raise ConfigError(f"{where}{key}: expected a JSON {'object' if kind is dict else 'list'}")
     return value
-
-
-def _known_keys(obj: dict, where: str, *keys: str) -> None:
-    for key in obj:
-        if key not in keys:
-            raise ConfigError(f"{where}: unknown key {f.shown(key)} (expected {', '.join(keys)})")
 
 
 def _static_rows(obj: dict, key: str, fact_type: type) -> list:

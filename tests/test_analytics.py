@@ -12,6 +12,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgewatch import analytics, facts as f, rules
@@ -24,6 +25,17 @@ from randstores import random_store
 
 def outputs_for(store):
     return rules.eval_all(store)
+
+
+# Both passes read the indexes that seal() builds.
+@pytest.mark.parametrize("check", [analytics.local_mismatches,
+                                   lambda store: analytics.duplicate_ids(store, None)],
+                         ids=["local_mismatches", "duplicate_ids"])
+def test_unsealed_store_is_refused(check):
+    store = f.FactStore()
+    store.insert_all(static_facts() + f1_facts())
+    with pytest.raises(RuntimeError, match="store must be sealed"):
+        check(store)
 
 
 class TestLocalMismatches:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import weakref
 from datetime import timedelta
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,19 @@ class TestSimulateEval:
         (facts / "cctx_finality.facts").write_text("1\tabc\n")
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
         assert "cctx_finality.facts:1: finality_seconds:" in capsys.readouterr().err
+
+    # a misnamed relation file once read as an empty relation: a clean report
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    def test_facts_file_of_no_relation_exits_two(self, tmp_path, capsys, command):
+        facts = tmp_path / "facts"
+        run("simulate", "--seed", "1", "--deposits", "4", "--withdrawals", "4", "--out", str(facts))
+        assert (facts / "ground_truth.json").exists()  # a file of another suffix is not read
+        (facts / "transaction.facts").rename(facts / "transactions.facts")
+        capsys.readouterr()
+        argv = ["--out", str(tmp_path / "r.json")] * (command == "eval")
+        assert run(command, "--facts", str(facts), *argv) == EXIT_INPUT_ERROR
+        assert (f"{facts / 'transactions.facts'}: unknown relation 'transactions'"
+                in capsys.readouterr().err)
 
     def test_non_utf8_facts_file_exits_two(self, tmp_path, capsys):
         facts = tmp_path / "facts"
@@ -434,7 +448,8 @@ BAD_INGEST_INPUTS = [
 
 # The longest stderr line of a BAD_INGEST_INPUTS row, without its directory:
 # 139 characters (171 while config messages named an events entry by its
-# signature), while the rows with 5000-digit input repeated it in full.
+# signature), while the rows with 5000-digit input repeated it in full. The
+# bad price tables are held to it too.
 MAX_ERROR_CHARS = 200
 
 
@@ -546,32 +561,32 @@ class TestPrices:
         ({"a": 1}, "expected a JSON list"),
         ([[1, "0x00", "2", 0]], "entry 0: expected an object"),
         ([{"chain_id": "1", "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0}],
-         "entry 0: 'chain_id'"),
+         "entry 0: chain_id: expected unsigned integer, got '1'"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 1.5}],
-         "entry 0: 'decimals'"),
+         "entry 0: decimals: expected unsigned integer, got 1.5"),
         ([{"chain_id": 1, "token": "0x00", "usd_per_unit": "2", "decimals": 0}], "entry 0: token:"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "two", "decimals": 0}],
-         "entry 0: 'usd_per_unit'"),
+         "entry 0: usd_per_unit: not a number: 'two'"),
         (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json: not UTF-8: invalid start byte"),
         (b"{bad", "prices.json: not valid JSON: Expecting property name enclosed in double quotes"),
         pytest.param(b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": "2", "decimals": '
                      + b"9" * 5000 + b"}]", "prices.json: [0].decimals: out of uint256 range",
                      id="decimals-of-5000-digits"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 256}],
-         "entry 0: 'decimals' must be an integer from 0 to 255, got 256"),
+         "entry 0: decimals: must be at most 255, got 256"),
         ([{"chain_id": 2**256, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0}],
-         "entry 0: 'chain_id' must be a positive uint256"),
+         "entry 0: chain_id: out of uint256 range"),
         # Fraction("1e10000000") alone takes seconds: the exponent is refused first
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1e10000000", "decimals": 0}],
-         "entry 0: 'usd_per_unit' must be 0 or of magnitude 1e-78 to below 1e79, got '1e10000000'"),
+         "entry 0: usd_per_unit: must be 0 or of magnitude 1e-78 to below 1e79, got '1e10000000'"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1e-79", "decimals": 0}],
-         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+         "entry 0: usd_per_unit: must be 0 or of magnitude"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": 1e79, "decimals": 0}],
-         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+         "entry 0: usd_per_unit: must be 0 or of magnitude"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "1" + "0" * 79 + "/1", "decimals": 0}],
-         "entry 0: 'usd_per_unit' must be 0 or of magnitude"),
+         "entry 0: usd_per_unit: must be 0 or of magnitude"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": True, "decimals": 0}],
-         "entry 0: 'usd_per_unit' is not a number: True"),
+         "entry 0: usd_per_unit: not a number: True"),
         # one price per (chain, token), whatever the case of the token's hex
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimals": 0},
           {"chain_id": 100, "token": "0x" + "a" * 40, "usd_per_unit": "3", "decimals": 0},
@@ -579,6 +594,29 @@ class TestPrices:
          f"prices.json: entries 0 and 2 both price token 0x{'a' * 40} on chain 1"),
         (b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": "2", "decimals": 0, '
          b'"usd_per_unit": "5"}]', "prices.json: duplicate key 'usd_per_unit'"),
+        pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2", "decimal": 18,
+                       "decimals": 0, "note": "x"}],
+                     "entry 0: unknown key 'decimal' (expected chain_id, token, usd_per_unit, "
+                     "decimals)", id="unknown-keys"),
+        # a long bad value is shown cut, as in every other input format (facts.shown)
+        pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "9" * 5000,
+                       "decimals": 0}], "entry 0: usd_per_unit: must be 0 or of magnitude",
+                     id="usd-of-5000-digits"),
+        pytest.param([{"chain_id": [1] * 3000, "token": "0x" + "a" * 40, "usd_per_unit": "2",
+                       "decimals": 0}], "entry 0: chain_id: expected unsigned integer, got [1, 1",
+                     id="chain-id-list-of-3000"),
+        pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "2",
+                       "decimals": "9" * 4000}], "entry 0: decimals: expected unsigned integer, got '99",
+                     id="decimals-text-of-4000-digits"),
+        pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": [1] * 3000,
+                       "decimals": 0}], "entry 0: usd_per_unit: not a number: [1, 1",
+                     id="usd-list-of-3000"),
+        pytest.param(b'[{"chain_id": -' + b"9" * 4000 + b', "token": "0x' + b"a" * 40
+                     + b'", "usd_per_unit": "2", "decimals": 0}]',
+                     "entry 0: chain_id: negative value -99", id="chain-id-of-minus-4000-digits"),
+        # the key path of an integer too long to read is cut like a value
+        pytest.param(b'[{"' + b"k" * 3000 + b'": ' + b"9" * 5000 + b"}]", "prices.json: [0].kkk",
+                     id="too-long-integer-under-a-long-key"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"
@@ -589,9 +627,12 @@ class TestPrices:
             prices_path.write_bytes(prices)
         else:
             prices_path.write_text(json.dumps(prices))
+        capsys.readouterr()
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),
                    "--prices", str(prices_path)) == EXIT_INPUT_ERROR
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and len(err.replace(str(tmp_path), "")) <= MAX_ERROR_CHARS
 
     def test_prices_within_the_bounds_are_accepted(self, tmp_path):
         facts = tmp_path / "facts"
@@ -806,3 +847,77 @@ def eval_path(document, path):
     for key in path:
         document = document[key]
     return document
+
+
+@pytest.fixture(scope="module")
+def priced_facts(tmp_path_factory):
+    """A small clean facts directory, and a price table for each token of
+    its token mappings that it evaluates with (exit 0)."""
+    facts = tmp_path_factory.mktemp("priced") / "facts"
+    assert run("simulate", "--seed", "1", "--deposits", "2", "--withdrawals", "2",
+               "--out", str(facts)) == EXIT_CLEAN
+    priced = set()
+    for row in (facts / "token_mapping.facts").read_text().splitlines():
+        orig_chain, dst_chain, orig_token, dst_token, _ = row.split("\t")
+        priced |= {(int(orig_chain), orig_token), (int(dst_chain), dst_token)}
+    prices = [("2", 0), (2.5, 6), ("1/3", 18), (0, 255)]
+    table = [{"chain_id": chain, "token": token, "usd_per_unit": usd, "decimals": decimals}
+             for (chain, token), (usd, decimals) in zip(sorted(priced), cycle(prices))]
+    prices_path, report_path = facts.parent / "prices.json", facts.parent / "r.json"
+    prices_path.write_text(json.dumps(table))
+    assert run("eval", "--facts", str(facts), "--out", str(report_path),
+               "--prices", str(prices_path)) == EXIT_CLEAN
+    assert json.loads(report_path.read_text())["latency"]["deposits"]["total_usd"] != "0.00"
+    return facts, table
+
+
+# Values the price fuzz below puts into a table: long ones half the time.
+# "HUGE" is written as an integer of 5000 digits, too long to read, and
+# "-LONG" as one of -4000 digits.
+JSON_VALUES = st.one_of(
+    st.sampled_from(["HUGE", "-LONG", "9" * 5000, "1e99999999", "x" * 3000, [1] * 3000]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-2**260, 2**260) | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=4))
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_price_table_exits_at_most_two(priced_facts, data):
+    """A valid price table with one entry's key dropped, added or given
+    another JSON value, a pair repeated in another hex case, or a top level
+    that is not a list: eval exits 0, 1 or 2, and an exit 2 is one line of
+    at most MAX_ERROR_CHARS that names the price table."""
+    facts, table = priced_facts
+    table = json.loads(json.dumps(table))
+    i = data.draw(st.integers(0, len(table) - 1), label="entry")
+    mutation = data.draw(st.sampled_from(["drop", "add", "value", "repeat", "top level"]),
+                         label="mutation")
+    if mutation == "drop":
+        del table[i][data.draw(st.sampled_from(sorted(table[i])), label="key")]
+    elif mutation in ("add", "value"):
+        keys = (st.text(max_size=6) | st.just("k" * 3000) if mutation == "add"
+                else st.sampled_from(sorted(table[i])))
+        table[i][data.draw(keys, label="key")] = data.draw(JSON_VALUES, label="value")
+    elif mutation == "repeat":
+        table.append({**table[i], "token": "0x" + table[i]["token"][2:].upper(),
+                      "usd_per_unit": "5"})
+    else:
+        table = data.draw(JSON_VALUES.filter(lambda value: not isinstance(value, list)),
+                          label="top level")
+    text = json.dumps(table).replace('"HUGE"', HUGE).replace('"-LONG"', "-" + "9" * 4000)
+    with tempfile.TemporaryDirectory() as tmp:
+        prices_path = Path(tmp, "prices.json")
+        prices_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("eval", "--facts", str(facts), "--out", str(Path(tmp, "r.json")),
+                       "--prices", str(prices_path))
+    assert code in (EXIT_CLEAN, EXIT_ANOMALIES, EXIT_INPUT_ERROR), err.getvalue()
+    if code == EXIT_INPUT_ERROR:
+        message = err.getvalue().replace(tmp, "")
+        assert message.startswith("error: /prices.json: "), message
+        assert message.count("\n") == 1 and len(message) <= MAX_ERROR_CHARS, message

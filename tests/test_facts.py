@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -165,6 +166,13 @@ class TestStore:
         store.insert(f.CctxFinalityFact(1, 1800))
         with pytest.raises(f.FactStoreError, match="conflicting"):
             store.insert(f.CctxFinalityFact(1, 900))
+
+    def test_insert_of_no_relation_rejected(self):
+        class Unregistered(NamedTuple):
+            RELATION: str = "transactions"
+
+        with pytest.raises(f.FactStoreError, match="unknown relation 'transactions'"):
+            f.FactStore().insert(Unregistered())
 
     def test_insert_after_seal_rejected(self):
         store = f.FactStore()

@@ -376,6 +376,12 @@ class TestEncodeRoundTrip:
         fact = f.Erc20TransferFact(H1, S_CHAIN, index, token, src, dst, amount)
         assert decode_receipt(encode_receipt(tx, [fact], RT_CONFIG), RT_CONFIG) == ([tx, fact], [])
 
+    def test_enum_label_without_a_code_is_refused(self):
+        plan = next(p for p in RT_CONFIG.events.values() if p.relation == "sc_token_deposited")
+        fact = f.ScTokenDepositedFact(H1, 1, "1", U1, CC, AA, T_CHAIN, "WRAPPED", "5")
+        with pytest.raises(ValueError, match="sc_token_deposited.standard: no enum code for 'WRAPPED'"):
+            plan.encode(fact, RT_BRIDGE)
+
     def test_value_other_than_the_constant_is_refused(self):
         plan = next(p for p in RT_CONFIG.events.values()
                     if "const" in p.fields.get("standard", {}))
@@ -694,6 +700,13 @@ class TestIngestJsonl:
         )
         with pytest.raises(IngestError, match=r":2:"):
             ingest_jsonl(path, CONFIG)
+
+    def test_blank_and_whitespace_lines_are_skipped(self, tmp_path):
+        receipts = [self.receipt_obj(1), self.receipt_obj(2)]
+        store, report = ingest_jsonl(self.write_receipts(tmp_path, receipts), CONFIG)
+        spaced = [receipts[0], "", " \t\r", receipts[1], "  "]
+        assert ingest_jsonl(self.write_receipts(tmp_path, spaced), CONFIG) == (store, report)
+        assert report.receipts == 2
 
     def test_transaction_count_conservation(self, tmp_path):
         path = self.write_receipts(tmp_path, [self.receipt_obj(i) for i in range(1, 6)])

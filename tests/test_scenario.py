@@ -78,6 +78,16 @@ class TestValidation:
         with pytest.raises(ParameterError, match="fanout"):
             params.validate()
 
+    @pytest.mark.parametrize("anomalies, message", [
+        (AnomalySpec(direct_transfer=-1), "direct_transfer count must be non-negative"),
+        (AnomalySpec(replayed_id=1, replay_fanouts=(3, 3)),
+         "replay_fanouts length must equal replayed_id count"),
+    ], ids=["negative-count", "fanouts-of-another-length"])
+    def test_anomaly_spec_is_checked(self, anomalies, message):
+        params = ScenarioParams(seed=1, n_deposits=2, n_withdrawals=2, anomalies=anomalies)
+        with pytest.raises(ParameterError, match=message):
+            params.validate()
+
     def test_spec_string_parsing(self):
         spec = AnomalySpec.from_spec_string("forged_release=2,finality_break=1")
         assert spec.forged_release == 2 and spec.finality_break == 1

@@ -35,11 +35,13 @@ Each of these methods is generated source, compiled on its first use per
 class (:class:`_FirstUse`): a command compiles only the methods that it
 runs, and each then runs as if compiled at import.
 
-The store keeps one set per relation (set semantics: duplicates collapse,
-insertion order never matters) plus secondary indexes built when the store
-is sealed, each a dict from key to the key's fact when it has one, and to
-the tuple of its facts when several share the key (:func:`index_by`, read
-through :func:`group`). Persistence is one
+The store keeps each relation as its distinct facts (set semantics:
+duplicates collapse, insertion order never matters): a set while facts are
+inserted, and a tuple once loaded or sealed, so that reading a relation
+hashes no fact and copies nothing. Secondary indexes are built when the
+store is sealed, each a dict from key to the key's fact when it has one,
+and to the tuple of its facts when several share the key (:func:`index_by`,
+read through :func:`group`). Persistence is one
 tab-separated ``<relation>.facts`` file per relation, compatible with
 common Datalog engine fact-file layouts.
 """
@@ -223,17 +225,19 @@ class _Kind(NamedTuple):
 
 
 _INT = "int({v})"
-_HEX = "0[xX][0-9a-fA-F]"
 # Integers of at most 77 digits, all within uint256; a longer one makes its
 # row take the checked path of load_facts_dir.
 _DECIMAL = "0|[1-9][0-9]{0,76}"
 
-# Column kinds, named by the annotations of the fact classes. Hex text may
-# be mixed-case on disk; it is lowercased on load as in the constructor.
-# Text values are shared on load as the constructor's checks share them.
+# Column kinds, named by the annotations of the fact classes. Each pattern
+# accepts canonical text only, so that a row it matches is its fact's
+# _to_row() text: load_facts_dir drops repeated rows by their text. Hex text
+# in another case takes the checked path, which lowercases it as the
+# constructor does. Text values are shared on load as the constructor's
+# checks share them.
 _KINDS = {
-    "Address": _Kind(canonical_address, _HEX + "{40}", "_intern({v}.lower())"),
-    "TxHash": _Kind(canonical_tx_hash, _HEX + "{64}", "_intern({v}.lower())"),
+    "Address": _Kind(canonical_address, "0x[0-9a-f]{40}", "_intern({v})"),
+    "TxHash": _Kind(canonical_tx_hash, "0x[0-9a-f]{64}", "_intern({v})"),
     "Amount": _Kind(canonical_amount, _DECIMAL, "_intern({v})"),
     "Opaque": _Kind(_opaque, "[^\t\n\r]*", "_intern({v})"),
     "Uint": _Kind(_uint, _DECIMAL, _INT),
@@ -558,7 +562,7 @@ _CHAIN_ID_COLUMNS = tuple(
 )
 
 
-def index_by(items: frozenset, key: Callable) -> dict[Any, Any]:
+def index_by(items: tuple | frozenset, key: Callable) -> dict[Any, Any]:
     """``items`` grouped by ``key``: each key to its item when the key has
     one, and to the tuple of its items, in the iteration order of
     ``items``, when several share it. Read a key's items with
@@ -586,8 +590,9 @@ def group(index: dict, key: Any) -> tuple:
 class FactStore:
     """Set-semantics container for the thirteen relations.
 
-    Single-writer while building; ``seal()`` freezes it and builds the
-    secondary indexes, after which it is safe for concurrent readers:
+    Single-writer while building; ``seal()`` freezes it, turns each
+    relation into a tuple of its distinct facts and builds the secondary
+    indexes, after which it is safe for concurrent readers:
 
     * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
       and the eight event relations), each tx hash to its facts of that
@@ -603,7 +608,7 @@ class FactStore:
     """
 
     def __init__(self):
-        self._relations: dict[str, set | frozenset] = {name: set() for name in RELATIONS}
+        self._relations: dict[str, set | tuple] = {name: set() for name in RELATIONS}
         self._sealed = False
         # indexes, populated by seal()
         self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
@@ -623,21 +628,25 @@ class FactStore:
         relation = fact.RELATION
         if relation not in self._relations:
             raise FactStoreError(f"unknown relation {relation!r}")
+        facts = self._relations[relation]
+        if facts.__class__ is tuple:  # loaded: a set again, so that repeats collapse
+            facts = self._relations[relation] = set(facts)
         if isinstance(fact, CctxFinalityFact):
-            for existing in self._relations[relation]:
+            for existing in facts:
                 if existing.chain_id == fact.chain_id and existing != fact:
                     raise FactStoreError(
                         f"conflicting cctx_finality for chain {fact.chain_id}: "
                         f"{existing.finality_seconds} vs {fact.finality_seconds}"
                     )
-        self._relations[relation].add(fact)
+        facts.add(fact)
 
     def insert_all(self, facts: Iterable[_Fact]) -> None:
         for f in facts:
             self.insert(f)
 
-    def relation(self, name: str) -> frozenset:
-        return frozenset(self._relations[name])  # no copy once sealed
+    def relation(self, name: str) -> tuple[_Fact, ...]:
+        """The distinct facts of relation ``name``."""
+        return tuple(self._relations[name])  # a tuple is not copied
 
     def count(self, name: str) -> int:
         return len(self._relations[name])
@@ -655,7 +664,8 @@ class FactStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactStore):
             return NotImplemented
-        return self._relations == other._relations
+        return all(set(self._relations[name]) == set(other._relations[name])
+                   for name in RELATIONS)
 
     def chain_ids(self) -> set[int]:
         """Every chain id referenced by any fact (excluding cctx_finality)."""
@@ -669,7 +679,7 @@ class FactStore:
         if self._sealed:
             return self
         for name, facts in self._relations.items():
-            self._relations[name] = frozenset(facts)
+            self._relations[name] = tuple(facts)
         tx_hash = attrgetter("tx_hash")
         self.by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
                       if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
@@ -711,7 +721,9 @@ def load_facts_dir(path: str | Path) -> FactStore:
 
     Missing files mean empty relations. A ``.facts`` file of no relation,
     or any line with the wrong column count (or a malformed field), raises
-    :class:`FactsParseError` naming the file and, for a line, its number.
+    :class:`FactsParseError` naming the file and, for bad lines, the number
+    of the first. Blank lines are skipped, and a repeated row loads once:
+    each relation is the tuple of its distinct facts, in file order.
     """
     root = Path(path)
     if not root.is_dir():
@@ -722,22 +734,38 @@ def load_facts_dir(path: str | Path) -> FactStore:
         if name not in RELATIONS:
             raise FactsParseError(f"{file_path}: unknown relation {shown(name)}")
         fact_type = RELATIONS[name]
-        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
-        # the store is new, so only cctx_finality needs insert()'s conflict check
-        insert = store.insert if fact_type is CctxFinalityFact else store._relations[name].add
         with (open(file_path, encoding="utf-8", newline="") as fh,
               reading_utf8(file_path, FactsParseError)):
-            line_no = 0
-            try:
-                for line_no, line in enumerate(fh, start=1):
-                    m = match(line)
-                    if m is not None:
-                        insert(build(m.groups()))
-                    elif line != "\n":
-                        insert(_checked_row(fact_type, line))
-            except (EncodingError, FactStoreError) as exc:
-                raise FactsParseError(f"{file_path}:{line_no}: {exc}") from exc
+            lines = dict.fromkeys(fh)  # each distinct line once, in file order
+        lines.pop("\n", None)
+        last = next(reversed(lines), "\n")
+        if last[-1] != "\n" and last + "\n" in lines:  # an unterminated repeat
+            del lines[last]
+        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
+        facts: list[_Fact] = []
+        # the store is new, so only cctx_finality needs insert()'s conflict check
+        insert = store.insert if fact_type is CctxFinalityFact else facts.append
+        checked, line = False, ""
+        try:
+            for line in lines:
+                m = match(line)
+                if m is not None:
+                    insert(build(m.groups()))
+                else:
+                    insert(_checked_row(fact_type, line))
+                    checked = True
+        except (EncodingError, FactStoreError) as exc:
+            raise FactsParseError(f"{file_path}:{_line_number(file_path, line)}: {exc}") from exc
+        if facts:
+            # a row matched by no pattern may be another row's fact in other text
+            store._relations[name] = tuple(dict.fromkeys(facts) if checked else facts)
     return store
+
+
+def _line_number(path: Path, line: str) -> int:
+    """The number of the first line of the file ``path`` that is ``line``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return next(line_no for line_no, text in enumerate(fh, start=1) if text == line)
 
 
 @contextmanager

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import os
 import pickle
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from bridgewatch import facts as f
+from bridgewatch import cli, facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 from conftest import (
     AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts, txh,
@@ -274,7 +276,7 @@ class TestPersistence:
     def test_load_single_line(self, tmp_path):
         (tmp_path / "cctx_finality.facts").write_text("1\t1800\n")
         store = f.load_facts_dir(tmp_path)
-        assert store.relation("cctx_finality") == {f.CctxFinalityFact(1, 1800)}
+        assert set(store.relation("cctx_finality")) == {f.CctxFinalityFact(1, 1800)}
 
     def test_empty_directory(self, tmp_path):
         store = f.load_facts_dir(tmp_path)
@@ -336,13 +338,51 @@ class TestPersistence:
     def test_load_lowercases_mixed_case_hex(self, tmp_path):
         (tmp_path / "wrapped_native_token.facts").write_text(f"1\t{AA.upper().replace('0X', '0x')}\n")
         store = f.load_facts_dir(tmp_path)
-        assert store.relation("wrapped_native_token") == {f.WrappedNativeTokenFact(1, AA)}
+        assert set(store.relation("wrapped_native_token")) == {f.WrappedNativeTokenFact(1, AA)}
 
     def test_load_rejects_amount_above_uint256(self, tmp_path):
         row = "\t".join([H1, "0", U1, B1, str(2**256)])
         (tmp_path / "sc_deposit.facts").write_text(row + "\n")
         with pytest.raises(f.FactsParseError, match=r"sc_deposit\.facts:1: amount: .*uint256"):
             f.load_facts_dir(tmp_path)
+
+    @pytest.mark.parametrize("amount, text", [
+        ("5", "{row}\n{row}\n"),
+        ("5", "{row}\n{row}"),  # the last row without its line break
+        ("5", "{row}\n{upper}\n"),
+        (str(10**77), "{row}\n\n{row}\n"),  # 78 digits: the checked path
+    ], ids=["repeated", "unterminated-repeat", "upper-case-twin", "78-digit-amount"])
+    def test_repeated_row_loads_as_one_fact(self, tmp_path, amount, text):
+        fact = f.ScDepositFact(H1, 0, U1, B1, amount)
+        row = fact._to_row()
+        upper = row.upper().replace("0X", "0x")
+        (tmp_path / "sc_deposit.facts").write_text(text.format(row=row, upper=upper))
+        store = f.load_facts_dir(tmp_path)
+        assert store.count("sc_deposit") == 1
+        assert store == build_store([fact])
+        assert store.seal().relation("sc_deposit") == (fact,)
+
+    def test_repeated_bad_row_names_its_first_line(self, tmp_path):
+        (tmp_path / "cctx_finality.facts").write_text("1\t1800\n1\t1800\n0\t1800\n100\t45\n0\t1800\n")
+        with pytest.raises(f.FactsParseError, match=r"cctx_finality\.facts:3: chain_id: "):
+            f.load_facts_dir(tmp_path)
+
+    def test_finality_conflict_names_the_later_row(self, tmp_path):
+        (tmp_path / "cctx_finality.facts").write_text("1\t1800\n1\t1800\n100\t45\n1\t900\n1\t1800\n")
+        with pytest.raises(f.FactsParseError, match=r"cctx_finality\.facts:4: conflicting "):
+            f.load_facts_dir(tmp_path)
+
+    def test_insert_into_a_loaded_store_collapses_repeats(self, tmp_path):
+        fact = SAMPLES[f.WrappedNativeTokenFact]
+        (tmp_path / "wrapped_native_token.facts").write_text(fact._to_row() + "\n")
+        store = f.load_facts_dir(tmp_path)
+        store.insert(replace(fact))
+        assert store.count("wrapped_native_token") == 1
+        store.insert(replace(fact, chain_id=fact.chain_id + 1))
+        assert store.count("wrapped_native_token") == 2
+        store.seal()
+        # kept as a tuple, so that relation() copies nothing
+        assert store.relation("wrapped_native_token") is store.relation("wrapped_native_token")
 
 
 # Every integer column, as (fact of its relation, column index).
@@ -420,8 +460,9 @@ def test_fact_methods_and_encoders_compile_on_first_use(tmp_path):
     imported, loaded, encoders, first_use = map(
         json.loads, _in_new_interpreter(FIRST_USE_SCRIPT, tmp_path).splitlines())
     assert imported == []
-    assert loaded == ["transaction._from_groups", "transaction.__hash__",
-                      "cctx_finality._from_groups", "cctx_finality.__hash__"]
+    # a load hashes no fact but cctx_finality's, for insert()'s conflict check
+    assert loaded == ["transaction._from_groups", "cctx_finality._from_groups",
+                      "cctx_finality.__hash__"]
     assert encoders == []
     assert first_use == [True, "TransactionFact("]
 
@@ -429,12 +470,13 @@ def test_fact_methods_and_encoders_compile_on_first_use(tmp_path):
 # Traced bytes per fact that a store loaded from the dump of
 # ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 6,011 facts,
 # frees when it is dropped: 593 B when each row held its own strings, 234 B
-# with equal values shared (CPython 3.11). The bound leaves 15% headroom over
-# the shared layout. The freed bytes are what the store holds: the growth
-# over a load also counts the table of interned strings, which grows in
-# whichever load crosses its next size, and the pattern cache (305 B per
-# fact over a first load at the time of the 234 B above).
-MAX_LOADED_BYTES_PER_FACT = 270
+# with equal values shared, 172 B with each relation a tuple, not a set
+# (CPython 3.11). The bound leaves 15% headroom over the tuple layout. The
+# freed bytes are what the store holds: the growth over a load also counts
+# the table of interned strings, which grows in whichever load crosses its
+# next size, and the pattern cache (305 B per fact over a first load at the
+# time of the 234 B above).
+MAX_LOADED_BYTES_PER_FACT = 198
 
 LOADED_SCRIPT = """
 import sys, tracemalloc
@@ -461,13 +503,15 @@ def test_loaded_store_bytes_per_fact_is_bounded(tmp_path):
 # local_mismatches and a join keyed on 5-tuples; 487 and 497 B with
 # tuple-valued indexes, one set and the join's escrows indexed by id; 478
 # and 487 B once the by-id groups moved out of seal; 426 and 436 B with a
-# key's lone fact indexed bare, not in a 1-tuple (CPython 3.11). The bounds
-# leave 10% headroom.
+# key's lone fact indexed bare, not in a 1-tuple; 364 and 379 B later, with
+# each relation still a set copied into a frozenset; 332 and 335 B with each
+# relation a tuple of distinct rows (CPython 3.11). The bounds leave 10%
+# headroom.
 EVAL_HIGH_WATER = {
-    "clean": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 469),
+    "clean": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 366),
     "attack": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500, anomalies=AnomalySpec(
         forged_release=15, replayed_id=5, finality_break=15, direct_transfer=15,
-        orphan_bridge_event=15, replay_fanout=28)), 480),
+        orphan_bridge_event=15, replay_fanout=28)), 369),
 }
 
 # Prints the high-water bytes per fact, then one line per stage: the traced
@@ -547,7 +591,38 @@ def test_column_text_loads_as_constructed_or_names_the_column(fact, data):
             return
     values = [getattr(fact, column) for column, _ in cls.COLUMNS]
     values[index] = int(text) if isinstance(values[index], int) else text
-    assert store.relation(cls.RELATION) == {cls(*values)}
+    assert set(store.relation(cls.RELATION)) == {cls(*values)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SAMPLES.values(), key=lambda x: x.RELATION)), st.data())
+def test_fast_row_pattern_matches_canonical_rows_only(fact, data):
+    """The invariant by which load_facts_dir drops repeated rows by their
+    text: a line that its relation's row pattern matches loads to a fact
+    whose ``_to_row()`` is that line, and a fact's ``_to_row()`` matches the
+    pattern unless it holds a 78-digit integer, which the checked path
+    reads."""
+    cls = type(fact)
+    match = re.compile(cls._ROW_PATTERN).match
+    index = data.draw(st.integers(min_value=0, max_value=len(cls.COLUMNS) - 1), label="column")
+    cols = list(fact.columns())
+    cols[index] = data.draw(st.one_of(_COLUMN_TEXT, st.integers(10**77, 2**256 - 1).map(str)),
+                            label="text")
+    line = "\t".join(cols) + data.draw(st.sampled_from(["\n", ""]), label="end")
+    m = match(line)
+    if m is not None:
+        event("matched")
+        assert cls._from_groups(m.groups())._to_row() == line.removesuffix("\n")
+    try:
+        loaded = f._checked_row(cls, line)
+    except f.EncodingError:
+        assert m is None
+        return
+    row = loaded._to_row()
+    wide = any(len(text) == 78 for text, (_, kind) in zip(row.split("\t"), cls.COLUMNS)
+               if kind.name != "Opaque")
+    event(f"78-digit integer: {wide}")
+    assert (match(row) is None) == wide
 
 
 @pytest.fixture(scope="module")
@@ -591,11 +666,16 @@ def _byte_mutation(data, text: bytes) -> bytes:
     return b"".join(lines)
 
 
+def _hex_columns(fact_type) -> list[bool]:
+    """Whether each column of ``fact_type`` holds hex text, whose case does
+    not count (identifiers and standards are case-sensitive)."""
+    return [kind.name in ("Address", "TxHash") for _, kind in fact_type.COLUMNS]
+
+
 def _canonical(fact_type, text: str) -> bytes:
     """The dump of the ``.facts`` text of ``fact_type``: hex columns
-    lowercased (identifiers and standards are case-sensitive), blank lines
-    dropped, rows sorted and repeats removed."""
-    hexed = [kind.name in ("Address", "TxHash") for _, kind in fact_type.COLUMNS]
+    lowercased, blank lines dropped, rows sorted and repeats removed."""
+    hexed = _hex_columns(fact_type)
     rows = {"\t".join(col.lower() if lower else col for col, lower in zip(line.split("\t"), hexed))
             for line in text.split("\n") if line}
     return "".join(row + "\n" for row in sorted(rows)).encode()
@@ -623,3 +703,40 @@ def test_byte_mutated_facts_file_names_its_line_or_dumps_back_canonical(small_fa
             event("refused")
             return
         assert _dump_bytes(store, Path(tmp, "out")) == {name: _canonical(fact_type, text.decode())}
+
+
+def _eval(facts_dir: Path, out: Path) -> tuple[int, bytes, str]:
+    """``eval`` of ``facts_dir``: its exit code, report bytes and the
+    "evaluated N facts" line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--facts", str(facts_dir), "--out", str(out)])
+    (evaluated,) = [line for line in err.getvalue().splitlines() if line.startswith("evaluated ")]
+    return code, out.read_bytes(), evaluated
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_eval_report_is_unmoved_by_row_order_repeats_and_hex_case(small_facts_dir, data):
+    """A metamorphic relation of the whole ``eval``: shuffling the rows of
+    every file, repeating some rows and upper-casing the hex of some rows
+    leave the exit code, the report bytes and the fact count unchanged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        original, changed = Path(tmp, "original"), Path(tmp, "changed")
+        original.mkdir()
+        changed.mkdir()
+        for name, text in small_facts_dir.items():
+            (original / name).write_bytes(text)
+            hexed = _hex_columns(f.RELATIONS[name.removesuffix(".facts")])
+            rows = text.decode().splitlines()
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=3), label=f"{name} repeats")
+            rows = data.draw(st.permutations(rows), label=f"{name} order")
+            upper = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)),
+                              label=f"{name} upper-cased")
+            rows = ["\t".join(col.upper() if up and hex_col else col
+                              for col, hex_col in zip(row.split("\t"), hexed))
+                    for row, up in zip(rows, upper)]
+            (changed / name).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        expected = _eval(original, Path(tmp, "original.json"))
+        assert expected[0] == cli.EXIT_ANOMALIES
+        assert _eval(changed, Path(tmp, "changed.json")) == expected

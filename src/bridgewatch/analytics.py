@@ -111,8 +111,7 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
     token/native movement yield one ``SingleBridgeEvent``. Amounts are
     aggregated over the offending side.
     """
-    if not store.sealed:
-        raise RuntimeError("store must be sealed")
+    store.require_sealed()
     by_tx, bridge = store.by_tx, store.bridge_addresses
 
     def touches(tr) -> bool:
@@ -256,8 +255,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     and the derivations by id itself (:func:`facts.index_by`), so the
     groups live only while it runs.
     """
-    if not store.sealed:
-        raise RuntimeError("store must be sealed")
+    store.require_sealed()
     out: list[Anomaly] = []
     for relation, id_field in (("sc_token_deposited", "deposit_id"),
                                ("sc_token_withdrew", "withdrawal_id")):
@@ -464,7 +462,7 @@ def build_report(
         + duplicate_ids(store, outputs)
     )
     grouped: dict[str, list[dict]] = {}
-    for a in sorted(anomalies, key=Anomaly.sort_key):
+    for a in anomalies:  # each pass returns its kinds sorted by Anomaly.sort_key
         grouped.setdefault(a.kind, []).append(a.as_dict())
 
     accounting = match_accounting(outputs)

@@ -35,10 +35,16 @@ Each of these methods is generated source, compiled on its first use per
 class (:class:`_FirstUse`): a command compiles only the methods that it
 runs, and each then runs as if compiled at import.
 
+Each canonical form is checked by one rule, which the constructors, the
+``.facts`` row patterns and the receipt decoder share.
+
 The store keeps each relation as its distinct facts (set semantics:
 duplicates collapse, insertion order never matters): a set while facts are
 inserted, and a tuple once loaded or sealed, so that reading a relation
-hashes no fact and copies nothing. Secondary indexes are built when the
+hashes no fact and copies nothing. :meth:`FactStore.insert_all` is its one
+writer, and :meth:`FactStore.require_sealed` the one check that rules and
+analytics make before they read its indexes; no other module touches the
+relations. Secondary indexes are built when the
 store is sealed, each a dict from key to the key's fact when it has one,
 and to the tuple of its facts when several share the key (:func:`index_by`,
 read through :func:`group`). Persistence is one
@@ -94,8 +100,10 @@ __all__ = [
 
 MAX_UINT256 = (1 << 256) - 1
 
-_ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}\Z")
-_TX_HASH_RE = re.compile(r"0x[0-9a-f]{64}\Z")
+# The canonical text of an address and of a hash (or any 32-byte word), read
+# by the constructors, the .facts row patterns and the receipt decoder alike
+_ADDRESS_RE = re.compile("0x[0-9a-f]{40}")
+_TX_HASH_RE = re.compile("0x[0-9a-f]{64}")
 # negative text parses, to be refused by name
 _INT_TEXT = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
@@ -141,21 +149,23 @@ class FactStoreError(RuntimeError):
 
 def canonical_address(value: str, field: str = "address") -> str:
     """Lowercase and validate a 20-byte 0x-prefixed hex address."""
-    if not isinstance(value, str):
-        raise EncodingError(field, f"expected address string, got {type(value).__name__}")
-    v = value.lower()
-    if not _ADDRESS_RE.match(v):
-        raise EncodingError(field, f"not a canonical 20-byte hex address: {shown(value)}")
-    return sys.intern(v)
+    return _canonical_hex(value, field, _ADDRESS_RE, "20-byte hex address")
 
 
 def canonical_tx_hash(value: str, field: str = "tx_hash") -> str:
     """Lowercase and validate a 32-byte 0x-prefixed hex hash."""
+    return _canonical_hex(value, field, _TX_HASH_RE, "32-byte hex hash")
+
+
+def _canonical_hex(value, field: str, pattern: re.Pattern, shape: str) -> str:
+    """``value`` lowercased and shared, if that is ``pattern``'s text;
+    ``shape`` names the value in the error (its last word, its type)."""
     if not isinstance(value, str):
-        raise EncodingError(field, f"expected hash string, got {type(value).__name__}")
+        raise EncodingError(field, f"expected {shape.rsplit(' ', 1)[1]} string, "
+                                   f"got {type(value).__name__}")
     v = value.lower()
-    if not _TX_HASH_RE.match(v):
-        raise EncodingError(field, f"not a canonical 32-byte hex hash: {shown(value)}")
+    if not pattern.fullmatch(v):
+        raise EncodingError(field, f"not a canonical {shape}: {shown(value)}")
     return sys.intern(v)
 
 
@@ -189,21 +199,22 @@ def uint_text(text: str, field: str) -> int:
     return _uint(int(text), field)
 
 
-def _chain_id(value, field: str) -> int:
-    if _uint(value, field) == 0:
-        raise EncodingError(field, "chain id must be nonzero")
-    return value
+def _nonzero(message: str) -> Callable[[Any, str], int]:
+    """The check of an unsigned integer that refuses 0 with ``message``."""
+    def check(value, field: str) -> int:
+        if _uint(value, field) == 0:
+            raise EncodingError(field, message)
+        return value
+    return check
 
 
-def _positive(value, field: str) -> int:
-    if _uint(value, field) == 0:
-        raise EncodingError(field, "must be positive")
-    return value
+_chain_id = _nonzero("chain id must be nonzero")
+_positive = _nonzero("must be positive")
 
 
 def _status(value, field: str) -> int:
     if _uint(value, field) > 1:
-        raise EncodingError(field, f"status must be 0 or 1, got {value!r}")
+        raise EncodingError(field, f"expected 0 or 1, got {value}")
     return value
 
 
@@ -236,8 +247,8 @@ _DECIMAL = "0|[1-9][0-9]{0,76}"
 # constructor does. Text values are shared on load as the constructor's
 # checks share them.
 _KINDS = {
-    "Address": _Kind(canonical_address, "0x[0-9a-f]{40}", "_intern({v})"),
-    "TxHash": _Kind(canonical_tx_hash, "0x[0-9a-f]{64}", "_intern({v})"),
+    "Address": _Kind(canonical_address, _ADDRESS_RE.pattern, "_intern({v})"),
+    "TxHash": _Kind(canonical_tx_hash, _TX_HASH_RE.pattern, "_intern({v})"),
     "Amount": _Kind(canonical_amount, _DECIMAL, "_intern({v})"),
     "Opaque": _Kind(_opaque, "[^\t\n\r]*", "_intern({v})"),
     "Uint": _Kind(_uint, _DECIMAL, _INT),
@@ -622,27 +633,38 @@ class FactStore:
         return self._sealed
 
     def insert(self, fact: _Fact) -> None:
-        """Insert one fact (idempotent for identical tuples)."""
-        if self._sealed:
-            raise FactStoreError("store is sealed")
-        relation = fact.RELATION
-        if relation not in self._relations:
-            raise FactStoreError(f"unknown relation {relation!r}")
-        facts = self._relations[relation]
-        if facts.__class__ is tuple:  # loaded: a set again, so that repeats collapse
-            facts = self._relations[relation] = set(facts)
-        if isinstance(fact, CctxFinalityFact):
-            for existing in facts:
-                if existing.chain_id == fact.chain_id and existing != fact:
-                    raise FactStoreError(
-                        f"conflicting cctx_finality for chain {fact.chain_id}: "
-                        f"{existing.finality_seconds} vs {fact.finality_seconds}"
-                    )
-        facts.add(fact)
+        """Insert one fact through :meth:`insert_all`."""
+        self.insert_all((fact,))
 
     def insert_all(self, facts: Iterable[_Fact]) -> None:
-        for f in facts:
-            self.insert(f)
+        """Insert each of ``facts`` (idempotent for identical facts): the
+        store's one writer. Inserting into a sealed store, a fact of no
+        relation, or a finality window that differs from a chain's earlier
+        one raises :class:`FactStoreError`."""
+        if self._sealed:
+            raise FactStoreError("store is sealed")
+        relations = self._relations
+        for fact in facts:
+            relation = fact.RELATION
+            if relation not in relations:
+                raise FactStoreError(f"unknown relation {relation!r}")
+            facts_of = relations[relation]
+            if facts_of.__class__ is tuple:  # loaded: a set again, so that repeats collapse
+                facts_of = relations[relation] = set(facts_of)
+            if isinstance(fact, CctxFinalityFact):
+                for existing in facts_of:
+                    if existing.chain_id == fact.chain_id and existing != fact:
+                        raise FactStoreError(
+                            f"conflicting cctx_finality for chain {fact.chain_id}: "
+                            f"{existing.finality_seconds} vs {fact.finality_seconds}"
+                        )
+            facts_of.add(fact)
+
+    def require_sealed(self) -> None:
+        """Raise ``RuntimeError`` unless the store is sealed: rules and
+        analytics read the indexes that :meth:`seal` builds."""
+        if not self._sealed:
+            raise RuntimeError("store must be sealed before evaluation")
 
     def relation(self, name: str) -> tuple[_Fact, ...]:
         """The distinct facts of relation ``name``."""
@@ -794,11 +816,15 @@ class _RepeatedKey(Exception):
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise _RepeatedKey(key)
-        obj[key] = value
+    """The JSON object of ``pairs``; one that names a key twice raises
+    :class:`_RepeatedKey` with the first key that it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
     return obj
 
 
@@ -842,15 +868,16 @@ def _long_integer(text: str) -> str:
     uint256, by its key path (``logs[0].logIndex: out of uint256 range``).
     For text that ``json.loads`` refused with a plain ``ValueError``."""
     too_long = object()
-    stack: list[tuple[str, Any]] = [
-        ("", json.loads(text, parse_int=lambda digits: too_long if len(digits) > 78 else 0))
-    ]
+    # an object is read as the tuple of its pairs, so that a repeated key keeps each value
+    stack: list[tuple[str, Any]] = [("", json.loads(
+        text, parse_int=lambda digits: too_long if len(digits) > 78 else 0, object_pairs_hook=tuple
+    ))]
     while stack:
         key, value = stack.pop()
         if value is too_long:
             return f"{_cut(key) or 'document'}: out of uint256 range"
-        if isinstance(value, dict):
-            stack += reversed([(f"{key}.{k}" if key else k, v) for k, v in value.items()])
+        if isinstance(value, tuple):
+            stack += reversed([(f"{key}.{k}" if key else k, v) for k, v in value])
         elif isinstance(value, list):
             stack += reversed([(f"{key}[{i}]", v) for i, v in enumerate(value)])
     raise AssertionError("the JSON text holds no integer longer than 78 digits")

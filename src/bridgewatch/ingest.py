@@ -49,8 +49,11 @@ value moves before every log of the transaction, so no rule compares
 that index with a log's, and a bridge log at ``logIndex`` 0 pairs with
 the escrow as well as one at any other index.
 
-A receipt with status 0 that has logs is refused: a chain drops the logs of
-a reverted transaction. A contract address (a receipt's ``to``, a log's
+A receipt line whose object names one key twice is refused, as a config
+that does is. The receipt's status is checked by the facts' check of the
+``status`` column (``status: expected 0 or 1, got N``), and a receipt with
+status 0 that has logs is refused: a chain drops the logs of a reverted
+transaction. A contract address (a receipt's ``to``, a log's
 emitter) repeats across receipts, so each distinct text of one is checked
 once per :func:`ingest_jsonl` call; a ``value`` that is canonical decimal
 text is kept as it is.
@@ -369,11 +372,9 @@ _WORD = {
     "address": ("{w} > _MAX_ADDRESS", "32-byte value is not a valid 20-byte address",
                 '_intern("0x" + {w}[24:])'),
     "chain_id": ("{w} == _ZERO_WORD", "chain id must be nonzero", "int({w}, 16)"),
-    "uint": (None, None, "_intern(str(int({w}, 16)))"),
-    "id": (None, None, "_intern(str(int({w}, 16)))"),
+    **dict.fromkeys(("uint", "id"), (None, None, "_intern(str(int({w}, 16)))")),
 }
 _HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z").match
-_TOPIC = re.compile(r"0x[0-9a-f]{64}\Z").match
 _ZERO_WORD = "0" * 64
 _MAX_ADDRESS = "0" * 24 + "f" * 40  # the greatest word whose top 12 bytes are zero
 
@@ -411,9 +412,9 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
     """
     fact_type = f.RELATIONS[relation]
     env: dict[str, Any] = {"_make": fact_type._unchecked, "_uint_word": _uint_word,
-                           "_enum_word": _enum_word, "_intern": sys.intern, "_topic": _TOPIC,
-                           "_hex_words": _HEX_WORDS, "_ZERO_WORD": _ZERO_WORD,
-                           "_MAX_ADDRESS": _MAX_ADDRESS}
+                           "_enum_word": _enum_word, "_intern": sys.intern,
+                           "_topic": f._TX_HASH_RE.fullmatch, "_hex_words": _HEX_WORDS,
+                           "_ZERO_WORD": _ZERO_WORD, "_MAX_ADDRESS": _MAX_ADDRESS}
     values: dict[str, str] = {}  # column -> decoded value
     words = {"topic": {0: repr(topic0)}, "data": {}}  # index -> encoded word
     decode: list[str] = []
@@ -558,9 +559,7 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig,
         indexes = [log[3] for log in logs]
         if indexes != sorted(set(indexes)):
             raise IngestError("logIndex values must be strictly increasing")
-        status = _as_uint(obj["status"], "status")
-        if status > 1:
-            raise IngestError(f"status: expected 0 or 1, got {status}")
+        status = f._status(_as_uint(obj["status"], "status"), "status")
         if status == 0 and logs:
             raise IngestError("status: a reverted transaction (status 0) has no logs, "
                               f"got {len(logs)}")
@@ -628,40 +627,47 @@ def encode_receipt(tx: f.TransactionFact, facts: Iterable, config: BridgeDecoder
             "value": tx.value, "status": tx.status, "gasUsed": tx.gas_used, "logs": logs}
 
 
+# Reads one receipt line; an object that names one key twice, which json.loads
+# alone would read as its last value, raises facts._RepeatedKey.
+_parse_receipt = json.JSONDecoder(object_pairs_hook=f._unique_keys).decode
+
+
 def ingest_jsonl(
     receipts_path: str | Path, config: BridgeDecoderConfig
 ) -> tuple[f.FactStore, IngestReport]:
     """Decode a JSONL receipts file into a store plus a report.
 
     The store contains the union of all decoded facts and the config's
-    static facts. It is returned unsealed, without the indexes that only
-    evaluation reads: call ``seal()`` on it before evaluating rules. A line
-    that is not JSON (:func:`facts.parse_json`) or not UTF-8 fails fast
-    with its line number.
+    static facts, each receipt's facts inserted by one call of the store's
+    writer (:meth:`facts.FactStore.insert_all`). It is returned unsealed,
+    without the indexes that only evaluation reads: call ``seal()`` on it
+    before evaluating rules. A line that is not JSON
+    (:func:`facts.parse_json`), that is not UTF-8 or whose object names
+    one key twice fails fast with its line number.
     """
     store = f.FactStore()
     receipts, warnings, contracts = 0, [], {}
-    store.insert_all(config.static)  # with the cctx_finality conflict check
-    # no decoder yields cctx_finality, so decoded facts skip insert()'s checks
-    relations = store._relations
+    store.insert_all(config.static)
     path = Path(receipts_path)
     with open(path, encoding="utf-8") as fh, f.reading_utf8(path, IngestError):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _parse_receipt(line)
             except (ValueError, RecursionError):
                 # parsed again to name the fault with its line, which only a failing line pays for
                 f.parse_json(line, f"{path}:{line_no}", IngestError)
                 raise
+            except f._RepeatedKey as exc:
+                key = f.shown(exc.args[0])
+                raise IngestError(f"{path}:{line_no}: duplicate key {key}") from None
             try:
                 decoded, found = decode_receipt(obj, config, contracts)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
             receipts += 1
             warnings += found
-            for fact in decoded:
-                relations[fact.RELATION].add(fact)
+            store.insert_all(decoded)
     counts = {name: count for name, count in store.relation_counts().items() if count}
     return store, IngestReport(receipts, counts, warnings)

@@ -173,11 +173,6 @@ class CctxSet(frozenset):
     __slots__ = ("matched_escrows", "matched_releases", "early")
 
 
-def _require_sealed(store: FactStore) -> None:
-    if not store.sealed:
-        raise RuntimeError("store must be sealed before evaluation")
-
-
 def _no_finality(chains) -> ConfigurationError:
     return ConfigurationError(
         f"no cctx_finality fact for chain(s): {', '.join(map(str, sorted(chains)))}"
@@ -338,7 +333,7 @@ _body = cache(compile_rule)
 
 
 def _eval_local(store: FactStore, rule_id: int) -> frozenset:
-    _require_sealed(store)
+    store.require_sealed()
     direction, event, shapes, _ = _LOCAL_RULES[rule_id]
     mappings = store.token_mappings
     if direction:
@@ -376,7 +371,7 @@ def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxS
     ``rule_id``, each given or evaluated here, through an index of the
     escrows by id. Raises :class:`ConfigurationError` for a pair whose
     escrow chain has no finality window."""
-    _require_sealed(store)
+    store.require_sealed()
     native, erc20, releases = (
         _eval_local(store, leg_rule) if given is None else given
         for leg_rule, given in enumerate(legs, rule_id - 3)
@@ -460,7 +455,7 @@ def eval_all(store: FactStore) -> RuleOutputs:
     Raises :class:`ConfigurationError` if any chain referenced by the
     store's facts has no finality window.
     """
-    _require_sealed(store)
+    store.require_sealed()
     missing = store.chain_ids() - set(store.finality)
     if missing:
         raise _no_finality(missing)

@@ -42,11 +42,12 @@ The synthetic bridge emits one event per bridge relation, and its decoder
 config lays each event out from the relation's columns: those after
 ``tx_hash`` and ``event_index``, in column order, fill topics 1, 2, ...
 up to the event's number of indexed columns, then data words 0, 1, ....
-A ``bridge_addr`` column is the log's emitter and takes no position. The
-column kind gives the field type and the signature type: ``Address`` is
-``address``/``address``, ``ChainId`` ``chain_id``/``uint256``, ``Amount``
-``uint``/``uint256`` and ``Opaque`` ``id``/``uint256``, except ``standard``,
-an ``enum``/``uint8`` labelled ``ERC20`` (0) and ``NATIVE`` (1).
+A ``bridge_addr`` column is the log's emitter and takes no position. A
+column's field type is the first that the decoder lets its kind take
+(``ingest._FIELD_TYPES``): ``Address`` is ``address``, ``ChainId``
+``chain_id``, ``Amount`` ``uint`` and ``Opaque`` ``id``, each signed as
+``uint256`` but an ``address``; ``standard`` is an ``enum``, signed as
+``uint8`` and labelled ``ERC20`` (0) and ``NATIVE`` (1).
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from . import facts as f
 from .facts import FactStore, dump_facts_dir
-from .ingest import NATIVE_EVENT_INDEX, BridgeDecoderConfig, encode_receipt, static_facts
+from .ingest import (_FIELD_TYPES, NATIVE_EVENT_INDEX, BridgeDecoderConfig, encode_receipt,
+                     static_facts)
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
 
 __all__ = [
@@ -245,14 +247,16 @@ class GeneratedScenario(NamedTuple):
                 fh.write(json.dumps(receipt, sort_keys=True) + "\n")
 
     def write_config(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.config, path)
 
     def write_ground_truth(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.ground_truth, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.ground_truth, path)
+
+
+def _write_json(obj: Any, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # --- synthetic bridge ABI ---------------------------------------------------
@@ -267,10 +271,6 @@ _EVENTS = (
     ("NativeReleased", "sc_withdrawal", 1),
 )
 
-# The field type and the ABI type of a column, by its kind
-_TYPES = {"Address": ("address", "address"), "ChainId": ("chain_id", "uint256"),
-          "Amount": ("uint", "uint256"), "Opaque": ("id", "uint256")}
-
 
 def _event_entry(name: str, relation: str, indexed: int) -> dict:
     """The config entry of the event ``name``, whose first ``indexed``
@@ -283,7 +283,8 @@ def _event_entry(name: str, relation: str, indexed: int) -> dict:
             continue
         at = len(params)
         plan = {"topic": at + 1} if at < indexed else {"data": at - indexed}
-        ftype, abi = ("enum", "uint8") if column == "standard" else _TYPES[kind.name]
+        ftype = "enum" if column == "standard" else _FIELD_TYPES[kind.name][0]
+        abi = {"enum": "uint8", "address": "address"}.get(ftype, "uint256")
         fields[column] = {**plan, "type": ftype}
         if ftype == "enum":
             fields[column]["labels"] = {"0": "ERC20", "1": "NATIVE"}
@@ -524,8 +525,7 @@ class _Builder:
             fact = f.TransactionFact._unchecked(tx.timestamp, tx.chain_id, tx.tx_hash,
                                                 height[tx.chain_id], tx.from_address,
                                                 tx.to_address, tx.value, 1, tx.gas_used)
-            store.insert(fact)
-            store.insert_all(tx.event_facts)
+            store.insert_all([fact, *tx.event_facts])
             txs.append((fact, tx.event_facts))
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
         return GeneratedScenario(params=p, store=store.seal(), ground_truth=gt, config=config,

@@ -72,6 +72,13 @@ class TestLocalMismatches:
         assert [a.kind for a in anomalies] == ["SingleBridgeEvent"]
         assert anomalies[0].as_dict()["chain_ids"] == []
 
+    def test_transfer_without_any_transaction_fact_has_its_own_chain(self):
+        # without a transaction fact, the chain is the one the transfer names
+        transfer = f.Erc20TransferFact(txh("ae"), T_CHAIN, 1, AA, U1, B2, "6")
+        anomalies = analytics.local_mismatches(build_store(static_facts(), [transfer]))
+        assert [a.kind for a in anomalies] == ["SingleTokenEvent"]
+        assert anomalies[0].as_dict()["chain_ids"] == [T_CHAIN]
+
     def test_transfer_out_of_bridge_counts_as_touching(self):
         extra = [
             f.TransactionFact(100, S_CHAIN, txh("ac"), 1, U1, B1, "0", 1, 21_000),

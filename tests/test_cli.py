@@ -394,6 +394,12 @@ BAD_INGEST_INPUTS = [
     ("config text", lambda text: text.replace('"finality_seconds": 1800', '"finality_seconds": ' + "9" * 5000),
      "decoder_config.json: chains.1.finality_seconds: out of uint256 range"),
     ("receipts text", lambda line: "[" * 100_000, "receipts.jsonl:1: JSON nested too deeply"),
+    # a repeated key is refused, as json.loads alone would read its last value
+    ("receipts text", lambda line: line.replace('"status": 1', '"status": 7, "status": 1', 1),
+     "receipts.jsonl:1: duplicate key 'status'"),
+    # an integer too long to convert is named by its key also when the key repeats
+    ("receipts text", lambda line: line.replace('"gasUsed": ', f'"gasUsed": {"9" * 5000}, "gasUsed": '),
+     "receipts.jsonl:1: gasUsed: out of uint256 range"),
     ("config text", lambda text: "[" * 100_000, "decoder_config.json: JSON nested too deeply"),
     # keys a config does not read, and shapes it cannot read
     ("config", lambda c: [spec.update(bridge_address=spec.pop("bridge_addresses"))

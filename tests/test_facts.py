@@ -190,6 +190,13 @@ class TestStore:
         backward.insert_all(reversed(all_facts))
         assert forward == backward
 
+    def test_only_facts_names_the_relations(self):
+        # every write goes through FactStore.insert_all, with its checks
+        package = Path(f.__file__).parent
+        naming = [path.name for path in sorted(package.glob("*.py"))
+                  if re.search(r"\b_relations\b", path.read_text(encoding="utf-8"))]
+        assert naming == ["facts.py"]
+
     @given(st.permutations(range(len(static_facts() + f1_facts()))))
     def test_any_permutation_equal(self, order):
         all_facts = static_facts() + f1_facts()

@@ -26,14 +26,16 @@ Each fact class annotates its columns with a kind (``Address``, ``Uint``,
 constructor, the compiled row matcher and builder used by
 :func:`load_facts_dir`, the row renderer used by :func:`dump_facts_dir`, and
 the unchecked builder that the receipt decoder calls with values it has
-already brought into canonical form. It also yields what makes each fact
-a value (:func:`_relation`): one slot per column and no ``__dict__``; equal
+already brought into canonical form. The constructor, builders and renderer
+are generated source, each compiled on its first use per class
+(:class:`_FirstUse`): a command compiles only what it runs. The table also
+yields what makes each fact a value (:func:`_relation`): one slot per
+column and no ``__dict__``, and a getter of the column tuple, over which
+:class:`_Fact` defines the value methods, none of them generated: equal
 only to a fact of its own class with equal columns; hashed as the tuple of
-its columns; shown as ``Name(col=value, ...)``; no field to assign or
-delete (``AttributeError``); pickled through the validating constructor.
-Each of these methods is generated source, compiled on its first use per
-class (:class:`_FirstUse`): a command compiles only the methods that it
-runs, and each then runs as if compiled at import.
+its columns; shown as ``Name(col=value, ...)``; pickled through the
+validating constructor. No field can be assigned or deleted
+(``AttributeError``).
 
 Each canonical form is checked by one rule, which the constructors, the
 ``.facts`` row patterns and the receipt decoder share.
@@ -42,14 +44,14 @@ The store keeps each relation as its distinct facts (set semantics:
 duplicates collapse, insertion order never matters): a set while facts are
 inserted, and a tuple once loaded or sealed, so that reading a relation
 hashes no fact and copies nothing. :meth:`FactStore.insert_all` is its one
-writer, and :meth:`FactStore.require_sealed` the one check that rules and
-analytics make before they read its indexes; no other module touches the
-relations. Secondary indexes are built when the
-store is sealed, each a dict from key to the key's fact when it has one,
-and to the tuple of its facts when several share the key (:func:`index_by`,
-read through :func:`group`). Persistence is one
-tab-separated ``<relation>.facts`` file per relation, compatible with
-common Datalog engine fact-file layouts.
+writer, and keeps ``finality`` as it writes (``seal()`` does not build it);
+:meth:`FactStore.require_sealed` is the one check that rules and analytics
+make before they read its indexes; no other module touches the relations.
+Secondary indexes are built when the store is sealed, each a dict from key
+to the key's fact when it has one, and to the tuple of its facts when
+several share the key (:func:`index_by`, read through :func:`group`).
+Persistence is one tab-separated ``<relation>.facts`` file per relation,
+compatible with common Datalog engine fact-file layouts.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import compress
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -318,22 +320,21 @@ RELATIONS: dict[str, type[_Fact]] = {}
 
 def _relation(cls):
     """Rebuild ``cls`` with the ``__slots__`` of its annotated (name, kind)
-    columns, in ``COLUMNS`` order, and give it the generated methods, each
-    compiled on its first use (:class:`_FirstUse`): the validating
-    ``__init__``; the row builder of :func:`load_facts_dir` and the row
-    renderer of :func:`dump_facts_dir`; ``_unchecked``, which takes every
-    column already canonical and checks none of them; and the value
-    methods. A fact equals only a fact of its class with equal columns,
-    hashes as their tuple, shows as ``Name(col=value, ...)`` and pickles
-    through the validating constructor; :class:`_Fact` refuses to assign
-    or delete a field (``AttributeError``)."""
+    columns, in ``COLUMNS`` order, and their getter ``_values``, and give
+    it the generated methods, each compiled on its first use
+    (:class:`_FirstUse`): the validating ``__init__``; the row builder of
+    :func:`load_facts_dir` and the row renderer of :func:`dump_facts_dir`;
+    and ``_unchecked``, which takes every column already canonical and
+    checks none of them. The value methods are :class:`_Fact`'s, over
+    ``_values``; none is generated."""
     # annotations are strings (``from __future__ import annotations``); the
     # ClassVar ones name no kind
     columns = tuple((name, _KINDS[kind]) for name, kind in cls.__annotations__.items()
                     if kind in _KINDS)
     names = [name for name, _ in columns]
     body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
-    cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(names), "COLUMNS": columns})
+    cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(names), "COLUMNS": columns,
+                                             "_values": attrgetter(*names)})
     env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_intern": sys.intern}
     init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
     for name, kind in columns:
@@ -343,18 +344,11 @@ def _relation(cls):
         build.append(f"_set_{name}(self, {kind.load.format(v=name)})")
         plain.append(f"_set_{name}(self, {name})")
     row = "\\t".join(f"{{self.{name}}}" for name in names)
-    values = "".join(f"self.{name}, " for name in names)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
     for signature, lines in {
         f"__init__(self, {', '.join(names)})": init,
         "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
         f"_unchecked({', '.join(names)})": [*plain, "return self"],
-        "__eq__(self, other)": [f"return ({values}) == ({values.replace('self.', 'other.')})"
-                                " if other.__class__ is self.__class__ else NotImplemented"],
-        "__hash__(self)": [f"return hash(({values}))"],
-        "__repr__(self)": [f'return f"{cls.__name__}({shown})"'],
-        "__reduce__(self)": [f"return _cls, ({values})"],
     }.items():
         name = signature.split("(", 1)[0]
         setattr(cls, name, _FirstUse(cls, env, signature, lines,
@@ -366,7 +360,9 @@ def _relation(cls):
 
 
 class _Fact:
-    """Base for all relations; field order equals on-disk column order."""
+    """Base for all relations; field order equals on-disk column order.
+    ``_values``, set by :func:`_relation`, reads a fact's columns as a
+    tuple (every relation has two or more): the value methods read it."""
 
     __slots__ = ()
 
@@ -375,6 +371,20 @@ class _Fact:
 
     def columns(self) -> tuple[str, ...]:
         return tuple(self._to_row().split("\t"))
+
+    def __eq__(self, other):
+        return (self._values(self) == self._values(other) if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
+        return f"{self.__class__.__name__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
     # the constructors set each slot through its descriptor, not through these
     def __setattr__(self, name: str, _) -> None:
@@ -601,16 +611,16 @@ def group(index: dict, key: Any) -> tuple:
 class FactStore:
     """Set-semantics container for the thirteen relations.
 
-    Single-writer while building; ``seal()`` freezes it, turns each
-    relation into a tuple of its distinct facts and builds the secondary
-    indexes, after which it is safe for concurrent readers:
+    Single-writer while building; the writer also keeps ``finality``, each
+    chain id to its window in seconds. ``seal()`` freezes the store, turns
+    each relation into a tuple of its distinct facts and builds the
+    secondary indexes, after which it is safe for concurrent readers:
 
     * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
       and the eight event relations), each tx hash to its facts of that
       relation;
     * ``bridge_addresses``, ``token_mappings``, ``wrapped_native``: the
-      static relations as sets of plain tuples;
-    * ``finality``: each chain id to its finality window in seconds.
+      static relations as sets of plain tuples.
 
     The indexes of facts map a key to its fact when the key has one, and
     to the tuple of its facts when several share it; they are built by
@@ -621,12 +631,13 @@ class FactStore:
     def __init__(self):
         self._relations: dict[str, set | tuple] = {name: set() for name in RELATIONS}
         self._sealed = False
+        # the cctx_finality relation as a map, kept by insert_all
+        self.finality: dict[int, int] = {}
         # indexes, populated by seal()
         self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()
-        self.finality: dict[int, int] = {}
 
     @property
     def sealed(self) -> bool:
@@ -651,13 +662,11 @@ class FactStore:
             facts_of = relations[relation]
             if facts_of.__class__ is tuple:  # loaded: a set again, so that repeats collapse
                 facts_of = relations[relation] = set(facts_of)
-            if isinstance(fact, CctxFinalityFact):
-                for existing in facts_of:
-                    if existing.chain_id == fact.chain_id and existing != fact:
-                        raise FactStoreError(
-                            f"conflicting cctx_finality for chain {fact.chain_id}: "
-                            f"{existing.finality_seconds} vs {fact.finality_seconds}"
-                        )
+            if relation == "cctx_finality":
+                window = self.finality.setdefault(fact.chain_id, fact.finality_seconds)
+                if window != fact.finality_seconds:
+                    raise FactStoreError(f"conflicting cctx_finality for chain {fact.chain_id}: "
+                                         f"{window} vs {fact.finality_seconds}")
             facts_of.add(fact)
 
     def require_sealed(self) -> None:
@@ -705,37 +714,38 @@ class FactStore:
         tx_hash = attrgetter("tx_hash")
         self.by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
                       if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
-        self.bridge_addresses = {
-            (f.chain_id, f.address) for f in self._relations["bridge_controlled_address"]
-        }
-        self.token_mappings = {
-            (f.orig_chain_id, f.dst_chain_id, f.orig_token, f.dst_token, f.standard)
-            for f in self._relations["token_mapping"]
-        }
-        self.wrapped_native = {
-            (f.chain_id, f.token) for f in self._relations["wrapped_native_token"]
-        }
-        self.finality = {
-            f.chain_id: f.finality_seconds for f in self._relations["cctx_finality"]
-        }
+        self.bridge_addresses, self.token_mappings, self.wrapped_native = (
+            set(map(RELATIONS[name]._values, self._relations[name]))
+            for name in ("bridge_controlled_address", "token_mapping", "wrapped_native_token"))
         self._sealed = True
         return self
 
 
 def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
     """The fact of a line that the relation's row pattern did not match,
-    built by each column kind's codec. Such a line holds an integer longer
-    than the pattern admits, or text that a codec refuses: the error names
-    the first such column."""
+    built by the validating constructor. Such a line holds an integer
+    longer than the pattern admits, or text that a column's check refuses:
+    the error names the first such column."""
     cols = line.removesuffix("\n").split("\t")
     if len(cols) != len(fact_type.COLUMNS):
         raise EncodingError(
             fact_type.RELATION, f"expected {len(fact_type.COLUMNS)} columns, got {len(cols)}"
         )
-    return fact_type._unchecked(*(
-        kind.check(uint_text(text, name) if kind.load == _INT else text, name)
-        for (name, kind), text in zip(fact_type.COLUMNS, cols)
-    ))
+    try:
+        return fact_type(*map(_int_or_text, cols, fact_type.COLUMNS))
+    except EncodingError as exc:
+        index = fact_type.__slots__.index(exc.field)
+        if fact_type.COLUMNS[index][1].load == _INT:  # text refused: named as uint_text names it
+            uint_text(cols[index], exc.field)
+        raise
+
+
+def _int_or_text(text: str, column: tuple[str, _Kind]) -> int | str:
+    """The integer of an integer column's text, where :func:`uint_text`
+    reads one, and else the text, for the constructor to refuse in order."""
+    with suppress(EncodingError):
+        return uint_text(text, "") if column[1].load == _INT else text
+    return text
 
 
 def load_facts_dir(path: str | Path) -> FactStore:

@@ -43,10 +43,13 @@ Each canonical form is checked by one rule, which the constructors, the
 The store keeps each relation as its distinct facts (set semantics:
 duplicates collapse, insertion order never matters): a set while facts are
 inserted, and a tuple once loaded or sealed, so that reading a relation
-hashes no fact and copies nothing. :meth:`FactStore.insert_all` is its one
-writer, and keeps ``finality`` as it writes (``seal()`` does not build it);
-:meth:`FactStore.require_sealed` is the one check that rules and analytics
-make before they read its indexes; no other module touches the relations.
+hashes no fact and copies nothing. :meth:`FactStore.insert_all` writes
+the relations, and keeps ``finality`` as it writes (``seal()`` does not
+build it); :func:`load_facts_dir` alone sets each relation of the new store
+it fills directly, and sends only ``cctx_finality`` rows through
+``insert``. :meth:`FactStore.require_sealed` is the one check that rules
+and analytics make before they read its indexes; no other module touches
+the relations.
 Secondary indexes are built when the store is sealed, each a dict from key
 to the key's fact when it has one, and to the tuple of its facts when
 several share the key (:func:`index_by`, read through :func:`group`).
@@ -229,15 +232,15 @@ def _opaque(value, field: str) -> str:
 
 
 class _Kind(NamedTuple):
-    """The encoding of one column kind."""
+    """The encoding of one column kind: the constructor's check, the
+    canonical ``.facts`` text, and the function that loads that text."""
 
     check: Callable[[Any, str], Any]  # constructor: (value, field) -> canonical value
     pattern: str  # regex of every ``.facts`` text the kind accepts
-    load: str  # expression turning the matched text ``{v}`` into the value
+    load: Callable[[str], Any]  # matched text -> value: ``int``, or ``sys.intern`` to share it
     name: str = ""  # the annotation that selects the kind, set in _KINDS
 
 
-_INT = "int({v})"
 # Integers of at most 77 digits, all within uint256; a longer one makes its
 # row take the checked path of load_facts_dir.
 _DECIMAL = "0|[1-9][0-9]{0,76}"
@@ -249,14 +252,14 @@ _DECIMAL = "0|[1-9][0-9]{0,76}"
 # constructor does. Text values are shared on load as the constructor's
 # checks share them.
 _KINDS = {
-    "Address": _Kind(canonical_address, _ADDRESS_RE.pattern, "_intern({v})"),
-    "TxHash": _Kind(canonical_tx_hash, _TX_HASH_RE.pattern, "_intern({v})"),
-    "Amount": _Kind(canonical_amount, _DECIMAL, "_intern({v})"),
-    "Opaque": _Kind(_opaque, "[^\t\n\r]*", "_intern({v})"),
-    "Uint": _Kind(_uint, _DECIMAL, _INT),
-    "ChainId": _Kind(_chain_id, "[1-9][0-9]{0,76}", _INT),
-    "Status": _Kind(_status, "[01]", _INT),
-    "Positive": _Kind(_positive, "[1-9][0-9]{0,76}", _INT),
+    "Address": _Kind(canonical_address, _ADDRESS_RE.pattern, sys.intern),
+    "TxHash": _Kind(canonical_tx_hash, _TX_HASH_RE.pattern, sys.intern),
+    "Amount": _Kind(canonical_amount, _DECIMAL, sys.intern),
+    "Opaque": _Kind(_opaque, "[^\t\n\r]*", sys.intern),
+    "Uint": _Kind(_uint, _DECIMAL, int),
+    "ChainId": _Kind(_chain_id, "[1-9][0-9]{0,76}", int),
+    "Status": _Kind(_status, "[01]", int),
+    "Positive": _Kind(_positive, "[1-9][0-9]{0,76}", int),
 }
 _KINDS = {name: kind._replace(name=name) for name, kind in _KINDS.items()}
 
@@ -265,20 +268,14 @@ Address = TxHash = Amount = Opaque = str
 Uint = ChainId = Status = Positive = int
 
 
-def _compile(cls: type, env: dict, functions: dict[str, list[str]]) -> list[Callable]:
-    """Compile one ``def <signature>: <body>`` per item of ``functions``,
-    reading ``env`` as closure variables (faster than globals)."""
-    names = [signature.split("(", 1)[0] for signature in functions]
-    lines = [f"def _factory({', '.join(env)}):"]
-    for signature, body in functions.items():
-        lines += [f"  def {signature}:", *(f"    {line}" for line in body)]
-    lines.append(f"  return {', '.join(names)},")
-    namespace: dict = {}
-    exec("\n".join(lines), {}, namespace)
-    compiled = namespace["_factory"](**env)
-    for fn in compiled:
-        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
-    return compiled
+def _compile(owner: type, env: dict, signature: str, body: list[str]) -> Callable:
+    """The function ``def <signature>: <body>``, compiled with a copy of
+    ``env`` as its globals and named as a method of ``owner``."""
+    namespace = dict(env)
+    exec("\n".join([f"def {signature}:", *(f"  {line}" for line in body)]), namespace)
+    fn = namespace[signature.split("(", 1)[0]]
+    fn.__qualname__ = f"{owner.__qualname__}.{fn.__name__}"
+    return fn
 
 
 class _FirstUse:
@@ -302,7 +299,7 @@ class _FirstUse:
 
     def compiled(self) -> Callable:
         if self.function is None:
-            self.function, = _compile(self.cls, self.env, {self.signature: self.body})
+            self.function = _compile(self.cls, self.env, self.signature, self.body)
         return self.function
 
     def __call__(self, *args):
@@ -335,13 +332,13 @@ def _relation(cls):
     body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(names), "COLUMNS": columns,
                                              "_values": attrgetter(*names)})
-    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls, "_intern": sys.intern}
+    env: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
     init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
     for name, kind in columns:
         env[f"_set_{name}"] = getattr(cls, name).__set__
-        env[f"_check_{name}"] = kind.check
+        env[f"_check_{name}"], env[f"_load_{name}"] = kind.check, kind.load
         init.append(f"_set_{name}(self, _check_{name}({name}, {name!r}))")
-        build.append(f"_set_{name}(self, {kind.load.format(v=name)})")
+        build.append(f"_set_{name}(self, _load_{name}({name}))")
         plain.append(f"_set_{name}(self, {name})")
     row = "\\t".join(f"{{self.{name}}}" for name in names)
     for signature, lines in {
@@ -611,10 +608,12 @@ def group(index: dict, key: Any) -> tuple:
 class FactStore:
     """Set-semantics container for the thirteen relations.
 
-    Single-writer while building; the writer also keeps ``finality``, each
-    chain id to its window in seconds. ``seal()`` freezes the store, turns
-    each relation into a tuple of its distinct facts and builds the
-    secondary indexes, after which it is safe for concurrent readers:
+    Built by :meth:`insert_all`, which also keeps ``finality``, each chain
+    id to its window in seconds (:func:`load_facts_dir` sets the relations
+    of a new store directly, but inserts its ``cctx_finality`` rows).
+    ``seal()`` freezes the store, turns each relation into a tuple of its
+    distinct facts and builds the secondary indexes, after which it is safe
+    for concurrent readers:
 
     * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
       and the eight event relations), each tx hash to its facts of that
@@ -648,10 +647,12 @@ class FactStore:
         self.insert_all((fact,))
 
     def insert_all(self, facts: Iterable[_Fact]) -> None:
-        """Insert each of ``facts`` (idempotent for identical facts): the
-        store's one writer. Inserting into a sealed store, a fact of no
-        relation, or a finality window that differs from a chain's earlier
-        one raises :class:`FactStoreError`."""
+        """Insert each of ``facts`` (idempotent for identical facts); only
+        :func:`load_facts_dir` writes a relation otherwise, that of a new
+        store, and it inserts its ``cctx_finality`` rows here. Inserting
+        into a sealed store, a fact of no relation, or a finality window
+        that differs from a chain's earlier one raises
+        :class:`FactStoreError`."""
         if self._sealed:
             raise FactStoreError("store is sealed")
         relations = self._relations
@@ -735,7 +736,7 @@ def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
         return fact_type(*map(_int_or_text, cols, fact_type.COLUMNS))
     except EncodingError as exc:
         index = fact_type.__slots__.index(exc.field)
-        if fact_type.COLUMNS[index][1].load == _INT:  # text refused: named as uint_text names it
+        if fact_type.COLUMNS[index][1].load is int:  # text refused: named as uint_text names it
             uint_text(cols[index], exc.field)
         raise
 
@@ -744,7 +745,7 @@ def _int_or_text(text: str, column: tuple[str, _Kind]) -> int | str:
     """The integer of an integer column's text, where :func:`uint_text`
     reads one, and else the text, for the constructor to refuse in order."""
     with suppress(EncodingError):
-        return uint_text(text, "") if column[1].load == _INT else text
+        return uint_text(text, "") if column[1].load is int else text
     return text
 
 
@@ -820,9 +821,8 @@ def reading_utf8(path: str | Path, error: Callable[[str], InputError],
         raise error(f"{where}: not UTF-8: {exc.reason}") from exc
 
 
-class _RepeatedKey(Exception):
-    """A JSON object names one key twice. Not a ``ValueError``, so that
-    :func:`parse_json` lets it pass."""
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice."""
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -838,6 +838,12 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+# The one JSON decoder of every input file. An object that names one key
+# twice, which json.loads alone would read as its last value, raises
+# _RepeatedKey: parse_json names it.
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys: str) -> None:
     """Raise ``error`` naming ``where`` and the first key of ``obj`` not in ``keys``."""
     for key in obj:
@@ -847,24 +853,24 @@ def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys:
 
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
     """The JSON document in the file ``path``, read by :func:`parse_json`.
-    A file that is not UTF-8, or an object that names one key twice (which
-    ``json.loads`` alone would read as its last value), raises ``error``
-    naming the file, too."""
+    A file that is not UTF-8 raises ``error`` naming the file, too."""
     with open(path, encoding="utf-8") as fh, reading_utf8(path, error, by_line=False):
         text = fh.read()
+    return parse_json(text, path, error)
+
+
+def parse_json(text: str, where: str | Path, error: Callable[[str], InputError]) -> Any:
+    """The JSON document ``text``, read by :data:`_JSON_DECODER`. Text that
+    is not JSON, that starts with a byte-order mark, that nests too deeply,
+    that holds an integer too long to convert or an object that names one
+    key twice raises ``error`` naming ``where`` (a file, or a file and
+    line)."""
     try:
-        return parse_json(text, path, error, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _JSON_DECODER.decode(text)
     except _RepeatedKey as exc:
-        raise error(f"{path}: duplicate key {shown(exc.args[0])}") from None
-
-
-def parse_json(text: str, where: str | Path, error: Callable[[str], InputError],
-               object_pairs_hook: Callable[[list], Any] | None = None) -> Any:
-    """The JSON document ``text``. Text that is not JSON, that nests too
-    deeply or that holds an integer too long to convert raises ``error``
-    naming ``where`` (a file, or a file and line)."""
-    try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        raise error(f"{where}: duplicate key {shown(exc.args[0])}") from None
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -49,14 +49,15 @@ value moves before every log of the transaction, so no rule compares
 that index with a log's, and a bridge log at ``logIndex`` 0 pairs with
 the escrow as well as one at any other index.
 
-A receipt line whose object names one key twice is refused, as a config
-that does is. The receipt's status is checked by the facts' check of the
-``status`` column (``status: expected 0 or 1, got N``), and a receipt with
-status 0 that has logs is refused: a chain drops the logs of a reverted
-transaction. A contract address (a receipt's ``to``, a log's
-emitter) repeats across receipts, so each distinct text of one is checked
-once per :func:`ingest_jsonl` call; a ``value`` that is canonical decimal
-text is kept as it is.
+Receipt lines and the config are read by the facts' one JSON decoder
+(:func:`facts.parse_json`), so a receipt line whose object names one key
+twice is refused, as a config that does is. The receipt's status is
+checked by the facts' check of the ``status`` column (``status: expected
+0 or 1, got N``), and a receipt with status 0 that has logs is refused: a
+chain drops the logs of a reverted transaction. A contract address (a
+receipt's ``to``, a log's emitter) repeats across receipts, so each
+distinct text of one is checked once per :func:`ingest_jsonl` call; a
+``value`` that is canonical decimal text is kept as it is.
 
 A log that a decoder refuses yields one warning and no fact; the rest of
 the receipt still decodes. The warning is the decoder's reason after the
@@ -73,7 +74,6 @@ not (``topic N is not one 32-byte hex word``).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from operator import attrgetter
@@ -380,7 +380,10 @@ _MAX_ADDRESS = "0" * 24 + "f" * 40  # the greatest word whose top 12 bytes are z
 
 
 def _uint_word(value: int | str, what: str) -> str:
-    return format(int(f.canonical_amount(value, what)), "064x")
+    """The data word of an amount or identifier: its text read by
+    ``facts.uint_text``, an integer checked by ``facts._uint``."""
+    return format(f.uint_text(value, what) if isinstance(value, str) else f._uint(value, what),
+                  "064x")
 
 
 def _enum_word(codes: dict, label: str, what: str) -> str:
@@ -480,8 +483,8 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
                                  for gap, i in _runs(words["data"]))])
     encode.append(f"return {{'address': address, 'topics': [{topics}], "
                   f"'data': {data}, 'logIndex': fact.event_index}}")
-    decoder, = f._compile(fact_type, env, {
-        "decode(topics, data, address, tx_hash, event_index, chain_id)": decode})
+    decoder = f._compile(fact_type, env,
+                         "decode(topics, data, address, tx_hash, event_index, chain_id)", decode)
     # only the generator encodes, so that ingest never compiles an encoder
     encoder = f._FirstUse(fact_type, env, "encode(fact, address)", encode)
     return EventPlan(topic0, relation, fields, decoder, encoder)
@@ -627,25 +630,23 @@ def encode_receipt(tx: f.TransactionFact, facts: Iterable, config: BridgeDecoder
             "value": tx.value, "status": tx.status, "gasUsed": tx.gas_used, "logs": logs}
 
 
-# Reads one receipt line; an object that names one key twice, which json.loads
-# alone would read as its last value, raises facts._RepeatedKey.
-_parse_receipt = json.JSONDecoder(object_pairs_hook=f._unique_keys).decode
-
-
 def ingest_jsonl(
     receipts_path: str | Path, config: BridgeDecoderConfig
 ) -> tuple[f.FactStore, IngestReport]:
     """Decode a JSONL receipts file into a store plus a report.
 
     The store contains the union of all decoded facts and the config's
-    static facts, each receipt's facts inserted by one call of the store's
-    writer (:meth:`facts.FactStore.insert_all`). It is returned unsealed,
+    static facts, each receipt's facts inserted by one call of
+    :meth:`facts.FactStore.insert_all`. It is returned unsealed,
     without the indexes that only evaluation reads: call ``seal()`` on it
-    before evaluating rules. A line that is not JSON
-    (:func:`facts.parse_json`), that is not UTF-8 or whose object names
-    one key twice fails fast with its line number.
+    before evaluating rules. Each line is read by the facts' one JSON
+    decoder, and a line that it refuses is read again by
+    :func:`facts.parse_json` to name the fault: a line that is not JSON,
+    that is not UTF-8 or whose object names one key twice fails fast with
+    its line number.
     """
     store = f.FactStore()
+    parse = f._JSON_DECODER.decode
     receipts, warnings, contracts = 0, [], {}
     store.insert_all(config.static)
     path = Path(receipts_path)
@@ -654,14 +655,11 @@ def ingest_jsonl(
             if not line.strip():
                 continue
             try:
-                obj = _parse_receipt(line)
+                obj = parse(line)
             except (ValueError, RecursionError):
                 # parsed again to name the fault with its line, which only a failing line pays for
                 f.parse_json(line, f"{path}:{line_no}", IngestError)
                 raise
-            except f._RepeatedKey as exc:
-                key = f.shown(exc.args[0])
-                raise IngestError(f"{path}:{line_no}: duplicate key {key}") from None
             try:
                 decoded, found = decode_receipt(obj, config, contracts)
             except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks

@@ -265,7 +265,7 @@ _READS_TX = re.compile(r"\btx\.").search
 _GROUP = "({0} if {0}.__class__ is tuple else ({0},))"
 
 
-def _local_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
+def _local_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]]:
     """For each bridge event and shape: a loop over the shape's legs in the
     event's transaction and, inside it, over the transactions with that
     hash. Each conjunct sits in the innermost loop whose variable it reads,
@@ -292,15 +292,15 @@ def _local_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]
             f"          add(_head({columns}))",
         ]
     legs = ", ".join(f"legs{n}" for n in range(len(shapes)))
-    return {f"rule{rule_id}(events, txs, bridges, mappings, wrapped, {legs})":
-            [*lines, "return frozenset(out)"]}
+    return (f"rule{rule_id}(events, txs, bridges, mappings, wrapped, {legs})",
+            [*lines, "return frozenset(out)"])
 
 
-def _join_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
+def _join_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]]:
     """Each release against the escrows with its id: a pair with the same
     ``join_key`` is a cross-chain tuple if it holds ``finality``, and
     ``early`` if not. A chain without a window raises ``KeyError``."""
-    return {f"rule{rule_id}(releases, escrows_by_id, finality)": [
+    return f"rule{rule_id}(releases, escrows_by_id, finality)", [
         "out, matched_escrows, matched_releases, early = set(), set(), set(), set()",
         "for rel in releases:",
         "  escrows_hit = escrows_by_id.get(rel[2], ())",
@@ -316,14 +316,14 @@ def _join_body(rule_id: int, conjuncts: dict[str, str]) -> dict[str, list[str]]:
         "      else:",
         "        early.add((esc, rel, window))",
         "return out, matched_escrows, matched_releases, early",
-    ]}
+    ]
 
 
 def compile_rule(rule_id: int, conjuncts: dict[str, str] = CONJUNCTS) -> Callable:
     """The body of rule ``rule_id``, compiled from ``conjuncts``."""
     body = _local_body if rule_id in _LOCAL_RULES else _join_body
     head = RULE_TYPES[rule_id]
-    return _compile(head, {"_head": head}, body(rule_id, conjuncts))[0]
+    return _compile(head, {"_head": head}, *body(rule_id, conjuncts))
 
 
 # Each body is compiled on its rule's first evaluation, so that a caller of

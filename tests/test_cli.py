@@ -401,6 +401,11 @@ BAD_INGEST_INPUTS = [
     ("receipts text", lambda line: line.replace('"gasUsed": ', f'"gasUsed": {"9" * 5000}, "gasUsed": '),
      "receipts.jsonl:1: gasUsed: out of uint256 range"),
     ("config text", lambda text: "[" * 100_000, "decoder_config.json: JSON nested too deeply"),
+    # a byte-order mark is named, as json.loads names it
+    ("receipts text", lambda line: "\ufeff" + line,
+     "receipts.jsonl:1: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("config text", lambda text: "\ufeff" + text,
+     "decoder_config.json: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     # keys a config does not read, and shapes it cannot read
     ("config", lambda c: [spec.update(bridge_address=spec.pop("bridge_addresses"))
                           for spec in c["chains"].values()],

@@ -191,7 +191,8 @@ class TestStore:
         assert forward == backward
 
     def test_only_facts_names_the_relations(self):
-        # every write goes through FactStore.insert_all, with its checks
+        # FactStore.insert_all writes the relations, with its checks; only
+        # load_facts_dir sets those of a new store directly
         package = Path(f.__file__).parent
         naming = [path.name for path in sorted(package.glob("*.py"))
                   if re.search(r"\b_relations\b", path.read_text(encoding="utf-8"))]

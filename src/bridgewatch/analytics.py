@@ -201,7 +201,7 @@ def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
                     chain_ids=(t.orig_chain_id if escrow else t.chain_id,),
                     tx_hashes=(t.tx_hash,),
                     amount=t.amount,
-                    evidence=_evidence(side=side, rule=RULE_NAMES[rule_id], id=t[2]),
+                    evidence=_evidence(side=side, rule=RULE_NAMES[rule_id], id=t.id),
                     severity="medium" if escrow else "critical",
                 )
             )
@@ -228,7 +228,7 @@ def finality_violations(outputs: RuleOutputs) -> list[Anomaly]:
             tx_hashes=tuple(sorted((esc.tx_hash, rel.tx_hash))),
             amount=rel.amount,
             evidence=_evidence(
-                direction=direction, id=rel[2], gap=rel.timestamp - esc.timestamp,
+                direction=direction, id=rel.id, gap=rel.timestamp - esc.timestamp,
                 window=window, escrow_tx=esc.tx_hash, release_tx=rel.tx_hash,
             ),
             severity=SEVERITY["FinalityViolation"],
@@ -279,7 +279,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
                 )
             )
     for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
-        for value, cctxs in index_by(cctx_set, attrgetter(id_field)).items():
+        for value, cctxs in index_by(cctx_set, attrgetter("id")).items():
             if cctxs.__class__ is not tuple:  # the id's one derivation
                 continue
             hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
@@ -445,7 +445,7 @@ def build_report(
     unmatched.
     """
     explained = {  # (tx_hash, id) of both legs of every finality violation
-        (leg.tx_hash, rel[2])
+        (leg.tx_hash, rel.id)
         for cctxs in (outputs.rule4, outputs.rule8)
         for esc, rel, _ in cctxs.early
         for leg in (esc, rel)

@@ -126,7 +126,6 @@ def _as_uint(value: Any, name: str) -> int:
 
 
 class ChainConfig(NamedTuple):
-    chain_id: int
     role: str  # "source" | "target"
     bridge_addresses: tuple[str, ...]
 
@@ -216,7 +215,7 @@ def _chains(obj: dict) -> tuple[dict[int, ChainConfig], tuple]:
         except f.EncodingError as exc:
             raise ConfigError(f"chain {chain_id}: {exc}") from exc
         static += bridges
-        chains[chain_id] = ChainConfig(chain_id, role, tuple(b.address for b in bridges))
+        chains[chain_id] = ChainConfig(role, tuple(b.address for b in bridges))
     if not chains:
         raise ConfigError("config declares no chains")
     return chains, tuple(static)
@@ -341,9 +340,10 @@ class IngestReport(NamedTuple):
 
 
 class EventPlan(NamedTuple):
-    """One decodable event: topic0 -> relation + field plan, and the
-    decoder and encoder that :func:`_event_plan` compiles from the plan,
-    the encoder on its first call.
+    """One decodable event, keyed by its topic0 in the config's ``events``:
+    relation and field plan, and the decoder and encoder that
+    :func:`_event_plan` compiles from the plan, the encoder on its first
+    call.
 
     ``decode(topics, data, address, tx_hash, event_index, chain_id)``
     returns the fact, or for a log that it refuses the reason, a string:
@@ -357,7 +357,6 @@ class EventPlan(NamedTuple):
     value without a code, or an integer that is not a canonical uint256.
     """
 
-    topic0: str
     relation: str
     fields: dict[str, dict]
     decode: Callable
@@ -487,7 +486,7 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
                          "decode(topics, data, address, tx_hash, event_index, chain_id)", decode)
     # only the generator encodes, so that ingest never compiles an encoder
     encoder = f._FirstUse(fact_type, env, "encode(fact, address)", encode)
-    return EventPlan(topic0, relation, fields, decoder, encoder)
+    return EventPlan(relation, fields, decoder, encoder)
 
 
 # ERC-20 ``Transfer(address,address,uint256)``, decoded from any emitter;

@@ -178,7 +178,7 @@ def _rule4(store: FactStore) -> set:
     finality = store.relation("cctx_finality")
     for rel in _rule3(store):
         for esc in escrows:
-            if esc.deposit_id != rel.deposit_id:
+            if esc.id != rel.id:
                 continue
             if esc.beneficiary != rel.beneficiary:
                 continue
@@ -197,7 +197,7 @@ def _rule4(store: FactStore) -> set:
                     CctxValidDeposit(
                         esc.orig_chain_id, esc.timestamp, esc.tx_hash,
                         rel.chain_id, rel.timestamp, rel.tx_hash,
-                        rel.deposit_id, esc.orig_token, esc.dst_token,
+                        rel.id, esc.orig_token, esc.dst_token,
                         esc.sender, rel.beneficiary, rel.amount,
                     )
                 )
@@ -244,10 +244,12 @@ def _rule5(store: FactStore) -> set:
                                 continue
                             out.add(
                                 TcValidNativeTokenWithdrawal(
-                                    tx.timestamp, wdr.tx_hash, wdr.withdrawal_id,
-                                    esc.sender, esc.bridge_addr, wdr.beneficiary,
-                                    wdr.orig_token, wdr.dst_token, wdr.dst_chain_id,
-                                    tx.chain_id, wdr.standard, wdr.amount,
+                                    timestamp=tx.timestamp, tx_hash=wdr.tx_hash,
+                                    id=wdr.withdrawal_id, sender=esc.sender,
+                                    bridge_addr=esc.bridge_addr, beneficiary=wdr.beneficiary,
+                                    orig_token=wdr.orig_token, dst_token=wdr.dst_token,
+                                    dst_chain_id=wdr.dst_chain_id, orig_chain_id=tx.chain_id,
+                                    standard=wdr.standard, amount=wdr.amount,
                                 )
                             )
     return out
@@ -292,10 +294,12 @@ def _rule6(store: FactStore) -> set:
                             continue
                         out.add(
                             TcValidErc20TokenWithdrawal(
-                                tx.timestamp, wdr.tx_hash, wdr.withdrawal_id,
-                                tx.from_address, tr.to_address, wdr.beneficiary,
-                                wdr.orig_token, wdr.dst_token, wdr.dst_chain_id,
-                                tr.chain_id, wdr.standard, wdr.amount,
+                                timestamp=tx.timestamp, tx_hash=wdr.tx_hash,
+                                id=wdr.withdrawal_id, sender=tx.from_address,
+                                bridge_addr=tr.to_address, beneficiary=wdr.beneficiary,
+                                orig_token=wdr.orig_token, dst_token=wdr.dst_token,
+                                dst_chain_id=wdr.dst_chain_id, orig_chain_id=tr.chain_id,
+                                standard=wdr.standard, amount=wdr.amount,
                             )
                         )
     return out
@@ -373,7 +377,7 @@ def _rule8(store: FactStore) -> set:
     finality = store.relation("cctx_finality")
     for rel in _rule7(store):
         for esc in escrows:
-            if esc.withdrawal_id != rel.withdrawal_id:
+            if esc.id != rel.id:
                 continue
             if esc.beneficiary != rel.beneficiary:
                 continue
@@ -392,7 +396,7 @@ def _rule8(store: FactStore) -> set:
                     CctxValidWithdrawal(
                         esc.orig_chain_id, esc.timestamp, esc.tx_hash,
                         rel.chain_id, rel.timestamp, rel.tx_hash,
-                        rel.withdrawal_id, esc.orig_token, esc.dst_token,
+                        rel.id, esc.orig_token, esc.dst_token,
                         esc.sender, rel.beneficiary, rel.amount,
                     )
                 )

@@ -9,6 +9,13 @@ conjunct holds, and one local event takes part in as many cross-chain
 tuples as the data supports (identifier reuse yields several derivations
 by design; the analytics layer flags the reuse).
 
+Both directions share one result type per leg role: :class:`Escrow`
+(rules 1, 2, 5 and 6), :class:`Release` (rules 3 and 7) and :class:`Cctx`
+(rules 4 and 8). Each names its deposit or withdrawal id ``id``, and its
+chains and tokens by the direction of the transfer: a withdrawal escrow's
+``orig_chain_id`` is the target chain that it escrows on. The per-rule
+names (``ScValidNativeTokenDeposit`` and the others) are aliases.
+
 Each conjunct is written once, by name, in :data:`CONJUNCTS`. A local rule
 is a list of leg shapes (native escrow, token escrow, token release, native
 release), and each shape lists its conjuncts. :func:`compile_rule`
@@ -27,15 +34,16 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .facts import FactStore, InputError, _compile, index_by
 
 __all__ = [
     "ConfigurationError",
-    "DepositEscrow",
-    "WithdrawalEscrow",
+    "Escrow",
+    "Release",
+    "Cctx",
     "CctxSet",
     "ScValidNativeTokenDeposit",
     "ScValidErc20TokenDeposit",
@@ -62,12 +70,13 @@ class ConfigurationError(InputError):
     """The store references chains without a finality window."""
 
 
-class DepositEscrow(NamedTuple):
-    """A valid source-chain deposit escrow (rules 1 and 2)."""
+class Escrow(NamedTuple):
+    """A valid escrow leg: a deposit's on the source chain (rules 1 and 2)
+    or a withdrawal's on the target chain (rules 5 and 6)."""
 
     timestamp: int
     tx_hash: str
-    deposit_id: str
+    id: str
     sender: str
     bridge_addr: str
     beneficiary: str
@@ -79,27 +88,30 @@ class DepositEscrow(NamedTuple):
     amount: str
 
 
-ScValidNativeTokenDeposit = ScValidErc20TokenDeposit = DepositEscrow
+class Release(NamedTuple):
+    """A valid release leg: a deposit's on the target chain (rule 3) or a
+    withdrawal's on the source chain (rule 7)."""
 
-
-class TcValidErc20TokenDeposit(NamedTuple):
     timestamp: int
     tx_hash: str
-    deposit_id: str
+    id: str
     beneficiary: str
     dst_token: str
     chain_id: int
     amount: str
 
 
-class CctxValidDeposit(NamedTuple):
+class Cctx(NamedTuple):
+    """A cross-chain transaction: an escrow and a release joined by rule 4
+    (deposits) or rule 8 (withdrawals)."""
+
     orig_chain_id: int
     orig_timestamp: int
     orig_tx_hash: str
     dst_chain_id: int
     dst_timestamp: int
     dst_tx_hash: str
-    deposit_id: str
+    id: str
     orig_token: str
     dst_token: str
     sender: str
@@ -107,49 +119,10 @@ class CctxValidDeposit(NamedTuple):
     amount: str
 
 
-class WithdrawalEscrow(NamedTuple):
-    """A valid target-chain withdrawal escrow (rules 5 and 6)."""
-
-    timestamp: int
-    tx_hash: str
-    withdrawal_id: str
-    sender: str
-    bridge_addr: str
-    beneficiary: str
-    orig_token: str
-    dst_token: str
-    dst_chain_id: int
-    orig_chain_id: int
-    standard: str
-    amount: str
-
-
-TcValidNativeTokenWithdrawal = TcValidErc20TokenWithdrawal = WithdrawalEscrow
-
-
-class ScValidErc20TokenWithdrawal(NamedTuple):
-    timestamp: int
-    tx_hash: str
-    withdrawal_id: str
-    beneficiary: str
-    dst_token: str
-    chain_id: int
-    amount: str
-
-
-class CctxValidWithdrawal(NamedTuple):
-    orig_chain_id: int
-    orig_timestamp: int
-    orig_tx_hash: str
-    dst_chain_id: int
-    dst_timestamp: int
-    dst_tx_hash: str
-    withdrawal_id: str
-    orig_token: str
-    dst_token: str
-    sender: str
-    beneficiary: str
-    amount: str
+ScValidNativeTokenDeposit = ScValidErc20TokenDeposit = Escrow
+TcValidNativeTokenWithdrawal = TcValidErc20TokenWithdrawal = Escrow
+TcValidErc20TokenDeposit = ScValidErc20TokenWithdrawal = Release
+CctxValidDeposit = CctxValidWithdrawal = Cctx
 
 
 RULE_NAMES = {
@@ -247,16 +220,16 @@ _NATIVE_RELEASE = _Shape(
 # swapped. Rule 7 derives its tuple from a leg of either shape; rule 3 has
 # no native release, so a native release never certifies a deposit.
 _LOCAL_RULES = {
-    1: (0, "sc_token_deposited", (_NATIVE_ESCROW,), DepositEscrow),
-    2: (0, "sc_token_deposited", (_TOKEN_ESCROW,), DepositEscrow),
-    3: (0, "tc_token_deposited", (_TOKEN_RELEASE,), TcValidErc20TokenDeposit),
-    5: (1, "tc_token_withdrew", (_NATIVE_ESCROW,), WithdrawalEscrow),
-    6: (1, "tc_token_withdrew", (_TOKEN_ESCROW,), WithdrawalEscrow),
-    7: (1, "sc_token_withdrew", (_TOKEN_RELEASE, _NATIVE_RELEASE), ScValidErc20TokenWithdrawal),
+    1: (0, "sc_token_deposited", (_NATIVE_ESCROW,), Escrow),
+    2: (0, "sc_token_deposited", (_TOKEN_ESCROW,), Escrow),
+    3: (0, "tc_token_deposited", (_TOKEN_RELEASE,), Release),
+    5: (1, "tc_token_withdrew", (_NATIVE_ESCROW,), Escrow),
+    6: (1, "tc_token_withdrew", (_TOKEN_ESCROW,), Escrow),
+    7: (1, "sc_token_withdrew", (_TOKEN_RELEASE, _NATIVE_RELEASE), Release),
 }
 
 RULE_TYPES = {rule_id: spec[3] for rule_id, spec in _LOCAL_RULES.items()}
-RULE_TYPES.update({4: CctxValidDeposit, 8: CctxValidWithdrawal})
+RULE_TYPES.update({4: Cctx, 8: Cctx})
 
 _READS_TX = re.compile(r"\btx\.").search
 
@@ -271,16 +244,18 @@ def _local_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]
     hash. Each conjunct sits in the innermost loop whose variable it reads,
     in the shape's order. The head takes its timestamp from ``tx``, its
     sender, bridge address and chain (an escrow's ``orig_chain_id``, a
-    release's ``chain_id``) from the shape, and every other column from the
-    event's column of the same name."""
-    _, _, shapes, head = _LOCAL_RULES[rule_id]
+    release's ``chain_id``) from the shape, its ``id`` from the event's
+    deposit or withdrawal id, and every other column from the event's column
+    of the same name."""
+    direction, _, shapes, head = _LOCAL_RULES[rule_id]
     lines = ["out = set()", "add = out.add", "for ev in events:"]
     for n, shape in enumerate(shapes):
         texts = [conjuncts[name].format_map(shape._asdict()) for name in shape.conjuncts]
         on_leg = [text for text in texts if not _READS_TX(text)]
         on_tx = [text for text in texts if _READS_TX(text)]
         taken = {"timestamp": "tx.timestamp", "sender": shape.sender, "bridge_addr": shape.bridge,
-                 "orig_chain_id": shape.chain, "chain_id": shape.chain}
+                 "orig_chain_id": shape.chain, "chain_id": shape.chain,
+                 "id": ("ev.deposit_id", "ev.withdrawal_id")[direction]}
         columns = ", ".join(taken.get(name, f"ev.{name}") for name in head._fields)
         lines += [
             f"  legs_hit = legs{n}.get(ev.tx_hash, ())",
@@ -303,7 +278,7 @@ def _join_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]]
     return f"rule{rule_id}(releases, escrows_by_id, finality)", [
         "out, matched_escrows, matched_releases, early = set(), set(), set(), set()",
         "for rel in releases:",
-        "  escrows_hit = escrows_by_id.get(rel[2], ())",
+        "  escrows_hit = escrows_by_id.get(rel.id, ())",
         f"  for esc in {_GROUP.format('escrows_hit')}:",
         f"    if {conjuncts['join_key']}:",
         "      window = finality[esc.orig_chain_id]",
@@ -311,7 +286,7 @@ def _join_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]]
         "        matched_escrows.add(esc)",
         "        matched_releases.add(rel)",
         "        out.add(_head(esc.orig_chain_id, esc.timestamp, esc.tx_hash, rel.chain_id,"
-        " rel.timestamp, rel.tx_hash, rel[2], esc.orig_token, esc.dst_token, esc.sender,"
+        " rel.timestamp, rel.tx_hash, rel.id, esc.orig_token, esc.dst_token, esc.sender,"
         " rel.beneficiary, rel.amount))",
         "      else:",
         "        early.add((esc, rel, window))",
@@ -345,21 +320,21 @@ def _eval_local(store: FactStore, rule_id: int) -> frozenset:
     )
 
 
-def eval_rule1(store: FactStore) -> frozenset[DepositEscrow]:
+def eval_rule1(store: FactStore) -> frozenset[Escrow]:
     """Native-token deposits on the source chain: a bridge deposit event
     paired with a native value escrow into the bridge in the same
     transaction (the native escrow shape)."""
     return _eval_local(store, 1)
 
 
-def eval_rule2(store: FactStore) -> frozenset[DepositEscrow]:
+def eval_rule2(store: FactStore) -> frozenset[Escrow]:
     """ERC-20 deposits on the source chain: the escrow is a token transfer
     into a bridge-controlled address and the transaction moves no native
     value."""
     return _eval_local(store, 2)
 
 
-def eval_rule3(store: FactStore) -> frozenset[TcValidErc20TokenDeposit]:
+def eval_rule3(store: FactStore) -> frozenset[Release]:
     """Deposit releases on the target chain: a bridge deposit event paired
     with a token transfer from a bridge-controlled address to the
     beneficiary, inside a successful zero-value transaction."""
@@ -376,7 +351,7 @@ def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxS
         _eval_local(store, leg_rule) if given is None else given
         for leg_rule, given in enumerate(legs, rule_id - 3)
     )
-    escrows_by_id = index_by(native | erc20, itemgetter(2))  # the union is let go at once
+    escrows_by_id = index_by(native | erc20, attrgetter("id"))  # the union is let go at once
     try:
         out, matched_escrows, matched_releases, early = _body(rule_id)(
             releases, escrows_by_id, store.finality)
@@ -403,19 +378,19 @@ def eval_rule4(store: FactStore, rule1: frozenset | None = None,
     return _cctx_join(store, 4, rule1, rule2, rule3)
 
 
-def eval_rule5(store: FactStore) -> frozenset[WithdrawalEscrow]:
+def eval_rule5(store: FactStore) -> frozenset[Escrow]:
     """Native-token withdrawal escrows on the target chain (inverse of the
     native deposit rule, with the token mapping looked up in the deposit
     direction)."""
     return _eval_local(store, 5)
 
 
-def eval_rule6(store: FactStore) -> frozenset[WithdrawalEscrow]:
+def eval_rule6(store: FactStore) -> frozenset[Escrow]:
     """ERC-20 withdrawal escrows on the target chain."""
     return _eval_local(store, 6)
 
 
-def eval_rule7(store: FactStore) -> frozenset[ScValidErc20TokenWithdrawal]:
+def eval_rule7(store: FactStore) -> frozenset[Release]:
     """Withdrawal releases on the source chain: a bridge withdrawal event
     paired with a token transfer or a native value release from the bridge
     to the beneficiary (the token or the native release shape)."""
@@ -433,13 +408,13 @@ def eval_rule8(store: FactStore, rule5: frozenset | None = None,
 class RuleOutputs(NamedTuple):
     """All eight rule outputs for one store."""
 
-    rule1: frozenset[DepositEscrow]
-    rule2: frozenset[DepositEscrow]
-    rule3: frozenset[TcValidErc20TokenDeposit]
+    rule1: frozenset[Escrow]
+    rule2: frozenset[Escrow]
+    rule3: frozenset[Release]
     rule4: CctxSet
-    rule5: frozenset[WithdrawalEscrow]
-    rule6: frozenset[WithdrawalEscrow]
-    rule7: frozenset[ScValidErc20TokenWithdrawal]
+    rule5: frozenset[Escrow]
+    rule6: frozenset[Escrow]
+    rule7: frozenset[Release]
     rule8: CctxSet
 
     def by_rule(self) -> dict[int, frozenset]:

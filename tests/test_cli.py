@@ -176,7 +176,7 @@ class TestCheck:
             "--out", str(facts))
         store = load_facts_dir(facts).seal()
         dropped = min(cli.eval_all(store).rule4)
-        foreign = dropped._replace(deposit_id="999999")
+        foreign = dropped._replace(id="999999")
         eval_all = cli.eval_all
 
         def skewed_eval_all(store):
@@ -451,6 +451,13 @@ BAD_INGEST_INPUTS = [
      "events[0]: field 'amount': expected an object"),
     ("config", lambda c: deposit_fields(c).update(amount={"source": "block"}),
      "events[0]: field 'amount': unknown source 'block'"),
+    # a const must suit its column, and a const or source field reads no word to type
+    ("config", lambda c: deposit_fields(c).update(standard={"const": 5}),
+     "events[0]: field 'standard': const: expected string, got int"),
+    ("config", lambda c: deposit_fields(c).update(standard={"const": "ERC20", "type": "enum"}),
+     "events[0]: field 'standard': key 'type' does not apply to a const field"),
+    ("config", lambda c: c["events"][4]["fields"]["bridge_addr"].update(type="address"),
+     "events[4]: field 'bridge_addr': key 'type' does not apply to a source field"),
     ("receipts text", lambda line: "[]\n", "receipts.jsonl:1: expected a receipt object, got list"),
     ("receipts", lambda r: r["logs"].reverse(),
      "receipts.jsonl:1: logIndex values must be strictly increasing"),

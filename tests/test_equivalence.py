@@ -93,9 +93,9 @@ def test_join_key_soundness(seed):
         for t in outputs.rule3
     }
     for c in outputs.rule4:
-        assert (c.orig_timestamp, c.orig_tx_hash, c.deposit_id, c.sender, c.beneficiary,
+        assert (c.orig_timestamp, c.orig_tx_hash, c.id, c.sender, c.beneficiary,
                 c.dst_token, c.orig_token, c.orig_chain_id, c.dst_chain_id, c.amount) in escrow_keys
-        assert (c.dst_timestamp, c.dst_tx_hash, c.deposit_id, c.beneficiary,
+        assert (c.dst_timestamp, c.dst_tx_hash, c.id, c.beneficiary,
                 c.dst_token, c.dst_chain_id, c.amount) in release_keys
     wdr_escrow_keys = {
         (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
@@ -107,9 +107,9 @@ def test_join_key_soundness(seed):
         for t in outputs.rule7
     }
     for c in outputs.rule8:
-        assert (c.orig_timestamp, c.orig_tx_hash, c.withdrawal_id, c.sender, c.beneficiary,
+        assert (c.orig_timestamp, c.orig_tx_hash, c.id, c.sender, c.beneficiary,
                 c.orig_token, c.dst_token, c.dst_chain_id, c.orig_chain_id, c.amount) in wdr_escrow_keys
-        assert (c.dst_timestamp, c.dst_tx_hash, c.withdrawal_id, c.beneficiary,
+        assert (c.dst_timestamp, c.dst_tx_hash, c.id, c.beneficiary,
                 c.dst_token, c.dst_chain_id, c.amount) in wdr_release_keys
     # the matched legs the join reports are those its outputs project back onto
     for cctxs, escrows, releases in (

@@ -27,7 +27,7 @@ R4_TUPLE = rules.CctxValidDeposit(
     S_CHAIN, 1000, H1, T_CHAIN, 2900, H2, "7", AA, CC, U1, U2, "5"
 )
 R5_TUPLE = rules.TcValidNativeTokenWithdrawal(
-    5000, H3, "9", U2, B2, U1, CC, AA, S_CHAIN, T_CHAIN, "ERC20", "5"
+    5000, H3, "9", U2, B2, U1, AA, CC, T_CHAIN, S_CHAIN, "ERC20", "5"
 )
 R7_TUPLE = rules.ScValidErc20TokenWithdrawal(5050, H4, "9", U1, AA, S_CHAIN, "5")
 R8_TUPLE = rules.CctxValidWithdrawal(
@@ -233,7 +233,7 @@ class TestWithdrawalRules:
 
         extra = [f.Erc20TransferFact(H3, T_CHAIN, 0, CC, U2, B2, "5")]
         expected = rules.TcValidErc20TokenWithdrawal(
-            5000, H3, "9", U2, B2, U1, CC, AA, S_CHAIN, T_CHAIN, "ERC20", "5"
+            5000, H3, "9", U2, B2, U1, AA, CC, T_CHAIN, S_CHAIN, "ERC20", "5"
         )
         assert rules.eval_rule6(store_with(mutate, extra, drop)) == {expected}
 

@@ -4,6 +4,8 @@ and the report that one pass over all of them gives.
 A monitor that runs in real time ingests one window of receipts at a time.
 Since a loaded relation drops repeated rows, window dumps merge by
 concatenating their ``.facts`` files, and windows that overlap merge too.
+A window evaluated alone reports the legs inside it as one pass does once
+it carries the receipts of the ``H`` seconds before it (README, "Windows").
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from bridgewatch import scenario
+from bridgewatch.analytics import build_report
 from bridgewatch.cli import EXIT_CLEAN, main
-from bridgewatch.facts import load_facts_dir
-from bridgewatch.scenario import ANOMALY_KINDS
+from bridgewatch.facts import FactStore, load_facts_dir
+from bridgewatch.ingest import static_facts
+from bridgewatch.rules import eval_all
+from bridgewatch.scenario import ANOMALY_KINDS, SOURCE, AnomalySpec, ScenarioParams
 
 
 def _ingest(receipts: Path, config: Path, out: Path) -> None:
@@ -79,3 +85,67 @@ def test_ingest_dump_is_unmoved_by_line_order_and_repeats(whole, tmp_path, seed)
     (tmp_path / "receipts.jsonl").write_text("".join(lines), encoding="utf-8")
     _ingest(tmp_path / "receipts.jsonl", whole / "decoder_config.json", tmp_path / "facts")
     assert _dump(tmp_path / "facts") == _dump(whole / "whole")
+
+
+# The history a window carries: the largest finality window (the source
+# chain's) plus the largest time from its end to a release. The generator
+# releases at most 3600 s after it, and a replayed id's k-th release k
+# source blocks later (fan-out 3 by default).
+HISTORY = SOURCE.finality_seconds + 3600 + 3 * SOURCE.block_time
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    """Every anomaly kind three times in 1000 flows each way: 4,015
+    transactions over 17,099 s, more than 3 * HISTORY, so that no window's
+    history holds the whole of an earlier window."""
+    generated = scenario.generate(ScenarioParams(
+        seed=7, n_deposits=1000, n_withdrawals=1000,
+        anomalies=AnomalySpec(**{kind: 3 for kind in ANOMALY_KINDS})))
+    timestamps = {tx.tx_hash: tx.timestamp for tx, _ in generated.txs}
+    start, end = min(timestamps.values()), max(timestamps.values()) + 1
+    assert end - start > 3 * HISTORY
+    return generated, timestamps, start, end, _legs(_report(generated, start, end))
+
+
+def _report(generated, start: int, end: int) -> dict:
+    """The ``eval`` report of the receipts from ``start`` up to ``end``,
+    built from their transactions' facts, which is what ``ingest`` decodes
+    from them."""
+    store = FactStore()
+    store.insert_all(static_facts(generated.config))
+    for tx, events in generated.txs:
+        if start <= tx.timestamp < end:
+            store.insert_all([tx, *events])
+    store.seal()
+    return build_report(store, eval_all(store))
+
+
+def _legs(report: dict) -> dict[str, set[tuple[str, str]]]:
+    """The unmatched legs of each side and the finality violations, as
+    ``(kind, tx hash)`` with the leg's tx hash (the release's, for a
+    violation)."""
+    legs: dict[str, set[tuple[str, str]]] = {"escrow": set(), "release": set()}
+    for kind in ("UnmatchedLocalDeposit", "UnmatchedLocalWithdrawal"):
+        for anomaly in report["anomalies"].get(kind, ()):
+            legs[anomaly["evidence"]["side"]].add((kind, anomaly["tx_hashes"][0]))
+    for anomaly in report["anomalies"].get("FinalityViolation", ()):
+        legs["release"].add(("FinalityViolation", anomaly["evidence"]["release_tx"]))
+    return legs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_window_with_its_history_reports_its_legs_as_one_pass_does(long_run, k):
+    generated, timestamps, start, end, whole = long_run
+    size = -(-(end - start) // k)
+    for lo in range(start, end, size):
+        hi = min(end, lo + size)
+        window = _legs(_report(generated, lo - HISTORY, hi))
+        # every release inside the window, and every escrow at least HISTORY
+        # before its end: the window reports these legs as one pass does
+        for side, first, last in (("release", lo, hi), ("escrow", lo - HISTORY, hi - HISTORY)):
+            assert ({leg for leg in window[side] if first <= timestamps[leg[1]] < last}
+                    == {leg for leg in whole[side] if first <= timestamps[leg[1]] < last})
+    # the three forged releases are the one pass's release-side legs, beside
+    # the three finality violations
+    assert len(whole["release"]) == 6 and not whole["escrow"]

@@ -164,11 +164,14 @@ _LEGS = ((1, 4, "escrow"), (2, 4, "escrow"), (3, 4, "release"),
 
 
 def matched_projections(outputs: RuleOutputs) -> dict[int, frozenset]:
-    """The tuples of each local rule's leg that formed a valid cross-chain
-    pair in rule 4 or 8, by local rule id."""
+    """The tuples of each local rule's side that formed no valid cross-chain
+    pair in rule 4 or 8 (for rules 1 and 2, or 5 and 6, the unmatched
+    escrows of both), by local rule id. The join keeps what failed rather
+    than what matched; the name stays because the benchmark's tracing wraps
+    this function by name."""
     by_rule = outputs.by_rule()
     return {
-        rule_id: getattr(by_rule[cctx_rule], f"matched_{side}s")
+        rule_id: getattr(by_rule[cctx_rule], f"unmatched_{side}s")
         for rule_id, cctx_rule, side in _LEGS
     }
 
@@ -177,9 +180,9 @@ def match_accounting(outputs: RuleOutputs) -> dict[int, tuple[int, int]]:
     """(matched, unmatched) per local rule; matched + unmatched = captured."""
     by_rule = outputs.by_rule()
     result: dict[int, tuple[int, int]] = {}
-    for rule_id, matched in matched_projections(outputs).items():
-        count = len(by_rule[rule_id] & matched)
-        result[rule_id] = (count, len(by_rule[rule_id]) - count)
+    for rule_id, unmatched in matched_projections(outputs).items():
+        count = len(by_rule[rule_id] & unmatched)
+        result[rule_id] = (len(by_rule[rule_id]) - count, count)
     return result
 
 
@@ -190,11 +193,11 @@ def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
     side (loss-of-funds direction, graded ``critical``).
     """
     by_rule = outputs.by_rule()
-    matched = matched_projections(outputs)
+    unmatched = matched_projections(outputs)
     out: list[Anomaly] = []
     for rule_id, cctx_rule, side in _LEGS:
         escrow = side == "escrow"
-        for t in by_rule[rule_id] - matched[rule_id]:
+        for t in by_rule[rule_id] & unmatched[rule_id]:
             out.append(
                 Anomaly(
                     kind="UnmatchedLocalDeposit" if cctx_rule == 4 else "UnmatchedLocalWithdrawal",

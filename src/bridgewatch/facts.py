@@ -920,5 +920,6 @@ def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:
         with open(file_path, "w", encoding="utf-8", newline="\n") as fh:
             for row in rows:
                 fh.write(row + "\n")
+        del rows  # before the next relation's rows are built
         written.append(file_path)
     return written

@@ -26,8 +26,11 @@ dst_chain, amount) strictly after the origin chain's finality window:
 
     orig_timestamp + finality(orig_chain) < dst_timestamp
 
-Boundary equality is a non-match. The ``oracle`` module re-derives every
-rule with naive nested loops; the test suite holds the two evaluators equal.
+Boundary equality is a non-match. The join keeps what failed, not what
+matched: the legs that formed no pair and the key-matched pairs inside the
+window (:class:`CctxSet`), which is all that the analytics layer asks of
+it. The ``oracle`` module re-derives every rule with naive nested loops;
+the test suite holds the two evaluators equal.
 """
 
 from __future__ import annotations
@@ -138,12 +141,13 @@ RULE_NAMES = {
 
 
 class CctxSet(frozenset):
-    """The cross-chain tuples of rule 4 or 8, plus what the same join saw:
-    the escrow and release tuples that formed a valid pair, and the
-    key-matched pairs inside the finality window as ``(escrow, release,
-    window)``. Equal to a plain frozenset of the same tuples."""
+    """The cross-chain tuples of rule 4 or 8, plus what failed in the same
+    join: the escrow tuples (rules 1 and 2, or 5 and 6) and the release
+    tuples (rule 3 or 7) that formed no valid pair, and the key-matched
+    pairs inside the finality window as ``(escrow, release, window)``.
+    Equal to a plain frozenset of the same tuples."""
 
-    __slots__ = ("matched_escrows", "matched_releases", "early")
+    __slots__ = ("unmatched_escrows", "unmatched_releases", "early")
 
 
 def _no_finality(chains) -> ConfigurationError:
@@ -264,7 +268,7 @@ def _local_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]
             "      txs_hit = txs.get(ev.tx_hash, ())",
             f"      for tx in {_GROUP.format('txs_hit')}:",
             f"        if {' and '.join(on_tx) or 'True'}:",
-            f"          add(_head({columns}))",
+            f"          add(_new(_head, ({columns})))",
         ]
     legs = ", ".join(f"legs{n}" for n in range(len(shapes)))
     return (f"rule{rule_id}(events, txs, bridges, mappings, wrapped, {legs})",
@@ -274,23 +278,25 @@ def _local_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]
 def _join_body(rule_id: int, conjuncts: dict[str, str]) -> tuple[str, list[str]]:
     """Each release against the escrows with its id: a pair with the same
     ``join_key`` is a cross-chain tuple if it holds ``finality``, and
-    ``early`` if not. A chain without a window raises ``KeyError``."""
+    ``early`` if not. Returns the cross-chain tuples, the escrows and the
+    releases that formed one and the early pairs. A chain without a window
+    raises ``KeyError``."""
     return f"rule{rule_id}(releases, escrows_by_id, finality)", [
-        "out, matched_escrows, matched_releases, early = set(), set(), set(), set()",
+        "out, paired_escrows, paired_releases, early = set(), set(), set(), set()",
         "for rel in releases:",
         "  escrows_hit = escrows_by_id.get(rel.id, ())",
         f"  for esc in {_GROUP.format('escrows_hit')}:",
         f"    if {conjuncts['join_key']}:",
         "      window = finality[esc.orig_chain_id]",
         f"      if {conjuncts['finality']}:",
-        "        matched_escrows.add(esc)",
-        "        matched_releases.add(rel)",
-        "        out.add(_head(esc.orig_chain_id, esc.timestamp, esc.tx_hash, rel.chain_id,"
+        "        paired_escrows.add(esc)",
+        "        paired_releases.add(rel)",
+        "        out.add(_new(_head, (esc.orig_chain_id, esc.timestamp, esc.tx_hash, rel.chain_id,"
         " rel.timestamp, rel.tx_hash, rel.id, esc.orig_token, esc.dst_token, esc.sender,"
-        " rel.beneficiary, rel.amount))",
+        " rel.beneficiary, rel.amount)))",
         "      else:",
         "        early.add((esc, rel, window))",
-        "return out, matched_escrows, matched_releases, early",
+        "return out, paired_escrows, paired_releases, early",
     ]
 
 
@@ -298,7 +304,7 @@ def compile_rule(rule_id: int, conjuncts: dict[str, str] = CONJUNCTS) -> Callabl
     """The body of rule ``rule_id``, compiled from ``conjuncts``."""
     body = _local_body if rule_id in _LOCAL_RULES else _join_body
     head = RULE_TYPES[rule_id]
-    return _compile(head, {"_head": head}, *body(rule_id, conjuncts))
+    return _compile(head, {"_head": head, "_new": tuple.__new__}, *body(rule_id, conjuncts))
 
 
 # Each body is compiled on its rule's first evaluation, so that a caller of
@@ -344,28 +350,30 @@ def eval_rule3(store: FactStore) -> frozenset[Release]:
 def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxSet:
     """Join the escrow tuples of both kinds and the release tuples of rule
     ``rule_id``, each given or evaluated here, through an index of the
-    escrows by id. Raises :class:`ConfigurationError` for a pair whose
-    escrow chain has no finality window."""
+    escrows by id, and keep what failed: the escrows and the releases that
+    formed no valid pair, and the early pairs. Raises
+    :class:`ConfigurationError` for a pair whose escrow chain has no
+    finality window."""
     store.require_sealed()
     native, erc20, releases = (
         _eval_local(store, leg_rule) if given is None else given
         for leg_rule, given in enumerate(legs, rule_id - 3)
     )
-    escrows_by_id = index_by(native | erc20, attrgetter("id"))  # the union is let go at once
+    escrows_by_id = index_by((*native, *erc20), attrgetter("id"))  # the tuple is let go at once
     try:
-        out, matched_escrows, matched_releases, early = _body(rule_id)(
+        out, paired_escrows, paired_releases, early = _body(rule_id)(
             releases, escrows_by_id, store.finality)
     except KeyError as missing:
         raise _no_finality(missing.args) from None
-    # Each set is copied into the compact frozenset that is kept and let go
-    # before the next copy, so that at most one set is held twice at a time.
+    # Each set is let go as soon as what is kept of it is built, so that
+    # the paired legs, which nothing reads later, are held only here.
     del escrows_by_id
     result = CctxSet(out)
     del out
-    result.matched_escrows = frozenset(matched_escrows)
-    del matched_escrows
-    result.matched_releases = frozenset(matched_releases)
-    del matched_releases
+    result.unmatched_releases = releases - paired_releases
+    del paired_releases
+    result.unmatched_escrows = (native - paired_escrows) | (erc20 - paired_escrows)
+    del paired_escrows
     result.early = frozenset(early)
     return result
 

@@ -111,7 +111,8 @@ def test_join_key_soundness(seed):
                 c.orig_token, c.dst_token, c.dst_chain_id, c.orig_chain_id, c.amount) in wdr_escrow_keys
         assert (c.dst_timestamp, c.dst_tx_hash, c.id, c.beneficiary,
                 c.dst_token, c.dst_chain_id, c.amount) in wdr_release_keys
-    # the matched legs the join reports are those its outputs project back onto
+    # the unmatched legs the join reports are those its outputs do not project
+    # back onto
     for cctxs, escrows, releases in (
         (outputs.rule4, outputs.rule1 | outputs.rule2, outputs.rule3),
         (outputs.rule8, outputs.rule5 | outputs.rule6, outputs.rule7),
@@ -124,15 +125,15 @@ def test_join_key_soundness(seed):
             (c.dst_timestamp, c.dst_tx_hash, c[6], c.beneficiary, c.dst_token,
              c.dst_chain_id, c.amount) for c in cctxs
         }
-        assert cctxs.matched_escrows == {
+        assert cctxs.unmatched_escrows == {
             t for t in escrows
             if (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
-                t.dst_token, t.orig_chain_id, t.dst_chain_id, t.amount) in escrow_projections
+                t.dst_token, t.orig_chain_id, t.dst_chain_id, t.amount) not in escrow_projections
         }
-        assert cctxs.matched_releases == {
+        assert cctxs.unmatched_releases == {
             t for t in releases
             if (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token, t.chain_id,
-                t.amount) in release_projections
+                t.amount) not in release_projections
         }
 
 

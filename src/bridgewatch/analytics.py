@@ -13,13 +13,15 @@ Seven anomaly kinds cover the deviations the monitor can witness:
 * ``FinalityViolation``: both legs match on every join key but the time
   gap is inside the origin chain's finality window.
 * ``DuplicateId``: one deposit id reused across several source-chain
-  deposit events (the escrow side), or one withdrawal id across several
-  source-chain withdrawal events (the release side); the replay signature.
+  deposit events of one route (the escrow side), or one withdrawal id
+  across several source-chain withdrawal events (the release side); the
+  replay signature.
 * ``AmbiguousMatch``: one identifier participating in more than one
-  cross-chain derivation.
+  cross-chain derivation of one route.
 
-In the composed report, local tuples that are explained by a finality
-violation are not re-reported as unmatched; the raw matched/unmatched
+Unmatched legs and early pairs are read as the rule-4/8 join keeps them.
+A leg of an early pair of its own join is reported as that
+``FinalityViolation`` only, not as unmatched; the raw matched/unmatched
 accounting (matched + unmatched = captured, per local rule) is kept
 separately and is unaffected by that precedence.
 """
@@ -36,8 +38,8 @@ from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .facts import (EncodingError, FactStore, InputError, _chain_id, _uint, canonical_address,
-                    group, index_by, known_keys, read_json, shown)
-from .rules import RULE_NAMES, RuleOutputs
+                    group, known_keys, read_json, shared, shown)
+from .rules import RULE_NAMES, RULE_TYPES, Escrow, RuleOutputs
 
 __all__ = [
     "Anomaly",
@@ -158,53 +160,42 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
 # matched/unmatched accounting over rule outputs
 # ---------------------------------------------------------------------------
 
-# Each local rule's leg: (rule id, cross-chain rule it feeds, side).
-_LEGS = ((1, 4, "escrow"), (2, 4, "escrow"), (3, 4, "release"),
-         (5, 8, "escrow"), (6, 8, "escrow"), (7, 8, "release"))
-
-
 def matched_projections(outputs: RuleOutputs) -> dict[int, frozenset]:
-    """The tuples of each local rule's side that formed no valid cross-chain
-    pair in rule 4 or 8 (for rules 1 and 2, or 5 and 6, the unmatched
-    escrows of both), by local rule id. The join keeps what failed rather
-    than what matched; the name stays because the benchmark's tracing wraps
-    this function by name."""
-    by_rule = outputs.by_rule()
-    return {
-        rule_id: getattr(by_rule[cctx_rule], f"unmatched_{side}s")
-        for rule_id, cctx_rule, side in _LEGS
-    }
+    """Each local rule's tuples that formed no valid cross-chain pair in
+    rule 4 or 8, by local rule id: the ``unmatched`` maps of both joins.
+    The join keeps what failed rather than what matched; the name stays
+    because the benchmark's tracing wraps this function by name."""
+    return {**outputs.rule4.unmatched, **outputs.rule8.unmatched}
 
 
 def match_accounting(outputs: RuleOutputs) -> dict[int, tuple[int, int]]:
     """(matched, unmatched) per local rule; matched + unmatched = captured."""
     by_rule = outputs.by_rule()
-    result: dict[int, tuple[int, int]] = {}
-    for rule_id, unmatched in matched_projections(outputs).items():
-        count = len(by_rule[rule_id] & unmatched)
-        result[rule_id] = (len(by_rule[rule_id]) - count, count)
-    return result
+    return {rule_id: (len(by_rule[rule_id]) - len(legs), len(legs))
+            for rule_id, legs in matched_projections(outputs).items()}
 
 
 def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
-    """One anomaly per local tuple that joined no cross-chain derivation.
+    """One anomaly per local tuple that joined no cross-chain derivation and
+    is no leg of an early pair of its own join (its ``FinalityViolation``).
 
     Rules 1/2 and 5/6 are the escrow side; rules 3 and 7 are the release
     side (loss-of-funds direction, graded ``critical``).
     """
-    by_rule = outputs.by_rule()
-    unmatched = matched_projections(outputs)
     out: list[Anomaly] = []
-    for rule_id, cctx_rule, side in _LEGS:
-        escrow = side == "escrow"
-        for t in by_rule[rule_id] & unmatched[rule_id]:
+    for rule_id, legs in matched_projections(outputs).items():
+        deposit = rule_id in outputs.rule4.unmatched  # else rule 8's join keeps the leg
+        escrow = RULE_TYPES[rule_id] is Escrow
+        early = (outputs.rule4 if deposit else outputs.rule8).early
+        for t in legs - {esc if escrow else rel for esc, rel, _ in early}:
             out.append(
                 Anomaly(
-                    kind="UnmatchedLocalDeposit" if cctx_rule == 4 else "UnmatchedLocalWithdrawal",
+                    kind="UnmatchedLocalDeposit" if deposit else "UnmatchedLocalWithdrawal",
                     chain_ids=(t.orig_chain_id if escrow else t.chain_id,),
                     tx_hashes=(t.tx_hash,),
                     amount=t.amount,
-                    evidence=_evidence(side=side, rule=RULE_NAMES[rule_id], id=t.id),
+                    evidence=_evidence(side="escrow" if escrow else "release",
+                                       rule=RULE_NAMES[rule_id], id=t.id),
                     severity="medium" if escrow else "critical",
                 )
             )
@@ -250,41 +241,41 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     """Identifier reuse across bridge events, plus multi-derivation
     cross-chain transactions.
 
-    A deposit id shared by several source-chain deposit events, or a
-    withdrawal id shared by several source-chain (release side)
-    withdrawal events, yields one ``DuplicateId`` with the occurrence
-    count. An id participating in more than one cross-chain derivation of
-    ``outputs`` yields one ``AmbiguousMatch``. The pass groups the events
-    and the derivations by id itself (:func:`facts.index_by`), so the
-    groups live only while it runs.
+    A deposit id shared by several source-chain deposit events of one
+    route (their transactions' chains and their target chain), or a
+    withdrawal id shared by several source-chain (release side) withdrawal
+    events, yields one ``DuplicateId`` with the occurrence count. An id
+    with more than one cross-chain derivation of one route (origin and
+    destination chain) in ``outputs`` yields one ``AmbiguousMatch``. The
+    pass groups the events and the derivations itself
+    (:func:`facts.shared`), so the groups live only while it runs.
     """
     store.require_sealed()
+    txs = store.by_tx["transaction"]
+
+    def tx_chains(fct) -> frozenset[int]:
+        return frozenset(tx.chain_id for tx in group(txs, fct.tx_hash))
+
     out: list[Anomaly] = []
-    for relation, id_field in (("sc_token_deposited", "deposit_id"),
-                               ("sc_token_withdrew", "withdrawal_id")):
-        for value, facts_list in index_by(store.relation(relation), attrgetter(id_field)).items():
-            if facts_list.__class__ is not tuple:  # the id's one fact
-                continue
-            chains = set()
-            for fct in facts_list:
-                for tx in group(store.by_tx["transaction"], fct.tx_hash):
-                    chains.add(tx.chain_id)
+    for relation, id_field, *route in (
+        ("sc_token_deposited", "deposit_id", lambda e: (tx_chains(e), e.dst_chain_id)),
+        ("sc_token_withdrew", "withdrawal_id"),  # a release-side event names no origin chain
+    ):
+        for facts_list in shared(store.relation(relation), attrgetter(id_field), *route):
             out.append(
                 Anomaly(
                     kind="DuplicateId",
-                    chain_ids=tuple(sorted(chains)),
+                    chain_ids=tuple(sorted(frozenset().union(*map(tx_chains, facts_list)))),
                     tx_hashes=tuple(sorted({fct.tx_hash for fct in facts_list})),
                     amount=str(sum(int(fct.amount) for fct in facts_list)),
-                    evidence=_evidence(
-                        **{id_field: value, "relation": relation, "count": len(facts_list)}
-                    ),
+                    evidence=_evidence(**{id_field: getattr(facts_list[0], id_field),
+                                          "relation": relation, "count": len(facts_list)}),
                     severity=SEVERITY["DuplicateId"],
                 )
             )
+    route = attrgetter("orig_chain_id", "dst_chain_id")
     for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
-        for value, cctxs in index_by(cctx_set, attrgetter("id")).items():
-            if cctxs.__class__ is not tuple:  # the id's one derivation
-                continue
+        for cctxs in shared(cctx_set, attrgetter("id"), route):
             hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
             chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})
             out.append(
@@ -293,7 +284,7 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
                     chain_ids=tuple(chains),
                     tx_hashes=tuple(hashes),
                     amount=str(sum(int(c.amount) for c in cctxs)),
-                    evidence=_evidence(**{id_field: value, "derivations": len(cctxs)}),
+                    evidence=_evidence(**{id_field: cctxs[0].id, "derivations": len(cctxs)}),
                     severity=SEVERITY["AmbiguousMatch"],
                 )
             )
@@ -441,26 +432,15 @@ def build_report(
 ) -> dict:
     """Compose the full deterministic analysis report.
 
-    Anomalies are grouped by kind; unmatched local tuples explained by a
-    finality violation appear only under ``FinalityViolation``. The raw
+    Anomalies are grouped by kind; a leg of a finality violation appears
+    only under ``FinalityViolation`` (:func:`unmatched_local`). The raw
     Table-style accounting (captured/matched/unmatched per local rule) is
     reported separately and keeps the identity captured = matched +
     unmatched.
     """
-    explained = {  # (tx_hash, id) of both legs of every finality violation
-        (leg.tx_hash, rel.id)
-        for cctxs in (outputs.rule4, outputs.rule8)
-        for esc, rel, _ in cctxs.early
-        for leg in (esc, rel)
-    }
-    unmatched = [
-        a
-        for a in unmatched_local(outputs)
-        if (a.tx_hashes[0], dict(a.evidence)["id"]) not in explained
-    ]
     anomalies = (
         local_mismatches(store)
-        + unmatched
+        + unmatched_local(outputs)
         + finality_violations(outputs)
         + duplicate_ids(store, outputs)
     )

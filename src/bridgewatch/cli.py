@@ -91,7 +91,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the render's transient then fits into the memory the store just freed
     del store, outputs
     rendered = analytics.report_to_json(report)
-    Path(args.out).write_text(rendered, encoding="utf-8")
+    out = Path(os.path.realpath(args.out))  # replaced whole through a sibling, or left as it was
+    temp = Path(f"{out}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(rendered, encoding="utf-8")
+        os.replace(temp, out)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     n_anomalies = analytics.total_anomalies(report)
     _progress(
         f"evaluated {n_facts} facts: "

@@ -52,7 +52,8 @@ and analytics make before they read its indexes; no other module touches
 the relations.
 Secondary indexes are built when the store is sealed, each a dict from key
 to the key's fact when it has one, and to the tuple of its facts when
-several share the key (:func:`index_by`, read through :func:`group`).
+several share the key (:func:`index_by`, read through :func:`group` and
+:func:`shared`).
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
 compatible with common Datalog engine fact-file layouts.
 """
@@ -99,6 +100,7 @@ __all__ = [
     "shown",
     "index_by",
     "group",
+    "shared",
     "load_facts_dir",
     "dump_facts_dir",
 ]
@@ -603,6 +605,14 @@ def group(index: dict, key: Any) -> tuple:
     tuple: ``()`` for a key that it does not hold."""
     value = index.get(key, ())
     return value if value.__class__ is tuple else (value,)
+
+
+def shared(items: tuple | frozenset, key: Callable, *then: Callable) -> Iterator[tuple]:
+    """The groups of two or more of ``items`` that share ``key`` and then
+    each key of ``then``, as tuples (:func:`index_by`). A later key is read
+    only for the items of a group that shares the earlier ones."""
+    groups = (same for same in index_by(items, key).values() if same.__class__ is tuple)
+    return (sub for same in groups for sub in shared(same, *then)) if then else groups
 
 
 class FactStore:

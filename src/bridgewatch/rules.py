@@ -27,10 +27,12 @@ dst_chain, amount) strictly after the origin chain's finality window:
     orig_timestamp + finality(orig_chain) < dst_timestamp
 
 Boundary equality is a non-match. The join keeps what failed, not what
-matched: the legs that formed no pair and the key-matched pairs inside the
-window (:class:`CctxSet`), which is all that the analytics layer asks of
-it. The ``oracle`` module re-derives every rule with naive nested loops;
-the test suite holds the two evaluators equal.
+matched: per local rule, the legs that formed no pair, and the key-matched
+pairs inside the window (:class:`CctxSet`). The analytics layer reads that
+record as it is: a leg belongs to the join that keeps it, and only an early
+pair of that join takes precedence over it. The ``oracle`` module
+re-derives every rule with naive nested loops; the test suite holds the
+two evaluators equal.
 """
 
 from __future__ import annotations
@@ -142,12 +144,12 @@ RULE_NAMES = {
 
 class CctxSet(frozenset):
     """The cross-chain tuples of rule 4 or 8, plus what failed in the same
-    join: the escrow tuples (rules 1 and 2, or 5 and 6) and the release
-    tuples (rule 3 or 7) that formed no valid pair, and the key-matched
-    pairs inside the finality window as ``(escrow, release, window)``.
-    Equal to a plain frozenset of the same tuples."""
+    join: ``unmatched``, each local rule that feeds the join (1, 2 and 3,
+    or 5, 6 and 7) to its tuples that formed no valid pair, and ``early``,
+    the key-matched pairs inside the finality window as ``(escrow, release,
+    window)``. Equal to a plain frozenset of the same tuples."""
 
-    __slots__ = ("unmatched_escrows", "unmatched_releases", "early")
+    __slots__ = ("unmatched", "early")
 
 
 def _no_finality(chains) -> ConfigurationError:
@@ -350,7 +352,7 @@ def eval_rule3(store: FactStore) -> frozenset[Release]:
 def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxSet:
     """Join the escrow tuples of both kinds and the release tuples of rule
     ``rule_id``, each given or evaluated here, through an index of the
-    escrows by id, and keep what failed: the escrows and the releases that
+    escrows by id, and keep what failed: each local rule's tuples that
     formed no valid pair, and the early pairs. Raises
     :class:`ConfigurationError` for a pair whose escrow chain has no
     finality window."""
@@ -370,10 +372,9 @@ def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxS
     del escrows_by_id
     result = CctxSet(out)
     del out
-    result.unmatched_releases = releases - paired_releases
-    del paired_releases
-    result.unmatched_escrows = (native - paired_escrows) | (erc20 - paired_escrows)
-    del paired_escrows
+    result.unmatched = {rule_id - 3: native - paired_escrows, rule_id - 2: erc20 - paired_escrows,
+                        rule_id - 1: releases - paired_releases}
+    del paired_escrows, paired_releases
     result.early = frozenset(early)
     return result
 

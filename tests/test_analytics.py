@@ -20,6 +20,7 @@ from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
     addr, build_store, f1_facts, f2_facts, replace, static_facts, txh,
 )
+from bridgewatch.scenario import ScenarioParams, generate
 from randstores import random_store
 
 
@@ -269,6 +270,46 @@ class TestDuplicateIds:
         assert kinds == ["AmbiguousMatch", "DuplicateId"]
 
 
+def hub_store(extra_facts=()) -> f.FactStore:
+    """Two clean routes of 40 deposits and 40 withdrawals from chain 1, each
+    numbering its ids from 1: seed 1's to chain 100, and seed 2's with
+    chain 100 renamed 200, and ``extra_facts``."""
+    first, second = (generate(ScenarioParams(seed=seed, n_deposits=40, n_withdrawals=40)).store
+                     for seed in (1, 2))
+    renamed = [replace(fact, **{name: 200 for name, kind in fact.COLUMNS
+                                if kind.name == "ChainId" and getattr(fact, name) == T_CHAIN})
+               for fact in second]
+    return build_store(first, renamed, extra_facts)
+
+
+class TestRouteScopedIds:
+    def test_two_routes_from_one_chain_share_no_deposit_id(self):
+        store = hub_store()
+        report = analytics.build_report(store, outputs_for(store))
+        assert report["rule_counts"]["CCTX_ValidDeposit"] == 80
+        assert report["rule_counts"]["CCTX_ValidWithdrawal"] == 80
+        # the release-side ids are still grouped by id alone
+        assert report["anomaly_counts"] == {"DuplicateId": 40}
+        assert {a["evidence"]["relation"] for a in report["anomalies"]["DuplicateId"]} == {
+            "sc_token_withdrew"}
+
+    def test_a_replayed_id_inside_one_route_is_flagged(self):
+        route = generate(ScenarioParams(seed=1, n_deposits=40, n_withdrawals=40)).store
+        escrow_tx = next(e.tx_hash for e in route.relation("sc_token_deposited")
+                         if e.deposit_id == "5")
+        replay = [replace(fact, tx_hash=txh("feed")) for fact in route
+                  if getattr(fact, "tx_hash", None) == escrow_tx]
+        store = hub_store(replay)
+        anomalies = analytics.duplicate_ids(store, outputs_for(store))
+        deposit_side = [a for a in anomalies
+                        if dict(a.evidence).get("relation") == "sc_token_deposited"]
+        assert [(a.chain_ids, dict(a.evidence)) for a in deposit_side] == [
+            ((S_CHAIN,), {"count": "2", "deposit_id": "5", "relation": "sc_token_deposited"})]
+        ambiguous = [a for a in anomalies if a.kind == "AmbiguousMatch"]
+        assert [(a.chain_ids, dict(a.evidence)) for a in ambiguous] == [
+            ((S_CHAIN, T_CHAIN), {"deposit_id": "5", "derivations": "2"})]
+
+
 class TestLatencyStats:
     def cctx(self, orig_ts, dst_ts, amount="10", token=AA):
         return rules.CctxValidDeposit(
@@ -445,6 +486,25 @@ class TestReport:
         accounting = report["local_rule_accounting"]
         assert accounting["SC_ValidNativeTokenDeposit"]["unmatched"] == 1
         assert accounting["TC_ValidERC20TokenDeposit"]["unmatched"] == 1
+
+    def test_finality_violation_hides_no_leg_of_the_other_direction(self):
+        # H1 escrows a deposit whose release lands inside the finality
+        # window, and also releases a withdrawal that no escrow backs; both
+        # carry id "7"
+        store = build_store(static_facts(), [
+            f.TransactionFact(1000, S_CHAIN, H1, 10, U1, B1, "0", 1, 21_000),
+            f.Erc20TransferFact(H1, S_CHAIN, 0, AA, U1, B1, "5"),
+            f.ScTokenDepositedFact(H1, 1, "7", U2, CC, AA, T_CHAIN, "ERC20", "5"),
+            f.Erc20TransferFact(H1, S_CHAIN, 2, AA, B1, U1, "5"),
+            f.ScTokenWithdrewFact(H1, 3, "7", U1, AA, "5"),
+            f.TransactionFact(1100, T_CHAIN, H2, 20, RELAYER, B2, "0", 1, 60_000),
+            f.Erc20TransferFact(H2, T_CHAIN, 0, CC, B2, U2, "5"),
+            f.TcTokenDepositedFact(H2, 1, "7", U2, CC, "5"),
+        ])
+        report = analytics.build_report(store, outputs_for(store))
+        assert report["anomaly_counts"] == {"FinalityViolation": 1, "UnmatchedLocalWithdrawal": 1}
+        [forged] = report["anomalies"]["UnmatchedLocalWithdrawal"]
+        assert (forged["severity"], forged["tx_hashes"]) == ("critical", [H1])
 
     def test_report_bytes_do_not_depend_on_the_hash_seed(self):
         # two unmatched releases that differ only in amount, and token

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -734,6 +735,30 @@ def test_eval_frees_the_store_before_it_renders(tmp_path, monkeypatch):
     monkeypatch.setattr(analytics, "report_to_json", rendering)
     assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_ANOMALIES
     assert freed == [True]
+
+
+def test_eval_write_that_fails_part_way_keeps_the_old_report(tmp_path, monkeypatch, capsys):
+    facts, report_path = tmp_path / "facts", tmp_path / "r.json"
+    run("simulate", "--seed", "2", "--deposits", "5", "--withdrawals", "5",
+        "--anomalies", "forged_release=2", "--out", str(facts))
+    report_path.write_bytes(b"the old report\n")
+    write_text = Path.write_text
+
+    def full_disk(path, text, *args, **kwargs):
+        write_text(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert run("eval", "--facts", str(facts), "--out", str(report_path)) == EXIT_INPUT_ERROR
+    assert "No space left on device" in capsys.readouterr().err
+    assert report_path.read_bytes() == b"the old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts", "r.json"]
+    monkeypatch.undo()
+    # a link is written through, as a plain write would
+    (tmp_path / "link.json").symlink_to(report_path)
+    assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "link.json")) == EXIT_ANOMALIES
+    assert json.loads(report_path.read_text())["anomaly_counts"] == {"UnmatchedLocalWithdrawal": 2}
+    assert (tmp_path / "link.json").is_symlink()
 
 
 def imported_by(tmp_path, command: str, modules: tuple[str, ...]) -> list[str]:

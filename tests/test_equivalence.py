@@ -4,12 +4,15 @@ soundness)."""
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bridgewatch.facts import FactStore
 from bridgewatch.oracle import MAX_FACTS, OracleSizeError, brute_force
 from bridgewatch.rules import (
+    RULE_TYPES, Escrow, Release,
     eval_all,
     eval_rule1, eval_rule2, eval_rule3, eval_rule4,
     eval_rule5, eval_rule6, eval_rule7, eval_rule8,
@@ -79,62 +82,41 @@ def test_permutation_invariance_of_outputs(rand):
         assert evaluator(a) == evaluator(b)
 
 
+# By leg side: the columns that a cross-chain tuple copies from its leg,
+# read off the leg and off the cross-chain tuple, in the same order.
+LEG_COLUMNS = {
+    Escrow: attrgetter("timestamp", "tx_hash", "id", "sender", "beneficiary", "orig_token",
+                       "dst_token", "orig_chain_id", "dst_chain_id", "amount"),
+    Release: attrgetter("timestamp", "tx_hash", "id", "beneficiary", "dst_token", "chain_id",
+                        "amount"),
+}
+CCTX_COLUMNS = {
+    Escrow: attrgetter("orig_timestamp", "orig_tx_hash", "id", "sender", "beneficiary",
+                       "orig_token", "dst_token", "orig_chain_id", "dst_chain_id", "amount"),
+    Release: attrgetter("dst_timestamp", "dst_tx_hash", "id", "beneficiary", "dst_token",
+                        "dst_chain_id", "amount"),
+}
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_join_key_soundness(seed):
-    store = random_store(seed * 31_337 + 101)
-    outputs = eval_all(store)
-    escrow_keys = {
-        (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.dst_token,
-         t.orig_token, t.orig_chain_id, t.dst_chain_id, t.amount)
-        for t in list(outputs.rule1) + list(outputs.rule2)
-    }
-    release_keys = {
-        (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token, t.chain_id, t.amount)
-        for t in outputs.rule3
-    }
-    for c in outputs.rule4:
-        assert (c.orig_timestamp, c.orig_tx_hash, c.id, c.sender, c.beneficiary,
-                c.dst_token, c.orig_token, c.orig_chain_id, c.dst_chain_id, c.amount) in escrow_keys
-        assert (c.dst_timestamp, c.dst_tx_hash, c.id, c.beneficiary,
-                c.dst_token, c.dst_chain_id, c.amount) in release_keys
-    wdr_escrow_keys = {
-        (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
-         t.dst_token, t.dst_chain_id, t.orig_chain_id, t.amount)
-        for t in list(outputs.rule5) + list(outputs.rule6)
-    }
-    wdr_release_keys = {
-        (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token, t.chain_id, t.amount)
-        for t in outputs.rule7
-    }
-    for c in outputs.rule8:
-        assert (c.orig_timestamp, c.orig_tx_hash, c.id, c.sender, c.beneficiary,
-                c.orig_token, c.dst_token, c.dst_chain_id, c.orig_chain_id, c.amount) in wdr_escrow_keys
-        assert (c.dst_timestamp, c.dst_tx_hash, c.id, c.beneficiary,
-                c.dst_token, c.dst_chain_id, c.amount) in wdr_release_keys
-    # the unmatched legs the join reports are those its outputs do not project
-    # back onto
-    for cctxs, escrows, releases in (
-        (outputs.rule4, outputs.rule1 | outputs.rule2, outputs.rule3),
-        (outputs.rule8, outputs.rule5 | outputs.rule6, outputs.rule7),
-    ):
-        escrow_projections = {
-            (c.orig_timestamp, c.orig_tx_hash, c[6], c.sender, c.beneficiary, c.orig_token,
-             c.dst_token, c.orig_chain_id, c.dst_chain_id, c.amount) for c in cctxs
-        }
-        release_projections = {
-            (c.dst_timestamp, c.dst_tx_hash, c[6], c.beneficiary, c.dst_token,
-             c.dst_chain_id, c.amount) for c in cctxs
-        }
-        assert cctxs.unmatched_escrows == {
-            t for t in escrows
-            if (t.timestamp, t.tx_hash, t[2], t.sender, t.beneficiary, t.orig_token,
-                t.dst_token, t.orig_chain_id, t.dst_chain_id, t.amount) not in escrow_projections
-        }
-        assert cctxs.unmatched_releases == {
-            t for t in releases
-            if (t.timestamp, t.tx_hash, t[2], t.beneficiary, t.dst_token, t.chain_id,
-                t.amount) not in release_projections
-        }
+    outputs = eval_all(random_store(seed * 31_337 + 101)).by_rule()
+    for cctx_rule in (4, 8):
+        cctxs = outputs[cctx_rule]
+        assert list(cctxs.unmatched) == [cctx_rule - 3, cctx_rule - 2, cctx_rule - 1]
+        captured = {Escrow: set(), Release: set()}
+        for rule_id, unmatched in cctxs.unmatched.items():
+            side = RULE_TYPES[rule_id]
+            legs = set(map(LEG_COLUMNS[side], outputs[rule_id]))
+            captured[side] |= legs
+            # the unmatched legs that the join keeps for a local rule are
+            # those of its tuples that no cross-chain tuple projects back onto
+            projected = set(map(CCTX_COLUMNS[side], cctxs))
+            assert unmatched == {t for t in outputs[rule_id]
+                                 if LEG_COLUMNS[side](t) not in projected}
+        for c in cctxs:  # each leg of a cross-chain tuple is a local rule's tuple
+            for side, columns in CCTX_COLUMNS.items():
+                assert columns(c) in captured[side]
 
 
 def test_finality_strictness_on_every_cctx():

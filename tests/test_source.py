@@ -1,9 +1,11 @@
-"""Checks over the package source, read with ``ast``: one JSON decoder, and
-no import that its module leaves unused."""
+"""Checks over the package source, read with ``ast``: one JSON decoder, one
+module that tells the two shapes of an index value apart, and no import that
+its module leaves unused."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import bridgewatch
@@ -34,6 +36,34 @@ def test_only_facts_decodes_json():
     decoding = {name: lines for name, source in _sources().items()
                 if (lines := _decodes_json(ast.parse(source)))}
     assert list(decoding) == ["facts.py"], decoding
+
+
+# A comparison of a value's class with ``tuple`` in the text of generated code.
+_CLASS_IS_TUPLE = re.compile(r"__class__ is (not )?tuple\b")
+
+
+def _tests_class_is_tuple(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that compare a value's ``__class__`` with
+    ``tuple``, in code or in a string of generated code."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "__class__"
+            and any(isinstance(c, ast.Name) and c.id == "tuple" for c in node.comparators)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _CLASS_IS_TUPLE.search(node.value)]
+
+
+def test_only_facts_tells_the_two_shapes_of_an_index_value_apart():
+    # an index maps a key to its one item or to the tuple of its items;
+    # other modules read it through facts.group and facts.shared
+    sources = _sources()
+    found = {name: lines for name, source in sources.items()
+             if name != "facts.py" and (lines := _tests_class_is_tuple(ast.parse(source)))}
+    # the one exception: the probe text that the generated rule bodies
+    # inline, where a call to facts.group would add a frame to every probe
+    probe = [node.lineno for node in ast.parse(sources["rules.py"]).body
+             if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_GROUP"]]
+    assert found == {"rules.py": probe} and probe
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -13,9 +13,10 @@ Seven anomaly kinds cover the deviations the monitor can witness:
 * ``FinalityViolation``: both legs match on every join key but the time
   gap is inside the origin chain's finality window.
 * ``DuplicateId``: one deposit id reused across several source-chain
-  deposit events of one route (the escrow side), or one withdrawal id
-  across several source-chain withdrawal events (the release side); the
-  replay signature.
+  deposit events of one declared route (the escrow side; all of them
+  when one names no declared route), or one withdrawal id across several
+  source-chain withdrawal events (the release side); the replay
+  signature.
 * ``AmbiguousMatch``: one identifier participating in more than one
   cross-chain derivation of one route.
 
@@ -39,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .facts import (EncodingError, FactStore, InputError, _chain_id, _uint, canonical_address,
                     group, known_keys, read_json, shared, shown)
-from .rules import RULE_NAMES, RULE_TYPES, Escrow, RuleOutputs
+from .rules import RULE_NAMES, RULE_TYPES, Escrow, Release, RuleOutputs
 
 __all__ = [
     "Anomaly",
@@ -160,19 +161,21 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
 # matched/unmatched accounting over rule outputs
 # ---------------------------------------------------------------------------
 
-def matched_projections(outputs: RuleOutputs) -> dict[int, frozenset]:
-    """Each local rule's tuples that formed no valid cross-chain pair in
-    rule 4 or 8, by local rule id: the ``unmatched`` maps of both joins.
-    The join keeps what failed rather than what matched; the name stays
-    because the benchmark's tracing wraps this function by name."""
-    return {**outputs.rule4.unmatched, **outputs.rule8.unmatched}
+def matched_projections(outputs: RuleOutputs) -> dict[int, dict[int, frozenset]]:
+    """The ``unmatched`` map of each join, by cross-chain rule (4 and 8):
+    each local rule that feeds the join to its tuples that formed no valid
+    pair there. The join keeps what failed rather than what matched; the
+    name stays because the benchmark's tracing wraps this function by
+    name."""
+    return {4: outputs.rule4.unmatched, 8: outputs.rule8.unmatched}
 
 
 def match_accounting(outputs: RuleOutputs) -> dict[int, tuple[int, int]]:
     """(matched, unmatched) per local rule; matched + unmatched = captured."""
     by_rule = outputs.by_rule()
     return {rule_id: (len(by_rule[rule_id]) - len(legs), len(legs))
-            for rule_id, legs in matched_projections(outputs).items()}
+            for unmatched in matched_projections(outputs).values()
+            for rule_id, legs in unmatched.items()}
 
 
 def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
@@ -182,23 +185,26 @@ def unmatched_local(outputs: RuleOutputs) -> list[Anomaly]:
     Rules 1/2 and 5/6 are the escrow side; rules 3 and 7 are the release
     side (loss-of-funds direction, graded ``critical``).
     """
+    by_rule = outputs.by_rule()
     out: list[Anomaly] = []
-    for rule_id, legs in matched_projections(outputs).items():
-        deposit = rule_id in outputs.rule4.unmatched  # else rule 8's join keeps the leg
-        escrow = RULE_TYPES[rule_id] is Escrow
-        early = (outputs.rule4 if deposit else outputs.rule8).early
-        for t in legs - {esc if escrow else rel for esc, rel, _ in early}:
-            out.append(
-                Anomaly(
-                    kind="UnmatchedLocalDeposit" if deposit else "UnmatchedLocalWithdrawal",
-                    chain_ids=(t.orig_chain_id if escrow else t.chain_id,),
-                    tx_hashes=(t.tx_hash,),
-                    amount=t.amount,
-                    evidence=_evidence(side="escrow" if escrow else "release",
-                                       rule=RULE_NAMES[rule_id], id=t.id),
-                    severity="medium" if escrow else "critical",
+    for cctx_rule, unmatched in matched_projections(outputs).items():
+        early = by_rule[cctx_rule].early
+        explained = {Escrow: {esc for esc, _, _ in early}, Release: {rel for _, rel, _ in early}}
+        kind = "UnmatchedLocalDeposit" if cctx_rule == 4 else "UnmatchedLocalWithdrawal"
+        for rule_id, legs in unmatched.items():
+            escrow = RULE_TYPES[rule_id] is Escrow
+            for t in legs - explained[RULE_TYPES[rule_id]]:
+                out.append(
+                    Anomaly(
+                        kind=kind,
+                        chain_ids=(t.orig_chain_id if escrow else t.chain_id,),
+                        tx_hashes=(t.tx_hash,),
+                        amount=t.amount,
+                        evidence=_evidence(side="escrow" if escrow else "release",
+                                           rule=RULE_NAMES[rule_id], id=t.id),
+                        severity="medium" if escrow else "critical",
+                    )
                 )
-            )
     return sorted(out, key=Anomaly.sort_key)
 
 
@@ -241,10 +247,12 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     """Identifier reuse across bridge events, plus multi-derivation
     cross-chain transactions.
 
-    A deposit id shared by several source-chain deposit events of one
-    route (their transactions' chains and their target chain), or a
+    A deposit id shared by several source-chain deposit events, or a
     withdrawal id shared by several source-chain (release side) withdrawal
-    events, yields one ``DuplicateId`` with the occurrence count. An id
+    events, yields one ``DuplicateId`` with the occurrence count. When each
+    deposit event of an id names a route that a token mapping declares (the
+    chain of its transaction, and its ``dst_chain_id``), only the events of
+    one route share the id; otherwise they share it as one group. An id
     with more than one cross-chain derivation of one route (origin and
     destination chain) in ``outputs`` yields one ``AmbiguousMatch``. The
     pass groups the events and the derivations itself
@@ -252,42 +260,51 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     """
     store.require_sealed()
     txs = store.by_tx["transaction"]
+    routes = {mapping[:2] for mapping in store.token_mappings}
 
     def tx_chains(fct) -> frozenset[int]:
         return frozenset(tx.chain_id for tx in group(txs, fct.tx_hash))
 
+    def route(event) -> tuple[int, int] | None:
+        """The declared route that an event's transaction chain and target
+        chain name; None for no such route or no one chain, and for every
+        release-side event, which names no target chain."""
+        key = (*tx_chains(event), getattr(event, "dst_chain_id", None))
+        return key if key in routes else None
+
     out: list[Anomaly] = []
-    for relation, id_field, *route in (
-        ("sc_token_deposited", "deposit_id", lambda e: (tx_chains(e), e.dst_chain_id)),
-        ("sc_token_withdrew", "withdrawal_id"),  # a release-side event names no origin chain
-    ):
-        for facts_list in shared(store.relation(relation), attrgetter(id_field), *route):
-            out.append(
-                Anomaly(
-                    kind="DuplicateId",
-                    chain_ids=tuple(sorted(frozenset().union(*map(tx_chains, facts_list)))),
-                    tx_hashes=tuple(sorted({fct.tx_hash for fct in facts_list})),
-                    amount=str(sum(int(fct.amount) for fct in facts_list)),
-                    evidence=_evidence(**{id_field: getattr(facts_list[0], id_field),
-                                          "relation": relation, "count": len(facts_list)}),
-                    severity=SEVERITY["DuplicateId"],
+    for relation, id_field in (("sc_token_deposited", "deposit_id"),
+                               ("sc_token_withdrew", "withdrawal_id")):
+        for same in shared(store.relation(relation), attrgetter(id_field)):
+            # an id's events are told apart by route only when each names one
+            for facts_list in (same,) if None in map(route, same) else shared(same, route):
+                out.append(
+                    Anomaly(
+                        kind="DuplicateId",
+                        chain_ids=tuple(sorted(frozenset().union(*map(tx_chains, facts_list)))),
+                        tx_hashes=tuple(sorted({fct.tx_hash for fct in facts_list})),
+                        amount=str(sum(int(fct.amount) for fct in facts_list)),
+                        evidence=_evidence(**{id_field: getattr(facts_list[0], id_field),
+                                              "relation": relation, "count": len(facts_list)}),
+                        severity=SEVERITY["DuplicateId"],
+                    )
                 )
-            )
-    route = attrgetter("orig_chain_id", "dst_chain_id")
+    cctx_route = attrgetter("orig_chain_id", "dst_chain_id")
     for cctx_set, id_field in ((outputs.rule4, "deposit_id"), (outputs.rule8, "withdrawal_id")):
-        for cctxs in shared(cctx_set, attrgetter("id"), route):
-            hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
-            chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})
-            out.append(
-                Anomaly(
-                    kind="AmbiguousMatch",
-                    chain_ids=tuple(chains),
-                    tx_hashes=tuple(hashes),
-                    amount=str(sum(int(c.amount) for c in cctxs)),
-                    evidence=_evidence(**{id_field: cctxs[0].id, "derivations": len(cctxs)}),
-                    severity=SEVERITY["AmbiguousMatch"],
+        for same in shared(cctx_set, attrgetter("id")):
+            for cctxs in shared(same, cctx_route):
+                hashes = sorted({c.orig_tx_hash for c in cctxs} | {c.dst_tx_hash for c in cctxs})
+                chains = sorted({c.orig_chain_id for c in cctxs} | {c.dst_chain_id for c in cctxs})
+                out.append(
+                    Anomaly(
+                        kind="AmbiguousMatch",
+                        chain_ids=tuple(chains),
+                        tx_hashes=tuple(hashes),
+                        amount=str(sum(int(c.amount) for c in cctxs)),
+                        evidence=_evidence(**{id_field: cctxs[0].id, "derivations": len(cctxs)}),
+                        severity=SEVERITY["AmbiguousMatch"],
+                    )
                 )
-            )
     return sorted(out, key=Anomaly.sort_key)
 
 

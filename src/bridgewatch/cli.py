@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -45,6 +46,33 @@ def _output(text: str) -> None:
     except BrokenPipeError:
         # later output, and the flush at exit, go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_whole(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` so that no reader of a report file sees a
+    part of it: through a sibling ``<path>.<pid>.tmp`` that ``os.replace``
+    moves over the file, when ``path`` is missing or names a regular file
+    of one link that this user owns (through a symbolic link, onto its
+    target; the file's mode is kept). Anything else, such as ``/dev/null``,
+    ``/dev/stdout`` on a pipe, a FIFO, or a file with other hard links or
+    another owner, is written through: a replace would swap out the device
+    node, find no directory beside the pipe, or cut the links and the
+    owner."""
+    st = os.stat(path) if os.path.exists(path) else None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and st.st_uid == os.geteuid()):
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    target = os.path.realpath(path)
+    temp = Path(f"{target}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        if st is not None:
+            temp.chmod(stat.S_IMODE(st.st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # Each command imports only the modules it runs: ``ingest`` never loads
@@ -91,14 +119,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the render's transient then fits into the memory the store just freed
     del store, outputs
     rendered = analytics.report_to_json(report)
-    out = Path(os.path.realpath(args.out))  # replaced whole through a sibling, or left as it was
-    temp = Path(f"{out}.{os.getpid()}.tmp")
-    try:
-        temp.write_text(rendered, encoding="utf-8")
-        os.replace(temp, out)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    _write_whole(args.out, rendered)
     n_anomalies = analytics.total_anomalies(report)
     _progress(
         f"evaluated {n_facts} facts: "

@@ -607,12 +607,10 @@ def group(index: dict, key: Any) -> tuple:
     return value if value.__class__ is tuple else (value,)
 
 
-def shared(items: tuple | frozenset, key: Callable, *then: Callable) -> Iterator[tuple]:
-    """The groups of two or more of ``items`` that share ``key`` and then
-    each key of ``then``, as tuples (:func:`index_by`). A later key is read
-    only for the items of a group that shares the earlier ones."""
-    groups = (same for same in index_by(items, key).values() if same.__class__ is tuple)
-    return (sub for same in groups for sub in shared(same, *then)) if then else groups
+def shared(items: tuple | frozenset, key: Callable) -> Iterator[tuple]:
+    """The groups of two or more of ``items`` that share ``key``, as tuples
+    (:func:`index_by`)."""
+    return (same for same in index_by(items, key).values() if same.__class__ is tuple)
 
 
 class FactStore:

@@ -309,6 +309,19 @@ class TestRouteScopedIds:
         assert [(a.chain_ids, dict(a.evidence)) for a in ambiguous] == [
             ((S_CHAIN, T_CHAIN), {"deposit_id": "5", "derivations": "2"})]
 
+    def test_an_event_on_no_declared_route_keeps_its_id_in_one_group(self):
+        route = generate(ScenarioParams(seed=1, n_deposits=40, n_withdrawals=40)).store
+        event = next(e for e in route.relation("sc_token_deposited") if e.deposit_id == "5")
+        # a target chain that no token mapping declares; a transaction with no fact
+        for stray in ([replace(event, event_index=event.event_index + 1, dst_chain_id=999),
+                       f.CctxFinalityFact(999, 1800)],
+                      [replace(event, tx_hash=txh("feed"))]):
+            store = hub_store(stray)
+            anomalies = analytics.duplicate_ids(store, outputs_for(store))
+            assert [dict(a.evidence) for a in anomalies
+                    if dict(a.evidence).get("relation") == "sc_token_deposited"] == [
+                {"count": "3", "deposit_id": "5", "relation": "sc_token_deposited"}]
+
 
 class TestLatencyStats:
     def cctx(self, orig_ts, dst_ts, amount="10", token=AA):

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -759,6 +760,43 @@ def test_eval_write_that_fails_part_way_keeps_the_old_report(tmp_path, monkeypat
     assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "link.json")) == EXIT_ANOMALIES
     assert json.loads(report_path.read_text())["anomaly_counts"] == {"UnmatchedLocalWithdrawal": 2}
     assert (tmp_path / "link.json").is_symlink()
+
+
+def test_eval_writes_through_an_out_it_must_not_replace(tmp_path):
+    facts = tmp_path / "facts"
+    run("simulate", "--seed", "2", "--deposits", "5", "--withdrawals", "5",
+        "--anomalies", "forged_release=2", "--out", str(facts))
+    counts = {"UnmatchedLocalWithdrawal": 2}
+    # a FIFO stays a FIFO, and its reader gets the report (one pipe buffer)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run("eval", "--facts", str(facts), "--out", str(fifo)) == EXIT_ANOMALIES
+        got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert json.loads(got)["anomaly_counts"] == counts
+    # /dev/stdout on a pipe
+    proc = subprocess.run([sys.executable, "-m", "bridgewatch.cli", "eval", "--facts", str(facts),
+                           "--out", "/dev/stdout"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == EXIT_ANOMALIES, proc.stderr
+    assert json.loads(proc.stdout)["anomaly_counts"] == counts
+    # a file with another hard link keeps the link; a replaced file keeps its mode
+    linked, other, single = tmp_path / "linked.json", tmp_path / "other.json", tmp_path / "s.json"
+    linked.write_bytes(b"the old report\n")
+    os.link(linked, other)
+    single.write_bytes(b"the old report\n")
+    single.chmod(0o640)
+    for out in (linked, single):
+        assert run("eval", "--facts", str(facts), "--out", str(out)) == EXIT_ANOMALIES
+        assert json.loads(out.read_text())["anomaly_counts"] == counts
+    assert os.path.samefile(linked, other) and other.stat().st_nlink == 2
+    assert stat.S_IMODE(single.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "facts", "fifo", "linked.json", "other.json", "s.json"]
 
 
 def imported_by(tmp_path, command: str, modules: tuple[str, ...]) -> list[str]:

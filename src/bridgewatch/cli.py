@@ -5,7 +5,8 @@ runs the rules plus analytics over a facts directory and writes the
 report (anomalies, and latency and value statistics), ``simulate``
 generates synthetic scenarios, and ``check`` diffs the hash-join engine
 against the brute-force evaluator. Machine-readable output goes to stdout
-or files; progress and diagnostics go to stderr.
+or to files, each written whole by ``facts.write_whole`` (a reader sees the
+old file or the new one); progress and diagnostics go to stderr.
 
 Exit codes: 0 clean, 1 anomalies found, 2 input/config error (an
 ``InputError`` or ``OSError``), 3 internal error.
@@ -17,11 +18,10 @@ import argparse
 import gc
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 
-from .facts import InputError, dump_facts_dir, load_facts_dir
+from .facts import InputError, dump_facts_dir, load_facts_dir, write_whole
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -46,33 +46,6 @@ def _output(text: str) -> None:
     except BrokenPipeError:
         # later output, and the flush at exit, go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _write_whole(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so that no reader of a report file sees a
-    part of it: through a sibling ``<path>.<pid>.tmp`` that ``os.replace``
-    moves over the file, when ``path`` is missing or names a regular file
-    of one link that this user owns (through a symbolic link, onto its
-    target; the file's mode is kept). Anything else, such as ``/dev/null``,
-    ``/dev/stdout`` on a pipe, a FIFO, or a file with other hard links or
-    another owner, is written through: a replace would swap out the device
-    node, find no directory beside the pipe, or cut the links and the
-    owner."""
-    st = os.stat(path) if os.path.exists(path) else None
-    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                               and st.st_uid == os.geteuid()):
-        Path(path).write_text(text, encoding="utf-8")
-        return
-    target = os.path.realpath(path)
-    temp = Path(f"{target}.{os.getpid()}.tmp")
-    try:
-        temp.write_text(text, encoding="utf-8")
-        if st is not None:
-            temp.chmod(stat.S_IMODE(st.st_mode))
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
 
 
 # Each command imports only the modules it runs: ``ingest`` never loads
@@ -119,7 +92,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the render's transient then fits into the memory the store just freed
     del store, outputs
     rendered = analytics.report_to_json(report)
-    _write_whole(args.out, rendered)
+    write_whole(args.out, (rendered,))
     n_anomalies = analytics.total_anomalies(report)
     _progress(
         f"evaluated {n_facts} facts: "

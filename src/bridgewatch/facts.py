@@ -55,15 +55,19 @@ to the key's fact when it has one, and to the tuple of its facts when
 several share the key (:func:`index_by`, read through :func:`group` and
 :func:`shared`).
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
-compatible with common Datalog engine fact-file layouts.
+compatible with common Datalog engine fact-file layouts. Every file the
+package writes is written whole by :func:`write_whole`; a dump holds
+:data:`DUMP_MARKER` until it ends, and :func:`load_facts_dir` refuses it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import compress
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -103,6 +107,7 @@ __all__ = [
     "shared",
     "load_facts_dir",
     "dump_facts_dir",
+    "write_whole",
 ]
 
 MAX_UINT256 = (1 << 256) - 1
@@ -732,29 +737,19 @@ class FactStore:
 
 def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
     """The fact of a line that the relation's row pattern did not match,
-    built by the validating constructor. Such a line holds an integer
-    longer than the pattern admits, or text that a column's check refuses:
-    the error names the first such column."""
+    each column read by its kind's check, in column order. Such a line
+    holds an integer longer than the pattern admits, or text that a
+    column's check refuses: the error names the first such column."""
     cols = line.removesuffix("\n").split("\t")
     if len(cols) != len(fact_type.COLUMNS):
         raise EncodingError(
             fact_type.RELATION, f"expected {len(fact_type.COLUMNS)} columns, got {len(cols)}"
         )
-    try:
-        return fact_type(*map(_int_or_text, cols, fact_type.COLUMNS))
-    except EncodingError as exc:
-        index = fact_type.__slots__.index(exc.field)
-        if fact_type.COLUMNS[index][1].load is int:  # text refused: named as uint_text names it
-            uint_text(cols[index], exc.field)
-        raise
+    return fact_type._unchecked(*[kind.check(uint_text(text, name) if kind.load is int else text, name)
+                                  for text, (name, kind) in zip(cols, fact_type.COLUMNS)])
 
 
-def _int_or_text(text: str, column: tuple[str, _Kind]) -> int | str:
-    """The integer of an integer column's text, where :func:`uint_text`
-    reads one, and else the text, for the constructor to refuse in order."""
-    with suppress(EncodingError):
-        return uint_text(text, "") if column[1].load is int else text
-    return text
+DUMP_MARKER = ".dump-incomplete"  # in a directory while dump_facts_dir writes it
 
 
 def load_facts_dir(path: str | Path) -> FactStore:
@@ -763,12 +758,15 @@ def load_facts_dir(path: str | Path) -> FactStore:
     Missing files mean empty relations. A ``.facts`` file of no relation,
     or any line with the wrong column count (or a malformed field), raises
     :class:`FactsParseError` naming the file and, for bad lines, the number
-    of the first. Blank lines are skipped, and a repeated row loads once:
-    each relation is the tuple of its distinct facts, in file order.
+    of the first; so does the :data:`DUMP_MARKER` of a stopped dump. Blank
+    lines are skipped, and a repeated row loads once: each relation is the
+    tuple of its distinct facts, in file order.
     """
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
+    if (root / DUMP_MARKER).exists():
+        raise FactsParseError(f"{root / DUMP_MARKER}: the dump into this directory did not finish")
     store = FactStore()
     for file_path in sorted(root.glob("*.facts")):
         name = file_path.stem
@@ -909,14 +907,18 @@ def _long_integer(text: str) -> str:
 
 def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:
     """Write one sorted ``<relation>.facts`` file per non-empty relation,
-    and remove the file of each empty one that an earlier dump left.
+    each by :func:`write_whole`, and remove the file of each empty one that
+    an earlier dump left; files of no relation stay.
 
-    Rows are sorted lexicographically so dumps are deterministic;
-    ``load_facts_dir`` on the result reproduces the store exactly, also
-    in a directory that held another dump.
+    Rows are sorted lexicographically so dumps are deterministic. A dump
+    that finishes reproduces the store under ``load_facts_dir``, also in a
+    directory that held another dump. One stopped part-way leaves the
+    :data:`DUMP_MARKER` that it writes first and removes last, which
+    ``load_facts_dir`` refuses: it never loads as a mix of two dumps.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    write_whole(root / DUMP_MARKER, ())
     written: list[Path] = []
     for name, fact_type in RELATIONS.items():
         facts = store._relations[name]
@@ -925,9 +927,37 @@ def dump_facts_dir(store: FactStore, path: str | Path) -> list[Path]:
             file_path.unlink(missing_ok=True)
             continue
         rows = sorted(map(fact_type._to_row, facts))
-        with open(file_path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(row + "\n")
+        write_whole(file_path, map("{}\n".format, rows))
         del rows  # before the next relation's rows are built
         written.append(file_path)
+    (root / DUMP_MARKER).unlink()
     return written
+
+
+def write_whole(path: str | Path, lines: Iterable[str]) -> None:
+    """Write the text ``lines`` to ``path`` so that no reader sees a part
+    of it: through a sibling ``<path>.<pid>.tmp`` that ``os.replace`` moves
+    over the file, when ``path`` is missing or names a regular file of one
+    link that this user owns (through a symbolic link, onto its target;
+    the file's mode is kept), and removed on any failure. Anything else,
+    such as ``/dev/null``, ``/dev/stdout`` on a pipe, a FIFO, or a file
+    with other hard links or another owner, is written through: a replace
+    would swap out the device node, find no directory beside the pipe, or
+    cut the links and the owner."""
+    st = os.stat(path) if os.path.exists(path) else None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and st.st_uid == os.geteuid()):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        return
+    target = os.path.realpath(path)
+    temp = Path(f"{target}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        if st is not None:
+            temp.chmod(stat.S_IMODE(st.st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -48,6 +48,9 @@ column's field type is the first that the decoder lets its kind take
 ``chain_id``, ``Amount`` ``uint`` and ``Opaque`` ``id``, each signed as
 ``uint256`` but an ``address``; ``standard`` is an ``enum``, signed as
 ``uint8`` and labelled ``ERC20`` (0) and ``NATIVE`` (1).
+
+Each output file is written whole by ``facts.write_whole`` (the facts
+through ``dump_facts_dir``): a stopped ``simulate`` leaves it old or new.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from . import facts as f
-from .facts import FactStore, dump_facts_dir
+from .facts import FactStore, dump_facts_dir, write_whole
 from .ingest import (_FIELD_TYPES, NATIVE_EVENT_INDEX, BridgeDecoderConfig, encode_receipt,
                      static_facts)
 from .keccak import event_topic  # noqa: F401  (bench/tracing.py wraps scenario.event_topic)
@@ -242,21 +245,13 @@ class GeneratedScenario(NamedTuple):
         dump_facts_dir(self.store, path)
 
     def write_receipts_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for receipt in self.receipts():
-                fh.write(json.dumps(receipt, sort_keys=True) + "\n")
+        write_whole(path, (json.dumps(r, sort_keys=True) + "\n" for r in self.receipts()))
 
     def write_config(self, path: str | Path) -> None:
-        _write_json(self.config, path)
+        write_whole(path, (json.dumps(self.config, indent=2, sort_keys=True), "\n"))
 
     def write_ground_truth(self, path: str | Path) -> None:
-        _write_json(self.ground_truth, path)
-
-
-def _write_json(obj: Any, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_whole(path, (json.dumps(self.ground_truth, indent=2, sort_keys=True), "\n"))
 
 
 # --- synthetic bridge ABI ---------------------------------------------------

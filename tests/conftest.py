@@ -9,6 +9,9 @@ these with :func:`replace` to break exactly one conjunct at a time.
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Callable
+
 import pytest
 
 from bridgewatch import facts as f
@@ -87,6 +90,48 @@ def assert_values_shared(*stores: f.FactStore) -> None:
               if isinstance(value := getattr(fact, name), str)]
     assert values
     assert len({id(value) for value in values}) == len(set(values))
+
+
+class _Cut:
+    """A text file open for writing that takes ``budget`` more characters
+    and then raises ``error``, having written the part that fits."""
+
+    def __init__(self, fh, budget: int, error: BaseException):
+        self.fh, self.budget, self.error = fh, budget, error
+
+    def write(self, text: str) -> int:
+        if len(text) > self.budget:
+            self.fh.write(text[:self.budget])
+            raise self.error
+        self.budget -= len(text)
+        return self.fh.write(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+
+def stop_writes(monkeypatch, budget: Callable[[str], int | None], error: BaseException) -> None:
+    """Fail the files that ``facts`` opens for writing, as a full disk or a
+    stopped process would: a file named ``name`` takes ``budget(name)``
+    characters and then raises ``error``, or raises it before it opens
+    when that is 0, or is written whole when it is None."""
+    real_open = open
+
+    def opening(file, mode="r", *args, **kwargs):
+        chars = budget(Path(file).name) if "w" in mode else None
+        if chars == 0:
+            raise error
+        fh = real_open(file, mode, *args, **kwargs)
+        return fh if chars is None else _Cut(fh, chars, error)
+
+    monkeypatch.setattr(f, "open", opening, raising=False)
 
 
 def build_store(*fact_groups) -> f.FactStore:

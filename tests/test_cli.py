@@ -31,6 +31,7 @@ from bridgewatch.cli import (
 from bridgewatch.facts import load_facts_dir
 from bridgewatch.ingest import ingest_jsonl, load_config
 from bridgewatch.keccak import event_topic
+from conftest import stop_writes
 
 
 def run(*argv) -> int:
@@ -743,13 +744,9 @@ def test_eval_write_that_fails_part_way_keeps_the_old_report(tmp_path, monkeypat
     run("simulate", "--seed", "2", "--deposits", "5", "--withdrawals", "5",
         "--anomalies", "forged_release=2", "--out", str(facts))
     report_path.write_bytes(b"the old report\n")
-    write_text = Path.write_text
-
-    def full_disk(path, text, *args, **kwargs):
-        write_text(path, text[:len(text) // 2], *args, **kwargs)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-
-    monkeypatch.setattr(Path, "write_text", full_disk)
+    # the disk fills once the report's first 64 characters are written
+    stop_writes(monkeypatch, lambda name: 64 if name.startswith("r.json") else None,
+                OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     assert run("eval", "--facts", str(facts), "--out", str(report_path)) == EXIT_INPUT_ERROR
     assert "No space left on device" in capsys.readouterr().err
     assert report_path.read_bytes() == b"the old report\n"

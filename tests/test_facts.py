@@ -9,6 +9,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from hypothesis import event, given, settings, strategies as st
 from bridgewatch import cli, facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 from conftest import (
-    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts, txh,
+    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts, stop_writes, txh,
 )
 from randstores import random_store
 
@@ -431,6 +432,76 @@ class TestPersistence:
         store.seal()
         # kept as a tuple, so that relation() copies nothing
         assert store.relation("wrapped_native_token") is store.relation("wrapped_native_token")
+
+
+class _Stopped(BaseException):
+    """The stop of a process part-way through a dump."""
+
+
+# Where a re-dump over an older dump is stopped: before the marker is
+# written; before each relation file opens, and when half of it is written;
+# and before the marker is removed.
+REDUMP_STOPS = [(".dump-incomplete", "open"),
+                *((f"{name}.facts", where) for name in f.RELATIONS for where in ("open", "half")),
+                (".dump-incomplete", "unlink")]
+
+
+@pytest.fixture(scope="module")
+def redump(tmp_path_factory) -> dict:
+    """Seed 1's 50/50 store dumped, with its ``eval``; and seed 2's, which
+    is dumped over it. Each store alone is clean."""
+    root = tmp_path_factory.mktemp("redump")
+    old, new = (generate(ScenarioParams(seed, 50, 50)).store for seed in (1, 2))
+    f.dump_facts_dir(old, root / "old")
+    f.dump_facts_dir(new, root / "new")
+    code = cli.main(["eval", "--facts", str(root / "old"), "--out", str(root / "old.json")])
+    return {"root": root, "old": old, "new": new,
+            "eval": (code, (root / "old.json").read_bytes())}
+
+
+@pytest.mark.parametrize("file, where", REDUMP_STOPS,
+                         ids=[f"{where}-{file}" for file, where in REDUMP_STOPS])
+def test_a_stopped_redump_loads_the_old_store_or_is_refused(redump, tmp_path, monkeypatch,
+                                                             capsys, file, where):
+    # A dump that rewrites each file in place, stopped as tc_withdrawal.facts
+    # (the sixth file) opens, leaves five new files beside eight old ones,
+    # and eval exits 1 with 142 SingleBridgeEvent anomalies.
+    facts, report = tmp_path / "facts", tmp_path / "report.json"
+    shutil.copytree(redump["root"] / "old", facts)
+    (facts / "ground_truth.json").write_text("[]\n")  # a file of no relation
+    if where == "unlink":
+        unlink = Path.unlink
+
+        def stopping(path, *args, **kwargs):
+            if path.name == file:
+                raise _Stopped
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", stopping)
+    else:
+        chars = (redump["root"] / "new" / file).stat().st_size // 2 if where == "half" else 0
+        stop_writes(monkeypatch, lambda name: chars if name == file or name.startswith(f"{file}.")
+                    else None, _Stopped())
+    with pytest.raises(_Stopped):
+        f.dump_facts_dir(redump["new"], facts)
+    monkeypatch.undo()
+    capsys.readouterr()
+    code = cli.main(["eval", "--facts", str(facts), "--out", str(report)])
+    if code == cli.EXIT_INPUT_ERROR:
+        message = f"{facts / '.dump-incomplete'}: the dump into this directory did not finish"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(f.FactsParseError, match=re.escape(message)):
+            f.load_facts_dir(facts)
+    else:
+        counts = json.loads(report.read_bytes())["anomaly_counts"]
+        assert (code, counts) == (redump["eval"][0], {})
+        assert report.read_bytes() == redump["eval"][1]
+        assert f.load_facts_dir(facts) == redump["old"]
+    # the next dump finishes: its store, the file of no relation, no marker and no temporary file
+    f.dump_facts_dir(redump["new"], facts)
+    assert f.load_facts_dir(facts) == redump["new"]
+    assert sorted(p.name for p in facts.iterdir()) == sorted(
+        ["ground_truth.json", *(p.name for p in (redump["root"] / "new").iterdir())])
 
 
 # Every integer column, as (fact of its relation, column index).

@@ -1,6 +1,6 @@
 """Checks over the package source, read with ``ast``: one JSON decoder, one
-module that tells the two shapes of an index value apart, and no import that
-its module leaves unused."""
+writer of files, one module that tells the two shapes of an index value
+apart, and no import that its module leaves unused."""
 
 from __future__ import annotations
 
@@ -36,6 +36,54 @@ def test_only_facts_decodes_json():
     decoding = {name: lines for name, source in _sources().items()
                 if (lines := _decodes_json(ast.parse(source)))}
     assert list(decoding) == ["facts.py"], decoding
+
+
+# What writes a file besides ``open`` in a writing mode: members of modules,
+# and methods of ``Path``.
+_WRITING = {("os", "open"), ("os", "replace"), ("os", "rename"), ("json", "dump")}
+_WRITING_METHODS = {"write_text", "write_bytes"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` is the builtin ``open`` or a method ``open`` (as
+    ``Path.open``) with a mode that writes, or one that is not a constant."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        at = 1
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open" and not (
+            isinstance(call.func.value, ast.Name) and call.func.value.id == "os"):
+        at = 0
+    else:
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[at:at + 1]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+               or set(mode.value) & set("wax+") for mode in modes)
+
+
+def _writes_files(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that open a file for writing, write one through
+    ``Path``, move one over another or dump JSON into one."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _opens_for_writing(node)
+            or isinstance(node, ast.Attribute) and (
+                node.attr in _WRITING_METHODS
+                or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in _WRITING)
+            or isinstance(node, ast.ImportFrom)
+            and any((node.module, alias.name) in _WRITING for alias in node.names)]
+
+
+def test_only_facts_writes_files():
+    # every output file is written whole by facts.write_whole
+    sources = _sources()
+    found = {name: lines for name, source in sources.items()
+             if name != "facts.py" and (lines := _writes_files(ast.parse(source)))}
+    # the one exception: cli._output sends stdout to the null device once
+    # its reader has gone away
+    output = next(node for node in ast.parse(sources["cli.py"]).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_output")
+    devnull = [node.lineno for node in ast.walk(output)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.open"
+               and ast.unparse(node.args[0]) == "os.devnull"]
+    assert found == {"cli.py": devnull} and devnull, found
 
 
 # A comparison of a value's class with ``tuple`` in the text of generated code.

@@ -15,18 +15,16 @@ Facts are immutable, hashable values with canonical field encodings:
 * identifiers (deposit/withdrawal ids, token standards): opaque strings,
   compared by equality, free of tabs and newlines
 
-Equal values are shared: every fact built by the validating constructors,
-by :func:`load_facts_dir`, by the receipt decoder or by the generator holds
-one ``str`` object per distinct address, hash, amount and identifier
-(``sys.intern``), so a value repeated across facts and relations is stored
-once and equal values compare by identity.
+Equal values are shared: every fact holds one ``str`` object per distinct
+address, hash, amount and identifier, so a value repeated across facts and
+relations is stored once and equal values compare by identity. Only the
+fact builders share them, each column by its kind's ``load``.
 
 Each fact class annotates its columns with a kind (``Address``, ``Uint``,
 ...). That one table of (name, kind) per relation yields the validating
-constructor, the compiled row matcher and builder used by
-:func:`load_facts_dir`, the row renderer used by :func:`dump_facts_dir`, and
-the unchecked builder that the receipt decoder calls with values it has
-already brought into canonical form. The constructor, builders and renderer
+constructor; the unchecked builder, which :func:`load_facts_dir` calls
+with a matched row's text, and the receipt decoder and the generator with
+canonical values; and the row renderer of :func:`dump_facts_dir`. These
 are generated source, each compiled on its first use per class
 (:class:`_FirstUse`): a command compiles only what it runs. The table also
 yields what makes each fact a value (:func:`_relation`): one slot per
@@ -170,7 +168,7 @@ def canonical_tx_hash(value: str, field: str = "tx_hash") -> str:
 
 
 def _canonical_hex(value, field: str, pattern: re.Pattern, shape: str) -> str:
-    """``value`` lowercased and shared, if that is ``pattern``'s text;
+    """``value`` lowercased, if that is ``pattern``'s text;
     ``shape`` names the value in the error (its last word, its type)."""
     if not isinstance(value, str):
         raise EncodingError(field, f"expected {shape.rsplit(' ', 1)[1]} string, "
@@ -178,7 +176,7 @@ def _canonical_hex(value, field: str, pattern: re.Pattern, shape: str) -> str:
     v = value.lower()
     if not pattern.fullmatch(v):
         raise EncodingError(field, f"not a canonical {shape}: {shown(value)}")
-    return sys.intern(v)
+    return v
 
 
 def canonical_amount(value: str | int, field: str = "amount") -> str:
@@ -187,7 +185,7 @@ def canonical_amount(value: str | int, field: str = "amount") -> str:
         uint_text(value, field)
     else:
         _uint(value, field)
-    return sys.intern(str(value))  # str(): intern takes no str subclass
+    return str(value)  # str(): sys.intern takes no str subclass
 
 
 def _uint(value, field: str) -> int:
@@ -235,16 +233,20 @@ def _opaque(value, field: str) -> str:
         raise EncodingError(field, f"expected string, got {type(value).__name__}")
     if "\t" in value or "\n" in value or "\r" in value:
         raise EncodingError(field, "must not contain tab or newline")
-    return sys.intern(str(value))
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which no file can hold
+        raise EncodingError(field, f"cannot be written as UTF-8: {shown(value)}") from None
+    return str(value)
 
 
 class _Kind(NamedTuple):
     """The encoding of one column kind: the constructor's check, the
-    canonical ``.facts`` text, and the function that loads that text."""
+    canonical ``.facts`` text, and the function that loads a value."""
 
     check: Callable[[Any, str], Any]  # constructor: (value, field) -> canonical value
     pattern: str  # regex of every ``.facts`` text the kind accepts
-    load: Callable[[str], Any]  # matched text -> value: ``int``, or ``sys.intern`` to share it
+    load: Callable[[Any], Any]  # in each builder: ``int``, or ``sys.intern`` to share text
     name: str = ""  # the annotation that selects the kind, set in _KINDS
 
 
@@ -256,8 +258,7 @@ _DECIMAL = "0|[1-9][0-9]{0,76}"
 # accepts canonical text only, so that a row it matches is its fact's
 # _to_row() text: load_facts_dir drops repeated rows by their text. Hex text
 # in another case takes the checked path, which lowercases it as the
-# constructor does. Text values are shared on load as the constructor's
-# checks share them.
+# constructor does. These loads are the one place that shares text.
 _KINDS = {
     "Address": _Kind(canonical_address, _ADDRESS_RE.pattern, sys.intern),
     "TxHash": _Kind(canonical_tx_hash, _TX_HASH_RE.pattern, sys.intern),
@@ -325,11 +326,12 @@ RELATIONS: dict[str, type[_Fact]] = {}
 def _relation(cls):
     """Rebuild ``cls`` with the ``__slots__`` of its annotated (name, kind)
     columns, in ``COLUMNS`` order, and their getter ``_values``, and give
-    it the generated methods, each compiled on its first use
-    (:class:`_FirstUse`): the validating ``__init__``; the row builder of
-    :func:`load_facts_dir` and the row renderer of :func:`dump_facts_dir`;
-    and ``_unchecked``, which takes every column already canonical and
-    checks none of them. The value methods are :class:`_Fact`'s, over
+    it three generated methods, each compiled on its first use
+    (:class:`_FirstUse`): the validating ``__init__``; ``_unchecked``,
+    which takes every column already canonical (or a row's matched text)
+    and checks none of them; and the row renderer ``_to_row`` of
+    :func:`dump_facts_dir`. Both builders set each column to its kind's
+    ``load`` of the value. The value methods are :class:`_Fact`'s, over
     ``_values``; none is generated."""
     # annotations are strings (``from __future__ import annotations``); the
     # ClassVar ones name no kind
@@ -340,23 +342,20 @@ def _relation(cls):
     cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(names), "COLUMNS": columns,
                                              "_values": attrgetter(*names)})
     env: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
-    init, build, plain = [], ["self = _new(_cls)"], ["self = _new(_cls)"]
+    init, build = [], ["self = _new(_cls)"]
     for name, kind in columns:
         env[f"_set_{name}"] = getattr(cls, name).__set__
         env[f"_check_{name}"], env[f"_load_{name}"] = kind.check, kind.load
-        init.append(f"_set_{name}(self, _check_{name}({name}, {name!r}))")
+        init.append(f"_set_{name}(self, _load_{name}(_check_{name}({name}, {name!r})))")
         build.append(f"_set_{name}(self, _load_{name}({name}))")
-        plain.append(f"_set_{name}(self, {name})")
     row = "\\t".join(f"{{self.{name}}}" for name in names)
     for signature, lines in {
         f"__init__(self, {', '.join(names)})": init,
-        "_from_groups(groups)": [f"{', '.join(names)}, = groups", *build, "return self"],
         "_to_row(self)": [f'return f"{row}"'],
-        f"_unchecked({', '.join(names)})": [*plain, "return self"],
+        f"_unchecked({', '.join(names)})": [*build, "return self"],
     }.items():
         name = signature.split("(", 1)[0]
-        setattr(cls, name, _FirstUse(cls, env, signature, lines,
-                                     static=name in ("_from_groups", "_unchecked")))
+        setattr(cls, name, _FirstUse(cls, env, signature, lines, static=name == "_unchecked"))
     # compiled by load_facts_dir, so that only loading pays for it
     cls._ROW_PATTERN = "\t".join(f"({kind.pattern})" for _, kind in columns) + "\n?\\Z"
     RELATIONS[cls.RELATION] = cls
@@ -737,9 +736,11 @@ class FactStore:
 
 def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
     """The fact of a line that the relation's row pattern did not match,
-    each column read by its kind's check, in column order. Such a line
-    holds an integer longer than the pattern admits, or text that a
-    column's check refuses: the error names the first such column."""
+    each column read by its kind's check, in column order, and built by
+    ``_unchecked``, which shares the checked values as it shares matched
+    text. Such a line holds an integer longer than the pattern admits, or
+    text that a column's check refuses: the error names the first such
+    column."""
     cols = line.removesuffix("\n").split("\t")
     if len(cols) != len(fact_type.COLUMNS):
         raise EncodingError(
@@ -780,7 +781,7 @@ def load_facts_dir(path: str | Path) -> FactStore:
         last = next(reversed(lines), "\n")
         if last[-1] != "\n" and last + "\n" in lines:  # an unterminated repeat
             del lines[last]
-        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._from_groups
+        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._unchecked
         facts: list[_Fact] = []
         # the store is new, so only cctx_finality needs insert()'s conflict check
         insert = store.insert if fact_type is CctxFinalityFact else facts.append
@@ -789,7 +790,7 @@ def load_facts_dir(path: str | Path) -> FactStore:
             for line in lines:
                 m = match(line)
                 if m is not None:
-                    insert(build(m.groups()))
+                    insert(build(*m.groups()))
                 else:
                     insert(_checked_row(fact_type, line))
                     checked = True

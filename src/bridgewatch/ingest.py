@@ -75,7 +75,6 @@ not (``topic N is not one 32-byte hex word``).
 from __future__ import annotations
 
 import re
-import sys
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
@@ -365,13 +364,13 @@ class EventPlan(NamedTuple):
 
 # For each field type: the condition on its 64-digit hex word ``{w}`` that
 # refuses it (None: every word is admitted), and why; and the expression
-# turning the word into the column value, shared as the facts' checks share
-# it. ``enum`` builds all three from its labels, which the plan holds shared.
+# turning the word into the column value. ``enum`` builds all three from its
+# labels.
 _WORD = {
     "address": ("{w} > _MAX_ADDRESS", "32-byte value is not a valid 20-byte address",
-                '_intern("0x" + {w}[24:])'),
+                '"0x" + {w}[24:]'),
     "chain_id": ("{w} == _ZERO_WORD", "chain id must be nonzero", "int({w}, 16)"),
-    **dict.fromkeys(("uint", "id"), (None, None, "_intern(str(int({w}, 16)))")),
+    **dict.fromkeys(("uint", "id"), (None, None, "str(int({w}, 16))")),
 }
 _HEX_WORDS = re.compile(r"0x(?:[0-9a-f]{64})*\Z").match
 _ZERO_WORD = "0" * 64
@@ -414,9 +413,9 @@ def _event_plan(topic0: str, relation: str, fields: dict[str, dict]) -> EventPla
     """
     fact_type = f.RELATIONS[relation]
     env: dict[str, Any] = {"_make": fact_type._unchecked, "_uint_word": _uint_word,
-                           "_enum_word": _enum_word, "_intern": sys.intern,
-                           "_topic": f._TX_HASH_RE.fullmatch, "_hex_words": _HEX_WORDS,
-                           "_ZERO_WORD": _ZERO_WORD, "_MAX_ADDRESS": _MAX_ADDRESS}
+                           "_enum_word": _enum_word, "_topic": f._TX_HASH_RE.fullmatch,
+                           "_hex_words": _HEX_WORDS, "_ZERO_WORD": _ZERO_WORD,
+                           "_MAX_ADDRESS": _MAX_ADDRESS}
     values: dict[str, str] = {}  # column -> decoded value
     words = {"topic": {0: repr(topic0)}, "data": {}}  # index -> encoded word
     decode: list[str] = []
@@ -502,7 +501,7 @@ _TRANSFER = _event_plan(TRANSFER_TOPIC, "erc20_transfer", {
 def _contract(contracts: dict[str, str], value: Any, field: str) -> str:
     """``f.canonical_address(value, field)`` for the address of a contract,
     which many receipts name: ``contracts`` maps each canonical address
-    text met so far to its one shared string, so that each is checked once."""
+    text met so far to itself, so that each is checked once."""
     canonical = contracts.get(value) if type(value) is str else None
     if canonical is None:
         canonical = f.canonical_address(value, field)
@@ -543,11 +542,11 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig,
     address. Returns ``(facts, warnings)``. A malformed receipt raises
     :class:`IngestError`, a receipt of a chain the config lacks
     :class:`ConfigError`. Each field is checked once, here or by a
-    compiled decoder, and the facts are built from the checked values,
-    each text value shared as the facts' checks share it: the contract
-    addresses through :func:`_contract` and its memo ``contracts``, which
-    :func:`ingest_jsonl` shares among the receipts of a file. A sender is
-    a user, and takes the plain check.
+    compiled decoder, and the facts are built from the checked values by
+    their unchecked builders, which share each text value. A contract
+    address is checked through :func:`_contract` and its memo
+    ``contracts``, which :func:`ingest_jsonl` shares among the receipts of
+    a file; a sender is a user, and takes the plain check.
     """
     if contracts is None:
         contracts = {}
@@ -572,8 +571,8 @@ def decode_receipt(obj: Any, config: BridgeDecoderConfig,
         sender = f.canonical_address(obj["from"], "from")
         to = _contract(contracts, obj["to"], "to")
         value = obj["value"]
-        value = sys.intern(value if type(value) is str and _DECIMAL_TEXT(value)
-                           else str(_as_uint(value, "value")))
+        if not (type(value) is str and _DECIMAL_TEXT(value)):
+            value = str(_as_uint(value, "value"))
         gas_used = _as_uint(obj["gasUsed"], "gasUsed")
     except KeyError as exc:
         raise IngestError(f"receipt missing field {exc.args[0]!r}") from exc

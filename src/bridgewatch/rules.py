@@ -349,18 +349,17 @@ def eval_rule3(store: FactStore) -> frozenset[Release]:
     return _eval_local(store, 3)
 
 
-def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxSet:
+def _cctx_join(store: FactStore, rule_id: int, legs: tuple | None) -> CctxSet:
     """Join the escrow tuples of both kinds and the release tuples of rule
-    ``rule_id``, each given or evaluated here, through an index of the
+    ``rule_id``, the ``legs`` of its local rules ``rule_id - 3`` to
+    ``rule_id - 1`` if given, else evaluated here, through an index of the
     escrows by id, and keep what failed: each local rule's tuples that
     formed no valid pair, and the early pairs. Raises
     :class:`ConfigurationError` for a pair whose escrow chain has no
     finality window."""
     store.require_sealed()
-    native, erc20, releases = (
-        _eval_local(store, leg_rule) if given is None else given
-        for leg_rule, given in enumerate(legs, rule_id - 3)
-    )
+    native, erc20, releases = legs or [_eval_local(store, leg_rule)
+                                       for leg_rule in range(rule_id - 3, rule_id)]
     escrows_by_id = index_by((*native, *erc20), attrgetter("id"))  # the tuple is let go at once
     try:
         out, paired_escrows, paired_releases, early = _body(rule_id)(
@@ -379,12 +378,12 @@ def _cctx_join(store: FactStore, rule_id: int, *legs: frozenset | None) -> CctxS
     return result
 
 
-def eval_rule4(store: FactStore, rule1: frozenset | None = None,
-               rule2: frozenset | None = None, rule3: frozenset | None = None) -> CctxSet:
+def eval_rule4(store: FactStore, legs: tuple | None = None) -> CctxSet:
     """Cross-chain deposits: a target-chain release matching a source-chain
     escrow (native or ERC-20) on id, beneficiary, token, chain and amount,
-    strictly after the source chain's finality window."""
-    return _cctx_join(store, 4, rule1, rule2, rule3)
+    strictly after the source chain's finality window. ``legs``: the
+    outputs of rules 1, 2 and 3, evaluated here if not given."""
+    return _cctx_join(store, 4, legs)
 
 
 def eval_rule5(store: FactStore) -> frozenset[Escrow]:
@@ -406,12 +405,12 @@ def eval_rule7(store: FactStore) -> frozenset[Release]:
     return _eval_local(store, 7)
 
 
-def eval_rule8(store: FactStore, rule5: frozenset | None = None,
-               rule6: frozenset | None = None, rule7: frozenset | None = None) -> CctxSet:
+def eval_rule8(store: FactStore, legs: tuple | None = None) -> CctxSet:
     """Cross-chain withdrawals: a source-chain release matching a
     target-chain escrow, strictly after the target chain's finality
-    window."""
-    return _cctx_join(store, 8, rule5, rule6, rule7)
+    window. ``legs``: the outputs of rules 5, 6 and 7, evaluated here if
+    not given."""
+    return _cctx_join(store, 8, legs)
 
 
 class RuleOutputs(NamedTuple):
@@ -446,5 +445,5 @@ def eval_all(store: FactStore) -> RuleOutputs:
     r1, r2, r3 = eval_rule1(store), eval_rule2(store), eval_rule3(store)
     r5, r6, r7 = eval_rule5(store), eval_rule6(store), eval_rule7(store)
     return RuleOutputs(
-        r1, r2, r3, eval_rule4(store, r1, r2, r3), r5, r6, r7, eval_rule8(store, r5, r6, r7)
+        r1, r2, r3, eval_rule4(store, (r1, r2, r3)), r5, r6, r7, eval_rule8(store, (r5, r6, r7))
     )

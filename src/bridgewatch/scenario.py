@@ -56,7 +56,6 @@ through ``dump_facts_dir``): a stopped ``simulate`` leaves it old or new.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,10 +143,10 @@ class SplitMix64:
 
     def address(self) -> str:
         raw = b"".join(self.next_u64().to_bytes(8, "big") for _ in range(3))[:20]
-        return sys.intern("0x" + raw.hex())
+        return "0x" + raw.hex()
 
     def amount(self) -> str:
-        return sys.intern(str(self.randint(1, 9) * 10 ** self.randint(0, 12)))
+        return str(self.randint(1, 9) * 10 ** self.randint(0, 12))
 
 
 class AnomalySpec(NamedTuple):
@@ -341,9 +340,9 @@ _WITHDRAWAL = _Direction(TARGET, SOURCE, "withdrawal_id", f.TcWithdrawalFact,
 
 class _Builder:
     """Builds a scenario's facts from values that are canonical by
-    construction (hex of whole bytes, decimal text of ``int``s), each text
-    value shared, so the facts are built unchecked; the tests rebuild every
-    fact with its validating constructor."""
+    construction (hex of whole bytes, decimal text of ``int``s), so the
+    facts are built unchecked, by the builders that share each text value;
+    the tests rebuild every fact with its validating constructor."""
 
     def __init__(self, params: ScenarioParams):
         params.validate()
@@ -381,7 +380,7 @@ class _Builder:
     def tx_hash(self) -> str:
         self._tx_counter += 1
         body = b"".join(self.rng.next_u64().to_bytes(8, "big") for _ in range(3))
-        return sys.intern("0x" + body.hex() + format(self._tx_counter, "016x"))
+        return "0x" + body.hex() + format(self._tx_counter, "016x")
 
     def add_tx(self, chain: _Chain, timestamp: int, from_addr: str, to_addr: str,
                value: str) -> _Tx:
@@ -412,7 +411,7 @@ class _Builder:
             gap = rng.randint(1, window - 1)
         else:
             gap = rng.randint(window + 1, window + 3600)
-        flow_id = sys.intern(str(index + 1))
+        flow_id = str(index + 1)
 
         bridge = self.bridges[escrow.chain_id]
         esc = self.add_tx(escrow, escrow_ts, sender, bridge, amount if native == escrow else "0")
@@ -503,11 +502,11 @@ class _Builder:
             self.flow(_WITHDRAWAL, i, (None, TARGET, SOURCE)[i % 3],
                       fanout=next(fanouts) if i in replayed else 1)
         for i in range(a.forged_release):
-            self.forged_release(i, withdrawal_id=sys.intern(str(p.n_withdrawals + i + 1)))
+            self.forged_release(i, withdrawal_id=str(p.n_withdrawals + i + 1))
         for i in range(a.direct_transfer):
             self.direct_transfer(i)
         for i in range(a.orphan_bridge_event):
-            self.orphan_bridge_event(sys.intern(str(p.n_deposits + i + 1)), i)
+            self.orphan_bridge_event(str(p.n_deposits + i + 1), i)
 
         config = _decoder_config(self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
         store = FactStore()

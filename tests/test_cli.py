@@ -366,6 +366,11 @@ BAD_INGEST_INPUTS = [
      "field 'standard': label 0: expected string, got int"),
     ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"1": "ER\tC20"}),
      "field 'standard': label 1: must not contain tab or newline"),
+    # a lone surrogate, which JSON can escape and no UTF-8 file can hold
+    ("config", lambda c: deposit_fields(c)["standard"]["labels"].update({"1": "\ud800"}),
+     "field 'standard': label 1: cannot be written as UTF-8: '\\ud800'"),
+    ("config", lambda c: c["token_mappings"][0].__setitem__(4, "\ud800"),
+     "token_mappings[0]: standard: cannot be written as UTF-8: '\\ud800'"),
     ("config", lambda c: deposit_fields(c)["amount"].update(labels={"0": "ERC20"}),
      "field 'amount': key 'labels' does not apply to a data field of type 'uint'"),
     ("receipts", lambda r: r.update(blockNumber="-5"), "receipts.jsonl:1: blockNumber: negative value -5"),
@@ -874,7 +879,7 @@ def mutate(document, path, mutation):
         parent[HUGE if mutation == "rename to huge" else "été"] = parent.pop(key)
     else:
         parent[key] = {"null": None, "list": [], "bool": True, "huge": "HUGE",
-                       "non-ASCII": "été"}.get(mutation, "été")
+                       "non-ASCII": "été", "lone surrogate": "\ud800"}.get(mutation, "été")
     return json.dumps(document).replace('"HUGE"', HUGE)
 
 
@@ -902,8 +907,8 @@ def test_mutated_ingest_input_exits_at_most_two(simulated_receipts, data):
     line = data.draw(st.sampled_from([None, *range(len(receipt_lines))]), label="receipt line")
     document = json.loads(config_text if line is None else receipt_lines[line])
     path = data.draw(st.sampled_from(list(json_paths(document))), label="path")
-    mutations = ["drop", "null", "list", "bool", "huge", "non-ASCII", "rename to huge",
-                 "rename to non-ASCII"]
+    mutations = ["drop", "null", "list", "bool", "huge", "non-ASCII", "lone surrogate",
+                 "rename to huge", "rename to non-ASCII"]
     mutation = data.draw(st.sampled_from(mutations + ["truncate"] * isinstance(
         eval_path(document, path), str)), label="mutation")
     text = mutate(document, path, mutation)

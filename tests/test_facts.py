@@ -504,6 +504,18 @@ def test_a_stopped_redump_loads_the_old_store_or_is_refused(redump, tmp_path, mo
         ["ground_truth.json", *(p.name for p in (redump["root"] / "new").iterdir())])
 
 
+def test_a_leftover_temporary_file_is_never_read(redump, tmp_path):
+    # a process killed while write_whole writes leaves its <path>.<pid>.tmp
+    facts, report = tmp_path / "facts", tmp_path / "report.json"
+    shutil.copytree(redump["root"] / "old", facts)
+    (facts / "transaction.facts.4242.tmp").write_bytes(b"\xffgarbage\tnot\ta row\n")
+    code = cli.main(["eval", "--facts", str(facts), "--out", str(report)])
+    assert (code, report.read_bytes()) == redump["eval"]
+    f.dump_facts_dir(redump["new"], facts)
+    assert f.load_facts_dir(facts) == redump["new"]
+    assert not (facts / f.DUMP_MARKER).exists()
+
+
 # Every integer column, as (fact of its relation, column index).
 INTEGER_COLUMNS = [
     (fact, index) for fact in sorted(SAMPLES.values(), key=lambda x: x.RELATION)
@@ -552,7 +564,7 @@ FIRST_USE_SCRIPT = """
 import json, pickle, sys
 from pathlib import Path
 from bridgewatch import cli, facts as f
-METHODS = ("__init__", "_from_groups", "_to_row", "_unchecked")
+METHODS = ("__init__", "_to_row", "_unchecked")
 def compiled():
     return [f"{name}.{method}" for name, cls in f.RELATIONS.items() for method in METHODS
             if not isinstance(vars(cls)[method], f._FirstUse)]
@@ -579,7 +591,7 @@ def test_fact_methods_and_encoders_compile_on_first_use(tmp_path):
     imported, loaded, encoders, first_use = map(
         json.loads, _in_new_interpreter(FIRST_USE_SCRIPT, tmp_path).splitlines())
     assert imported == []
-    assert loaded == ["transaction._from_groups", "cctx_finality._from_groups"]
+    assert loaded == ["transaction._unchecked", "cctx_finality._unchecked"]
     assert encoders == []
     assert first_use == [True, "TransactionFact("]
 
@@ -730,7 +742,7 @@ def test_fast_row_pattern_matches_canonical_rows_only(fact, data):
     m = match(line)
     if m is not None:
         event("matched")
-        assert cls._from_groups(m.groups())._to_row() == line.removesuffix("\n")
+        assert cls._unchecked(*m.groups())._to_row() == line.removesuffix("\n")
     try:
         loaded = f._checked_row(cls, line)
     except f.EncodingError:

@@ -1,6 +1,7 @@
 """Checks over the package source, read with ``ast``: one JSON decoder, one
-writer of files, one module that tells the two shapes of an index value
-apart, and no import that its module leaves unused."""
+writer of files, one table that shares text, one module that tells the two
+shapes of an index value apart, and no import that its module leaves
+unused."""
 
 from __future__ import annotations
 
@@ -84,6 +85,36 @@ def test_only_facts_writes_files():
                if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.open"
                and ast.unparse(node.args[0]) == "os.devnull"]
     assert found == {"cli.py": devnull} and devnull, found
+
+
+# The names of ``sys.intern`` that code may bind, and a call of it in the
+# text of generated code.
+_INTERN_NAMES = {"intern", "_intern"}
+_INTERN_TEXT = re.compile(r"\b_intern\b|\bintern\(")
+
+
+def _names_intern(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that name ``intern``: as an attribute
+    (``sys.intern``), a bound name, an imported one, or in a string of
+    generated code."""
+    return [node.lineno for node in ast.walk(tree)
+            if any(getattr(node, field, None) in _INTERN_NAMES
+                   for field in ("attr", "id", "arg", "name", "asname"))
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (node.value in _INTERN_NAMES or _INTERN_TEXT.search(node.value))]
+
+
+def test_only_the_column_kinds_share_text():
+    # each fact builder shares a text value through its column kind's load,
+    # so that no caller shares one first
+    sources = _sources()
+    found = {name: lines for name, source in sources.items()
+             if (lines := _names_intern(ast.parse(source)))}
+    kinds = next(node for node in ast.parse(sources["facts.py"]).body
+                 if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_KINDS"])
+    assert list(found) == ["facts.py"], found
+    assert found["facts.py"] and all(kinds.lineno <= line <= kinds.end_lineno
+                                     for line in found["facts.py"]), found
 
 
 # A comparison of a value's class with ``tuple`` in the text of generated code.

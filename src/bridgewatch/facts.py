@@ -54,7 +54,9 @@ several share the key (:func:`index_by`, read through :func:`group` and
 :func:`shared`).
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
 compatible with common Datalog engine fact-file layouts. Every file the
-package writes is written whole by :func:`write_whole`; a dump holds
+package reads or writes is opened here: an input as UTF-8 that names its
+first bad line (:func:`reading_utf8`), its JSON read by :func:`parse_json`,
+and an output written whole by :func:`write_whole`; a dump holds
 :data:`DUMP_MARKER` until it ends, and :func:`load_facts_dir` refuses it.
 """
 
@@ -95,9 +97,8 @@ __all__ = [
     "canonical_tx_hash",
     "canonical_amount",
     "uint_text",
-    "reading_utf8",
-    "parse_json",
     "read_json",
+    "read_jsonl",
     "known_keys",
     "shown",
     "index_by",
@@ -650,10 +651,6 @@ class FactStore:
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def insert(self, fact: _Fact) -> None:
         """Insert one fact through :meth:`insert_all`."""
         self.insert_all((fact,))
@@ -809,22 +806,20 @@ def _line_number(path: Path, line: str) -> int:
 
 
 @contextmanager
-def reading_utf8(path: str | Path, error: Callable[[str], InputError],
-                 by_line: bool = True) -> Iterator[None]:
+def reading_utf8(path: str | Path, error: Callable[[str], InputError]) -> Iterator[None]:
     """Turn text read from ``path`` inside the block that is not UTF-8
-    into ``error``, naming the file and, ``by_line``, its first line that
-    is not UTF-8."""
+    into ``error``, naming the file and its first line that is not (the
+    file alone when a second read finds none, as of a pipe)."""
     try:
         yield
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # raised per read chunk, so the file is read again
         where = path
-        if by_line:  # raised per read chunk; no multi-byte sequence holds b"\n"
-            with open(path, "rb") as fh:
-                try:
-                    for line_no, raw in enumerate(fh, start=1):
-                        raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    where = f"{path}:{line_no}"
+        with open(path, "rb") as fh:  # no multi-byte sequence holds b"\n"
+            try:
+                for line_no, raw in enumerate(fh, start=1):
+                    raw.decode("utf-8")
+            except UnicodeDecodeError:
+                where = f"{path}:{line_no}"
         raise error(f"{where}: not UTF-8: {exc.reason}") from exc
 
 
@@ -860,25 +855,39 @@ def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys:
 
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
     """The JSON document in the file ``path``, read by :func:`parse_json`.
-    A file that is not UTF-8 raises ``error`` naming the file, too."""
-    with open(path, encoding="utf-8") as fh, reading_utf8(path, error, by_line=False):
+    A file that is not UTF-8 raises ``error`` naming the file and its first
+    line that is not (:func:`reading_utf8`)."""
+    with open(path, encoding="utf-8") as fh, reading_utf8(path, error):
         text = fh.read()
     return parse_json(text, path, error)
 
 
+def read_jsonl(path: str | Path, error: Callable[[str], InputError]) -> Iterator[tuple[str, Any]]:
+    """``(where, value)`` for each line of the JSON Lines file ``path`` that
+    is not blank: ``where`` is ``<file>:<line>``, lines ending at LF alone
+    (a CR is JSON whitespace), and ``value`` is the line read by
+    :func:`parse_json`, which raises ``error`` naming ``where``."""
+    name = str(Path(path))
+    with open(path, encoding="utf-8", newline="\n") as fh, reading_utf8(name, error):
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{name}:{line_no}"
+                yield where, parse_json(line, where, error)
+
+
 def parse_json(text: str, where: str | Path, error: Callable[[str], InputError]) -> Any:
-    """The JSON document ``text``, read by :data:`_JSON_DECODER`. Text that
-    is not JSON, that starts with a byte-order mark, that nests too deeply,
-    that holds an integer too long to convert or an object that names one
-    key twice raises ``error`` naming ``where`` (a file, or a file and
-    line)."""
+    """The JSON document ``text``, read by :data:`_JSON_DECODER` in one call
+    when it is good. Text that is not JSON, that starts with a byte-order
+    mark, that nests too deeply, that holds an integer too long to convert
+    or an object that names one key twice raises ``error`` naming ``where``
+    (a file, or a file and line)."""
     try:
-        if text.startswith("\ufeff"):  # refused as json.loads refuses it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         return _JSON_DECODER.decode(text)
     except _RepeatedKey as exc:
         raise error(f"{where}: duplicate key {shown(exc.args[0])}") from None
     except json.JSONDecodeError as exc:
+        if text.startswith("\ufeff"):  # the decoder refuses it at char 0; named as json.loads names it
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         raise error(f"{where}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise error(f"{where}: JSON nested too deeply") from exc

@@ -49,15 +49,17 @@ value moves before every log of the transaction, so no rule compares
 that index with a log's, and a bridge log at ``logIndex`` 0 pairs with
 the escrow as well as one at any other index.
 
-Receipt lines and the config are read by the facts' one JSON decoder
-(:func:`facts.parse_json`), so a receipt line whose object names one key
-twice is refused, as a config that does is. The receipt's status is
-checked by the facts' check of the ``status`` column (``status: expected
-0 or 1, got N``), and a receipt with status 0 that has logs is refused: a
-chain drops the logs of a reverted transaction. A contract address (a
-receipt's ``to``, a log's emitter) repeats across receipts, so each
-distinct text of one is checked once per :func:`ingest_jsonl` call; a
-``value`` that is canonical decimal text is kept as it is.
+Receipts and the config are read by :mod:`facts`, which opens every input
+file (:func:`facts.read_jsonl`, :func:`facts.read_json`): a receipt line
+whose object names one key twice is refused, as a config that does is,
+and a file that is not UTF-8 is refused naming its first bad line. The
+receipt's status is checked by the facts' check of the ``status`` column
+(``status: expected 0 or 1, got N``), and a receipt with status 0 that
+has logs is refused: a chain drops the logs of a reverted transaction. A
+contract address (a receipt's ``to``, a log's emitter) repeats across
+receipts, so each distinct text of one is checked once per
+:func:`ingest_jsonl` call; a ``value`` that is canonical decimal text is
+kept as it is.
 
 A log that a decoder refuses yields one warning and no fact; the rest of
 the receipt still decodes. The warning is the decoder's reason after the
@@ -637,33 +639,21 @@ def ingest_jsonl(
     static facts, each receipt's facts inserted by one call of
     :meth:`facts.FactStore.insert_all`. It is returned unsealed,
     without the indexes that only evaluation reads: call ``seal()`` on it
-    before evaluating rules. Each line is read by the facts' one JSON
-    decoder, and a line that it refuses is read again by
-    :func:`facts.parse_json` to name the fault: a line that is not JSON,
-    that is not UTF-8 or whose object names one key twice fails fast with
-    its line number.
+    before evaluating rules. The lines are read by
+    :func:`facts.read_jsonl`: a line that is not JSON, that is not UTF-8,
+    whose object names one key twice or that is not a receipt fails fast
+    with its line number.
     """
     store = f.FactStore()
-    parse = f._JSON_DECODER.decode
     receipts, warnings, contracts = 0, [], {}
     store.insert_all(config.static)
-    path = Path(receipts_path)
-    with open(path, encoding="utf-8") as fh, f.reading_utf8(path, IngestError):
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = parse(line)
-            except (ValueError, RecursionError):
-                # parsed again to name the fault with its line, which only a failing line pays for
-                f.parse_json(line, f"{path}:{line_no}", IngestError)
-                raise
-            try:
-                decoded, found = decode_receipt(obj, config, contracts)
-            except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
-                raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            receipts += 1
-            warnings += found
-            store.insert_all(decoded)
+    for where, obj in f.read_jsonl(receipts_path, IngestError):
+        try:
+            decoded, found = decode_receipt(obj, config, contracts)
+        except (IngestError, ConfigError) as exc:  # ConfigError: a chain the config lacks
+            raise IngestError(f"{where}: {exc}") from exc
+        receipts += 1
+        warnings += found
+        store.insert_all(decoded)
     counts = {name: count for name, count in store.relation_counts().items() if count}
     return store, IngestReport(receipts, counts, warnings)

@@ -508,21 +508,30 @@ def test_bad_ingest_input_exits_two(tmp_path, capsys, target, edit, message):
     assert err.count("\n") == 1 and len(err.replace(str(tmp_path), "")) <= MAX_ERROR_CHARS
 
 
+def _bad_byte_on_line(path: Path, line_no: int) -> None:
+    """Put a byte that is not UTF-8 at the start of line ``line_no`` of ``path``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    path.write_bytes(b"".join(lines))
+
+
 # (argument, edit of the file or directory it names, message): each exits 2
-# naming the file, and for receipts also the line
+# naming the file, and for a file that is not UTF-8 also its first bad line
 UNREADABLE_INGEST_INPUTS = [
     ("--receipts", lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\n\xff", 1)),
      "receipts.jsonl:2: not UTF-8: invalid start byte"),
     ("--config", lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
-     "decoder_config.json: not UTF-8: invalid start byte"),
+     "decoder_config.json:1: not UTF-8: invalid start byte"),
     ("--receipts", lambda p: (p.unlink(), p.mkdir()), "Is a directory: '{path}'"),
     ("--out", lambda p: p.write_text("x"), "File exists: '{path}'"),
+    ("--config", lambda p: _bad_byte_on_line(p, 7),
+     "decoder_config.json:7: not UTF-8: invalid start byte"),
 ]
 
 
 @pytest.mark.parametrize("argument, edit, message", UNREADABLE_INGEST_INPUTS,
                          ids=["receipts-not-utf8", "config-not-utf8", "receipts-is-a-directory",
-                              "out-is-a-file"])
+                              "out-is-a-file", "config-not-utf8-on-line-7"])
 def test_unreadable_ingest_input_exits_two(tmp_path, capsys, argument, edit, message):
     sim = tmp_path / "sim"
     run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
@@ -593,7 +602,7 @@ class TestPrices:
         ([{"chain_id": 1, "token": "0x00", "usd_per_unit": "2", "decimals": 0}], "entry 0: token:"),
         ([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": "two", "decimals": 0}],
          "entry 0: usd_per_unit: not a number: 'two'"),
-        (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json: not UTF-8: invalid start byte"),
+        (b'[{"chain_id": 1, "token": "\xff"}]', "prices.json:1: not UTF-8: invalid start byte"),
         (b"{bad", "prices.json: not valid JSON: Expecting property name enclosed in double quotes"),
         pytest.param(b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": "2", "decimals": '
                      + b"9" * 5000 + b"}]", "prices.json: [0].decimals: out of uint256 range",
@@ -643,6 +652,8 @@ class TestPrices:
         # the key path of an integer too long to read is cut like a value
         pytest.param(b'[{"' + b"k" * 3000 + b'": ' + b"9" * 5000 + b"}]", "prices.json: [0].kkk",
                      id="too-long-integer-under-a-long-key"),
+        pytest.param(b'[\n  {"chain_id": 1,\n   "token": "\xff"}\n]',
+                     "prices.json:3: not UTF-8: invalid start byte", id="not-utf8-on-line-3"),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"

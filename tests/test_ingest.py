@@ -708,6 +708,18 @@ class TestIngestJsonl:
         assert ingest_jsonl(self.write_receipts(tmp_path, spaced), CONFIG) == (store, report)
         assert report.receipts == 2
 
+    def test_lines_end_at_lf_alone(self, tmp_path):
+        # JSON Lines ends a record at LF alone: a CR between two tokens of a
+        # receipt is JSON whitespace, and lines are counted by LF
+        receipts = [json.dumps(self.receipt_obj(i)) for i in (1, 2, 3)]
+        expected = ingest_jsonl(self.write_receipts(tmp_path, receipts), CONFIG)
+        receipts[1] = receipts[1].replace(",", ",\r", 1)
+        assert ingest_jsonl(self.write_receipts(tmp_path, receipts), CONFIG) == expected
+        crlf = [receipt + "\r" for receipt in receipts]
+        assert ingest_jsonl(self.write_receipts(tmp_path, crlf), CONFIG) == expected
+        with pytest.raises(IngestError, match=r"receipts\.jsonl:4: not valid JSON"):
+            ingest_jsonl(self.write_receipts(tmp_path, [*receipts, "{bad"]), CONFIG)
+
     def test_transaction_count_conservation(self, tmp_path):
         path = self.write_receipts(tmp_path, [self.receipt_obj(i) for i in range(1, 6)])
         store, report = ingest_jsonl(path, CONFIG)

@@ -1,7 +1,7 @@
 """Checks over the package source, read with ``ast``: one JSON decoder, one
-writer of files, one table that shares text, one module that tells the two
-shapes of an index value apart, and no import that its module leaves
-unused."""
+module that opens files, one table that shares text, one module that tells
+the two shapes of an index value apart, and no import that its module
+leaves unused."""
 
 from __future__ import annotations
 
@@ -39,44 +39,42 @@ def test_only_facts_decodes_json():
     assert list(decoding) == ["facts.py"], decoding
 
 
-# What writes a file besides ``open`` in a writing mode: members of modules,
-# and methods of ``Path``.
-_WRITING = {("os", "open"), ("os", "replace"), ("os", "rename"), ("json", "dump")}
-_WRITING_METHODS = {"write_text", "write_bytes"}
+# What opens a file besides ``open``: members of modules that write one,
+# methods of ``Path``, and the names by which ``facts`` reads one.
+_OPENING = {("os", "open"), ("os", "replace"), ("os", "rename"), ("json", "dump")}
+_OPENING_METHODS = {"write_text", "write_bytes", "read_text", "read_bytes"}
+_READING_NAMES = {"_JSON_DECODER", "parse_json", "reading_utf8"}
 
 
-def _opens_for_writing(call: ast.Call) -> bool:
+def _opens(call: ast.Call) -> bool:
     """Whether ``call`` is the builtin ``open`` or a method ``open`` (as
-    ``Path.open``) with a mode that writes, or one that is not a constant."""
-    if isinstance(call.func, ast.Name) and call.func.id == "open":
-        at = 1
-    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open" and not (
-            isinstance(call.func.value, ast.Name) and call.func.value.id == "os"):
-        at = 0
-    else:
-        return False
-    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[at:at + 1]
-    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
-               or set(mode.value) & set("wax+") for mode in modes)
+    ``Path.open``), in any mode."""
+    return (isinstance(call.func, ast.Name) and call.func.id == "open"
+            or isinstance(call.func, ast.Attribute) and call.func.attr == "open" and not (
+                isinstance(call.func.value, ast.Name) and call.func.value.id == "os"))
 
 
-def _writes_files(tree: ast.Module) -> list[int]:
-    """The lines of ``tree`` that open a file for writing, write one through
-    ``Path``, move one over another or dump JSON into one."""
+def _opens_files(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that open a file, read or write one through
+    ``Path``, move one over another, dump JSON into one or name what
+    ``facts`` reads one by."""
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _opens_for_writing(node)
+            if isinstance(node, ast.Call) and _opens(node)
             or isinstance(node, ast.Attribute) and (
-                node.attr in _WRITING_METHODS
-                or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in _WRITING)
-            or isinstance(node, ast.ImportFrom)
-            and any((node.module, alias.name) in _WRITING for alias in node.names)]
+                node.attr in _OPENING_METHODS | _READING_NAMES
+                or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in _OPENING)
+            or isinstance(node, ast.Name) and node.id in _READING_NAMES
+            or isinstance(node, ast.ImportFrom) and any(
+                (node.module, alias.name) in _OPENING or alias.name in _READING_NAMES
+                for alias in node.names)]
 
 
-def test_only_facts_writes_files():
-    # every output file is written whole by facts.write_whole
+def test_only_facts_opens_files():
+    # every input file is opened, decoded and located by facts, and every
+    # output file is written whole by facts.write_whole
     sources = _sources()
     found = {name: lines for name, source in sources.items()
-             if name != "facts.py" and (lines := _writes_files(ast.parse(source)))}
+             if name != "facts.py" and (lines := _opens_files(ast.parse(source)))}
     # the one exception: cli._output sends stdout to the null device once
     # its reader has gone away
     output = next(node for node in ast.parse(sources["cli.py"]).body

@@ -55,9 +55,11 @@ several share the key (:func:`index_by`, read through :func:`group` and
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
 compatible with common Datalog engine fact-file layouts. Every file the
 package reads or writes is opened here: an input as UTF-8 that names its
-first bad line (:func:`reading_utf8`), its JSON read by :func:`parse_json`,
-and an output written whole by :func:`write_whole`; a dump holds
-:data:`DUMP_MARKER` until it ends, and :func:`load_facts_dir` refuses it.
+first bad line (:func:`reading_utf8` for ``.facts`` files, while
+:func:`read_json` and :func:`read_jsonl` decode the bytes that they read),
+its JSON read by :func:`parse_json`, and an output written whole by
+:func:`write_whole`; a dump holds :data:`DUMP_MARKER` until it ends, and
+:func:`load_facts_dir` refuses it.
 """
 
 from __future__ import annotations
@@ -807,9 +809,10 @@ def _line_number(path: Path, line: str) -> int:
 
 @contextmanager
 def reading_utf8(path: str | Path, error: Callable[[str], InputError]) -> Iterator[None]:
-    """Turn text read from ``path`` inside the block that is not UTF-8
-    into ``error``, naming the file and its first line that is not (the
-    file alone when a second read finds none, as of a pipe)."""
+    """Turn text read from the ``.facts`` file ``path`` inside the block
+    that is not UTF-8 into ``error``, naming the file and its first line
+    that is not (the file alone when a second read finds none, as of a
+    pipe)."""
     try:
         yield
     except UnicodeDecodeError as exc:  # raised per read chunk, so the file is read again
@@ -855,10 +858,16 @@ def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys:
 
 def read_json(path: str | Path, error: Callable[[str], InputError]) -> Any:
     """The JSON document in the file ``path``, read by :func:`parse_json`.
-    A file that is not UTF-8 raises ``error`` naming the file and its first
-    line that is not (:func:`reading_utf8`)."""
-    with open(path, encoding="utf-8") as fh, reading_utf8(path, error):
-        text = fh.read()
+    The file is read once, as bytes: bytes that are not UTF-8 raise
+    ``error`` naming the file and the line that holds the first bad byte,
+    lines ending at LF alone, from a pipe as from a regular file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line_no}: not UTF-8: {exc.reason}") from exc
     return parse_json(text, path, error)
 
 
@@ -866,12 +875,18 @@ def read_jsonl(path: str | Path, error: Callable[[str], InputError]) -> Iterator
     """``(where, value)`` for each line of the JSON Lines file ``path`` that
     is not blank: ``where`` is ``<file>:<line>``, lines ending at LF alone
     (a CR is JSON whitespace), and ``value`` is the line read by
-    :func:`parse_json`, which raises ``error`` naming ``where``."""
+    :func:`parse_json`, which raises ``error`` naming ``where``. The file
+    is read once, as bytes, and each line decoded on its own, so a line
+    that is not UTF-8 raises ``error`` naming ``where``, from a pipe too."""
     name = str(Path(path))
-    with open(path, encoding="utf-8", newline="\n") as fh, reading_utf8(name, error):
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            where = f"{name}:{line_no}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{where}: not UTF-8: {exc.reason}") from exc
             if line.strip():
-                where = f"{name}:{line_no}"
                 yield where, parse_json(line, where, error)
 
 

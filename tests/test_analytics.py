@@ -20,7 +20,7 @@ from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
     addr, build_store, f1_facts, f2_facts, replace, static_facts, txh,
 )
-from bridgewatch.scenario import ScenarioParams, generate
+from bridgewatch.scenario import ANOMALY_KINDS, AnomalySpec, ScenarioParams, generate
 from randstores import random_store
 
 
@@ -88,6 +88,63 @@ class TestLocalMismatches:
         store = build_store(static_facts(), extra)
         anomalies = analytics.local_mismatches(store)
         assert [a.kind for a in anomalies] == ["SingleTokenEvent"]
+
+
+# The two sides of a transaction that local_mismatches pairs: its token or
+# native movements, and its bridge events.
+_MOVEMENTS = ("erc20_transfer", "sc_deposit", "tc_withdrawal", "sc_withdrawal")
+_BRIDGE_EVENTS = ("sc_token_deposited", "tc_token_deposited", "tc_token_withdrew",
+                  "sc_token_withdrew")
+
+
+def naive_local_mismatches(store: f.FactStore) -> list[dict]:
+    """``analytics.local_mismatches``'s docstring, transcribed with nested
+    loops over the relations and no index: per tx hash, the movements that
+    touch a bridge-controlled address (a transfer into or out of one; every
+    native escrow or release) and the bridge events. One side without the
+    other is one anomaly, of the side's kind, its amount the sum of the
+    side's amounts and its chain the least of the transactions' chains,
+    else of the side's own."""
+    bridge = [(fact.chain_id, fact.address) for fact in store.relation("bridge_controlled_address")]
+
+    def touches(name, fact) -> bool:
+        return name != "erc20_transfer" or any(
+            chain == fact.chain_id and address in (fact.to_address, fact.from_address)
+            for chain, address in bridge)
+
+    hashes = {fact.tx_hash for name in _MOVEMENTS + _BRIDGE_EVENTS for fact in store.relation(name)}
+    out = []
+    for tx_hash in hashes:
+        sides = [[fact for name in names for fact in store.relation(name)
+                  if fact.tx_hash == tx_hash and touches(name, fact)]
+                 for names in (_MOVEMENTS, _BRIDGE_EVENTS)]
+        for (kind, severity), found, other in ((("SingleTokenEvent", "low"), *sides),
+                                               (("SingleBridgeEvent", "medium"), *sides[::-1])):
+            if found and not other:
+                chains = [tx.chain_id for tx in store.relation("transaction")
+                          if tx.tx_hash == tx_hash]
+                chains = chains or [fact.chain_id for fact in found if hasattr(fact, "chain_id")]
+                out.append({"kind": kind, "severity": severity,
+                            "chain_ids": [min(chains)] if chains else [], "tx_hashes": [tx_hash],
+                            "amount": str(sum(int(x.amount) for x in found)),
+                            "evidence": {"event_count": str(len(found))}})
+    return sorted(out, key=lambda a: (a["kind"], a["chain_ids"], a["tx_hashes"]))
+
+
+def _attack_store(kind: str, count: int) -> f.FactStore:
+    return generate(ScenarioParams(seed=1000 + count, n_deposits=25, n_withdrawals=25,
+                                   anomalies=AnomalySpec(**{kind: count}))).store
+
+
+def test_local_mismatches_equal_a_naive_reference():
+    stores = [random_store(seed * 6_113 + 29) for seed in range(20)]
+    stores += [_attack_store(kind, count) for kind in ANOMALY_KINDS for count in (1, 7, 23)]
+    kinds = set()
+    for store in stores:
+        expected = naive_local_mismatches(store)
+        assert [a.as_dict() for a in analytics.local_mismatches(store)] == expected
+        kinds.update(a["kind"] for a in expected)
+    assert kinds == {"SingleTokenEvent", "SingleBridgeEvent"}
 
 
 class TestUnmatchedLocal:

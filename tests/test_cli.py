@@ -569,6 +569,25 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, command):
     assert (facts / "transaction.facts").exists()
 
 
+# A pipe is read once, so the bad line is named from that one read.
+@pytest.mark.parametrize("command", ["ingest", "eval"])
+def test_an_input_read_from_a_pipe_names_its_bad_line(tmp_path, command):
+    sim = tmp_path / "sim"
+    run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+        "--out", str(sim), "--emit", "receipts" if command == "ingest" else "facts")
+    if command == "ingest":
+        piped = (sim / "receipts.jsonl").read_bytes().replace(b"\n", b"\n\xff", 1)
+        argv = ["--receipts", "/dev/stdin", "--config", str(sim / "decoder_config.json")]
+    else:
+        piped = b"[\n\xff]\n"
+        argv = ["--facts", str(sim), "--prices", "/dev/stdin"]
+    proc = subprocess.run([sys.executable, "-m", "bridgewatch.cli", command, *argv,
+                           "--out", str(tmp_path / "out")], input=piped, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert b"error: /dev/stdin:2: not UTF-8: invalid start byte" in proc.stderr
+
+
 class TestPrices:
     def test_eval_with_price_table(self, tmp_path):
         facts = tmp_path / "facts"

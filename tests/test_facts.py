@@ -635,13 +635,15 @@ def test_loaded_store_bytes_per_fact_is_bounded(tmp_path):
 # key's lone fact indexed bare, not in a 1-tuple; 364 and 379 B later, with
 # each relation still a set copied into a frozenset; 332 and 335 B with each
 # relation a tuple of distinct rows; 323 and 325 B with the rule-4/8 join
-# keeping its unmatched legs rather than a copy of its matched ones
-# (CPython 3.11). The bounds leave 10% headroom.
+# keeping its unmatched legs rather than a copy of its matched ones; 307 and
+# 309 B with that join's and local_mismatches' bookkeeping in dicts rather
+# than sets grown one add at a time, and build_report letting go of each
+# pass's anomalies as it ends (CPython 3.11). The bounds leave 10% headroom.
 EVAL_HIGH_WATER = {
-    "clean": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 356),
+    "clean": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500), 339),
     "attack": (ScenarioParams(seed=41, n_deposits=500, n_withdrawals=500, anomalies=AnomalySpec(
         forged_release=15, replayed_id=5, finality_break=15, direct_transfer=15,
-        orphan_bridge_event=15, replay_fanout=28)), 358),
+        orphan_bridge_event=15, replay_fanout=28)), 341),
 }
 
 # Prints the high-water bytes per fact, then one line per stage: the traced

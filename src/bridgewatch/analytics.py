@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import defaultdict, deque
 from decimal import Decimal
 from fractions import Fraction
@@ -38,7 +39,7 @@ from itertools import chain, filterfalse, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .facts import (EncodingError, FactStore, InputError, _chain_id, _uint, canonical_address,
+from .facts import (EncodingError, FactStore, InputError, _chain_id, _cut, _uint, canonical_address,
                     group, known_keys, read_json, shared, shown)
 from .rules import RULE_NAMES, RULE_TYPES, Escrow, Release, RuleOutputs
 
@@ -327,18 +328,31 @@ _MAX_DECIMALS = 255  # an ERC-20 token's decimals is a uint8
 _MAX_EXPONENT = 78  # a nonzero usd_per_unit is at least 1e-78 and below 1e79
 
 
-def _check_price(usd) -> None:
-    """Raise unless ``usd`` is a number that is zero or of a magnitude in the exponent range."""
-    text = str(usd)  # of a JSON value, only a str, int or float parses
+# A price as written: a JSON number (RFC 8259 section 6), or a fraction of
+# ASCII digits over a nonzero denominator
+_PRICE_TEXT = re.compile(r"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+                         r"|[0-9]+/[0-9]*[1-9][0-9]*)")
+
+
+def _check_price(usd) -> str:
+    """The text of the price ``usd``: a string's own, or a JSON number's
+    literal. Raise unless it is a number as written in the price grammar
+    that is zero or of a magnitude in the exponent range."""
+    text = usd if isinstance(usd, str) else getattr(usd, "text", str(usd))
     try:
+        if not _PRICE_TEXT.fullmatch(text):
+            raise ValueError(text)
         # Decimal reads any exponent at once; Fraction("1e10000000") alone takes seconds
         exponent_ok = "/" in text or abs(Decimal(text).adjusted()) <= _MAX_EXPONENT
         magnitude = abs(Fraction(text)) if exponent_ok else math.inf
-    except (ArithmeticError, ValueError):  # decimal.InvalidOperation and ZeroDivisionError too
+    except ValueError:  # not in the grammar, or more digits than int() converts
         raise EncodingError("usd_per_unit", f"not a number: {shown(usd)}") from None
     if magnitude and not Fraction(1, 10**_MAX_EXPONENT) <= magnitude < 10 ** (_MAX_EXPONENT + 1):
+        # a JSON number is shown as written: 1e-400 is no float but 0.0
+        got = shown(usd) if isinstance(usd, str) else _cut(text)
         raise EncodingError("usd_per_unit", f"must be 0 or of magnitude 1e-{_MAX_EXPONENT} "
-                            f"to below 1e{_MAX_EXPONENT + 1}, got {shown(usd)}")
+                            f"to below 1e{_MAX_EXPONENT + 1}, got {got}")
+    return text
 
 
 def load_prices(path: str | None) -> PriceTable | None:
@@ -363,14 +377,14 @@ def load_prices(path: str | None) -> PriceTable | None:
             if _uint(decimals, "decimals") > _MAX_DECIMALS:
                 raise EncodingError("decimals", f"must be at most {_MAX_DECIMALS}, got {decimals}")
             token = canonical_address(token, "token")
-            _check_price(usd)
+            usd = _check_price(usd)
         except EncodingError as exc:
             raise PriceTableError(f"{where}: {exc}") from exc
         key = (chain_id, token)
         if key in table:
             raise PriceTableError(f"{path}: entries {list(table).index(key)} and {i} both price "
                                   f"token {token} on chain {chain_id}")
-        table[key] = (str(usd), decimals)
+        table[key] = (usd, decimals)
     return table
 
 

@@ -54,10 +54,11 @@ several share the key (:func:`index_by`, read through :func:`group` and
 :func:`shared`).
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
 compatible with common Datalog engine fact-file layouts. Every file the
-package reads or writes is opened here: an input as UTF-8 that names its
-first bad line (:func:`reading_utf8` for ``.facts`` files, while
-:func:`read_json` and :func:`read_jsonl` decode the bytes that they read),
-its JSON read by :func:`parse_json`, and an output written whole by
+package reads or writes is opened here. An input is read once, as bytes
+that are decoded as UTF-8 here (:func:`load_facts_dir`, :func:`read_json`,
+:func:`read_jsonl`); its lines end at LF alone, and its first bad line,
+whether of a bad byte or of bad content, is named from what was read. Its
+JSON is read by :func:`parse_json`. An output is written whole by
 :func:`write_whole`; a dump holds :data:`DUMP_MARKER` until it ends, and
 :func:`load_facts_dir` refuses it.
 """
@@ -69,7 +70,6 @@ import os
 import re
 import stat
 import sys
-from contextlib import contextmanager
 from itertools import compress
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -755,12 +755,15 @@ DUMP_MARKER = ".dump-incomplete"  # in a directory while dump_facts_dir writes i
 def load_facts_dir(path: str | Path) -> FactStore:
     """Load a directory of ``<relation>.facts`` TSV files into a new store.
 
-    Missing files mean empty relations. A ``.facts`` file of no relation,
-    or any line with the wrong column count (or a malformed field), raises
-    :class:`FactsParseError` naming the file and, for bad lines, the number
-    of the first; so does the :data:`DUMP_MARKER` of a stopped dump. Blank
-    lines are skipped, and a repeated row loads once: each relation is the
-    tuple of its distinct facts, in file order.
+    Missing files mean empty relations. Each file is read once, as bytes
+    split at LF alone; a last line without its LF is read as if it had
+    one. Blank lines are skipped, and a repeated line is read once: each
+    distinct line is decoded and checked in file order, and each relation
+    is the tuple of its distinct facts, in that order. A ``.facts`` file
+    of no relation, or a line that is not UTF-8, has the wrong column
+    count or a malformed field, raises :class:`FactsParseError` naming the
+    file and, for bad lines, the number of the first in line order; so
+    does the :data:`DUMP_MARKER` of a stopped dump.
     """
     root = Path(path)
     if not root.is_dir():
@@ -773,57 +776,33 @@ def load_facts_dir(path: str | Path) -> FactStore:
         if name not in RELATIONS:
             raise FactsParseError(f"{file_path}: unknown relation {shown(name)}")
         fact_type = RELATIONS[name]
-        with (open(file_path, encoding="utf-8", newline="") as fh,
-              reading_utf8(file_path, FactsParseError)):
-            lines = dict.fromkeys(fh)  # each distinct line once, in file order
-        lines.pop("\n", None)
-        last = next(reversed(lines), "\n")
-        if last[-1] != "\n" and last + "\n" in lines:  # an unterminated repeat
-            del lines[last]
+        with open(file_path, "rb") as fh:
+            raw_lines = fh.readlines()  # split at LF alone
+        if raw_lines and not raw_lines[-1].endswith(b"\n"):
+            raw_lines[-1] += b"\n"
+        lines = dict.fromkeys(raw_lines)  # each distinct line once, in file order
+        lines.pop(b"\n", None)
         match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._unchecked
         facts: list[_Fact] = []
         # the store is new, so only cctx_finality needs insert()'s conflict check
         insert = store.insert if fact_type is CctxFinalityFact else facts.append
-        checked, line = False, ""
+        checked = False
         try:
-            for line in lines:
+            for raw in lines:
+                line = raw.decode("utf-8")
                 m = match(line)
                 if m is not None:
                     insert(build(*m.groups()))
                 else:
                     insert(_checked_row(fact_type, line))
                     checked = True
-        except (EncodingError, FactStoreError) as exc:
-            raise FactsParseError(f"{file_path}:{_line_number(file_path, line)}: {exc}") from exc
+        except (UnicodeDecodeError, EncodingError, FactStoreError) as exc:
+            reason = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else exc
+            raise FactsParseError(f"{file_path}:{raw_lines.index(raw) + 1}: {reason}") from exc
         if facts:
             # a row matched by no pattern may be another row's fact in other text
             store._relations[name] = tuple(dict.fromkeys(facts) if checked else facts)
     return store
-
-
-def _line_number(path: Path, line: str) -> int:
-    """The number of the first line of the file ``path`` that is ``line``."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return next(line_no for line_no, text in enumerate(fh, start=1) if text == line)
-
-
-@contextmanager
-def reading_utf8(path: str | Path, error: Callable[[str], InputError]) -> Iterator[None]:
-    """Turn text read from the ``.facts`` file ``path`` inside the block
-    that is not UTF-8 into ``error``, naming the file and its first line
-    that is not (the file alone when a second read finds none, as of a
-    pipe)."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:  # raised per read chunk, so the file is read again
-        where = path
-        with open(path, "rb") as fh:  # no multi-byte sequence holds b"\n"
-            try:
-                for line_no, raw in enumerate(fh, start=1):
-                    raw.decode("utf-8")
-            except UnicodeDecodeError:
-                where = f"{path}:{line_no}"
-        raise error(f"{where}: not UTF-8: {exc.reason}") from exc
 
 
 class _RepeatedKey(ValueError):
@@ -843,10 +822,26 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+class _JsonFloat(float):
+    """A JSON number with a fraction or an exponent: a ``float`` of the
+    same ``repr``, which keeps its literal as ``text``, so that a reader
+    that needs the number exactly (a price) reads what was written."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+
+_JsonFloat.__name__ = "float"  # as a message names a value's type
+
+
 # The one JSON decoder of every input file. An object that names one key
 # twice, which json.loads alone would read as its last value, raises
 # _RepeatedKey: parse_json names it.
-_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=_JsonFloat)
 
 
 def known_keys(obj: dict, where: str, error: Callable[[str], InputError], *keys: str) -> None:

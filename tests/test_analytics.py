@@ -425,6 +425,15 @@ class TestLatencyStats:
         assert stats.total_value == "40"
         assert stats.total_usd == "10.00"  # (10+30)/10^1 * 2.5
 
+    def test_a_json_number_price_is_read_as_written(self, tmp_path):
+        # as a float, 1.0000000000000000001 is 1.0, and the total loses 10 usd
+        path = tmp_path / "prices.json"
+        path.write_text(f'[{{"chain_id": {S_CHAIN}, "token": "{AA}", '
+                        f'"usd_per_unit": 1.0000000000000000001, "decimals": 0}}]')
+        stats = analytics.latency_stats([self.cctx(0, 100, amount=str(10**20))],
+                                        prices=analytics.load_prices(str(path)))
+        assert stats.total_usd == "100000000000000000010.00"
+
     def test_usd_absent_token_is_best_effort(self):
         prices = {(S_CHAIN, addr("ff")): ("1", 0)}
         stats = analytics.latency_stats([self.cctx(0, 100)], prices=prices)

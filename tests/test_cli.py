@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from collections import Counter
 from datetime import timedelta
 from itertools import cycle
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bridgewatch import analytics, cli, oracle
+from bridgewatch import analytics, cli, facts as facts_module, oracle
 from bridgewatch.cli import (
     EXIT_ANOMALIES,
     EXIT_CLEAN,
@@ -88,6 +89,15 @@ class TestSimulateEval:
         (facts / "cctx_finality.facts").write_bytes(b"1\t1800\n100\t4\xff5\n")
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
         assert "cctx_finality.facts:2: not UTF-8: invalid start byte" in capsys.readouterr().err
+
+    # the first bad line in line order is named, whether its fault is a byte or a row
+    def test_a_bad_row_before_a_bad_byte_is_named_first(self, tmp_path, capsys):
+        facts = tmp_path / "facts"
+        facts.mkdir()
+        (facts / "cctx_finality.facts").write_bytes(b"1\t1800\n100\tabc\n5\t45\n7\t\xff\n")
+        assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json")) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.endswith(
+            "cctx_finality.facts:2: finality_seconds: cannot parse unsigned integer from 'abc'\n")
 
     def test_conflicting_finality_windows_exit_two(self, tmp_path, capsys):
         facts = tmp_path / "facts"
@@ -545,6 +555,50 @@ def test_unreadable_ingest_input_exits_two(tmp_path, capsys, argument, edit, mes
     assert message.format(path=paths[argument]) in capsys.readouterr().err
 
 
+# (command, input file, its edit, whether the command fails): each input
+# file that a command reads is opened once, also when it is bad
+READ_ONCE_CASES = {
+    "eval-good": ("eval", None, None, False),
+    "eval-bad-row": ("eval", "transaction.facts",
+                     lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\nnot a row\n", 1)), True),
+    "eval-bad-byte": ("eval", "transaction.facts",
+                      lambda p: p.write_bytes(p.read_bytes().replace(b"\t", b"\t\xff", 1)), True),
+    "eval-bad-prices": ("eval", "prices.json", lambda p: p.write_text("[{bad"), True),
+    "ingest-bad-receipts": ("ingest", "receipts.jsonl", lambda p: _bad_byte_on_line(p, 2), True),
+    "ingest-bad-config": ("ingest", "decoder_config.json", lambda p: _bad_byte_on_line(p, 7), True),
+}
+
+
+@pytest.mark.parametrize("command, name, edit, fails", READ_ONCE_CASES.values(),
+                         ids=READ_ONCE_CASES)
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch, command, name, edit, fails):
+    sim = tmp_path / "sim"
+    run("simulate", "--seed", "7", "--deposits", "2", "--withdrawals", "2",
+        "--out", str(sim), "--emit", "facts" if command == "eval" else "receipts")
+    (sim / "prices.json").write_text("[]")
+    if edit is not None:
+        edit(sim / name)
+    if command == "eval":
+        inputs = [sim / "prices.json", *sorted(sim.glob("*.facts"))]
+        argv = ["--prices", str(sim / "prices.json"), "--facts", str(sim)]
+    else:
+        inputs = [sim / "decoder_config.json", sim / "receipts.jsonl"]
+        argv = ["--config", str(inputs[0]), "--receipts", str(inputs[1])]
+    if fails:  # the inputs read up to the bad one, in the order that they are read
+        inputs = inputs[:inputs.index(sim / name) + 1]
+    opened = Counter()
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opened[Path(file)] += 1
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(facts_module, "open", counting_open, raising=False)
+    code = run(command, *argv, "--out", str(tmp_path / "out"))
+    assert code == (EXIT_INPUT_ERROR if fails else EXIT_CLEAN)
+    assert opened == dict.fromkeys(inputs, 1)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -673,6 +727,14 @@ class TestPrices:
                      id="too-long-integer-under-a-long-key"),
         pytest.param(b'[\n  {"chain_id": 1,\n   "token": "\xff"}\n]',
                      "prices.json:3: not UTF-8: invalid start byte", id="not-utf8-on-line-3"),
+        # a price is read as written: as a float, 1e-400 is 0.0
+        pytest.param(b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": 1e-400, '
+                     b'"decimals": 0}]', "entry 0: usd_per_unit: must be 0 or of magnitude 1e-78 to "
+                     "below 1e79, got 1e-400", id="json-number-below-1e-78"),
+        # only ASCII text in the price grammar, which Decimal and Fraction would widen
+        *(pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": usd, "decimals": 0}],
+                       f"entry 0: usd_per_unit: not a number: {usd!r}", id=f"usd-{usd.strip()}")
+          for usd in ["1_000", "\u0661\u0662", " 1.5 ", "+2", "2.", ".5", "1/0", "1/-3"]),
     ])
     def test_bad_price_table_exits_two(self, tmp_path, capsys, prices, message):
         facts = tmp_path / "facts"

@@ -872,3 +872,20 @@ def test_eval_report_is_unmoved_by_row_order_repeats_and_hex_case(small_facts_di
         expected = _eval(original, Path(tmp, "original.json"))
         assert expected[0] == cli.EXIT_ANOMALIES
         assert _eval(changed, Path(tmp, "changed.json")) == expected
+
+
+@pytest.mark.parametrize("anomalies", [AnomalySpec(), AnomalySpec(2, 2, 2, 2, 2)],
+                         ids=["clean", "every-attack-kind"])
+def test_eval_report_is_unmoved_by_a_shift_of_every_timestamp(tmp_path, anomalies):
+    """A metamorphic relation of the whole ``eval``: adding one constant to
+    every ``transaction.facts`` timestamp leaves the exit code, the report
+    bytes and the fact count unchanged."""
+    original, shifted = tmp_path / "original", tmp_path / "shifted"
+    generate(ScenarioParams(5, 40, 40, anomalies)).write_facts_dir(original)
+    shutil.copytree(original, shifted)
+    rows = [row.split("\t", 1) for row in (original / "transaction.facts").read_text().splitlines()]
+    (shifted / "transaction.facts").write_text(
+        "".join(f"{int(timestamp) + 987_654_321}\t{rest}\n" for timestamp, rest in rows))
+    expected = _eval(original, tmp_path / "original.json")
+    assert expected[0] == (cli.EXIT_CLEAN if anomalies == AnomalySpec() else cli.EXIT_ANOMALIES)
+    assert _eval(shifted, tmp_path / "shifted.json") == expected

@@ -43,7 +43,7 @@ def test_only_facts_decodes_json():
 # methods of ``Path``, and the names by which ``facts`` reads one.
 _OPENING = {("os", "open"), ("os", "replace"), ("os", "rename"), ("json", "dump")}
 _OPENING_METHODS = {"write_text", "write_bytes", "read_text", "read_bytes"}
-_READING_NAMES = {"_JSON_DECODER", "parse_json", "reading_utf8"}
+_READING_NAMES = {"_JSON_DECODER", "parse_json"}
 
 
 def _opens(call: ast.Call) -> bool:

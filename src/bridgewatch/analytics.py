@@ -328,31 +328,39 @@ _MAX_DECIMALS = 255  # an ERC-20 token's decimals is a uint8
 _MAX_EXPONENT = 78  # a nonzero usd_per_unit is at least 1e-78 and below 1e79
 
 
-# A price as written: a JSON number (RFC 8259 section 6), or a fraction of
-# ASCII digits over a nonzero denominator
-_PRICE_TEXT = re.compile(r"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-                         r"|[0-9]+/[0-9]*[1-9][0-9]*)")
+# A price as written: a JSON number (RFC 8259 section 6) without its minus
+# sign, or a fraction of ASCII digits over a nonzero denominator
+_PRICE_TEXT = re.compile(r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+                         r"|[0-9]+/[0-9]*[1-9][0-9]*")
 
 
 def _check_price(usd) -> str:
     """The text of the price ``usd``: a string's own, or a JSON number's
-    literal. Raise unless it is a number as written in the price grammar
-    that is zero or of a magnitude in the exponent range."""
+    literal, and ``"0"`` for any zero. Raise unless it is a number as
+    written in the price grammar that is zero or of a magnitude in the
+    exponent range."""
     text = usd if isinstance(usd, str) else getattr(usd, "text", str(usd))
+    # a JSON number is shown as written: 1e-400 is no float but 0.0
+    got = shown(usd) if isinstance(usd, str) else _cut(text)
+    if text.startswith("-"):
+        raise EncodingError("usd_per_unit", f"must have no minus sign, got {got}")
     try:
         if not _PRICE_TEXT.fullmatch(text):
             raise ValueError(text)
-        # Decimal reads any exponent at once; Fraction("1e10000000") alone takes seconds
-        exponent_ok = "/" in text or abs(Decimal(text).adjusted()) <= _MAX_EXPONENT
-        magnitude = abs(Fraction(text)) if exponent_ok else math.inf
+        # Decimal reads any exponent at once; Fraction("1e10000000") or
+        # Fraction("0e-10000000") alone takes seconds
+        if "/" in text:
+            magnitude = Fraction(text)
+        elif Decimal(text).is_zero():
+            magnitude = 0
+        else:
+            magnitude = Fraction(text) if abs(Decimal(text).adjusted()) <= _MAX_EXPONENT else math.inf
     except ValueError:  # not in the grammar, or more digits than int() converts
         raise EncodingError("usd_per_unit", f"not a number: {shown(usd)}") from None
     if magnitude and not Fraction(1, 10**_MAX_EXPONENT) <= magnitude < 10 ** (_MAX_EXPONENT + 1):
-        # a JSON number is shown as written: 1e-400 is no float but 0.0
-        got = shown(usd) if isinstance(usd, str) else _cut(text)
         raise EncodingError("usd_per_unit", f"must be 0 or of magnitude 1e-{_MAX_EXPONENT} "
                             f"to below 1e{_MAX_EXPONENT + 1}, got {got}")
-    return text
+    return text if magnitude else "0"
 
 
 def load_prices(path: str | None) -> PriceTable | None:

@@ -38,16 +38,14 @@ validating constructor. No field can be assigned or deleted
 Each canonical form is checked by one rule, which the constructors, the
 ``.facts`` row patterns and the receipt decoder share.
 
-The store keeps each relation as its distinct facts (set semantics:
-duplicates collapse, insertion order never matters): a set while facts are
-inserted, and a tuple once loaded or sealed, so that reading a relation
-hashes no fact and copies nothing. :meth:`FactStore.insert_all` writes
-the relations, and keeps ``finality`` as it writes (``seal()`` does not
-build it); :func:`load_facts_dir` alone sets each relation of the new store
-it fills directly, and sends only ``cctx_finality`` rows through
-``insert``. :meth:`FactStore.require_sealed` is the one check that rules
-and analytics make before they read its indexes; no other module touches
-the relations.
+The store keeps each relation as the tuple of its distinct facts, so that
+reading a relation hashes no fact and copies nothing. It is built once,
+from its facts (``FactStore(facts)``), or loaded (:func:`load_facts_dir`,
+which alone sets the relations of the new store it fills directly), and
+then only read; :func:`_windows` builds its ``finality`` either way.
+:meth:`FactStore.require_sealed` is the one check that rules and
+analytics make before they read its indexes; no other module touches the
+relations.
 Secondary indexes are built when the store is sealed, each a dict from key
 to the key's fact when it has one, and to the tuple of its facts when
 several share the key (:func:`index_by`, read through :func:`group` and
@@ -157,7 +155,12 @@ class FactsParseError(InputError):
 
 
 class FactStoreError(RuntimeError):
-    """Store misuse: inserting after seal, conflicting finality, etc."""
+    """A fact that a store refuses: one of no relation, or one that gives
+    its chain a second finality window. ``fact`` is that fact."""
+
+    def __init__(self, message: str, fact: Any):
+        super().__init__(message)
+        self.fact = fact
 
 
 def canonical_address(value: str, field: str = "address") -> str:
@@ -621,13 +624,12 @@ def shared(items: tuple | frozenset, key: Callable) -> Iterator[tuple]:
 
 
 class FactStore:
-    """Set-semantics container for the thirteen relations.
-
-    Built by :meth:`insert_all`, which also keeps ``finality``, each chain
-    id to its window in seconds (:func:`load_facts_dir` sets the relations
-    of a new store directly, but inserts its ``cctx_finality`` rows).
-    ``seal()`` freezes the store, turns each relation into a tuple of its
-    distinct facts and builds the secondary indexes, after which it is safe
+    """Set-semantics container for the thirteen relations, built once from
+    its ``facts`` and then only read: each relation is the tuple of its
+    distinct facts, in the order first seen (``FactStore()`` is the empty
+    store), and ``finality`` maps each chain id to its window in seconds
+    (:func:`_windows`). A fact of no relation raises :class:`FactStoreError`.
+    ``seal()`` builds the secondary indexes, after which the store is safe
     for concurrent readers:
 
     * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
@@ -642,44 +644,21 @@ class FactStore:
     has one fact per relation, and a bare fact takes no 48-byte 1-tuple.
     """
 
-    def __init__(self):
-        self._relations: dict[str, set | tuple] = {name: set() for name in RELATIONS}
+    def __init__(self, facts: Iterable[_Fact] = ()):
+        groups: dict[str, list[_Fact]] = {name: [] for name in RELATIONS}
+        for fact in facts:
+            if fact.RELATION not in groups:
+                raise FactStoreError(f"unknown relation {fact.RELATION!r}", fact)
+            groups[fact.RELATION].append(fact)
+        self._relations: dict[str, tuple[_Fact, ...]] = {
+            name: tuple(dict.fromkeys(group)) for name, group in groups.items()}
         self._sealed = False
-        # the cctx_finality relation as a map, kept by insert_all
-        self.finality: dict[int, int] = {}
+        self.finality: dict[int, int] = _windows(self._relations["cctx_finality"])
         # indexes, populated by seal()
         self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
         self.bridge_addresses: set[tuple[int, str]] = set()
         self.token_mappings: set[tuple[int, int, str, str, str]] = set()
         self.wrapped_native: set[tuple[int, str]] = set()
-
-    def insert(self, fact: _Fact) -> None:
-        """Insert one fact through :meth:`insert_all`."""
-        self.insert_all((fact,))
-
-    def insert_all(self, facts: Iterable[_Fact]) -> None:
-        """Insert each of ``facts`` (idempotent for identical facts); only
-        :func:`load_facts_dir` writes a relation otherwise, that of a new
-        store, and it inserts its ``cctx_finality`` rows here. Inserting
-        into a sealed store, a fact of no relation, or a finality window
-        that differs from a chain's earlier one raises
-        :class:`FactStoreError`."""
-        if self._sealed:
-            raise FactStoreError("store is sealed")
-        relations = self._relations
-        for fact in facts:
-            relation = fact.RELATION
-            if relation not in relations:
-                raise FactStoreError(f"unknown relation {relation!r}")
-            facts_of = relations[relation]
-            if facts_of.__class__ is tuple:  # loaded: a set again, so that repeats collapse
-                facts_of = relations[relation] = set(facts_of)
-            if relation == "cctx_finality":
-                window = self.finality.setdefault(fact.chain_id, fact.finality_seconds)
-                if window != fact.finality_seconds:
-                    raise FactStoreError(f"conflicting cctx_finality for chain {fact.chain_id}: "
-                                         f"{window} vs {fact.finality_seconds}")
-            facts_of.add(fact)
 
     def require_sealed(self) -> None:
         """Raise ``RuntimeError`` unless the store is sealed: rules and
@@ -689,7 +668,7 @@ class FactStore:
 
     def relation(self, name: str) -> tuple[_Fact, ...]:
         """The distinct facts of relation ``name``."""
-        return tuple(self._relations[name])  # a tuple is not copied
+        return self._relations[name]
 
     def count(self, name: str) -> int:
         return len(self._relations[name])
@@ -718,11 +697,9 @@ class FactStore:
         return ids
 
     def seal(self) -> "FactStore":
-        """Freeze the store and build secondary indexes. Returns self."""
+        """Build the secondary indexes. Returns self."""
         if self._sealed:
             return self
-        for name, facts in self._relations.items():
-            self._relations[name] = tuple(facts)
         tx_hash = attrgetter("tx_hash")
         self.by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
                       if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
@@ -731,6 +708,19 @@ class FactStore:
             for name in ("bridge_controlled_address", "token_mapping", "wrapped_native_token"))
         self._sealed = True
         return self
+
+
+def _windows(facts: Iterable[CctxFinalityFact]) -> dict[int, int]:
+    """Each chain of the ``cctx_finality`` ``facts`` to its window in
+    seconds. A fact that gives its chain a second window raises
+    :class:`FactStoreError`."""
+    windows: dict[int, int] = {}
+    for fact in facts:
+        window = windows.setdefault(fact.chain_id, fact.finality_seconds)
+        if window != fact.finality_seconds:
+            raise FactStoreError(f"conflicting cctx_finality for chain {fact.chain_id}: "
+                                 f"{window} vs {fact.finality_seconds}", fact)
+    return windows
 
 
 def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
@@ -761,7 +751,8 @@ def load_facts_dir(path: str | Path) -> FactStore:
     distinct line is decoded and checked in file order, and each relation
     is the tuple of its distinct facts, in that order. A ``.facts`` file
     of no relation, or a line that is not UTF-8, has the wrong column
-    count or a malformed field, raises :class:`FactsParseError` naming the
+    count or a malformed field or gives a chain a second finality window
+    (:func:`_windows`), raises :class:`FactsParseError` naming the
     file and, for bad lines, the number of the first in line order; so
     does the :data:`DUMP_MARKER` of a stopped dump.
     """
@@ -783,20 +774,23 @@ def load_facts_dir(path: str | Path) -> FactStore:
         lines = dict.fromkeys(raw_lines)  # each distinct line once, in file order
         lines.pop(b"\n", None)
         match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._unchecked
-        facts: list[_Fact] = []
-        # the store is new, so only cctx_finality needs insert()'s conflict check
-        insert = store.insert if fact_type is CctxFinalityFact else facts.append
+        facts: list[_Fact] = []  # the fact of each distinct line, in the order of lines
+        append = facts.append
         checked = False
         try:
             for raw in lines:
                 line = raw.decode("utf-8")
                 m = match(line)
                 if m is not None:
-                    insert(build(*m.groups()))
+                    append(build(*m.groups()))
                 else:
-                    insert(_checked_row(fact_type, line))
+                    append(_checked_row(fact_type, line))
                     checked = True
+            if fact_type is CctxFinalityFact:
+                store.finality = _windows(facts)
         except (UnicodeDecodeError, EncodingError, FactStoreError) as exc:
+            if isinstance(exc, FactStoreError):  # the first line of the fact that conflicts
+                raw = list(lines)[facts.index(exc.fact)]
             reason = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else exc
             raise FactsParseError(f"{file_path}:{raw_lines.index(raw) + 1}: {reason}") from exc
         if facts:

@@ -635,18 +635,15 @@ def ingest_jsonl(
 ) -> tuple[f.FactStore, IngestReport]:
     """Decode a JSONL receipts file into a store plus a report.
 
-    The store contains the union of all decoded facts and the config's
-    static facts, each receipt's facts inserted by one call of
-    :meth:`facts.FactStore.insert_all`. It is returned unsealed,
-    without the indexes that only evaluation reads: call ``seal()`` on it
-    before evaluating rules. The lines are read by
+    The store is built once (:class:`facts.FactStore`) from the config's
+    static facts and then each receipt's decoded facts, in file order. It
+    is returned unsealed, without the indexes that only evaluation reads:
+    call ``seal()`` on it before evaluating rules. The lines are read by
     :func:`facts.read_jsonl`: a line that is not JSON, that is not UTF-8,
     whose object names one key twice or that is not a receipt fails fast
     with its line number.
     """
-    store = f.FactStore()
-    receipts, warnings, contracts = 0, [], {}
-    store.insert_all(config.static)
+    facts, receipts, warnings, contracts = list(config.static), 0, [], {}
     for where, obj in f.read_jsonl(receipts_path, IngestError):
         try:
             decoded, found = decode_receipt(obj, config, contracts)
@@ -654,6 +651,7 @@ def ingest_jsonl(
             raise IngestError(f"{where}: {exc}") from exc
         receipts += 1
         warnings += found
-        store.insert_all(decoded)
+        facts += decoded
+    store = f.FactStore(facts)
     counts = {name: count for name, count in store.relation_counts().items() if count}
     return store, IngestReport(receipts, counts, warnings)

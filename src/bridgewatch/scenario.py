@@ -509,8 +509,7 @@ class _Builder:
             self.orphan_bridge_event(str(p.n_deposits + i + 1), i)
 
         config = _decoder_config(self.bridge_s, self.bridge_t, self.mappings, self.wrapped)
-        store = FactStore()
-        store.insert_all(static_facts(config))
+        facts = list(static_facts(config))
         # blocks are numbered per chain in time order; the sort is stable,
         # so transactions at the same time keep the order they were made in
         txs, height = [], {}
@@ -519,11 +518,11 @@ class _Builder:
             fact = f.TransactionFact._unchecked(tx.timestamp, tx.chain_id, tx.tx_hash,
                                                 height[tx.chain_id], tx.from_address,
                                                 tx.to_address, tx.value, 1, tx.gas_used)
-            store.insert_all([fact, *tx.event_facts])
+            facts += (fact, *tx.event_facts)
             txs.append((fact, tx.event_facts))
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
-        return GeneratedScenario(params=p, store=store.seal(), ground_truth=gt, config=config,
-                                 txs=txs)
+        return GeneratedScenario(params=p, store=FactStore(facts).seal(), ground_truth=gt,
+                                 config=config, txs=txs)
 
 
 def generate(params: ScenarioParams) -> GeneratedScenario:

@@ -135,10 +135,7 @@ def stop_writes(monkeypatch, budget: Callable[[str], int | None], error: BaseExc
 
 
 def build_store(*fact_groups) -> f.FactStore:
-    store = f.FactStore()
-    for group in fact_groups:
-        store.insert_all(group)
-    return store.seal()
+    return f.FactStore(fact for group in fact_groups for fact in group).seal()
 
 
 @pytest.fixture

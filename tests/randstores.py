@@ -128,8 +128,8 @@ def random_facts(seed: int, mutants: int = 120, noise: int = 150) -> list:
             ),
         )
     )
-    # set iteration order is hash-seed dependent; sort for cross-process
-    # reproducibility of the generated fixtures
+    # in an order of their own, so that the fixtures stay as they are
+    # whatever order the generator builds its facts in
     base = sorted(scenario.store, key=lambda x: (x.RELATION, x.columns()))
     pools = _pools(rng, base)
     out = list(base)
@@ -156,12 +156,9 @@ def random_facts(seed: int, mutants: int = 120, noise: int = 150) -> list:
 
 
 def random_store(seed: int, **kwargs) -> FactStore:
-    store = FactStore()
-    for fact in random_facts(seed, **kwargs):
-        if isinstance(fact, f.CctxFinalityFact):
-            continue  # inserted once below to avoid conflicting windows
-        store.insert(fact)
+    # one finality window per chain that the other facts name, drawn below
+    facts = [x for x in random_facts(seed, **kwargs) if not isinstance(x, f.CctxFinalityFact)]
     rng = SplitMix64(seed ^ 0xF00D)
-    for chain in sorted(store.chain_ids()):
-        store.insert(f.CctxFinalityFact(chain, rng.choice([45, 78, 1800])))
-    return store.seal()
+    windows = [f.CctxFinalityFact(chain, rng.choice([45, 78, 1800]))
+               for chain in sorted(FactStore(facts).chain_ids())]
+    return FactStore(facts + windows).seal()

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,8 +34,7 @@ def outputs_for(store):
                                    lambda store: analytics.duplicate_ids(store, None)],
                          ids=["local_mismatches", "duplicate_ids"])
 def test_unsealed_store_is_refused(check):
-    store = f.FactStore()
-    store.insert_all(static_facts() + f1_facts())
+    store = f.FactStore(static_facts() + f1_facts())
     with pytest.raises(RuntimeError, match="store must be sealed"):
         check(store)
 
@@ -433,6 +433,18 @@ class TestLatencyStats:
         stats = analytics.latency_stats([self.cctx(0, 100, amount=str(10**20))],
                                         prices=analytics.load_prices(str(path)))
         assert stats.total_usd == "100000000000000000010.00"
+
+    def test_a_zero_price_of_any_exponent_prices_at_once(self, tmp_path):
+        # Fraction("0e-10000000") alone takes seconds: a zero is kept as "0"
+        path = tmp_path / "prices.json"
+        path.write_text(f'[{{"chain_id": {S_CHAIN}, "token": "{AA}", "usd_per_unit": 0e-10000000, '
+                        f'"decimals": 0}}, {{"chain_id": {T_CHAIN}, "token": "{CC}", '
+                        f'"usd_per_unit": "0E+10000000", "decimals": 0}}]')
+        prices = analytics.load_prices(str(path))
+        assert list(prices.values()) == [("0", 0), ("0", 0)]
+        start = time.perf_counter()
+        stats = analytics.latency_stats([self.cctx(0, 100)] * 50, prices=prices)
+        assert stats.total_usd == "0.00" and time.perf_counter() - start < 1
 
     def test_usd_absent_token_is_best_effort(self):
         prices = {(S_CHAIN, addr("ff")): ("1", 0)}

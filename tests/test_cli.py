@@ -731,6 +731,12 @@ class TestPrices:
         pytest.param(b'[{"chain_id": 1, "token": "0x' + b"a" * 40 + b'", "usd_per_unit": 1e-400, '
                      b'"decimals": 0}]', "entry 0: usd_per_unit: must be 0 or of magnitude 1e-78 to "
                      "below 1e79, got 1e-400", id="json-number-below-1e-78"),
+        # a price per unit has no sign, whatever it is written as
+        *(pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": usd, "decimals": 0}],
+                       f"entry 0: usd_per_unit: must have no minus sign, got {shown}",
+                       id=f"usd-{type(usd).__name__}-{usd}")
+          for usd, shown in [("-0.5", "'-0.5'"), (-0.5, "-0.5"), ("-1/3", "'-1/3'"),
+                             ("-1e10000000", "'-1e10000000'")]),
         # only ASCII text in the price grammar, which Decimal and Fraction would widen
         *(pytest.param([{"chain_id": 1, "token": "0x" + "a" * 40, "usd_per_unit": usd, "decimals": 0}],
                        f"entry 0: usd_per_unit: not a number: {usd!r}", id=f"usd-{usd.strip()}")
@@ -758,7 +764,8 @@ class TestPrices:
             "--out", str(facts))
         prices = [{"chain_id": chain, "token": "0x" + "a" * 40, "usd_per_unit": usd, "decimals": decimals}
                   for chain, (usd, decimals) in enumerate(
-                      [("1e-78", 0), ("9.99e78", 255), (0, 7), ("1/3", 18), (2.5, 6)], start=1)]
+                      [("1e-78", 0), ("9.99e78", 255), (0, 7), ("1/3", 18), (2.5, 6),
+                       ("0e-400", 0), ("0E+10000000", 0), ("0/7", 0)], start=1)]
         prices_path = tmp_path / "prices.json"
         prices_path.write_text(json.dumps(prices))
         assert run("eval", "--facts", str(facts), "--out", str(tmp_path / "r.json"),

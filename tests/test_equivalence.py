@@ -30,12 +30,10 @@ class TestOracleBasics:
         assert brute_force(4, f1_store) == eval_rule4(f1_store)
 
     def test_size_guard(self):
-        store = FactStore()
         from bridgewatch.facts import WrappedNativeTokenFact
 
-        for i in range(MAX_FACTS + 1):
-            store.insert(WrappedNativeTokenFact(i + 1, "0x" + format(i, "040x")))
-        store.seal()
+        store = FactStore(WrappedNativeTokenFact(i + 1, "0x" + format(i, "040x"))
+                          for i in range(MAX_FACTS + 1)).seal()
         with pytest.raises(OracleSizeError):
             brute_force(1, store)
 
@@ -55,12 +53,8 @@ def test_engine_equals_oracle_on_random_stores(seed):
 def test_monotonicity_adding_facts_never_removes_tuples(seed):
     facts = random_facts(seed * 104_729 + 7, mutants=60, noise=80)
     cut = int(len(facts) * 0.7)
-    small = FactStore()
-    small.insert_all(facts[:cut])
-    small.seal()
-    big = FactStore()
-    big.insert_all(facts)
-    big.seal()
+    small = FactStore(facts[:cut]).seal()
+    big = FactStore(facts).seal()
     for rule_id, evaluator in EVALUATORS.items():
         assert evaluator(small) <= evaluator(big), f"rule {rule_id} lost tuples"
 
@@ -71,12 +65,8 @@ def test_permutation_invariance_of_outputs(rand):
     facts = random_facts(20_250_101, mutants=40, noise=50)
     shuffled = list(facts)
     rand.shuffle(shuffled)
-    a = FactStore()
-    a.insert_all(facts)
-    b = FactStore()
-    b.insert_all(shuffled)
-    a.seal()
-    b.seal()
+    a = FactStore(facts).seal()
+    b = FactStore(shuffled).seal()
     assert a == b
     for evaluator in EVALUATORS.values():
         assert evaluator(a) == evaluator(b)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import io
@@ -157,56 +158,70 @@ def test_facts_of_two_relations_with_equal_values_are_unequal():
     assert len({deposit, withdrawal}) == 2
 
 
+def _writers(tree: ast.AST, attribute: str, scope: str = "") -> set[str]:
+    """The qualified names of the functions and classes in ``tree`` that
+    assign, augment or delete ``attribute`` of an object, or an item or a
+    slice of it (``store._relations[name] = ...``)."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _writers(node, attribute, f"{scope}.{node.name}" if scope else node.name)
+            continue
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(isinstance(part, ast.Attribute) and part.attr == attribute
+               for target in targets for part in ast.walk(target)):
+            found.add(scope)
+        found |= _writers(node, attribute, scope)
+    return found
+
+
 class TestStore:
-    def test_insert_idempotent(self):
-        store = f.FactStore()
-        store.insert(f.CctxFinalityFact(1, 1800))
-        store.insert(f.CctxFinalityFact(1, 1800))
-        assert store.count("cctx_finality") == 1
+    def test_repeated_facts_collapse(self):
+        window, fact = f.CctxFinalityFact(1, 1800), SAMPLES[f.ScDepositFact]
+        store = f.FactStore([window, fact, replace(window), fact, replace(fact)])
+        assert store.relation("cctx_finality") == (window,)
+        assert store.relation("sc_deposit") == (fact,)
+        assert store.total_facts() == 2 and store.finality == {1: 1800}
+
+    def test_relations_keep_the_order_first_seen(self):
+        facts = [f.WrappedNativeTokenFact(chain, AA) for chain in (7, 3, 9, 3, 1, 7)]
+        assert f.FactStore(facts).relation("wrapped_native_token") == tuple(
+            f.WrappedNativeTokenFact(chain, AA) for chain in (7, 3, 9, 1))
 
     def test_conflicting_finality_rejected(self):
-        store = f.FactStore()
-        store.insert(f.CctxFinalityFact(1, 1800))
-        with pytest.raises(f.FactStoreError, match="conflicting"):
-            store.insert(f.CctxFinalityFact(1, 900))
+        with pytest.raises(f.FactStoreError,
+                           match=r"^conflicting cctx_finality for chain 1: 1800 vs 900$") as caught:
+            f.FactStore([f.CctxFinalityFact(1, 1800), f.CctxFinalityFact(100, 45),
+                         f.CctxFinalityFact(1, 900)])
+        assert caught.value.fact == f.CctxFinalityFact(1, 900)
 
-    def test_insert_of_no_relation_rejected(self):
+    def test_fact_of_no_relation_rejected(self):
         class Unregistered(NamedTuple):
             RELATION: str = "transactions"
 
         with pytest.raises(f.FactStoreError, match="unknown relation 'transactions'"):
-            f.FactStore().insert(Unregistered())
-
-    def test_insert_after_seal_rejected(self):
-        store = f.FactStore()
-        store.seal()
-        with pytest.raises(f.FactStoreError):
-            store.insert(f.CctxFinalityFact(1, 1800))
+            f.FactStore([SAMPLES[f.ScDepositFact], Unregistered()])
 
     def test_permuting_insertion_order_gives_equal_store(self):
         all_facts = static_facts() + f1_facts() + f2_facts()
-        forward = f.FactStore()
-        forward.insert_all(all_facts)
-        backward = f.FactStore()
-        backward.insert_all(reversed(all_facts))
-        assert forward == backward
+        assert f.FactStore(all_facts) == f.FactStore(reversed(all_facts))
 
     def test_only_facts_names_the_relations(self):
-        # FactStore.insert_all writes the relations, with its checks; only
-        # load_facts_dir sets those of a new store directly
+        # only facts.py names the relations, and within it only the store's
+        # constructor and load_facts_dir, which fills a new store directly,
+        # write them
         package = Path(f.__file__).parent
         naming = [path.name for path in sorted(package.glob("*.py"))
                   if re.search(r"\b_relations\b", path.read_text(encoding="utf-8"))]
         assert naming == ["facts.py"]
+        tree = ast.parse(Path(f.__file__).read_text(encoding="utf-8"))
+        assert _writers(tree, "_relations") == {"FactStore.__init__", "load_facts_dir"}
 
     @given(st.permutations(range(len(static_facts() + f1_facts()))))
     def test_any_permutation_equal(self, order):
         all_facts = static_facts() + f1_facts()
-        store = f.FactStore()
-        store.insert_all(all_facts[i] for i in order)
-        reference = f.FactStore()
-        reference.insert_all(all_facts)
-        assert store == reference
+        assert f.FactStore(all_facts[i] for i in order) == f.FactStore(all_facts)
 
     def test_store_is_unhashable(self):
         # a store equals another by its relations, so it cannot hash by identity
@@ -271,9 +286,8 @@ class TestStore:
         # one deposit id and one tx hash for all: grouping that copied a
         # key's tuple on every fact would take minutes here
         n = 100_000
-        store = f.FactStore()
-        store.insert_all(f.ScTokenDepositedFact._unchecked(H1, i, "7", U1, CC, AA, 100, "ERC20", "5")
-                         for i in range(n))
+        store = f.FactStore(f.ScTokenDepositedFact._unchecked(H1, i, "7", U1, CC, AA, 100, "ERC20", "5")
+                            for i in range(n))
         start = time.perf_counter()
         store.seal()
         by_id = f.index_by(store.relation("sc_token_deposited"), attrgetter("deposit_id"))
@@ -322,9 +336,8 @@ class TestPersistence:
         ]
 
     def test_rows_sorted_lexicographically(self, tmp_path):
-        store = f.FactStore()
-        store.insert(f.WrappedNativeTokenFact(2, "0x" + "b" * 40))
-        store.insert(f.WrappedNativeTokenFact(1, "0x" + "a" * 40))
+        store = f.FactStore([f.WrappedNativeTokenFact(2, "0x" + "b" * 40),
+                             f.WrappedNativeTokenFact(1, "0x" + "a" * 40)])
         f.dump_facts_dir(store, tmp_path)
         lines = (tmp_path / "wrapped_native_token.facts").read_text().splitlines()
         assert lines == sorted(lines)
@@ -370,6 +383,8 @@ class TestPersistence:
         assert store.count("sc_deposit") == 1
         assert store == build_store([fact])
         assert store.seal().relation("sc_deposit") == (fact,)
+        # kept as a tuple, so that relation() copies nothing
+        assert store.relation("sc_deposit") is store.relation("sc_deposit")
 
     def test_repeated_bad_row_names_its_first_line(self, tmp_path):
         (tmp_path / "cctx_finality.facts").write_text("1\t1800\n1\t1800\n0\t1800\n100\t45\n0\t1800\n")
@@ -384,11 +399,6 @@ class TestPersistence:
     def test_finality_map_keeps_step_with_a_loaded_relation(self, tmp_path):
         (tmp_path / "cctx_finality.facts").write_text("1\t1800\n")
         store = f.load_facts_dir(tmp_path)
-        with pytest.raises(f.FactStoreError,
-                           match=r"^conflicting cctx_finality for chain 1: 1800 vs 1801$"):
-            store.insert(f.CctxFinalityFact(1, 1801))
-        store.insert(f.CctxFinalityFact(1, 1800))
-        assert store.count("cctx_finality") == 1
         store.seal()
         assert store.finality == {1: 1800}
 
@@ -420,18 +430,6 @@ class TestPersistence:
         (tmp_path / f"{relation}.facts").write_text(row + "\n")
         with pytest.raises(f.FactsParseError, match=rf"{relation}\.facts:1: {column}"):
             f.load_facts_dir(tmp_path)
-
-    def test_insert_into_a_loaded_store_collapses_repeats(self, tmp_path):
-        fact = SAMPLES[f.WrappedNativeTokenFact]
-        (tmp_path / "wrapped_native_token.facts").write_text(fact._to_row() + "\n")
-        store = f.load_facts_dir(tmp_path)
-        store.insert(replace(fact))
-        assert store.count("wrapped_native_token") == 1
-        store.insert(replace(fact, chain_id=fact.chain_id + 1))
-        assert store.count("wrapped_native_token") == 2
-        store.seal()
-        # kept as a tuple, so that relation() copies nothing
-        assert store.relation("wrapped_native_token") is store.relation("wrapped_native_token")
 
 
 class _Stopped(BaseException):
@@ -543,15 +541,41 @@ def test_integer_columns_hold_uint256(tmp_path, fact, index):
         assert getattr(loaded, name) == 2**256 - 1
 
 
-def _in_new_interpreter(script: str, facts_dir: Path) -> str:
+def _in_new_interpreter(script: str, facts_dir: Path, **env: str) -> str:
     """The stdout of ``script`` run on ``facts_dir`` in a new interpreter,
-    so that what earlier tests left in this one does not count: a table of
-    interned strings that a load must grow, say."""
+    with ``env`` added to its environment, so that what earlier tests left
+    in this one does not count: a table of interned strings that a load
+    must grow, say."""
     src = str(Path(f.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", script, str(facts_dir)], capture_output=True,
-        text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        text=True, check=True, env={**os.environ, "PYTHONPATH": src, **env},
     ).stdout
+
+
+# In a new interpreter: a digest of each relation of a generated store, in
+# the order the store lists its facts, and then of the store that ingest
+# builds from that scenario's receipts.
+ORDER_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+from bridgewatch import facts, ingest, scenario
+generated = scenario.generate(scenario.ScenarioParams(seed=5, n_deposits=30, n_withdrawals=30))
+receipts = Path(sys.argv[1]) / "receipts.jsonl"
+generated.write_receipts_jsonl(receipts)
+ingested, _ = ingest.ingest_jsonl(receipts, ingest.BridgeDecoderConfig.from_json(generated.config))
+for store in (generated.store, ingested):
+    print(*(hashlib.sha256("\\n".join(map(repr, store.relation(name))).encode()).hexdigest()[:12]
+            for name in facts.RELATIONS))
+"""
+
+
+def test_a_built_store_lists_its_facts_in_one_order_under_any_hash_seed(tmp_path):
+    listed = []
+    for seed in ("1", "2"):
+        (tmp_path / seed).mkdir()
+        listed.append(_in_new_interpreter(ORDER_SCRIPT, tmp_path / seed, PYTHONHASHSEED=seed))
+    assert listed[0] == listed[1]
 
 
 # In a new interpreter: the generated methods of each fact class that have
@@ -582,9 +606,8 @@ print(json.dumps([pickle.loads(pickle.dumps(fact)) == fact, repr(fact)[:16]]))
 
 
 def test_fact_methods_and_encoders_compile_on_first_use(tmp_path):
-    store = f.FactStore()
-    store.insert_all([f.TransactionFact(1000 + i, 1, txh(f"{i:02x}"), i, AA, B1, "0", 1, 21_000)
-                      for i in (1, 2)] + [f.CctxFinalityFact(1, 1800), f.CctxFinalityFact(100, 45)])
+    store = f.FactStore([f.TransactionFact(1000 + i, 1, txh(f"{i:02x}"), i, AA, B1, "0", 1, 21_000)
+                         for i in (1, 2)] + [f.CctxFinalityFact(1, 1800), f.CctxFinalityFact(100, 45)])
     f.dump_facts_dir(store, tmp_path / "facts")
     config = generate(ScenarioParams(seed=1, n_deposits=2, n_withdrawals=2)).config
     (tmp_path / "decoder_config.json").write_text(json.dumps(config), encoding="utf-8")

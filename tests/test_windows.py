@@ -112,12 +112,9 @@ def _report(generated, start: int, end: int) -> dict:
     """The ``eval`` report of the receipts from ``start`` up to ``end``,
     built from their transactions' facts, which is what ``ingest`` decodes
     from them."""
-    store = FactStore()
-    store.insert_all(static_facts(generated.config))
-    for tx, events in generated.txs:
-        if start <= tx.timestamp < end:
-            store.insert_all([tx, *events])
-    store.seal()
+    store = FactStore([*static_facts(generated.config),
+                       *(fact for tx, events in generated.txs if start <= tx.timestamp < end
+                         for fact in (tx, *events))]).seal()
     return build_report(store, eval_all(store))
 
 

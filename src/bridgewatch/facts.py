@@ -59,6 +59,18 @@ whether of a bad byte or of bad content, is named from what was read. Its
 JSON is read by :func:`parse_json`. An output is written whole by
 :func:`write_whole`; a dump holds :data:`DUMP_MARKER` until it ends, and
 :func:`load_facts_dir` refuses it.
+
+A load splits the check of each ``.facts`` file from the build of its
+facts. The check decodes every distinct line and matches it by its
+relation's row pattern; the build makes each fact from the line's
+tab-split text, and is kept only when the check passed every line. When
+``os.fork`` exists, the process runs one thread and may run on two or more
+CPUs, and the files hold :data:`CHECKER_MIN_BYTES` or more, one checker
+process, forked for the load, checks each file while the load builds it:
+it is handed one file's lines at a time, the very bytes that the load
+read, and holds them only while it checks them. Otherwise the load checks
+each file itself, before the build. Every row is matched on every load,
+either way.
 """
 
 from __future__ import annotations
@@ -742,6 +754,144 @@ def _checked_row(fact_type: type[_Fact], line: str) -> _Fact:
 DUMP_MARKER = ".dump-incomplete"  # in a directory while dump_facts_dir writes it
 
 
+def _canonical_rows(fact_type: type[_Fact], lines: Iterable[bytes]) -> bool:
+    """Whether each of ``lines``, with or without its LF, is UTF-8 that the
+    row pattern of ``fact_type`` matches: then the tab-split text of each
+    line is its fact's canonical columns."""
+    try:
+        return all(map(re.compile(fact_type._ROW_PATTERN).match, map(bytes.decode, lines)))
+    except UnicodeDecodeError:
+        return False
+
+
+# Where load_facts_dir checks rows: ``None`` chooses by the platform, the
+# CPUs this process may run on and the size of the files, ``True`` forces a
+# checker process and ``False`` the check in this process. Only tests set it.
+_CHECKER_PROCESS: bool | None = None
+
+# The bytes of .facts files that a load must list to fork a checker process.
+# Below it the fork, and the copy-on-write faults it leaves, cost more than
+# the checks it takes off the load: an in-process eval broke even at about
+# 440 KB of files.
+CHECKER_MIN_BYTES = 512 * 1024
+
+
+def _listed_bytes(paths: Iterable[Path]) -> int:
+    """The bytes of the files ``paths`` by their ``stat``; one that cannot
+    be stat'ed counts as empty, to fail when it is read."""
+    total = 0
+    for path in paths:
+        try:
+            total += path.stat().st_size
+        except OSError:
+            pass
+    return total
+
+
+class _Checker:
+    """Where :func:`load_facts_dir` runs :func:`_canonical_rows` on the
+    distinct lines of each of the files ``paths``: in one process forked
+    for the load, while this one builds the file's facts, when ``os.fork``
+    exists, this process runs one thread and may run on two or more CPUs,
+    and the files hold :data:`CHECKER_MIN_BYTES` or more; otherwise in
+    this process, before the build.
+
+    The checker process takes one file's lines at a time down a pipe,
+    holds them only while it checks them, and answers with one verdict
+    byte; it opens no file and writes to nothing but that pipe. Should it
+    die, or its pipe break, the check runs in this process from then on.
+    :meth:`close` kills and reaps it, so that it never outlives the load."""
+
+    def __init__(self, paths: list[Path]):
+        self.pid = 0
+        use = _CHECKER_PROCESS
+        if use is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            threading = sys.modules.get("threading")  # a fork copies only the calling thread
+            use = (hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+                   and (threading is None or threading.active_count() == 1)
+                   and _listed_bytes(paths) >= CHECKER_MIN_BYTES)
+        if not use:
+            return
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:  # no descriptor or process to spare: check here
+            for fd in fds:
+                os.close(fd)
+            return
+        requests_in, requests_out, verdicts_in, verdicts_out = fds
+        if self.pid == 0:  # the checker
+            try:
+                os.close(requests_out)
+                os.close(verdicts_in)
+                _serve(requests_in, verdicts_out)
+            finally:
+                os._exit(0)
+        os.close(requests_in)
+        os.close(verdicts_out)
+        self._requests = os.fdopen(requests_out, "wb", buffering=1 << 16)
+        self._verdicts = os.fdopen(verdicts_in, "rb", buffering=0)
+
+    def check(self, fact_type: type[_Fact], lines: Iterable[bytes]) -> bool | None:
+        """Hand ``lines``, the distinct lines of a ``fact_type`` file, to the
+        checker process and return ``None``; without one, return the
+        verdict of :func:`_canonical_rows`."""
+        if self.pid:
+            try:
+                self._requests.write(f"{fact_type.RELATION} {sum(map(len, lines))}\n".encode())
+                self._requests.writelines(lines)
+                self._requests.flush()
+                return None
+            except BrokenPipeError:
+                self.close()
+        return _canonical_rows(fact_type, lines)
+
+    def verdict(self, fact_type: type[_Fact], lines: Iterable[bytes]) -> bool:
+        """The checker process's verdict on the ``lines`` last handed to it,
+        or, should it die before it answers, this process's."""
+        answer = self._verdicts.read(1)
+        if answer:
+            return answer == b"\x01"
+        self.close()
+        return _canonical_rows(fact_type, lines)
+
+    def close(self) -> None:
+        if self.pid:
+            import signal  # here, so that only a load that forks pays for the import
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+            self._verdicts.close()
+            try:
+                self._requests.close()
+            except BrokenPipeError:  # lines left in its buffer: the checker is gone
+                pass
+
+    def __enter__(self) -> "_Checker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _serve(requests: int, verdicts: int) -> None:
+    """The checker process's loop: for each ``<relation> <length>`` line and
+    the ``length`` bytes of lines after it on ``requests``, write the
+    verdict of :func:`_canonical_rows` to ``verdicts``, until ``requests``
+    ends."""
+    with os.fdopen(requests, "rb") as inp:
+        while header := inp.readline():
+            name, size = header.split()
+            lines = inp.read(int(size)).split(b"\n")
+            lines.pop()  # the empty text after the last LF
+            ok = _canonical_rows(RELATIONS[name.decode()], lines)
+            del lines  # before the next file's lines arrive
+            os.write(verdicts, b"\x01" if ok else b"\x00")
+
+
 def load_facts_dir(path: str | Path) -> FactStore:
     """Load a directory of ``<relation>.facts`` TSV files into a new store.
 
@@ -755,6 +905,20 @@ def load_facts_dir(path: str | Path) -> FactStore:
     (:func:`_windows`), raises :class:`FactsParseError` naming the
     file and, for bad lines, the number of the first in line order; so
     does the :data:`DUMP_MARKER` of a stopped dump.
+
+    The check and the build of each file are split. The check
+    (:func:`_canonical_rows`) decodes each distinct line and matches it by
+    the row pattern; the build makes each fact from the line's tab-split
+    text. A forked checker process checks each file while this process
+    builds it, when ``os.fork`` exists, this process runs one thread and
+    may run on two or more CPUs, and the files hold
+    :data:`CHECKER_MIN_BYTES` or more; it is handed one file's lines at a
+    time (:class:`_Checker`). Otherwise this process checks each file
+    before its build. The built facts are kept only when every line
+    matched and the build raised nothing; else each line, still in
+    memory, is matched and built from its groups, or checked column by
+    column, so that a bad line raises as above. Every row is matched on
+    every load.
     """
     root = Path(path)
     if not root.is_dir():
@@ -762,41 +926,75 @@ def load_facts_dir(path: str | Path) -> FactStore:
     if (root / DUMP_MARKER).exists():
         raise FactsParseError(f"{root / DUMP_MARKER}: the dump into this directory did not finish")
     store = FactStore()
-    for file_path in sorted(root.glob("*.facts")):
-        name = file_path.stem
-        if name not in RELATIONS:
-            raise FactsParseError(f"{file_path}: unknown relation {shown(name)}")
-        fact_type = RELATIONS[name]
-        with open(file_path, "rb") as fh:
-            raw_lines = fh.readlines()  # split at LF alone
-        if raw_lines and not raw_lines[-1].endswith(b"\n"):
-            raw_lines[-1] += b"\n"
-        lines = dict.fromkeys(raw_lines)  # each distinct line once, in file order
-        lines.pop(b"\n", None)
-        match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._unchecked
-        facts: list[_Fact] = []  # the fact of each distinct line, in the order of lines
-        append = facts.append
-        checked = False
-        try:
-            for raw in lines:
-                line = raw.decode("utf-8")
-                m = match(line)
-                if m is not None:
-                    append(build(*m.groups()))
-                else:
-                    append(_checked_row(fact_type, line))
-                    checked = True
+    paths = sorted(root.glob("*.facts"))
+    with _Checker(paths) as checker:
+        for file_path in paths:
+            name = file_path.stem
+            if name not in RELATIONS:
+                raise FactsParseError(f"{file_path}: unknown relation {shown(name)}")
+            fact_type = RELATIONS[name]
+            with open(file_path, "rb") as fh:
+                raw_lines = fh.readlines()  # split at LF alone
+            if raw_lines and not raw_lines[-1].endswith(b"\n"):
+                raw_lines[-1] += b"\n"
+            lines = dict.fromkeys(raw_lines)  # each distinct line once, in file order
+            lines.pop(b"\n", None)
+            if not lines:
+                continue
+            canonical = checker.check(fact_type, lines)  # None while the checker process checks
+            facts = None if canonical is False else _split_facts(fact_type, lines)
+            if canonical is None:
+                canonical = checker.verdict(fact_type, lines)
+            checked = False  # whether a line took the checked path
+            if facts is None or not canonical:
+                facts, checked = _line_facts(fact_type, file_path, raw_lines, lines)
             if fact_type is CctxFinalityFact:
-                store.finality = _windows(facts)
-        except (UnicodeDecodeError, EncodingError, FactStoreError) as exc:
-            if isinstance(exc, FactStoreError):  # the first line of the fact that conflicts
-                raw = list(lines)[facts.index(exc.fact)]
-            reason = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else exc
-            raise FactsParseError(f"{file_path}:{raw_lines.index(raw) + 1}: {reason}") from exc
-        if facts:
+                try:
+                    store.finality = _windows(facts)
+                except FactStoreError as exc:  # named by the first line of the fact that conflicts
+                    raw = list(lines)[facts.index(exc.fact)]
+                    raise FactsParseError(f"{file_path}:{raw_lines.index(raw) + 1}: {exc}") from exc
             # a row matched by no pattern may be another row's fact in other text
             store._relations[name] = tuple(dict.fromkeys(facts) if checked else facts)
     return store
+
+
+def _split_facts(fact_type: type[_Fact], lines: Iterable[bytes]) -> list[_Fact] | None:
+    """The fact of each of ``lines`` built from its tab-split text, or
+    ``None`` if a line is no row that the build takes. Only lines that are
+    canonical rows (:func:`_canonical_rows`) build the facts that they
+    are."""
+    build = fact_type._unchecked
+    try:
+        return [build(*raw.decode()[:-1].split("\t")) for raw in lines]
+    except (ValueError, TypeError):  # not UTF-8, an integer column that int() refuses, too few or many columns
+        return None
+
+
+def _line_facts(fact_type: type[_Fact], file_path: Path, raw_lines: list[bytes],
+                lines: Iterable[bytes]) -> tuple[list[_Fact], bool]:
+    """The fact of each of ``lines`` of ``file_path``, each line decoded
+    and matched by the row pattern, or, if it does not match, checked
+    column by column (:func:`_checked_row`), and whether any line was. A
+    bad line raises :class:`FactsParseError` naming its number in
+    ``raw_lines``."""
+    match, build = re.compile(fact_type._ROW_PATTERN).match, fact_type._unchecked
+    facts: list[_Fact] = []  # the fact of each distinct line, in the order of lines
+    append = facts.append
+    checked = False
+    try:
+        for raw in lines:
+            line = raw.decode("utf-8")
+            m = match(line)
+            if m is not None:
+                append(build(*m.groups()))
+            else:
+                append(_checked_row(fact_type, line))
+                checked = True
+    except (UnicodeDecodeError, EncodingError) as exc:
+        reason = f"not UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else exc
+        raise FactsParseError(f"{file_path}:{raw_lines.index(raw) + 1}: {reason}") from exc
+    return facts, checked
 
 
 class _RepeatedKey(ValueError):

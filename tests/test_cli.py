@@ -586,17 +586,28 @@ def test_each_input_file_is_opened_once(tmp_path, monkeypatch, command, name, ed
         argv = ["--config", str(inputs[0]), "--receipts", str(inputs[1])]
     if fails:  # the inputs read up to the bad one, in the order that they are read
         inputs = inputs[:inputs.index(sim / name) + 1]
-    opened = Counter()
+    # each open for reading, in whichever process makes it (a forked
+    # checker inherits this open), logged as "<pid> <path>" by one append
+    log = tmp_path / "opened.log"
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
     def counting_open(file, mode="r", *args, **kwargs):
         if "r" in mode:
-            opened[Path(file)] += 1
+            os.write(fd, f"{os.getpid()} {file}\n".encode())
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(facts_module, "open", counting_open, raising=False)
-    code = run(command, *argv, "--out", str(tmp_path / "out"))
-    assert code == (EXIT_INPUT_ERROR if fails else EXIT_CLEAN)
-    assert opened == dict.fromkeys(inputs, 1)
+    try:
+        for checker_process in (True, False):
+            monkeypatch.setattr(facts_module, "_CHECKER_PROCESS", checker_process)
+            os.truncate(log, 0)
+            code = run(command, *argv, "--out", str(tmp_path / "out"))
+            assert code == (EXIT_INPUT_ERROR if fails else EXIT_CLEAN)
+            pids, paths = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+            assert set(pids) == {str(os.getpid())}
+            assert Counter(map(Path, paths)) == dict.fromkeys(inputs, 1)
+    finally:
+        os.close(fd)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

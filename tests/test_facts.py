@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -912,3 +913,34 @@ def test_eval_report_is_unmoved_by_a_shift_of_every_timestamp(tmp_path, anomalie
     expected = _eval(original, tmp_path / "original.json")
     assert expected[0] == (cli.EXIT_CLEAN if anomalies == AnomalySpec() else cli.EXIT_ANOMALIES)
     assert _eval(shifted, tmp_path / "shifted.json") == expected
+
+
+@pytest.mark.parametrize("checker_process", [True, False], ids=["checker-process", "in-process"])
+def test_eval_report_renames_the_tx_hashes_that_the_facts_rename(tmp_path, monkeypatch,
+                                                                 checker_process):
+    """A metamorphic relation of the whole ``eval``: renaming every tx hash
+    of the facts by a bijection renames it in the report, and changes
+    nothing else: the exit code, the fact count and every other byte of the
+    report stay. The report lists anomalies and their hashes sorted by
+    hash, so the bijection keeps the order of the hashes."""
+    monkeypatch.setattr(f, "_CHECKER_PROCESS", checker_process)
+    store = generate(ScenarioParams(5, 40, 40, AnomalySpec(2, 2, 2, 2, 2))).store
+    hashes = sorted({value for fact in store
+                     for value, (_, kind) in zip(fact._values(fact), fact.COLUMNS)
+                     if kind.name == "TxHash"})
+    fresh = sorted({"0x" + hashlib.sha256(tx_hash.encode()).hexdigest() for tx_hash in hashes})
+    assert len(fresh) == len(hashes) and not set(fresh) & set(hashes)
+    rename = dict(zip(hashes, fresh))
+    original, renamed = tmp_path / "original", tmp_path / "renamed"
+    f.dump_facts_dir(store, original)
+    f.dump_facts_dir(f.FactStore(
+        type(fact)(*(rename[value] if kind.name == "TxHash" else value
+                     for value, (_, kind) in zip(fact._values(fact), fact.COLUMNS)))
+        for fact in store), renamed)
+    code, report, evaluated = _eval(original, tmp_path / "original.json")
+    assert code == cli.EXIT_ANOMALIES
+    named = re.findall("0x[0-9a-f]{64}", report.decode())
+    assert named and set(named) <= set(hashes)
+    assert _eval(renamed, tmp_path / "renamed.json") == (
+        code, re.sub("0x[0-9a-f]{64}", lambda m: rename[m.group()], report.decode()).encode(),
+        evaluated)

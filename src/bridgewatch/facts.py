@@ -60,7 +60,7 @@ JSON is read by :func:`parse_json`. An output is written whole by
 :func:`write_whole`; a dump holds :data:`DUMP_MARKER` until it ends, and
 :func:`load_facts_dir` refuses it.
 
-A load splits the check of each ``.facts`` file from the build of its
+A load may split the check of each ``.facts`` file from the build of its
 facts. The check decodes every distinct line and matches it by its
 relation's row pattern; the build makes each fact from the line's
 tab-split text, and is kept only when the check passed every line. When
@@ -68,9 +68,10 @@ tab-split text, and is kept only when the check passed every line. When
 CPUs, and the files hold :data:`CHECKER_MIN_BYTES` or more, one checker
 process, forked for the load, checks each file while the load builds it:
 it is handed one file's lines at a time, the very bytes that the load
-read, and holds them only while it checks them. Otherwise the load checks
-each file itself, before the build. Every row is matched on every load,
-either way.
+read, and holds them only while it checks them. Otherwise, and for a file
+that the checker refuses, the load matches each line and builds its fact
+from the match, line by line. Every row is matched on every load, either
+way.
 """
 
 from __future__ import annotations
@@ -789,18 +790,19 @@ def _listed_bytes(paths: Iterable[Path]) -> int:
 
 
 class _Checker:
-    """Where :func:`load_facts_dir` runs :func:`_canonical_rows` on the
-    distinct lines of each of the files ``paths``: in one process forked
-    for the load, while this one builds the file's facts, when ``os.fork``
-    exists, this process runs one thread and may run on two or more CPUs,
-    and the files hold :data:`CHECKER_MIN_BYTES` or more; otherwise in
-    this process, before the build.
+    """The process that runs :func:`_canonical_rows` on the distinct lines
+    of each of the files ``paths`` while :func:`load_facts_dir` builds
+    their facts. It is forked for the load when ``os.fork`` exists, this
+    process runs one thread and may run on two or more CPUs, and the files
+    hold :data:`CHECKER_MIN_BYTES` or more; otherwise there is none, and
+    the load matches and builds each line in turn (:func:`_line_facts`).
 
     The checker process takes one file's lines at a time down a pipe,
     holds them only while it checks them, and answers with one verdict
     byte; it opens no file and writes to nothing but that pipe. Should it
-    die, or its pipe break, the check runs in this process from then on.
-    :meth:`close` kills and reaps it, so that it never outlives the load."""
+    die, or its pipe break, the load matches and builds each line in turn
+    from then on. :meth:`close` kills and reaps it, so that it never
+    outlives the load."""
 
     def __init__(self, paths: list[Path]):
         self.pid = 0
@@ -818,7 +820,7 @@ class _Checker:
             fds += os.pipe()
             fds += os.pipe()
             self.pid = os.fork()
-        except OSError:  # no descriptor or process to spare: check here
+        except OSError:  # no descriptor or process to spare: no checker
             for fd in fds:
                 os.close(fd)
             return
@@ -835,40 +837,47 @@ class _Checker:
         self._requests = os.fdopen(requests_out, "wb", buffering=1 << 16)
         self._verdicts = os.fdopen(verdicts_in, "rb", buffering=0)
 
-    def check(self, fact_type: type[_Fact], lines: Iterable[bytes]) -> bool | None:
+    def hand(self, fact_type: type[_Fact], lines: Iterable[bytes]) -> bool:
         """Hand ``lines``, the distinct lines of a ``fact_type`` file, to the
-        checker process and return ``None``; without one, return the
-        verdict of :func:`_canonical_rows`."""
-        if self.pid:
-            try:
-                self._requests.write(f"{fact_type.RELATION} {sum(map(len, lines))}\n".encode())
-                self._requests.writelines(lines)
-                self._requests.flush()
-                return None
-            except BrokenPipeError:
-                self.close()
-        return _canonical_rows(fact_type, lines)
+        checker process, and return whether it took them: not when there is
+        none, or its pipe breaks."""
+        if not self.pid:
+            return False
+        try:
+            self._requests.write(f"{fact_type.RELATION} {sum(map(len, lines))}\n".encode())
+            self._requests.writelines(lines)
+            self._requests.flush()
+            return True
+        except BrokenPipeError:
+            self.close()
+            return False
 
-    def verdict(self, fact_type: type[_Fact], lines: Iterable[bytes]) -> bool:
-        """The checker process's verdict on the ``lines`` last handed to it,
-        or, should it die before it answers, this process's."""
+    def verdict(self) -> bool:
+        """Whether the checker process found each of the lines last handed
+        to it a canonical row; ``False`` should it die before it answers."""
         answer = self._verdicts.read(1)
-        if answer:
-            return answer == b"\x01"
-        self.close()
-        return _canonical_rows(fact_type, lines)
+        if not answer:
+            self.close()
+        return answer == b"\x01"
 
     def close(self) -> None:
+        """Kill and reap the checker process, if there is one, and close its
+        pipes. A process that ignores ``SIGCHLD``, or reaps every child in
+        its handler, may have reaped it already."""
         if self.pid:
             import signal  # here, so that only a load that forks pays for the import
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-            self._verdicts.close()
+            pid, self.pid = self.pid, 0
             try:
-                self._requests.close()
-            except BrokenPipeError:  # lines left in its buffer: the checker is gone
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
                 pass
+            finally:
+                self._verdicts.close()
+                try:
+                    self._requests.close()
+                except BrokenPipeError:  # lines left in its buffer: the checker is gone
+                    pass
 
     def __enter__(self) -> "_Checker":
         return self
@@ -906,19 +915,18 @@ def load_facts_dir(path: str | Path) -> FactStore:
     file and, for bad lines, the number of the first in line order; so
     does the :data:`DUMP_MARKER` of a stopped dump.
 
-    The check and the build of each file are split. The check
+    The check and the build of each file may be split. The check
     (:func:`_canonical_rows`) decodes each distinct line and matches it by
     the row pattern; the build makes each fact from the line's tab-split
     text. A forked checker process checks each file while this process
     builds it, when ``os.fork`` exists, this process runs one thread and
     may run on two or more CPUs, and the files hold
     :data:`CHECKER_MIN_BYTES` or more; it is handed one file's lines at a
-    time (:class:`_Checker`). Otherwise this process checks each file
-    before its build. The built facts are kept only when every line
-    matched and the build raised nothing; else each line, still in
-    memory, is matched and built from its groups, or checked column by
-    column, so that a bad line raises as above. Every row is matched on
-    every load.
+    time (:class:`_Checker`). The built facts are kept only when every line
+    matched and the build raised nothing. Otherwise, and when there is no
+    checker, each line, still in memory, is matched and built from its
+    groups, or checked column by column, so that a bad line raises as
+    above (:func:`_line_facts`). Every row is matched on every load.
     """
     root = Path(path)
     if not root.is_dir():
@@ -941,12 +949,13 @@ def load_facts_dir(path: str | Path) -> FactStore:
             lines.pop(b"\n", None)
             if not lines:
                 continue
-            canonical = checker.check(fact_type, lines)  # None while the checker process checks
-            facts = None if canonical is False else _split_facts(fact_type, lines)
-            if canonical is None:
-                canonical = checker.verdict(fact_type, lines)
+            facts = None
+            if checker.hand(fact_type, lines):  # the checker matches them while this builds them
+                facts = _split_facts(fact_type, lines)
+                if not checker.verdict():
+                    facts = None
             checked = False  # whether a line took the checked path
-            if facts is None or not canonical:
+            if facts is None:
                 facts, checked = _line_facts(fact_type, file_path, raw_lines, lines)
             if fact_type is CctxFinalityFact:
                 try:

@@ -1,7 +1,7 @@
-"""The split load: a checker matches each file's rows while the load builds
-their facts. Either placement of the check, in a forked checker process or
-in the loading process, gives the store, or the exit-2 message, that the
-per-line path gives."""
+"""The split load: a checker process matches each file's rows while the
+load builds their facts. With the checker forced, and with none (the
+per-line path, each line matched and built in turn), a load gives the
+store, or the exit-2 message, that the per-line path gives."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from randstores import random_store
 
 SRC = str(Path(f.__file__).resolve().parents[1])
 
-# The two placements of the check, each forced through the module's switch.
+# The two placements of the check, each forced through the module's switch:
+# in a checker process, or in the loading process by the per-line path.
 PLACEMENTS = {"checker-process": True, "in-process": False}
 
 
@@ -64,7 +65,6 @@ def _per_line_outcome(root: Path, monkeypatch) -> tuple:
     line matched and built from its groups, or checked column by column."""
     with monkeypatch.context() as patched:
         patched.setattr(f, "_CHECKER_PROCESS", False)
-        patched.setattr(f, "_split_facts", lambda fact_type, lines: None)
         return _outcome(root)
 
 
@@ -247,27 +247,56 @@ def test_a_lost_checker_leaves_the_check_to_the_load(tmp_path, monkeypatch, base
     assert expected[0] == ("loaded" if case is None else "refused")
     monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
     monkeypatch.setattr(f, "_serve", checker)
-    checked_here: list[int] = []
-    canonical_rows = f._canonical_rows
+    per_line: list[int] = []  # the pid that read each file by the per-line path
+    line_facts = f._line_facts
 
-    def counting(fact_type, lines):
-        checked_here.append(os.getpid())
-        return canonical_rows(fact_type, lines)
+    def counting(*args):
+        per_line.append(os.getpid())
+        return line_facts(*args)
 
-    monkeypatch.setattr(f, "_canonical_rows", counting)
-    sent: list[bool | None] = []  # what each file's check returned
-    check = f._Checker.check
+    monkeypatch.setattr(f, "_line_facts", counting)
+    handed: list[bool] = []  # whether the checker took each file's lines
+    hand = f._Checker.hand
 
-    def recorded_check(self, fact_type, lines):
-        sent.append(check(self, fact_type, lines))
-        return sent[-1]
+    def recorded_hand(self, fact_type, lines):
+        handed.append(hand(self, fact_type, lines))
+        return handed[-1]
 
-    monkeypatch.setattr(f._Checker, "check", recorded_check)
+    monkeypatch.setattr(f._Checker, "hand", recorded_hand)
     assert _outcome(root) == expected
     assert len(forks) == 1 and _no_child_left()
-    # the first file goes down the pipe, or breaks it; every file is checked here
-    assert sent[0] is (None if checker is _dies_before_its_verdict else True)
-    assert set(checked_here) == {os.getpid()} and len(checked_here) == len(sent)
+    # the first file goes down the pipe, or breaks it; no later file is
+    # handed over, and every file is read by the per-line path here
+    assert handed == [checker is _dies_before_its_verdict] + [False] * (len(handed) - 1)
+    assert per_line == [os.getpid()] * len(handed)
+
+
+def _reap_every_child(signum, frame) -> None:
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+
+
+@pytest.mark.parametrize("disposition", [signal.SIG_IGN, _reap_every_child],
+                         ids=["ignored", "reaped-by-a-handler"])
+@pytest.mark.parametrize("checker", [None, _gone_at_once], ids=["checker", "lost-checker"])
+def test_a_load_returns_its_store_whatever_becomes_of_sigchld(tmp_path, monkeypatch, base_store,
+                                                              forks, disposition, checker):
+    """A caller that ignores ``SIGCHLD``, or reaps every child in its
+    handler, leaves the load no checker to reap."""
+    root = _write(tmp_path / "facts",
+                  {**base_store, "bridge_controlled_address.facts": _long_first_file()})
+    expected = _per_line_outcome(root, monkeypatch)
+    assert expected[0] == "loaded"
+    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    if checker is not None:
+        monkeypatch.setattr(f, "_serve", checker)
+    previous = signal.signal(signal.SIGCHLD, disposition)
+    try:
+        assert _outcome(root) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1 and _no_child_left()
 
 
 # Loads, in a new interpreter with unflushed text on stdout, with a checker

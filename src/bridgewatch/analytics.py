@@ -115,7 +115,6 @@ def local_mismatches(store: FactStore) -> list[Anomaly]:
     token/native movement yield one ``SingleBridgeEvent``. Amounts are
     aggregated over the offending side.
     """
-    store.require_sealed()
     by_tx, bridge = store.by_tx, store.bridge_addresses
 
     def touches(tr) -> bool:
@@ -262,7 +261,6 @@ def duplicate_ids(store: FactStore, outputs: RuleOutputs) -> list[Anomaly]:
     pass groups the events and the derivations itself
     (:func:`facts.shared`), so the groups live only while it runs.
     """
-    store.require_sealed()
     txs = store.by_tx["transaction"]
     routes = {mapping[:2] for mapping in store.token_mappings}
 

@@ -43,13 +43,10 @@ reading a relation hashes no fact and copies nothing. It is built once,
 from its facts (``FactStore(facts)``), or loaded (:func:`load_facts_dir`,
 which alone sets the relations of the new store it fills directly), and
 then only read; :func:`_windows` builds its ``finality`` either way.
-:meth:`FactStore.require_sealed` is the one check that rules and
-analytics make before they read its indexes; no other module touches the
-relations.
-Secondary indexes are built when the store is sealed, each a dict from key
-to the key's fact when it has one, and to the tuple of its facts when
-several share the key (:func:`index_by`, read through :func:`group` and
-:func:`shared`).
+Its secondary indexes are built by :meth:`FactStore.seal`, at the latest on
+their first read, each a dict from key to the key's fact when it has one,
+and to the tuple of its facts when several share the key (:func:`index_by`,
+read through :func:`group` and :func:`shared`).
 Persistence is one tab-separated ``<relation>.facts`` file per relation,
 compatible with common Datalog engine fact-file layouts. Every file the
 package reads or writes is opened here. An input is read once, as bytes
@@ -642,8 +639,9 @@ class FactStore:
     distinct facts, in the order first seen (``FactStore()`` is the empty
     store), and ``finality`` maps each chain id to its window in seconds
     (:func:`_windows`). A fact of no relation raises :class:`FactStoreError`.
-    ``seal()`` builds the secondary indexes, after which the store is safe
-    for concurrent readers:
+    It is readable once built. ``seal()`` builds the secondary indexes, and
+    the first read of one builds them all when ``seal()`` has not; seal a
+    store before threads share it, so that they are built once:
 
     * ``by_tx``: per relation with a ``tx_hash`` column (``transaction``
       and the eight event relations), each tx hash to its facts of that
@@ -665,19 +663,16 @@ class FactStore:
             groups[fact.RELATION].append(fact)
         self._relations: dict[str, tuple[_Fact, ...]] = {
             name: tuple(dict.fromkeys(group)) for name, group in groups.items()}
-        self._sealed = False
         self.finality: dict[int, int] = _windows(self._relations["cctx_finality"])
-        # indexes, populated by seal()
-        self.by_tx: dict[str, dict[str, _Fact | tuple[_Fact, ...]]] = {}
-        self.bridge_addresses: set[tuple[int, str]] = set()
-        self.token_mappings: set[tuple[int, int, str, str, str]] = set()
-        self.wrapped_native: set[tuple[int, str]] = set()
 
-    def require_sealed(self) -> None:
-        """Raise ``RuntimeError`` unless the store is sealed: rules and
-        analytics read the indexes that :meth:`seal` builds."""
-        if not self._sealed:
-            raise RuntimeError("store must be sealed before evaluation")
+    # the indexes, which seal() sets
+    _INDEXES = ("by_tx", "bridge_addresses", "token_mappings", "wrapped_native")
+
+    def __getattr__(self, name: str):
+        """An index of a store that has none yet: :meth:`seal` builds them."""
+        if name not in self._INDEXES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self.seal(), name)
 
     def relation(self, name: str) -> tuple[_Fact, ...]:
         """The distinct facts of relation ``name``."""
@@ -710,16 +705,17 @@ class FactStore:
         return ids
 
     def seal(self) -> "FactStore":
-        """Build the secondary indexes. Returns self."""
-        if self._sealed:
+        """Build the secondary indexes, unless they are built, and set all
+        four at once, so that no reader sees some set and others not.
+        Returns self."""
+        if "by_tx" in vars(self):
             return self
         tx_hash = attrgetter("tx_hash")
-        self.by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
-                      if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
-        self.bridge_addresses, self.token_mappings, self.wrapped_native = (
-            set(map(RELATIONS[name]._values, self._relations[name]))
-            for name in ("bridge_controlled_address", "token_mapping", "wrapped_native_token"))
-        self._sealed = True
+        by_tx = {name: index_by(facts, tx_hash) for name, facts in self._relations.items()
+                 if "tx_hash" in dict(RELATIONS[name].COLUMNS)}
+        static = (set(map(RELATIONS[name]._values, self._relations[name])) for name in
+                  ("bridge_controlled_address", "token_mapping", "wrapped_native_token"))
+        vars(self).update(zip(self._INDEXES, (by_tx, *static)))
         return self
 
 
@@ -765,11 +761,6 @@ def _canonical_rows(fact_type: type[_Fact], lines: Iterable[bytes]) -> bool:
         return False
 
 
-# Where load_facts_dir checks rows: ``None`` chooses by the platform, the
-# CPUs this process may run on and the size of the files, ``True`` forces a
-# checker process and ``False`` the check in this process. Only tests set it.
-_CHECKER_PROCESS: bool | None = None
-
 # The bytes of .facts files that a load must list to fork a checker process.
 # Below it the fork, and the copy-on-write faults it leaves, cost more than
 # the checks it takes off the load: an in-process eval broke even at about
@@ -806,14 +797,11 @@ class _Checker:
 
     def __init__(self, paths: list[Path]):
         self.pid = 0
-        use = _CHECKER_PROCESS
-        if use is None:
-            affinity = getattr(os, "sched_getaffinity", None)
-            threading = sys.modules.get("threading")  # a fork copies only the calling thread
-            use = (hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
-                   and (threading is None or threading.active_count() == 1)
-                   and _listed_bytes(paths) >= CHECKER_MIN_BYTES)
-        if not use:
+        affinity = getattr(os, "sched_getaffinity", None)
+        threading = sys.modules.get("threading")  # a fork copies only the calling thread
+        if not (hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+                and (threading is None or threading.active_count() == 1)
+                and _listed_bytes(paths) >= CHECKER_MIN_BYTES):
             return
         fds: list[int] = []
         try:

@@ -636,9 +636,9 @@ def ingest_jsonl(
     """Decode a JSONL receipts file into a store plus a report.
 
     The store is built once (:class:`facts.FactStore`) from the config's
-    static facts and then each receipt's decoded facts, in file order. It
-    is returned unsealed, without the indexes that only evaluation reads:
-    call ``seal()`` on it before evaluating rules. The lines are read by
+    static facts and then each receipt's decoded facts, in file order,
+    without the indexes that only evaluation reads: their first read builds
+    them (:meth:`facts.FactStore.seal`). The lines are read by
     :func:`facts.read_jsonl`: a line that is not JSON, that is not UTF-8,
     whose object names one key twice or that is not a receipt fails fast
     with its line number.

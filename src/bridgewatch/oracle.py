@@ -34,7 +34,6 @@ def _guard(store: FactStore) -> None:
     total = store.total_facts()
     if total > MAX_FACTS:
         raise OracleSizeError(f"store has {total} facts, oracle limit is {MAX_FACTS}")
-    store.require_sealed()
 
 
 def _rule1(store: FactStore) -> set:

@@ -1,4 +1,4 @@
-"""Cross-chain rule evaluation over a sealed fact store.
+"""Cross-chain rule evaluation over a fact store.
 
 Eight rules validate bridge traffic, as the paper's Datalog clauses do.
 Rules 1-3 certify the two legs of a token deposit (escrow on the source
@@ -319,7 +319,6 @@ _body = cache(compile_rule)
 
 
 def _eval_local(store: FactStore, rule_id: int) -> frozenset:
-    store.require_sealed()
     direction, event, shapes, _ = _LOCAL_RULES[rule_id]
     mappings = store.token_mappings
     if direction:
@@ -360,7 +359,6 @@ def _cctx_join(store: FactStore, rule_id: int, legs: tuple | None) -> CctxSet:
     formed no valid pair, and the early pairs. Raises
     :class:`ConfigurationError` for a pair whose escrow chain has no
     finality window."""
-    store.require_sealed()
     native, erc20, releases = legs or [_eval_local(store, leg_rule)
                                        for leg_rule in range(rule_id - 3, rule_id)]
     escrows_by_id = index_by((*native, *erc20), attrgetter("id"))  # the tuple is let go at once
@@ -442,7 +440,6 @@ def eval_all(store: FactStore) -> RuleOutputs:
     Raises :class:`ConfigurationError` if any chain referenced by the
     store's facts has no finality window.
     """
-    store.require_sealed()
     missing = store.chain_ids() - set(store.finality)
     if missing:
         raise _no_finality(missing)

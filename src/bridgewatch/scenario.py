@@ -521,12 +521,12 @@ class _Builder:
             facts += (fact, *tx.event_facts)
             txs.append((fact, tx.event_facts))
         gt = sorted(self.ground_truth, key=lambda g: (g["kind"], g["tx_hashes"]))
-        return GeneratedScenario(params=p, store=FactStore(facts).seal(), ground_truth=gt,
+        return GeneratedScenario(params=p, store=FactStore(facts), ground_truth=gt,
                                  config=config, txs=txs)
 
 
 def generate(params: ScenarioParams) -> GeneratedScenario:
-    """Generate one scenario: sealed store, ground truth, decoder config."""
+    """Generate one scenario: fact store, ground truth, decoder config."""
     return _Builder(params).build()
 
 

@@ -9,6 +9,8 @@ these with :func:`replace` to break exactly one conjunct at a time.
 
 from __future__ import annotations
 
+import os
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -134,8 +136,19 @@ def stop_writes(monkeypatch, budget: Callable[[str], int | None], error: BaseExc
     monkeypatch.setattr(f, "open", opening, raising=False)
 
 
+def place_check(monkeypatch, checker_process: bool) -> None:
+    """Make :func:`facts.load_facts_dir` check rows in a forked checker
+    process, or in the loading process, through what its choice reads: two
+    CPUs and a size cutoff of 0, or a cutoff above any size."""
+    if checker_process:
+        monkeypatch.setattr(f, "CHECKER_MIN_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.setattr(f, "CHECKER_MIN_BYTES", sys.maxsize)
+
+
 def build_store(*fact_groups) -> f.FactStore:
-    return f.FactStore(fact for group in fact_groups for fact in group).seal()
+    return f.FactStore(fact for group in fact_groups for fact in group)
 
 
 @pytest.fixture

@@ -161,4 +161,4 @@ def random_store(seed: int, **kwargs) -> FactStore:
     rng = SplitMix64(seed ^ 0xF00D)
     windows = [f.CctxFinalityFact(chain, rng.choice([45, 78, 1800]))
                for chain in sorted(FactStore(facts).chain_ids())]
-    return FactStore(facts + windows).seal()
+    return FactStore(facts + windows)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgewatch import analytics, facts as f, rules
+from bridgewatch import analytics, facts as f, oracle, rules
 from conftest import (
     AA, B1, B2, CC, H1, H2, H3, H4, RELAYER, S_CHAIN, T_CHAIN, U1, U2,
     addr, build_store, f1_facts, f2_facts, replace, static_facts, txh,
@@ -29,14 +29,15 @@ def outputs_for(store):
     return rules.eval_all(store)
 
 
-# Both passes read the indexes that seal() builds.
-@pytest.mark.parametrize("check", [analytics.local_mismatches,
-                                   lambda store: analytics.duplicate_ids(store, None)],
-                         ids=["local_mismatches", "duplicate_ids"])
-def test_unsealed_store_is_refused(check):
-    store = f.FactStore(static_facts() + f1_facts())
-    with pytest.raises(RuntimeError, match="store must be sealed"):
-        check(store)
+def test_a_store_reads_the_same_before_seal_and_after():
+    # the first read of an index builds them all, as seal() does
+    store, sealed = random_store(3), random_store(3).seal()
+    assert "by_tx" not in vars(store)
+    expected = rules.eval_all(sealed)
+    assert {i: oracle.brute_force(i, store) for i in range(1, 9)} == expected.by_rule()
+    outputs = rules.eval_all(store)
+    assert outputs == expected and any(outputs)
+    assert analytics.build_report(store, outputs) == analytics.build_report(sealed, expected)
 
 
 class TestLocalMismatches:

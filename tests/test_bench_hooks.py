@@ -59,6 +59,9 @@ def test_traced_eval_counts_every_rule_and_analytics_pass(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr  # the injected anomalies are found
     counts = json.loads(spans.read_text())["counts"]
+    # the CLI seals once, before rules.eval_all, so that the index build
+    # keeps a span of its own
+    assert counts["facts.seal.calls"] == 1
     rule_counts = json.loads(report.read_text())["rule_counts"]
     for i, name in RULE_NAMES.items():
         assert counts[f"rules.eval_rule{i}.calls"] == 1

@@ -18,19 +18,19 @@ import pytest
 
 from bridgewatch import cli, facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
-from conftest import AA, B1, H1, U1, txh
+from conftest import AA, B1, H1, U1, place_check, txh
 from randstores import random_store
 
 SRC = str(Path(f.__file__).resolve().parents[1])
 
-# The two placements of the check, each forced through the module's switch:
-# in a checker process, or in the loading process by the per-line path.
+# The two placements of the check, each forced by place_check: in a checker
+# process, or in the loading process by the per-line path.
 PLACEMENTS = {"checker-process": True, "in-process": False}
 
 
 @pytest.fixture(params=PLACEMENTS.values(), ids=PLACEMENTS)
 def placement(request, monkeypatch) -> bool:
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", request.param)
+    place_check(monkeypatch, request.param)
     return request.param
 
 
@@ -64,7 +64,7 @@ def _per_line_outcome(root: Path, monkeypatch) -> tuple:
     """:func:`_outcome` with every file read by the per-line path: each
     line matched and built from its groups, or checked column by column."""
     with monkeypatch.context() as patched:
-        patched.setattr(f, "_CHECKER_PROCESS", False)
+        place_check(patched, False)
         return _outcome(root)
 
 
@@ -180,7 +180,7 @@ def test_checked_rows_load_as_on_the_per_line_path(tmp_path, monkeypatch, base_s
 
 
 def test_the_load_forks_one_checker_and_reaps_it(tmp_path, monkeypatch, base_store, forks):
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    place_check(monkeypatch, True)
     root = _write(tmp_path / "facts", base_store)
     f.load_facts_dir(root)
     assert len(forks) == 1
@@ -188,7 +188,7 @@ def test_the_load_forks_one_checker_and_reaps_it(tmp_path, monkeypatch, base_sto
 
 
 def test_a_refused_load_reaps_its_checker(tmp_path, monkeypatch, base_store, forks):
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    place_check(monkeypatch, True)
     name, data = _bad_file("not-a-row", base_store)
     root = _write(tmp_path / "facts", {**base_store, name: data})
     with pytest.raises(f.FactsParseError):
@@ -198,7 +198,7 @@ def test_a_refused_load_reaps_its_checker(tmp_path, monkeypatch, base_store, for
 
 
 def test_a_load_interrupted_mid_build_reaps_its_checker(tmp_path, monkeypatch, base_store, forks):
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    place_check(monkeypatch, True)
     split_facts = f._split_facts
     built: list[str] = []
 
@@ -245,7 +245,7 @@ def test_a_lost_checker_leaves_the_check_to_the_load(tmp_path, monkeypatch, base
     root = _write(tmp_path / "facts", files)
     expected = _per_line_outcome(root, monkeypatch)
     assert expected[0] == ("loaded" if case is None else "refused")
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    place_check(monkeypatch, True)
     monkeypatch.setattr(f, "_serve", checker)
     per_line: list[int] = []  # the pid that read each file by the per-line path
     line_facts = f._line_facts
@@ -288,7 +288,7 @@ def test_a_load_returns_its_store_whatever_becomes_of_sigchld(tmp_path, monkeypa
                   {**base_store, "bridge_controlled_address.facts": _long_first_file()})
     expected = _per_line_outcome(root, monkeypatch)
     assert expected[0] == "loaded"
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", True)
+    place_check(monkeypatch, True)
     if checker is not None:
         monkeypatch.setattr(f, "_serve", checker)
     previous = signal.signal(signal.SIGCHLD, disposition)
@@ -300,11 +300,13 @@ def test_a_load_returns_its_store_whatever_becomes_of_sigchld(tmp_path, monkeypa
 
 
 # Loads, in a new interpreter with unflushed text on stdout, with a checker
-# process forced: a good store, a refused one, and one whose checker raises.
+# process forced as place_check forces it: a good store, a refused one, and
+# one whose checker raises.
 SILENT_SCRIPT = """
-import sys
+import os, sys
 from bridgewatch import facts
-facts._CHECKER_PROCESS = True
+facts.CHECKER_MIN_BYTES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
 print("before", end="")  # in stdout's buffer when the checker is forked
 facts.load_facts_dir(sys.argv[1])
 try:
@@ -330,11 +332,13 @@ def test_the_checker_writes_nothing_to_stdout_or_stderr(tmp_path, base_store):
 
 
 # `python -m bridgewatch.cli`, run by runpy as -m runs it, after the checker
-# process is forced and each fork is announced on stdout.
+# process is forced as place_check forces it and each fork is announced on
+# stdout.
 FORCED_CHECKER_CLI = """
 import os, runpy
 from bridgewatch import facts
-facts._CHECKER_PROCESS = True
+facts.CHECKER_MIN_BYTES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
 os.register_at_fork(after_in_parent=lambda: print("forked a checker"))
 runpy.run_module("bridgewatch.cli", run_name="__main__", alter_sys=True)
 """
@@ -345,7 +349,7 @@ def test_eval_with_a_checker_process_raises_no_warning_in_dev_mode(tmp_path, mon
     and so fails the run."""
     facts = tmp_path / "facts"
     generate(ScenarioParams(3, 20, 20, AnomalySpec(1, 1, 1, 1, 1))).write_facts_dir(facts)
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", False)
+    place_check(monkeypatch, False)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["eval", "--facts", str(facts), "--out", str(tmp_path / "reference.json")])

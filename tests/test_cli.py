@@ -32,7 +32,7 @@ from bridgewatch.cli import (
 from bridgewatch.facts import load_facts_dir
 from bridgewatch.ingest import ingest_jsonl, load_config
 from bridgewatch.keccak import event_topic
-from conftest import stop_writes
+from conftest import place_check, stop_writes
 
 
 def run(*argv) -> int:
@@ -599,7 +599,7 @@ def test_each_input_file_is_opened_once(tmp_path, monkeypatch, command, name, ed
     monkeypatch.setattr(facts_module, "open", counting_open, raising=False)
     try:
         for checker_process in (True, False):
-            monkeypatch.setattr(facts_module, "_CHECKER_PROCESS", checker_process)
+            place_check(monkeypatch, checker_process)
             os.truncate(log, 0)
             code = run(command, *argv, "--out", str(tmp_path / "out"))
             assert code == (EXIT_INPUT_ERROR if fails else EXIT_CLEAN)

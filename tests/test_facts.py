@@ -27,7 +27,8 @@ from hypothesis import event, given, settings, strategies as st
 from bridgewatch import cli, facts as f
 from bridgewatch.scenario import AnomalySpec, ScenarioParams, generate
 from conftest import (
-    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, replace, static_facts, stop_writes, txh,
+    AA, B1, CC, H1, U1, build_store, f1_facts, f2_facts, place_check, replace, static_facts,
+    stop_writes, txh,
 )
 from randstores import random_store
 
@@ -923,7 +924,7 @@ def test_eval_report_renames_the_tx_hashes_that_the_facts_rename(tmp_path, monke
     nothing else: the exit code, the fact count and every other byte of the
     report stay. The report lists anomalies and their hashes sorted by
     hash, so the bijection keeps the order of the hashes."""
-    monkeypatch.setattr(f, "_CHECKER_PROCESS", checker_process)
+    place_check(monkeypatch, checker_process)
     store = generate(ScenarioParams(5, 40, 40, AnomalySpec(2, 2, 2, 2, 2))).store
     hashes = sorted({value for fact in store
                      for value, (_, kind) in zip(fact._values(fact), fact.COLUMNS)

@@ -7,6 +7,9 @@ out in full so the field order stays pinned.
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -309,10 +312,30 @@ class TestEvalAll:
         with pytest.raises(rules.ConfigurationError, match=r"chain\(s\): 777$"):
             rules.eval_all(store)
 
-    def test_requires_sealed_store(self):
-        store = f.FactStore()
-        with pytest.raises(RuntimeError, match="sealed"):
-            rules.eval_rule1(store)
+    def test_four_threads_read_an_unsealed_store(self, monkeypatch):
+        # the first reads race to build the indexes: a thread that saw one
+        # index set and another not would recurse through __getattr__. Each
+        # bridge address slows the build, and the threads set out 1 ms
+        # apart, so that later reads fall inside an earlier thread's build
+        stores = [random_store(seed) for seed in range(5)]
+        expected = [rules.eval_all(random_store(seed)) for seed in range(5)]
+        values = f.BridgeControlledAddressFact._values
+
+        def slow_values(fact):
+            time.sleep(0.001)
+            return values(fact)
+
+        monkeypatch.setattr(f.BridgeControlledAddressFact, "_values", staticmethod(slow_values))
+        for store, outputs in zip(stores, expected):
+            start = threading.Barrier(4)
+
+            def evaluate(delay):
+                start.wait()
+                time.sleep(delay)
+                return rules.eval_all(store)
+
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(evaluate, [0, 0.001, 0.002, 0.003])) == [outputs] * 4
 
 
 def test_every_conjunct_is_needed(monkeypatch):
